@@ -41,6 +41,7 @@ from .model import (
     Equilibrium,
     ModelKind,
     NetworkParams,
+    compile_rhs,
     difference_pairs,
     equilibria,
     equilibrium,

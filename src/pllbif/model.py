@@ -18,13 +18,29 @@ States interleave positions and velocities per node:
 (x_1, x_1', x_2, x_2', ...).  All analysis downstream normalizes time by the
 free-running frequency omega_M, so the canonical parameter set has
 omega_M = 1.
+
+The all-to-all sums cost O(N), not O(N^2).  With d_j = x_j(t - tau):
+
+* FULL_PHASE: sin(d - x) + sin(d + x) = 2 sin(d) cos(x), so
+  sum_{j != i} [...] = 2 cos(x_i) (sum_j sin(d_j) - sin(d_i)).
+* PHASE and PHASE_ROTATING_FRAME, with shift s: from the order parameter
+  Z = sum_j exp(i d_j) (the Kuramoto mean-field identity; Strogatz,
+  Physica D 143, 2000),
+  sum_{j != i} sin(d_j - x_i - s) = Im((Z - exp(i d_i)) exp(-i (x_i + s))).
+* PHASE_DIFFERENCE: each per-node sum is one reduction over that node's
+  n - 1 consecutive pairs.
+
+``compile_rhs`` binds a formulation and its parameters once and returns the
+field as a closure; ``rhs`` is that closure behind a shape check.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -45,6 +61,7 @@ __all__ = [
     "equilibria",
     "equilibrium",
     "difference_pairs",
+    "compile_rhs",
     "rhs",
 ]
 
@@ -190,15 +207,82 @@ def _check_dim(kind: ModelKind, n_nodes: int, *vecs: np.ndarray) -> int:
 
 
 def _coupled_sum_full(pos: np.ndarray, dpos: np.ndarray) -> np.ndarray:
-    # sum_{j != i} sin(dpos_j - pos_i) + sin(dpos_j + pos_i)
-    m = np.sin(dpos[None, :] - pos[:, None]) + np.sin(dpos[None, :] + pos[:, None])
-    return m.sum(axis=1) - np.diagonal(m)
+    """sum_{j != i} sin(dpos_j - pos_i) + sin(dpos_j + pos_i) along the last axis, in O(N)."""
+    s = np.sin(dpos)
+    return 2.0 * np.cos(pos) * (s.sum(axis=-1, keepdims=True) - s)
 
 
 def _coupled_sum_phase(pos: np.ndarray, dpos: np.ndarray, shift: float) -> np.ndarray:
-    # sum_{j != i} sin(dpos_j - pos_i - shift)
-    m = np.sin(dpos[None, :] - pos[:, None] - shift)
-    return m.sum(axis=1) - np.diagonal(m)
+    """sum_{j != i} sin(dpos_j - pos_i - shift) along the last axis, in O(N)."""
+    z = np.exp(1j * dpos)
+    return ((z.sum(axis=-1, keepdims=True) - z) * np.exp(-1j * (pos + shift))).imag
+
+
+def compile_rhs(
+    kind: ModelKind,
+    params: NetworkParams,
+    omega: float | None = None,
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Right-hand side ``f(state, delayed)`` of one formulation, bound once.
+
+    Normalization, the kind and parameter checks, and every constant of the
+    field (mu, the coupling gain, the drive, the delay shift, the pair
+    indices) are settled here, so the returned closure does arithmetic only.
+    It takes float arrays whose last axis has length state_dim and does not
+    check them; leading axes evaluate many states at once.  The public
+    ``rhs`` is this closure behind a shape check.  ``omega`` is the frame
+    rotation rate, required for PHASE_ROTATING_FRAME and ignored otherwise.
+    """
+    p = normalize(params)
+    n = p.n_nodes
+    state_dim(kind, n)  # rejects the phase-difference form beyond three nodes
+    mu = p.filter_gain
+    gain = p.coupling * mu / (n - 1)
+
+    if kind is ModelKind.PHASE_DIFFERENCE:
+        pairs = np.array(difference_pairs(n))
+        first, second = pairs[:, 0], pairs[:, 1]
+        shift = p.free_freq * p.delay
+
+        def node_sums(d):
+            # sum_l sin(d_(i,l) + shift) per node i; the lexicographic layout
+            # groups the pairs by first index, n - 1 to a node
+            return np.sin(d + shift).reshape(d.shape[:-1] + (n, n - 1)).sum(axis=-1)
+
+        def field(state, delayed):
+            # row (i,j) needs node i's undelayed sum and node j's delayed sum
+            vel = state[..., 1::2]
+            und = node_sums(state[..., 0::2])
+            dly = node_sums(delayed[..., 0::2])
+            out = np.empty(state.shape)
+            out[..., 0::2] = vel
+            out[..., 1::2] = -mu * vel - gain * (und[..., first] - dly[..., second])
+            return out
+
+        return field
+
+    if kind is ModelKind.FULL_PHASE:
+        drive = mu * p.free_freq
+        coupled = _coupled_sum_full
+    elif kind is ModelKind.PHASE:
+        drive = 0.0
+        coupled = partial(_coupled_sum_phase, shift=p.free_freq * p.delay)
+    elif kind is ModelKind.PHASE_ROTATING_FRAME:
+        if omega is None:
+            raise UnsupportedKindError("rotating-frame evaluation needs the frame rate omega")
+        drive = -mu * omega
+        coupled = partial(_coupled_sum_phase, shift=(omega + p.free_freq) * p.delay)
+    else:  # pragma: no cover - exhaustive enum
+        raise UnsupportedKindError(str(kind))
+
+    def field(state, delayed):
+        vel = state[..., 1::2]
+        out = np.empty(state.shape)
+        out[..., 0::2] = vel
+        out[..., 1::2] = drive - mu * vel + gain * coupled(state[..., 0::2], delayed[..., 0::2])
+        return out
+
+    return field
 
 
 def rhs(
@@ -212,52 +296,12 @@ def rhs(
 
     ``omega`` is the frame rotation rate, required for PHASE_ROTATING_FRAME and
     ignored otherwise.  ``delayed`` must be the full state vector at t - tau
-    (equal to ``state`` when tau = 0).
+    (equal to ``state`` when tau = 0).  Evaluates the ``compile_rhs`` closure
+    after checking both shapes; loops over many states should compile once
+    instead.
     """
-    p = normalize(params)
+    field = compile_rhs(kind, params, omega)
     state = np.asarray(state, dtype=float)
     delayed = np.asarray(delayed, dtype=float)
-    n = p.n_nodes
-    mu = p.filter_gain
-    gain = p.coupling * mu / (n - 1)
-
-    if kind is ModelKind.PHASE_DIFFERENCE:
-        _check_dim(kind, n, state, delayed)
-        pairs = difference_pairs(n)
-        pos = state[0::2]
-        vel = state[1::2]
-        dpos = delayed[0::2]
-        shift = p.free_freq * p.delay
-        # both per-node sums key on the pair's FIRST index: row (i,j) needs
-        # sum_l sin(d_(i,l)(t) + shift) undelayed and sum_l sin(d_(j,l)(t - tau) + shift)
-        und = np.zeros(n)
-        dly = np.zeros(n)
-        for idx, (i, j) in enumerate(pairs):
-            und[i] += math.sin(pos[idx] + shift)
-            dly[i] += math.sin(dpos[idx] + shift)
-        out = np.empty_like(state)
-        out[0::2] = vel
-        for idx, (i, j) in enumerate(pairs):
-            out[2 * idx + 1] = -mu * vel[idx] - gain * (und[i] - dly[j])
-        return out
-
-    _check_dim(kind, n, state, delayed)
-    pos = state[0::2]
-    vel = state[1::2]
-    dpos = delayed[0::2]
-    out = np.empty_like(state)
-    out[0::2] = vel
-
-    if kind is ModelKind.FULL_PHASE:
-        acc = -mu * vel + mu * p.free_freq + gain * _coupled_sum_full(pos, dpos)
-    elif kind is ModelKind.PHASE:
-        acc = -mu * vel + gain * _coupled_sum_phase(pos, dpos, p.free_freq * p.delay)
-    elif kind is ModelKind.PHASE_ROTATING_FRAME:
-        if omega is None:
-            raise UnsupportedKindError("rotating-frame evaluation needs the frame rate omega")
-        shift = (omega + p.free_freq) * p.delay
-        acc = -mu * (vel + omega) + gain * _coupled_sum_phase(pos, dpos, shift)
-    else:  # pragma: no cover - exhaustive enum
-        raise UnsupportedKindError(str(kind))
-    out[1::2] = acc
-    return out
+    _check_dim(kind, params.n_nodes, state, delayed)
+    return field(state, delayed)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParamError, NotPeriodicError, UnsupportedKindError
-from .model import ModelKind, NetworkParams, normalize, rhs
+from .model import ModelKind, NetworkParams, compile_rhs, normalize
 
 __all__ = [
     "OrbitProfile",
@@ -118,6 +118,10 @@ def _series_positions(a, b, w, ts):
 
 def _residual(kind, p, a, b, period, samples):
     """Collocated second-order residual of the model on the series, flattened."""
+    if kind not in (ModelKind.FULL_PHASE, ModelKind.PHASE_DIFFERENCE):
+        raise UnsupportedKindError(
+            f"{kind} has no strictly periodic orbits in these coordinates"
+        )
     w = _TWO_PI / period
     n_comp = a.shape[0]
     ts = (period / samples) * np.arange(samples)
@@ -129,30 +133,12 @@ def _residual(kind, p, a, b, period, samples):
     acc = (-((k * w) ** 2) * ck) @ a.T + (-((k * w) ** 2) * sk) @ b.T
     xd = _series_positions(a, b, w, ts - p.delay)
 
-    mu = p.filter_gain
-    gain = p.coupling * mu / (p.n_nodes - 1)
-    if kind is ModelKind.FULL_PHASE:
-        # sum_{j != i} sin(xd_j - x_i) + sin(xd_j + x_i), vectorized over time
-        diff = np.sin(xd[:, None, :] - x[:, :, None]) + np.sin(xd[:, None, :] + x[:, :, None])
-        total = diff.sum(axis=2) - np.diagonal(diff, axis1=1, axis2=2)
-        forcing = mu * p.free_freq + gain * total
-        return (acc + mu * v - forcing).ravel()
-
-    if kind is ModelKind.PHASE_DIFFERENCE:
-        out = np.empty((samples, n_comp))
-        for m in range(samples):
-            st = np.empty(2 * n_comp)
-            st[0::2] = x[m]
-            st[1::2] = v[m]
-            de = np.empty(2 * n_comp)
-            de[0::2] = xd[m]
-            de[1::2] = 0.0  # velocity part unused by the pairwise rhs
-            out[m] = rhs(kind, p, st, de)[1::2]
-        return (acc - out).ravel()
-
-    raise UnsupportedKindError(
-        f"{kind} has no strictly periodic orbits in these coordinates"
-    )
+    st = np.empty((samples, 2 * n_comp))
+    st[:, 0::2] = x
+    st[:, 1::2] = v
+    de = np.zeros((samples, 2 * n_comp))  # velocity part unused by the field
+    de[:, 0::2] = xd
+    return (acc - compile_rhs(kind, p)(st, de)[:, 1::2]).ravel()
 
 
 def fit_profile(

@@ -31,7 +31,7 @@ from .errors import (
     StepTooLargeError,
     UnsupportedKindError,
 )
-from .model import Equilibrium, ModelKind, NetworkParams, normalize, rhs, state_dim
+from .model import Equilibrium, ModelKind, NetworkParams, compile_rhs, normalize, state_dim
 
 __all__ = [
     "HistorySpec",
@@ -146,8 +146,9 @@ class Trajectory:
     """Dense-output solution record.
 
     ``states``/``derivs`` hold the state and its time derivative on the step
-    grid; ``at`` evaluates the piecewise cubic matched to both.  Histories
-    extend the solution to t <= 0 as constants.
+    grid; ``at`` evaluates the piecewise cubic matched to both, and the
+    history the run started from for t <= 0.  ``history`` is any object with
+    ``state(t)``; a bare vector stands for the constant history.
     """
 
     kind: ModelKind
@@ -155,13 +156,17 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     derivs: np.ndarray
-    history_state: np.ndarray
+    history: object
     step: float
     omega: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if not hasattr(self.history, "state"):
+            self.history = HistorySpec.constant(self.history)
+
     def at(self, t: float) -> np.ndarray:
         if t <= 0.0:
-            return self.history_state.copy()
+            return np.array(self.history.state(t), dtype=float)
         h = self.step
         x = t / h
         j = min(int(x), len(self.times) - 2)
@@ -215,9 +220,11 @@ def integrate(
     ``history`` is any object with ``state(t) -> vector`` defined for t <= 0
     (a HistorySpec, or an OrbitProfile used as its own initial segment).  The
     grid step is the largest divisor of tau not exceeding ``step`` (method of
-    steps); delayed stage values come from the cubic dense output of segments
-    at least three steps old, which the constraint step <= tau/4 guarantees
-    are complete.
+    steps), so every delayed stage value sits on a grid point or a segment
+    midpoint: the history sampled once on that grid over [-tau, 0], then the
+    cubic dense output of segments at least three steps old, which the
+    constraint step <= tau/4 guarantees are complete.  Each step reuses the
+    derivative stored at its start as the first stage (first same as last).
     """
     p = normalize(params)
     if t_end <= 0.0:
@@ -225,9 +232,7 @@ def integrate(
     if step <= 0.0:
         raise InvalidParamError("step must be positive")
     dim = state_dim(kind, p.n_nodes)
-    hist = np.asarray(history.state(0.0), dtype=float)
-    if hist.shape != (dim,):
-        raise DimensionMismatchError(f"history has shape {hist.shape}, model needs ({dim},)")
+    field = compile_rhs(kind, p, omega)
     tau = p.delay
     if tau > 0.0:
         if step > tau / 4.0 + 1e-15:
@@ -236,63 +241,62 @@ def integrate(
             )
         m = max(4, int(math.ceil(tau / step - 1e-12)))
         h = tau / m
+        # history at -tau + i h/2: grid points at even i, segment midpoints at odd i
+        past = _sample_history(history, np.linspace(-tau, 0.0, 2 * m + 1), dim)
+        f = field
     else:
+        m = 0
         h = step
+        past = _sample_history(history, [0.0], dim)
+
+        # delay-free: each stage state is its own delayed argument
+        def f(y, _):
+            return field(y, y)
+
     nsteps = int(math.ceil(t_end / h - 1e-12))
     times = np.arange(nsteps + 1) * h
     states = np.empty((nsteps + 1, dim))
     derivs = np.empty((nsteps + 1, dim))
-    states[0] = hist
-
-    def f(y, ydel):
-        return rhs(kind, p, y, ydel, omega=omega)
-
-    if tau == 0.0:
-        derivs[0] = f(hist, hist)
-        for k in range(nsteps):
-            y = states[k]
-            k1 = derivs[k]
-            k2 = f(y + 0.5 * h * k1, y + 0.5 * h * k1)
-            k3 = f(y + 0.5 * h * k2, y + 0.5 * h * k2)
-            k4 = f(y + h * k3, y + h * k3)
-            y1 = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _check_finite(y1, times[k + 1])
-            states[k + 1] = y1
-            derivs[k + 1] = f(y1, y1)
-        return Trajectory(kind, p, times, states, derivs, hist, h, omega)
-
-    def delayed(s):
-        # s = t - tau for a stage time t; the segment holding s was completed
-        # at least three steps ago because tau = m h with m >= 4
-        if s <= 1e-12:
-            return np.asarray(history.state(min(s, 0.0)), dtype=float)
-        x = s / h
-        j = int(x + 1e-9)
-        th = x - j
-        if th < 1e-9:
-            return states[j]
-        return _hermite(states[j], derivs[j], states[j + 1], derivs[j + 1], h, th)
-
-    derivs[0] = f(hist, hist)
+    states[0] = past[-1]
+    derivs[0] = f(past[-1], past[0])
+    h2, h6 = 0.5 * h, h / 6.0
     for k in range(nsteps):
-        t = times[k]
+        # delayed values at t_k + h/2 - tau and t_k + h - tau
+        if m == 0:
+            dh = d1 = None
+        elif k < m:
+            dh, d1 = past[2 * k + 1], past[2 * k + 2]
+        else:
+            j = k - m
+            d1 = states[j + 1]
+            dh = _hermite(states[j], derivs[j], d1, derivs[j + 1], h, 0.5)
         y = states[k]
-        d0 = delayed(t - tau)
-        dh = delayed(t + 0.5 * h - tau)
-        d1 = delayed(t + h - tau)
-        k1 = f(y, d0)
-        k2 = f(y + 0.5 * h * k1, dh)
-        k3 = f(y + 0.5 * h * k2, dh)
+        k1 = derivs[k]
+        k2 = f(y + h2 * k1, dh)
+        k3 = f(y + h2 * k2, dh)
         k4 = f(y + h * k3, d1)
-        y1 = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y1 = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
         _check_finite(y1, times[k + 1])
         states[k + 1] = y1
         derivs[k + 1] = f(y1, d1)
-    return Trajectory(kind, p, times, states, derivs, hist, h, omega)
+    return Trajectory(kind, p, times, states, derivs, history, h, omega)
+
+
+def _sample_history(history, ts, dim: int) -> np.ndarray:
+    out = np.empty((len(ts), dim))
+    for i, t in enumerate(ts):
+        v = np.asarray(history.state(float(t)), dtype=float)
+        if v.shape != (dim,):
+            raise DimensionMismatchError(
+                f"history at t = {float(t):.6g} has shape {v.shape}, model needs ({dim},)"
+            )
+        out[i] = v
+    return out
 
 
 def _check_finite(y, t):
-    if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > _BOUND:
+    # a NaN fails the comparison, so one reduction catches both cases
+    if not np.abs(y).max() <= _BOUND:
         raise NonFiniteError(f"trajectory left bounds near t = {t:.6g}")
 
 

@@ -8,17 +8,23 @@ from hypothesis import strategies as st
 from pllbif import (
     Branch,
     DimensionMismatchError,
+    HistorySpec,
     InvalidParamError,
     ModelKind,
     NetworkParams,
     NoEquilibriumError,
     UnsupportedKindError,
+    compile_rhs,
     difference_pairs,
     equilibria,
     equilibrium,
+    equilibrium_state,
+    integrate,
+    isotypic_direction,
     normalize,
     rhs,
     state_dim,
+    sync_direction,
 )
 
 
@@ -140,3 +146,114 @@ def test_rotating_frame_needs_omega():
         rhs(ModelKind.PHASE_ROTATING_FRAME, p, x, x)
     out = rhs(ModelKind.PHASE_ROTATING_FRAME, p, x, x, omega=0.9)
     assert out.shape == (4,)
+
+
+# ---------------------------------------------------------------------------
+# the O(N) coupling sums against the model equations summed pair by pair
+
+
+def oracle_rhs(kind, params, state, delayed, omega=None):
+    """The field written out term by term from the model equations, O(N^2)."""
+    p = normalize(params)
+    n = p.n_nodes
+    mu = p.filter_gain
+    gain = p.coupling * mu / (n - 1)
+    out = np.empty_like(state)
+    out[0::2] = state[1::2]
+    if kind is ModelKind.PHASE_DIFFERENCE:
+        pairs = difference_pairs(n)
+        where = {pair: idx for idx, pair in enumerate(pairs)}
+        shift = p.free_freq * p.delay
+        for idx, (i, j) in enumerate(pairs):
+            und = sum(math.sin(state[2 * where[i, l]] + shift) for l in range(n) if l != i)
+            dly = sum(math.sin(delayed[2 * where[j, l]] + shift) for l in range(n) if l != j)
+            out[2 * idx + 1] = -mu * state[2 * idx + 1] - gain * (und - dly)
+        return out
+    for i in range(n):
+        x = state[2 * i]
+        acc = -mu * state[2 * i + 1]
+        if kind is ModelKind.FULL_PHASE:
+            acc += mu * p.free_freq
+        if kind is ModelKind.PHASE_ROTATING_FRAME:
+            acc -= mu * omega
+        for j in range(n):
+            if j == i:
+                continue
+            d = delayed[2 * j]
+            if kind is ModelKind.FULL_PHASE:
+                acc += gain * (math.sin(d - x) + math.sin(d + x))
+            elif kind is ModelKind.PHASE:
+                acc += gain * math.sin(d - x - p.free_freq * p.delay)
+            else:
+                acc += gain * math.sin(d - x - (omega + p.free_freq) * p.delay)
+        out[2 * i + 1] = acc
+    return out
+
+
+ORACLE_CASES = [
+    (kind, n)
+    for kind in (ModelKind.FULL_PHASE, ModelKind.PHASE, ModelKind.PHASE_ROTATING_FRAME)
+    for n in (2, 3, 16, 128)
+] + [(ModelKind.PHASE_DIFFERENCE, n) for n in (2, 3)]
+
+
+@pytest.mark.parametrize(
+    "kind,n", ORACLE_CASES, ids=[f"{k.value}-{n}" for k, n in ORACLE_CASES]
+)
+def test_rhs_matches_pairwise_oracle(kind, n):
+    rng = np.random.default_rng(1000 + n)
+    p = NetworkParams(n, 2.6, 0.8, free_freq=1.3, delay=1.7)
+    dim = state_dim(kind, n)
+    omega = 0.35 if kind is ModelKind.PHASE_ROTATING_FRAME else None
+    compiled = compile_rhs(kind, p, omega)
+    xs = rng.uniform(-4.0, 4.0, (5, dim))
+    xds = rng.uniform(-4.0, 4.0, (5, dim))
+    batch = compiled(xs, xds)
+    for x, xd, row in zip(xs, xds, batch):
+        want = oracle_rhs(kind, p, x, xd, omega)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(compiled(x, xd) - want)) <= 1e-12 * scale
+        assert np.max(np.abs(rhs(kind, p, x, xd, omega=omega) - want)) <= 1e-12 * scale
+        assert np.max(np.abs(row - want)) <= 1e-12 * scale
+
+
+class _ShortPast:
+    """A history with the right shape at t = 0 and one coordinate missing before."""
+
+    def __init__(self, vec):
+        self.vec = np.asarray(vec, dtype=float)
+
+    def state(self, t=0.0):
+        return self.vec if t == 0.0 else self.vec[:-1]
+
+
+def test_malformed_history_sample_is_rejected():
+    p = NetworkParams(2, 1.05, 0.3, delay=2.0)
+    base = equilibrium_state(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS))
+    with pytest.raises(DimensionMismatchError):
+        integrate(ModelKind.FULL_PHASE, p, _ShortPast(base), 5.0, step=0.1)
+
+
+def test_integration_is_permutation_equivariant_at_64_nodes():
+    n = 64
+    p = NetworkParams(n, 1.05, 0.3, delay=2.0)
+    base = equilibrium_state(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS))
+    kick = isotypic_direction(n, 5)
+    perm = np.random.default_rng(7).permutation(n)
+    idx = np.empty(2 * n, dtype=int)
+    idx[0::2], idx[1::2] = 2 * perm, 2 * perm + 1
+    first = integrate(ModelKind.FULL_PHASE, p, HistorySpec.perturbed(base, kick, 0.05), 40.0, 0.1)
+    second = integrate(
+        ModelKind.FULL_PHASE, p, HistorySpec.perturbed(base[idx], kick[idx], 0.05), 40.0, 0.1
+    )
+    assert np.max(np.abs(second.states - first.states[:, idx])) < 1e-9
+
+
+def test_synchronized_rotating_frame_history_stays_synchronized():
+    n = 64
+    p = NetworkParams(n, 1.05, 0.3, delay=2.0)
+    hist = HistorySpec.perturbed(np.zeros(2 * n), sync_direction(n), 0.03)
+    traj = integrate(ModelKind.PHASE_ROTATING_FRAME, p, hist, 40.0, 0.1, omega=-0.04)
+    pos = traj.states[:, 0::2]
+    assert np.any(pos != 0.0)
+    assert np.all(pos == pos[:, :1])

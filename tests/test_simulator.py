@@ -17,6 +17,7 @@ from pllbif import (
     ModelKind,
     NetworkParams,
     NotPeriodicError,
+    OrbitProfile,
     StepTooLargeError,
     SymmetryTag,
     Trajectory,
@@ -26,6 +27,7 @@ from pllbif import (
     isotypic_direction,
     pair_difference_direction,
     period_estimate,
+    rhs,
     symmetry_classify,
     sync_direction,
 )
@@ -107,6 +109,49 @@ def test_trajectory_dense_output_matches_grid():
     assert np.allclose(traj.at(-0.5), hist.state())
     # csv round trip stays in sync with the node view
     assert traj.node(2).shape == (len(traj.times), 2)
+
+
+P3 = NetworkParams(3, 1.05, 0.075, delay=9.5)
+
+
+def coarse_orbit():
+    """The README's coarse three-node orbit candidate: a non-constant history."""
+    a = np.zeros((3, 5))
+    b = np.zeros((3, 5))
+    a[0, :3] = [-0.873, -0.261, -0.013]
+    a[1, :3] = [-0.873, +0.261, -0.013]
+    a[2, 0], a[2, 2] = -0.886, -0.0027
+    b[0, 2], b[1, 2], b[2, 2] = 0.0078, 0.0078, 0.0025
+    return OrbitProfile(ModelKind.FULL_PHASE, P3, 24.2, a, b)
+
+
+def test_first_derivative_reads_the_delayed_history():
+    prof = coarse_orbit()
+    traj = integrate(ModelKind.FULL_PHASE, P3, prof, 5.0, step=9.5 / 100)
+    want = rhs(ModelKind.FULL_PHASE, P3, prof.state(0.0), prof.state(-9.5))
+    assert np.array_equal(traj.derivs[0], want)
+
+
+def test_trajectory_before_zero_is_the_history():
+    prof = coarse_orbit()
+    traj = integrate(ModelKind.FULL_PHASE, P3, prof, 5.0, step=9.5 / 100)
+    for t in (-9.5, -5.0, -0.5, 0.0):
+        assert np.allclose(traj.at(t), prof.state(t), rtol=0.0, atol=1e-15)
+    # the history moves: a t = 0 snapshot would be far off here
+    assert np.max(np.abs(traj.at(-5.0) - traj.states[0])) > 0.1
+
+
+def test_fourth_order_convergence_through_the_delay():
+    # three delay intervals from a moving history: history samples, segment
+    # midpoints and grid points all feed the delayed stages
+    prof = coarse_orbit()
+    ref = integrate(ModelKind.FULL_PHASE, P3, prof, 28.5, step=9.5 / 512).states[-1]
+    errs = []
+    for m in (16, 32):
+        got = integrate(ModelKind.FULL_PHASE, P3, prof, 28.5, step=9.5 / m).states[-1]
+        errs.append(np.max(np.abs(got - ref)))
+    order = math.log2(errs[0] / errs[1])
+    assert 3.7 <= order <= 4.3
 
 
 # ---------------------------------------------------------------------------
