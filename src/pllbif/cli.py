@@ -4,7 +4,10 @@ Every command writes CSV (``--out PATH``, default stdout) whose ``#`` comment
 lines record the resolved, normalized parameters; floats serialize with 17
 significant digits so files round-trip exactly.  ``--svg PATH`` adds a small
 self-contained line chart.  ``--config FILE`` supplies defaults from a JSON
-object keyed by the long flag names; explicit flags win.
+object keyed by the long flag names; explicit flags win, and a key that names
+no option of the command is a usage error.  A default applies only to an
+option that neither a flag nor the config set; a value that is set but out of
+range is a usage error, never replaced by the default.
 
 Delays, times, and steps given on the command line are in the caller's time
 units and are rescaled by omega_m at this boundary, so configurations that
@@ -18,14 +21,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .charfun import BlockKind, build_blocks
-from .errors import PllbifError
+from .errors import InvalidParamError, PllbifError
 from .model import Branch, ModelKind, NetworkParams, equilibrium, normalize
 from .phasediff import block_product, char_functions_n2, determinant_n3, fictitious_roots
 from .phasemodel import releq_branches, releq_solve, relative_hopf_scan, zero_root_taus
@@ -59,6 +62,8 @@ _MODEL = {
 }
 _BLOCK = {"fix": BlockKind.FIX, "standard": BlockKind.STANDARD}
 _EQ = {"plus": Branch.PLUS, "minus": Branch.MINUS}
+_SCHEME = {"newton": Scheme.NEWTON, "halley": Scheme.HALLEY}
+_YES = {"yes": True, "no": False}
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +72,7 @@ _EQ = {"plus": Branch.PLUS, "minus": Branch.MINUS}
 
 def _grid(text: str, flag: str) -> np.ndarray:
     try:
-        a, b, count = text.split(":")
+        a, b, count = str(text).split(":")
         a, b, count = float(a), float(b), int(count)
     except ValueError as exc:
         raise _UsageError(f"{flag} expects start:stop:count, got {text!r}") from exc
@@ -78,7 +83,7 @@ def _grid(text: str, flag: str) -> np.ndarray:
 
 def _window(text: str, flag: str) -> tuple[float, float]:
     try:
-        a, b = (float(v) for v in text.split(":"))
+        a, b = (float(v) for v in str(text).split(":"))
     except ValueError as exc:
         raise _UsageError(f"{flag} expects start:stop, got {text!r}") from exc
     if not b > a:
@@ -87,6 +92,7 @@ def _window(text: str, flag: str) -> tuple[float, float]:
 
 
 def _irange(text: str, flag: str) -> range:
+    text = str(text)
     try:
         if ":" in text:
             a, b = (int(v) for v in text.split(":"))
@@ -97,11 +103,25 @@ def _irange(text: str, flag: str) -> range:
         raise _UsageError(f"{flag} expects n or lo:hi, got {text!r}") from exc
 
 
+def _opt(opts: dict, key: str, default=None):
+    """The option's value, or ``default`` when neither a flag nor the config set it."""
+    val = opts.get(key)
+    return default if val is None else val
+
+
 def _require(opts: dict, key: str, flag: str):
     val = opts.get(key)
     if val is None:
         raise _UsageError(f"{flag} is required for this command")
     return val
+
+
+def _choice(opts: dict, key: str, table: dict, default: str, flag: str):
+    val = _opt(opts, key, default)
+    try:
+        return table[val]
+    except (KeyError, TypeError):
+        raise _UsageError(f"{flag} must be one of {', '.join(table)}, got {val!r}") from None
 
 
 def _num(val, flag: str) -> float:
@@ -114,20 +134,45 @@ def _num(val, flag: str) -> float:
         raise _UsageError(f"{flag} expects a number, got {val!r}") from exc
 
 
+def _int(val, flag: str, least: int | None = None) -> int:
+    v = _num(val, flag)
+    if not v.is_integer():
+        raise _UsageError(f"{flag} expects an integer, got {val!r}")
+    if least is not None and v < least:
+        raise _UsageError(f"{flag} must be >= {least}, got {int(v)}")
+    return int(v)
+
+
+def _positive(val, flag: str) -> float:
+    v = _num(val, flag)
+    if not (math.isfinite(v) and v > 0.0):
+        raise _UsageError(f"{flag} must be finite and > 0, got {val!r}")
+    return v
+
+
+def _omega_m(opts: dict) -> float:
+    return _positive(_opt(opts, "omega_m", 1.0), "--omega-m")
+
+
+def _resolution(opts: dict) -> int:
+    return _int(_opt(opts, "resolution", 2000), "--resolution", least=2)
+
+
 def _mkparams(opts: dict, mu_default: float | None = None) -> NetworkParams:
     k = _num(_require(opts, "coupling", "--K"), "--K")
-    mu = opts.get("mu")
+    mu = _opt(opts, "mu", mu_default)
     if mu is None:
-        if mu_default is None:
-            raise _UsageError("--mu is required for this command")
-        mu = mu_default
-    return NetworkParams(
-        n_nodes=int(_num(opts.get("nodes") or 2, "--nodes")),
-        coupling=k,
-        filter_gain=_num(mu, "--mu"),
-        free_freq=_num(opts.get("omega_m") or 1.0, "--omega-m"),
-        delay=_num(opts.get("tau") or 0.0, "--tau"),
-    )
+        raise _UsageError("--mu is required for this command")
+    try:
+        return NetworkParams(
+            n_nodes=_int(_opt(opts, "nodes", 2), "--nodes", least=2),
+            coupling=k,
+            filter_gain=_num(mu, "--mu"),
+            free_freq=_omega_m(opts),
+            delay=_num(_opt(opts, "tau", 0.0), "--tau"),
+        )
+    except InvalidParamError as err:
+        raise _UsageError(str(err)) from err
 
 
 def _fmt(v) -> str:
@@ -146,7 +191,7 @@ def _emit(opts: dict, meta: list[tuple], header: list[str], rows, summary: str) 
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     text = "\n".join(lines) + "\n"
-    out = opts.get("out") or "-"
+    out = str(_opt(opts, "out", "-"))  # a config number must not name a file descriptor
     if out == "-":
         sys.stdout.write(text)
         print(summary, file=sys.stderr)
@@ -169,23 +214,10 @@ def _meta(p: NetworkParams, *extra: tuple) -> list[tuple]:
 
 def _write_svg(opts: dict, series: list[Series], title: str, xlabel: str, ylabel: str) -> None:
     path = opts.get("svg")
-    if not path:
+    if path is None:
         return
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(str(path), "w", encoding="utf-8") as fh:
         fh.write(line_chart(series, title=title, xlabel=xlabel, ylabel=ylabel))
-
-
-def _pmap(fn, items, threads):
-    items = list(items)
-    if threads is None:
-        threads = 1
-    threads = int(threads)
-    if threads == 0:
-        threads = min(8, os.cpu_count() or 1)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(threads, 32)) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +225,15 @@ def _pmap(fn, items, threads):
 
 
 def _cmd_curves(opts: dict) -> int:
-    kind = _MODEL[opts.get("model") or "full-phase"]
+    kind = _choice(opts, "model", _MODEL, "full-phase", "--model")
     if kind is not ModelKind.FULL_PHASE:
         raise _UsageError("curves supports --model full-phase")
-    block = _BLOCK[opts.get("block") or "fix"]
-    eq_branch = _EQ[opts.get("eq") or "minus"]
+    block = _choice(opts, "block", _BLOCK, "fix", "--block")
+    eq_branch = _choice(opts, "eq", _EQ, "minus", "--eq")
     mu_grid, k_grid = opts.get("mu_grid"), opts.get("k_grid")
     if (mu_grid is None) == (k_grid is None):
         raise _UsageError("give exactly one of --mu-grid or --k-grid")
-    wm = float(opts.get("omega_m") or 1.0)
+    wm = _omega_m(opts)
     if mu_grid is not None:
         sweep = "mu"
         values = _grid(mu_grid, "--mu-grid") / wm
@@ -212,15 +244,10 @@ def _cmd_curves(opts: dict) -> int:
         opts = dict(opts, coupling=float(values[0]) * wm)
         base = _mkparams(opts)
     p = normalize(base)
-    n_range = _irange(opts.get("n") or "0:4", "--n")
+    n_range = _irange(_opt(opts, "n", "0:4"), "--n")
     tau_max = opts.get("tau_max")
-    tau_max = float(tau_max) * wm if tau_max is not None else None
-    chunks = _pmap(
-        lambda v: bifurcation_curves(kind, p, block, eq_branch, sweep, [v], n_range, tau_max),
-        values,
-        opts.get("threads"),
-    )
-    rows = [r for chunk in chunks for r in chunk]
+    tau_max = _num(tau_max, "--tau-max") * wm if tau_max is not None else None
+    rows = bifurcation_curves(kind, p, block, eq_branch, sweep, values, n_range, tau_max)
     header = ["value", "n", "root", "omega", "tau", "delta_sign"]
     out_rows = [
         [r.sweep_value, r.winding, r.root_branch.value, r.omega, r.tau_star, r.delta_sign]
@@ -253,14 +280,14 @@ def _cmd_curves(opts: dict) -> int:
 
 
 def _cmd_rightmost(opts: dict) -> int:
-    kind = _MODEL[opts.get("model") or "full-phase"]
+    kind = _choice(opts, "model", _MODEL, "full-phase", "--model")
     if kind is not ModelKind.FULL_PHASE:
         raise _UsageError("rightmost supports --model full-phase")
-    eq_branch = _EQ[opts.get("eq") or "plus"]
-    which = opts.get("block") or "both"
-    scheme = Scheme.HALLEY if (opts.get("scheme") or "newton") == "halley" else Scheme.NEWTON
-    certify = (opts.get("certify") or "yes") == "yes"
-    wm = float(opts.get("omega_m") or 1.0)
+    eq_branch = _choice(opts, "eq", _EQ, "plus", "--eq")
+    which = _opt(opts, "block", "both")
+    scheme = _choice(opts, "scheme", _SCHEME, "newton", "--scheme")
+    certify = _choice(opts, "certify", _YES, "yes", "--certify")
+    wm = _omega_m(opts)
     taus = _grid(_require(opts, "tau_grid", "--tau-grid"), "--tau-grid") * wm
     p = normalize(_mkparams(opts))
     eq = equilibrium(p, eq_branch)
@@ -313,17 +340,18 @@ def _cmd_rightmost(opts: dict) -> int:
 
 
 def _cmd_snmap(opts: dict) -> int:
-    kind = _MODEL[opts.get("model") or "full-phase"]
-    block = _BLOCK[opts.get("block") or "fix"]
-    wm = float(opts.get("omega_m") or 1.0)
+    kind = _choice(opts, "model", _MODEL, "full-phase", "--model")
+    block = _choice(opts, "block", _BLOCK, "fix", "--block")
+    wm = _omega_m(opts)
     lo, hi = _window(_require(opts, "tau_window", "--tau-window"), "--tau-window")
     lo, hi = lo * wm, hi * wm
     grid_step = opts.get("grid_step")
-    grid_step = float(grid_step) * wm if grid_step is not None else None
+    grid_step = _positive(grid_step, "--grid-step") * wm if grid_step is not None else None
 
     if kind is ModelKind.FULL_PHASE:
         p = normalize(_mkparams(opts))
-        eq = equilibrium(p, _EQ[opts.get("eq") or "minus"])
+        eq_branch = _choice(opts, "eq", _EQ, "minus", "--eq")
+        eq = equilibrium(p, eq_branch)
         blk = build_blocks(kind, p, eq).fix if block is BlockKind.FIX else build_blocks(kind, p, eq).standard
         cands = sn_scan(blk, (lo, hi), grid_step=grid_step)
         header = ["tau", "omega", "root", "n", "delta", "delta_sign"]
@@ -331,13 +359,13 @@ def _cmd_snmap(opts: dict) -> int:
             [c.tau_star, c.omega, c.omega_candidate.root_branch.value, c.winding, c.delta, c.delta_sign]
             for c in cands
         ]
-        meta = _meta(p, ("command", "snmap"), ("block", block.value), ("eq", opts.get("eq") or "minus"))
+        meta = _meta(p, ("command", "snmap"), ("block", block.value), ("eq", eq_branch.value))
         pts_x = [r[0] for r in rows]
         pts_y = [r[1] for r in rows]
     elif kind is ModelKind.PHASE:
         p = normalize(_mkparams(opts))
         crossings = relative_hopf_scan(
-            p, block, (lo, hi), resolution=int(opts.get("resolution") or 2000), grid_step=grid_step
+            p, block, (lo, hi), resolution=_resolution(opts), grid_step=grid_step
         )
         header = ["branch_id", "tau", "omega", "root", "n", "delta", "delta_sign"]
         rows = [
@@ -363,17 +391,18 @@ def _cmd_snmap(opts: dict) -> int:
 
 
 def _cmd_releq(opts: dict) -> int:
-    wm = float(opts.get("omega_m") or 1.0)
+    wm = _omega_m(opts)
     lo, hi = _window(_require(opts, "tau_window", "--tau-window"), "--tau-window")
     p = normalize(_mkparams(opts, mu_default=1.0))
-    branches = releq_branches(p, (lo * wm, hi * wm), int(opts.get("resolution") or 2000))
+    resolution = _resolution(opts)
+    branches = releq_branches(p, (lo * wm, hi * wm), resolution)
     rows = []
     series = []
     for br in branches:
         for t, oh in zip(br.taus, br.omegas):
             rows.append([br.branch_id, br.birth_tau, t, oh])
         series.append(Series(list(br.taus), list(br.omegas), label=f"branch {br.branch_id}"))
-    meta = _meta(p, ("command", "releq"), ("resolution", int(opts.get("resolution") or 2000)))
+    meta = _meta(p, ("command", "releq"), ("resolution", resolution))
     _write_svg(opts, series, "locked frequencies", "tau", "Omega_hat")
     _emit(
         opts,
@@ -387,7 +416,7 @@ def _cmd_releq(opts: dict) -> int:
 
 def _cmd_zero_roots(opts: dict) -> int:
     p = normalize(_mkparams(opts, mu_default=1.0))
-    events = zero_root_taus(p, _irange(opts.get("n") or "0:6", "--n"))
+    events = zero_root_taus(p, _irange(_opt(opts, "n", "0:6"), "--n"))
     rows = [[ev.tau_star, ev.n, ev.delta0, ev.omega_hat] for ev in events]
     meta = _meta(p, ("command", "zero-roots"))
     _write_svg(
@@ -406,15 +435,15 @@ def _cmd_phasediff_check(opts: dict) -> int:
     p = normalize(_mkparams(opts))
     if p.delay <= 0.0:
         raise _UsageError("--tau > 0 is required (the difference coordinates need a delay)")
-    seed = int(opts.get("seed") or 0)
-    samples = int(opts.get("samples") or 300)
+    seed = _int(_opt(opts, "seed", 0), "--seed")
+    samples = _int(_opt(opts, "samples", 300), "--samples", least=1)
     locked = releq_solve(p, p.delay)
-    idx = int(opts.get("omega_index") or 0)
+    idx = _int(_opt(opts, "omega_index", 0), "--omega-index")
     if not 0 <= idx < len(locked):
         raise _UsageError(f"--omega-index {idx} outside 0..{len(locked) - 1}")
     omega_hat = locked[idx]
     c_const = opts.get("c_const")
-    c_const = float(c_const) if c_const is not None else (omega_hat - p.free_freq) * p.delay
+    c_const = _num(c_const, "--c-const") if c_const is not None else (omega_hat - p.free_freq) * p.delay
     rng = np.random.default_rng(seed)
     lam = rng.uniform(-1.5, 1.5, samples) + 1j * rng.uniform(-2.0, 2.0, samples)
 
@@ -467,32 +496,32 @@ def _cmd_phasediff_check(opts: dict) -> int:
 
 
 def _cmd_simulate(opts: dict) -> int:
-    kind = _MODEL[opts.get("model") or "full-phase"]
-    wm = float(opts.get("omega_m") or 1.0)
+    kind = _choice(opts, "model", _MODEL, "full-phase", "--model")
+    wm = _omega_m(opts)
     p = normalize(_mkparams(opts))
-    t_end = float(_require(opts, "t_end", "--t-end")) * wm
+    t_end = _num(_require(opts, "t_end", "--t-end"), "--t-end") * wm
     omega = None
 
     if kind is ModelKind.FULL_PHASE:
-        eq = equilibrium(p, _EQ[opts.get("eq") or "minus"])
+        eq = equilibrium(p, _choice(opts, "eq", _EQ, "minus", "--eq"))
         base = equilibrium_state(kind, p, eq)
     elif kind is ModelKind.PHASE:
         base = np.zeros(2 * p.n_nodes)
     elif kind is ModelKind.PHASE_ROTATING_FRAME:
         oh = opts.get("omega_hat")
-        oh = float(oh) if oh is not None else releq_solve(p, p.delay)[0]
+        oh = _num(oh, "--omega-hat") if oh is not None else releq_solve(p, p.delay)[0]
         omega = oh - p.free_freq
         base = equilibrium_state(kind, p, None)
     else:
         locked = releq_solve(p, p.delay)
         c_const = opts.get("c_const")
         c_const = (
-            float(c_const) if c_const is not None else (locked[0] - p.free_freq) * p.delay
+            _num(c_const, "--c-const") if c_const is not None else (locked[0] - p.free_freq) * p.delay
         )
         base = equilibrium_state(kind, p, c_const)
 
-    spec_kind = opts.get("perturb") or "none"
-    amplitude = float(opts.get("amplitude") or 0.0)
+    spec_kind = str(_opt(opts, "perturb", "none"))
+    amplitude = _num(_opt(opts, "amplitude", 0.0), "--amplitude")
     if spec_kind == "none":
         history = HistorySpec.constant(base)
     else:
@@ -508,22 +537,23 @@ def _cmd_simulate(opts: dict) -> int:
                 raise _UsageError("--perturb pair:i,j with 1-based node labels") from exc
             direction = pair_difference_direction(p.n_nodes, (i, j))
         elif spec_kind.startswith("isotypic:"):
-            parts = spec_kind.split(":")
-            j = int(parts[1])
-            direction = isotypic_direction(p.n_nodes, j, parts[2] if len(parts) > 2 else "real")
+            m = re.fullmatch(r"isotypic:(-?\d+)(?::(real|imag))?", spec_kind)
+            if m is None:
+                raise _UsageError("--perturb isotypic:j[:imag] needs an integer j")
+            direction = isotypic_direction(p.n_nodes, int(m[1]), m[2] or "real")
         else:
             raise _UsageError(f"unknown --perturb {spec_kind!r}")
         history = HistorySpec.perturbed(base, direction, amplitude)
 
     step = opts.get("step")
     if step is not None:
-        step = float(step) * wm
+        step = _num(step, "--step") * wm
     else:
         div = opts.get("step_div")
         if div is not None:
             if p.delay <= 0.0:
                 raise _UsageError("--step-div needs tau > 0")
-            step = p.delay / int(div)
+            step = p.delay / _int(div, "--step-div", least=1)
         elif p.delay > 0.0:
             step = p.delay / 100.0
         else:
@@ -545,13 +575,16 @@ def _cmd_simulate(opts: dict) -> int:
         ("amplitude", amplitude),
     )
 
-    if (opts.get("classify") or "yes") == "yes":
+    if _choice(opts, "classify", _YES, "yes", "--classify"):
+        transient = _num(_opt(opts, "transient", 0.6), "--transient")
+        if not 0.0 <= transient < 1.0:
+            raise _UsageError(f"--transient must lie in [0, 1), got {transient:g}")
         try:
-            period = period_estimate(traj, float(opts.get("transient") or 0.6))
+            period = period_estimate(traj, transient)
             if kind is ModelKind.PHASE_DIFFERENCE:
                 summary = f"simulate: period {period:.6g} (difference model: no symmetry classification)"
             else:
-                cls = symmetry_classify(traj, period, float(opts.get("tol") or 1e-2))
+                cls = symmetry_classify(traj, period, _num(_opt(opts, "tol", 1e-2), "--tol"))
                 pair = f"{cls.pair}" if cls.pair else ""
                 summary = (
                     f"simulate: period {period:.6g}, {cls.tag.value}{pair}, "
@@ -581,7 +614,7 @@ def _cmd_verify(opts: dict) -> int:
 
     only = opts.get("only")
     try:
-        selected = [int(v) for v in only.split(",")] if only else None
+        selected = [int(v) for v in str(only).split(",")] if only is not None else None
     except ValueError as exc:
         raise _UsageError(f"--only expects comma-separated integers, got {only!r}") from exc
     results = run_all(selected)
@@ -600,7 +633,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON file of option defaults (flags override)")
     sp.add_argument("--out", help="CSV output path ('-' = stdout, the default)")
     sp.add_argument("--svg", help="also write an SVG chart here")
-    sp.add_argument("--threads", type=int, help="worker threads for sweeps (0 = auto)")
     sp.add_argument("--seed", type=int, help="seed for randomized checks")
 
 
@@ -703,21 +735,20 @@ _ALIASES = {"k": "coupling", "K": "coupling"}
 
 
 def _merged(args: argparse.Namespace) -> dict:
-    cfg: dict = {}
-    if getattr(args, "config", None):
+    opts = {k: v for k, v in vars(args).items() if k not in ("config", "command", "func")}
+    if getattr(args, "config", None) is not None:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise _UsageError("--config must hold a JSON object")
         for key, val in raw.items():
             norm = key.replace("-", "_")
-            cfg[_ALIASES.get(norm, norm)] = val
-    out = {}
-    for key, val in vars(args).items():
-        if key in ("config", "command", "func"):
-            continue
-        out[key] = val if val is not None else cfg.get(key)
-    return out
+            norm = _ALIASES.get(norm, norm)
+            if norm not in opts:
+                raise _UsageError(f"--config key {key!r} is not an option of {args.command}")
+            if opts[norm] is None:
+                opts[norm] = val
+    return opts
 
 
 def main(argv=None) -> int:

@@ -2,19 +2,28 @@
 
 Synchronized solutions theta_i = Omega t + const exist when the locked
 frequency Omega_hat = Omega + omega_M satisfies
-Omega_hat + K sin(Omega_hat tau) = omega_M, which for tau K > 1 has multiple
-solutions organized in fold-connected branches over tau.  Along a branch the
-characteristic blocks have delay-dependent modal gain
-a(tau) = K mu cos(Omega_hat(tau) tau), so imaginary-axis crossings are zeros
-of the delay-dependent crossing map (sn_scan), and the symmetry-breaking
-block additionally admits steady-state (zero-root) events at
-Omega_hat tau = pi/2 + n pi.
+Omega_hat + K sin(Omega_hat tau) = omega_M (omega_M = 1 once normalized).  In
+the phase phi = Omega_hat tau the relation inverts in closed form,
+
+    Omega_hat(phi) = 1 - K sin(phi),    tau(phi) = phi / Omega_hat(phi),
+
+and this curve holds every locked solution with tau >= 0.  Its folds are the
+zeros of h(phi) = 1 - K sin(phi) + K phi cos(phi), since
+dtau/dphi = h / Omega_hat^2; because h'(phi) = -K phi sin(phi), each interval
+[j pi, (j + 1) pi] brackets at most one of them.  Cut at the folds and at the
+poles Omega_hat = 0 (K > 1; at K = 1 they touch the zeros of h at
+phi = pi/2 + 2 pi m and are poles, not folds), the curve falls into
+tau-monotone pieces: the locked branches.  Along a branch the characteristic
+blocks have delay-dependent modal gain a(tau) = K mu cos(Omega_hat(tau) tau),
+so imaginary-axis crossings are zeros of the delay-dependent crossing map
+(sn_scan), and the symmetry-breaking block additionally admits steady-state
+(zero-root) events at Omega_hat tau = pi/2 + n pi.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,60 +47,83 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def _locked_residual(oh, tau, k, wm):
-    return oh + k * np.sin(oh * tau) - wm
+def _solve(f, a, b, x0=None) -> np.ndarray:
+    """Zero of f in each bracket [a, b] (arrays, a < b, f(a) f(b) <= 0).
+
+    f(x) returns (value, derivative).  A Newton step that leaves the
+    shrinking bracket or fails to halve the previous step is replaced by
+    bisection (as in rtsafe); each zero is final once its step is within a
+    few ulps.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    fa = np.sign(f(a)[0])
+    tol = 4e-16 * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+    x = 0.5 * (a + b) if x0 is None else np.clip(x0, a, b)
+    step = b - a
+    live = np.ones(x.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            fx, dfx = f(x)
+            right = fx * fa > 0.0
+            a = np.where(right, x, a)
+            b = np.where(right, b, x)
+            d = fx / dfx
+            newton = x - d
+            ok = (np.abs(d) <= 0.5 * np.abs(step)) & (newton >= a) & (newton <= b)
+            step = np.where(live, np.where(ok, newton, 0.5 * (a + b)) - x, 0.0)
+            x = x + step
+            live = np.abs(step) > tol
+            if not live.any():
+                break
+    return x
+
+
+def _phase_equation(tau, k: float, wm: float = 1.0):
+    """phi -> phi - tau Omega_hat(phi) and its derivative: zero where tau(phi) = tau."""
+    return lambda x: (x - tau * (wm - k * np.sin(x)), 1.0 + tau * k * np.cos(x))
 
 
 def releq_solve(params: NetworkParams, tau: float) -> list[float]:
     """All locked frequencies Omega_hat in [omega_M - K, omega_M + K] at delay tau.
 
-    Grid scan (step fine enough to separate oscillations of K sin(Omega_hat tau))
-    plus bisection; residuals end below 1e-12.
+    The residual Omega_hat + K sin(Omega_hat tau) - 1 is monotone between its
+    critical points Omega_hat tau = +-acos(-1/(K tau)) + 2 pi m, so each root
+    has its own bracket; residuals end below 1e-12.
     """
     p = normalize(params)
     k = p.coupling
-    wm = p.free_freq
     tau = float(tau)
     if tau < 0.0:
         raise InvalidParamError("delay must be >= 0")
     if tau == 0.0:
-        return [wm]
-    lo, hi = wm - k, wm + k
-    step = min(math.pi / (4.0 * tau * k), (hi - lo) / 100.0)
-    npts = int(math.ceil((hi - lo) / step)) + 2
-    grid = np.linspace(lo, hi, npts)
-    g = _locked_residual(grid, tau, k, wm)
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        ga, gb = g[i], g[i + 1]
-        if ga == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if ga * gb < 0.0:
-            a, b, fa = grid[i], grid[i + 1], ga
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                fm = _locked_residual(m, tau, k, wm)
-                if fm == 0.0 or (b - a) < 1e-15:
-                    break
-                if fa * fm < 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
-    if g[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or r - merged[-1] > 1e-9:
-            merged.append(r)
-    return merged
+        return [1.0]
+    edges = [1.0 - k, 1.0 + k]
+    if k * tau > 1.0:
+        c = math.acos(-1.0 / (k * tau))
+        m = _TWO_PI * np.arange(
+            math.floor(((1.0 - k) * tau - c) / _TWO_PI), math.ceil(((1.0 + k) * tau + c) / _TWO_PI) + 1
+        )
+        crit = np.concatenate([(m + c) / tau, (m - c) / tau])
+        edges += list(crit[(crit > 1.0 - k) & (crit < 1.0 + k)])
+    e = np.sort(edges)
+
+    def g(x):
+        return x + k * np.sin(x * tau) - 1.0, 1.0 + k * tau * np.cos(x * tau)
+
+    ge = g(e)[0]
+    bracket = ge[:-1] * ge[1:] < 0.0
+    roots = np.concatenate([_solve(g, e[:-1][bracket], e[1:][bracket]), e[ge == 0.0]])
+    return [float(r) for r in np.sort(roots)]
 
 
 @dataclass
 class RelEqBranch:
-    """One fold-connected branch of locked frequencies Omega_hat(tau)."""
+    """One tau-monotone branch of locked frequencies Omega_hat(tau).
+
+    ``phase_piece`` is the interval of phi = Omega_hat tau the branch covers;
+    its ends are folds, poles (Omega_hat = 0), phi = 0, or a phase whose delay
+    lies beyond the window.
+    """
 
     branch_id: int
     birth_tau: float
@@ -99,22 +131,22 @@ class RelEqBranch:
     omegas: np.ndarray
     coupling: float
     free_freq: float
+    phase_piece: tuple[float, float]
 
     @property
     def window(self) -> tuple[float, float]:
         return (self.birth_tau, float(self.taus[-1]))
 
     def omega_hat(self, tau):
-        """Omega_hat at arbitrary tau inside the sample window (interp + polish)."""
+        """Omega_hat at tau: bracketed Newton on tau(phi) = tau over the phase piece.
+
+        Outside the branch's delay range no locked solution lies on it, and
+        the value returned is that at an end of the phase piece.
+        """
         t = np.asarray(tau, dtype=float)
-        oh = np.interp(t, self.taus, self.omegas)
-        k = self.coupling
-        for _ in range(8):
-            g = _locked_residual(oh, t, k, self.free_freq)
-            gp = 1.0 + k * t * np.cos(oh * t)
-            gp = np.where(np.abs(gp) < 1e-8, np.where(gp >= 0.0, 1e-8, -1e-8), gp)
-            step = np.clip(g / gp, -0.1 * k, 0.1 * k)
-            oh = oh - step
+        guess = np.interp(t, self.taus, self.omegas * self.taus)
+        phi = _solve(_phase_equation(t, self.coupling, self.free_freq), *self.phase_piece, guess)
+        oh = self.free_freq - self.coupling * np.sin(phi)
         return oh if oh.ndim else float(oh)
 
     def omega_hat_prime(self, tau):
@@ -126,131 +158,69 @@ class RelEqBranch:
         return val if val.ndim else float(val)
 
 
-def _fold_extremum(tau, target_oh, k, wm):
-    """Value of the locked-frequency residual at its critical point nearest target_oh.
+def _pieces(k: float, t1: float):
+    """(phi_a, phi_b, tau_a, tau_b) of the tau-monotone pieces reaching delays up to t1.
 
-    Critical points satisfy cos(Omega_hat tau) = -1/(K tau); returns None when
-    K tau <= 1 (no fold possible).
+    Cuts are the folds, the poles, phi = 0 and the ends of the scanned phase
+    range, which lie beyond the reach of t1: tau >= phi / (1 + K) for phi > 0
+    and tau >= |phi| / (K - 1) for phi < 0.
     """
-    if k * tau <= 1.0:
-        return None
-    base = math.acos(-1.0 / (k * tau))
-    best = None
-    for sgn in (1.0, -1.0):
-        m0 = (target_oh * tau - sgn * base) / _TWO_PI
-        for m in (math.floor(m0), math.ceil(m0)):
-            oh = (sgn * base + _TWO_PI * m) / tau
-            if wm - k - 1e-9 <= oh <= wm + k + 1e-9:
-                d = abs(oh - target_oh)
-                if best is None or d < best[0]:
-                    best = (d, oh)
-    if best is None:
-        return None
-    return float(_locked_residual(best[1], tau, k, wm))
 
+    def h(x):
+        return 1.0 - k * np.sin(x) + k * x * np.cos(x), -k * x * np.sin(x)
 
-@dataclass
-class _Live:
-    taus: list[float]
-    omegas: list[float]
-    birth_tau: float
-    last_step: float
+    j_lo = math.floor(-(k - 1.0) * t1 / math.pi) - 1 if k > 1.0 else 0
+    a = math.pi * np.arange(j_lo, math.ceil((1.0 + k) * t1 / math.pi) + 1)
+    b = a + math.pi
+    sign_change = h(a)[0] * h(b)[0] < 0.0
+    phi = np.concatenate([_solve(h, a[sign_change], b[sign_change]), [a[0], 0.0, b[-1]]])
+    with np.errstate(divide="ignore"):
+        tau = phi / (1.0 - k * np.sin(phi))
+    if k > 1.0:
+        s = math.asin(1.0 / k)
+        m = _TWO_PI * np.arange(math.floor(a[0] / _TWO_PI), math.ceil(b[-1] / _TWO_PI) + 1)
+        poles = np.concatenate([m + s, m + math.pi - s])
+        poles = poles[(poles > a[0]) & (poles < b[-1])]
+        phi = np.concatenate([phi, poles])
+        tau = np.concatenate([tau, np.full(len(poles), math.inf)])
+    order = np.argsort(phi)
+    phi, tau = phi[order], tau[order]
+    mid = 0.5 * (phi[:-1] + phi[1:])
+    valid = mid * (1.0 - k * np.sin(mid)) > 0.0  # tau > 0 inside the piece
+    return zip(phi[:-1][valid], phi[1:][valid], tau[:-1][valid], tau[1:][valid])
 
 
 def releq_branches(
     params: NetworkParams, tau_window: tuple[float, float], resolution: int = 2000
 ) -> list[RelEqBranch]:
-    """Continuation of locked-frequency branches over a delay window.
+    """Locked-frequency branches over a delay window, from the exact phase curve.
 
-    Solutions on a tau grid are matched to branches by nearest predicted
-    Omega_hat (gate adaptive to each branch's recent motion); a jump in the
-    solution count marks a fold, whose location is bisected to 1e-6 in tau and
-    recorded as the birth delay of the two new branches.
+    Each tau-monotone piece of tau(phi) = phi / (1 - K sin phi) (module
+    docstring) is one branch.  Its birth is the piece's lower delay end, a
+    fold or tau = 0, or the window start when it is alive there; it is
+    sampled on the ``resolution``-point grid over the window at the points in
+    (birth, end], plus the window start for branches alive there, by one
+    vectorized bracketed solve per branch.  Branches with fewer than 2 samples
+    are dropped; the rest are numbered by (birth, first Omega_hat).
     """
     p = normalize(params)
     k, wm = p.coupling, p.free_freq
     t0, t1 = float(tau_window[0]), float(tau_window[1])
-    taus = np.linspace(t0, t1, int(resolution))
-    live: list[_Live] = []
-    done: list[_Live] = []
-    prev_tau = taus[0]
-    for sol in releq_solve(p, taus[0]):
-        live.append(_Live([float(taus[0])], [sol], t0, 0.05 * k))
-    for tau in taus[1:]:
-        tau = float(tau)
-        dt = tau - prev_tau
-        sols = releq_solve(p, tau)
-        preds = []
-        for br in live:
-            oh = br.omegas[-1]
-            c = math.cos(oh * br.taus[-1] * 1.0)
-            denom = 1.0 + br.taus[-1] * k * c
-            slope = 0.0 if abs(denom) < 1e-6 else -oh * k * c / denom
-            pred = oh + max(-0.2 * k, min(0.2 * k, slope * dt))
-            gate = max(0.02 * k, 4.0 * abs(slope) * dt, 3.0 * br.last_step)
-            preds.append((pred, gate))
-        pairs = sorted(
-            (abs(s - preds[bi][0]), bi, si)
-            for bi, _ in enumerate(live)
-            for si, s in enumerate(sols)
-        )
-        taken_b: set[int] = set()
-        taken_s: set[int] = set()
-        for cost, bi, si in pairs:
-            if bi in taken_b or si in taken_s or cost > preds[bi][1]:
-                continue
-            br = live[bi]
-            br.last_step = abs(sols[si] - br.omegas[-1])
-            br.taus.append(tau)
-            br.omegas.append(sols[si])
-            taken_b.add(bi)
-            taken_s.add(si)
-        # branches with no continuation stop here (folds annihilate pairs going
-        # forward only in exotic windows; keep whatever was collected)
-        still = []
-        for bi, br in enumerate(live):
-            (still.append(br) if bi in taken_b else done.append(br))
-        live = still
-        newborn = [si for si in range(len(sols)) if si not in taken_s]
-        if newborn:
-            mid = float(np.mean([sols[si] for si in newborn]))
-            fold_tau = _bisect_fold(prev_tau, tau, mid, k, wm)
-            for si in newborn:
-                live.append(
-                    _Live([tau], [sols[si]], fold_tau, max(0.05 * k, 2.0 * _spread(sols, newborn)))
-                )
-        prev_tau = tau
-    done.extend(live)
-    done = [b for b in done if len(b.taus) >= 2]
-    done.sort(key=lambda b: (b.birth_tau, b.omegas[0]))
+    if t0 < 0.0:
+        raise InvalidParamError("delay must be >= 0")
+    grid = np.linspace(t0, t1, int(resolution))
+    kept = []
+    for phi_a, phi_b, tau_a, tau_b in _pieces(k, t1):
+        lo, hi = min(tau_a, tau_b), max(tau_a, tau_b)
+        taus = grid[(grid <= hi) & ((grid > lo) | (lo == t0))]
+        if len(taus) >= 2:
+            phi = _solve(_phase_equation(taus, k), phi_a, phi_b)
+            kept.append((float(max(lo, t0)), taus, 1.0 - k * np.sin(phi), (float(phi_a), float(phi_b))))
+    kept.sort(key=lambda br: (br[0], br[2][0]))
     return [
-        RelEqBranch(i, b.birth_tau, np.asarray(b.taus), np.asarray(b.omegas), k, wm)
-        for i, b in enumerate(done)
+        RelEqBranch(i, birth, taus, omegas, k, wm, piece)
+        for i, (birth, taus, omegas, piece) in enumerate(kept)
     ]
-
-
-def _spread(sols, idxs) -> float:
-    vals = [sols[i] for i in idxs]
-    return max(vals) - min(vals) if len(vals) > 1 else 0.0
-
-
-def _bisect_fold(ta: float, tb: float, target_oh: float, k: float, wm: float) -> float:
-    ea = _fold_extremum(ta, target_oh, k, wm)
-    eb = _fold_extremum(tb, target_oh, k, wm)
-    if ea is None or eb is None or ea * eb > 0.0:
-        return tb  # fold not bracketable (e.g. window start); use first grid point
-    for _ in range(80):
-        if tb - ta < 1e-6:
-            break
-        tm = 0.5 * (ta + tb)
-        em = _fold_extremum(tm, target_oh, k, wm)
-        if em is None:
-            return tb
-        if ea * em <= 0.0:
-            tb, eb = tm, em
-        else:
-            ta, ea = tm, em
-    return 0.5 * (ta + tb)
 
 
 @dataclass(frozen=True)

@@ -184,17 +184,6 @@ class Trajectory:
         """(len(times), 2) position/velocity track of node i (1-based)."""
         return self.states[:, 2 * (i - 1) : 2 * (i - 1) + 2]
 
-    def to_csv(self, path) -> None:
-        half = self.states.shape[1] // 2
-        cols = ["t"]
-        for i in range(1, half + 1):
-            cols += [f"x1_{i}", f"x2_{i}"]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            for t, row in zip(self.times, self.states):
-                vals = [f"{t:.17g}"] + [f"{v:.17g}" for v in row]
-                fh.write(",".join(vals) + "\n")
-
 
 def _hermite(y0, f0, y1, f1, h, th):
     a = (1.0 - th) * (1.0 - th)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from pllbif import cli
 from pllbif.cli import main
+from pllbif.errors import NotPeriodicError
 
 
 def run(argv):
@@ -158,3 +160,63 @@ def test_verify_subset(capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 2
     assert "2/2 criteria passed" in out
+
+
+def assert_usage_error(capsys, argv, needle):
+    # exit 2 with a single-line message; a traceback would escape main()
+    assert run(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert needle in err
+
+
+def test_zero_nodes_is_rejected_not_replaced(capsys):
+    assert_usage_error(capsys, ["zero-roots", "--K", "0.8", "--mu", "0.5", "--nodes", "0"], "--nodes")
+
+
+def test_zero_free_frequency_is_rejected_not_replaced(capsys):
+    assert_usage_error(capsys, ["zero-roots", "--K", "0.8", "--mu", "0.5", "--omega-m", "0"], "--omega-m")
+
+
+@pytest.mark.parametrize("resolution", ["0", "1"])
+def test_resolution_below_two_is_rejected(capsys, resolution):
+    assert_usage_error(
+        capsys, ["releq", "--K", "1", "--tau-window", "0:8", "--resolution", resolution], "--resolution"
+    )
+
+
+def test_zero_transient_discards_nothing(monkeypatch):
+    seen = []
+
+    def record(traj, fraction):
+        seen.append(fraction)
+        raise NotPeriodicError("recorded")
+
+    monkeypatch.setattr(cli, "period_estimate", record)
+    assert run(["simulate", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--t-end", "4",
+                "--transient", "0"]) == 0
+    assert seen == [0.0]
+
+
+def test_isotypic_index_must_be_an_integer(capsys):
+    assert_usage_error(
+        capsys,
+        ["simulate", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--t-end", "10",
+         "--perturb", "isotypic:x"],
+        "--perturb",
+    )
+
+
+@pytest.mark.parametrize("step", ["0", "-0.5"])
+def test_grid_step_must_be_positive(capsys, step):
+    assert_usage_error(
+        capsys,
+        ["snmap", "--K", "1.05", "--mu", "0.3", "--tau-window", "0:25", "--grid-step", step],
+        "--grid-step",
+    )
+
+
+def test_unknown_config_key_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"K": 0.8, "mu": 0.5, "tua": 5}), encoding="utf-8")
+    assert_usage_error(capsys, ["zero-roots", "--config", cfg], "'tua'")

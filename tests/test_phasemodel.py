@@ -45,19 +45,15 @@ def test_releq_solve_small_delay_unique():
     assert locked_residual(sols[0], 0.3) == pytest.approx(0.0, abs=1e-12)
 
 
-BIRTHS = [
-    0.0,
-    2.2427567452186663,
-    2.2427567452186663,
-    5.451801004996332,
-    5.451801004996332,
-    8.62798582701749,
-    8.62798582701749,
-    11.802581705082213,
-    11.802581705082213,
-    14.977177583146938,
-    14.977177583146938,
+# exact folds of tau(phi) = phi / (1 - sin phi): zeros of 1 - sin phi + phi cos phi
+FOLDS = [
+    2.2427566294922054,
+    5.45180084920177,
+    8.610312075866371,
+    11.759700567768684,
+    14.905786795760521,
 ]
+BIRTHS = [0.0] + [f for f in FOLDS for _ in range(2)]
 
 
 def test_branch_ladder_on_five_pi():
@@ -69,6 +65,49 @@ def test_branch_ladder_on_five_pi():
         assert float(b.taus[-1]) == pytest.approx(5.0 * math.pi, abs=1e-12)
     # folds appear in pairs beyond the primary branch
     assert float(brs[0].omegas[0]) == pytest.approx(1.0)
+
+
+def test_releq_solve_finds_pairs_born_inside_one_grid_cell():
+    # just past the third and fifth folds: the newborn pair sits close together
+    for tau, count in ((8.6113, 7), (14.9358, 11)):
+        sols = releq_solve(P21, tau)
+        assert len(sols) == count
+        for om in sols:
+            assert abs(locked_residual(om, tau)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0.7, 1.0, 1.5, 2.3])
+def test_births_are_folds_of_the_locked_relation(k):
+    p = NetworkParams(2, k, 1.0)
+    born = [b for b in releq_branches(p, (0.0, 3.0 * math.pi)) if b.birth_tau > 0.0]
+    assert born
+    for b in born:
+        tau = b.birth_tau
+        # every candidate solves the fold condition 1 + K tau cos(Omega tau) = 0;
+        # tau is a fold delay only if one of them also solves the locked relation
+        c = math.acos(-1.0 / (k * tau))
+        cands = [
+            (s * c + 2.0 * math.pi * m) / tau
+            for s in (1.0, -1.0)
+            for m in range(-10, 12)
+        ]
+        om = min(cands, key=lambda o: abs(locked_residual(o, tau, k)))
+        assert abs(1.0 + k * tau * math.cos(om * tau)) <= 1e-9
+        assert abs(locked_residual(om, tau, k)) <= 1e-9
+
+
+def test_branches_alive_at_a_delay_match_the_root_count():
+    # branches bracket roots between folds of tau(phi), releq_solve between
+    # critical points in Omega_hat: two independent counts of the same roots
+    rng = np.random.default_rng(3)
+    for k in rng.uniform(0.3, 2.0, 20):
+        p = NetworkParams(2, float(k), 1.0)
+        taus = rng.uniform(0.0, 16.0, 10)
+        alive = sum(
+            np.abs(om + k * np.sin(om * taus) - 1.0) <= 1e-9
+            for om in (b.omega_hat(taus) for b in releq_branches(p, (0.0, 16.0)))
+        )
+        assert list(alive) == [len(releq_solve(p, t)) for t in taus], k
 
 
 def test_branch_samples_satisfy_locked_relation():
