@@ -4,14 +4,17 @@ Linearizing any of the network formulations at a synchronized state gives a
 characteristic matrix Delta(lambda) = lambda I - A0 - Atau e^{-lambda tau}
 whose permutation symmetry forces a block decomposition into one
 "synchronized" block (multiplicity 1) and one "symmetry-breaking" block
-(multiplicity N - 1).  Each block is a quasi-polynomial
+(multiplicity N - 1).  Every block is the monic quasi-polynomial
 
-    P(lambda, tau) = R(lambda, tau) + S(lambda, tau) e^{-lambda tau}
+    P(lambda, tau) = lambda^2 + r1 lambda + r0(tau) + s0(tau) e^{-lambda tau}
 
-with R monic quadratic in lambda and S constant in lambda.  Coefficients are
-held as providers tau -> value so the same machinery covers delay-independent
-coefficients (full-phase model) and delay-dependent ones (phase model along a
-rotating-wave branch, where the modal gain is K mu cos(Omega_hat(tau) tau)).
+with r1 = mu set by the loop filter.  Only r0 and s0 can depend on the delay:
+they are constants for the full-phase model and follow the modal gain
+a(tau) = K mu cos(Omega_hat(tau) tau) along a rotating-wave branch of the
+phase model (a(tau) = K mu cos(C + tau) in the difference model).
+``QuasiPolynomial.at`` takes one snapshot (r0, r1, s0) at a delay (a scalar
+or an array); evaluation, the crossing map and the root finders all read
+their coefficients from that snapshot.
 """
 
 from __future__ import annotations
@@ -48,25 +51,24 @@ class BlockKind(enum.Enum):
     STANDARD = "standard"
 
 
-RProvider = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-SProvider = Callable[[np.ndarray], np.ndarray]
+Coeffs = Callable[[Union[float, np.ndarray]], tuple]
 
 
 @dataclass(frozen=True)
 class QuasiPolynomial:
-    """P(lambda, tau) = r2 lambda^2 + r1 lambda + r0 + s0 e^{-lambda tau}.
+    """P(lambda, tau) = lambda^2 + r1 lambda + r0(tau) + s0(tau) e^{-lambda tau}.
 
-    ``r_coeffs``/``s_coeffs`` map tau (scalar or array) to coefficient values;
-    ``dr_coeffs``/``ds_coeffs`` are their tau-derivatives (None means
-    identically zero, i.e. delay-independent coefficients).  ``delay`` is the
-    evaluation default; ``role`` tags which symmetry block this is, when known.
+    ``r1`` is the constant damping coefficient (mu).  ``coeffs`` maps tau (a
+    scalar or an array) to (r0, s0); ``dcoeffs`` maps it to their
+    tau-derivatives (dr0, ds0), and None means the coefficients do not depend
+    on the delay.  ``delay`` is the evaluation default; ``role`` tags which
+    symmetry block this is, when known.
     """
 
-    r_coeffs: RProvider
-    s_coeffs: SProvider
+    r1: float
+    coeffs: Coeffs
     delay: float
-    dr_coeffs: RProvider | None = None
-    ds_coeffs: SProvider | None = None
+    dcoeffs: Coeffs | None = None
     role: BlockKind | None = None
 
     def with_delay(self, tau: float) -> "QuasiPolynomial":
@@ -74,53 +76,35 @@ class QuasiPolynomial:
 
     @property
     def tau_dependent(self) -> bool:
-        return self.dr_coeffs is not None or self.ds_coeffs is not None
+        return self.dcoeffs is not None
 
-    def eval(self, lam: complex, tau: float | None = None) -> complex:
-        """P(lambda, tau); tau defaults to the stored delay."""
-        t = self.delay if tau is None else tau
-        r0, r1, r2 = self.r_coeffs(t)
-        s0 = self.s_coeffs(t)
-        lam = complex(lam)
-        return (r2 * lam + r1) * lam + r0 + s0 * np.exp(-lam * t)
+    def at(self, tau: float | np.ndarray | None = None):
+        """Coefficient snapshot (r0, r1, s0) at tau (default: the stored delay)."""
+        r0, s0 = self.coeffs(self.delay if tau is None else tau)
+        return r0, self.r1, s0
 
-    def eval_many(self, lam: np.ndarray, tau: float | None = None) -> np.ndarray:
+    def eval(self, lam, tau: float | None = None):
+        """P(lambda, tau) at a point or an array of lambda values.
+
+        tau defaults to the stored delay.
+        """
         t = self.delay if tau is None else tau
-        r0, r1, r2 = self.r_coeffs(t)
-        s0 = self.s_coeffs(t)
-        lam = np.asarray(lam, dtype=complex)
-        return (r2 * lam + r1) * lam + r0 + s0 * np.exp(-lam * t)
+        r0, r1, s0 = self.at(t)
+        # a point stays a Python complex: numpy's array loops round differently
+        lam = complex(lam) if np.ndim(lam) == 0 else np.asarray(lam, dtype=complex)
+        return (lam + r1) * lam + r0 + s0 * np.exp(-lam * t)
 
     def b_c(self, tau: float | np.ndarray | None = None):
         """Coefficients (b, c) of |R(i w)|^2 - |S|^2 = w^4 + b w^2 + c."""
-        t = self.delay if tau is None else tau
-        r0, r1, _ = self.r_coeffs(t)
-        s0 = self.s_coeffs(t)
+        r0, r1, s0 = self.at(tau)
         return r1 * r1 - 2.0 * r0, r0 * r0 - s0 * s0
-
-    def coefficient_derivatives(self, tau: float):
-        """(dr0, dr1, dr2, ds0) at tau; zeros when providers are absent."""
-        if self.dr_coeffs is None:
-            dr = (0.0, 0.0, 0.0)
-        else:
-            dr = self.dr_coeffs(tau)
-        ds = 0.0 if self.ds_coeffs is None else self.ds_coeffs(tau)
-        return dr[0], dr[1], dr[2], ds
 
 
 def constant_quasi_polynomial(
     r0: float, r1: float, s0: float, delay: float, role: BlockKind | None = None
 ) -> QuasiPolynomial:
-    """Quasi-polynomial with delay-independent coefficients (r2 = 1)."""
-
-    def r_coeffs(tau):
-        shaped = np.zeros_like(np.asarray(tau, dtype=float))
-        return r0 + shaped, r1 + shaped, 1.0 + shaped
-
-    def s_coeffs(tau):
-        return s0 + np.zeros_like(np.asarray(tau, dtype=float))
-
-    return QuasiPolynomial(r_coeffs, s_coeffs, float(delay), role=role)
+    """Quasi-polynomial with delay-independent coefficients."""
+    return QuasiPolynomial(r1, lambda tau: (r0, s0), float(delay), role=role)
 
 
 @dataclass(frozen=True)
@@ -138,8 +122,8 @@ class BlockSet:
 
 def blocks_from_gain(
     params: NetworkParams,
-    gain: SProvider | float,
-    dgain: SProvider | None = None,
+    gain: Callable | float,
+    dgain: Callable | None = None,
     delay: float | None = None,
 ) -> BlockSet:
     """Blocks of the sin-coupled phase formulations at modal gain a.
@@ -147,49 +131,31 @@ def blocks_from_gain(
     With a = K mu cos(<locked argument>), the synchronized block is
     lambda^2 + mu lambda + a - a e^{-lambda tau} and the symmetry-breaking
     block is lambda^2 + mu lambda + a + (a/(N-1)) e^{-lambda tau}.
-    ``gain`` may be a constant or a provider tau -> a(tau) with optional
-    derivative provider ``dgain``.
+    ``gain`` may be a constant or a map tau -> a(tau) with optional
+    derivative map ``dgain``.
     """
     p = normalize(params)
     n = p.n_nodes
-    mu = p.filter_gain
     tau0 = p.delay if delay is None else float(delay)
+    a_of = gain if callable(gain) else (lambda tau, a=float(gain): a)
 
-    if callable(gain):
-        a_of = gain
-    else:
-        a_val = float(gain)
+    def block(div, role: BlockKind) -> QuasiPolynomial:
+        # s0 = a/div with div = -1 (synchronized) or N - 1 (symmetry-breaking);
+        # a division, since a * (1/div) rounds differently
+        def coeffs(tau):
+            a = a_of(tau)
+            return a, a / div
 
-        def a_of(tau):
-            return a_val + np.zeros_like(np.asarray(tau, dtype=float))
+        dcoeffs = None
+        if dgain is not None:
 
-    def r_coeffs(tau):
-        a = a_of(tau)
-        z = np.zeros_like(np.asarray(tau, dtype=float))
-        return a, mu + z, 1.0 + z
+            def dcoeffs(tau):
+                da = dgain(tau)
+                return da, da / div
 
-    def s_fix(tau):
-        return -a_of(tau)
+        return QuasiPolynomial(p.filter_gain, coeffs, tau0, dcoeffs, role)
 
-    def s_std(tau):
-        return a_of(tau) / (n - 1)
-
-    dr = ds_f = ds_s = None
-    if dgain is not None:
-
-        def dr(tau):
-            z = np.zeros_like(np.asarray(tau, dtype=float))
-            return dgain(tau), z, z
-
-        def ds_f(tau):
-            return -dgain(tau)
-
-        def ds_s(tau):
-            return dgain(tau) / (n - 1)
-
-    fix = QuasiPolynomial(r_coeffs, s_fix, tau0, dr, ds_f, role=BlockKind.FIX)
-    std = QuasiPolynomial(r_coeffs, s_std, tau0, dr, ds_s, role=BlockKind.STANDARD)
-    return BlockSet(fix, std, n)
+    return BlockSet(block(-1.0, BlockKind.FIX), block(n - 1, BlockKind.STANDARD), n)
 
 
 Point = Union[Equilibrium, float, Callable[[float], float], "object"]
@@ -200,14 +166,15 @@ def build_blocks(kind: ModelKind, params: NetworkParams, point: Point) -> BlockS
 
     * FULL_PHASE: ``point`` is an Equilibrium; coefficients are
       q = K mu (1 - cos 2phi), S_fix = -K mu (1 + cos 2phi),
-      S_std = +K mu (1 + cos 2phi)/(N-1).
+      S_std = +K mu (1 + cos 2phi)/(N-1), all independent of tau.
     * PHASE / PHASE_ROTATING_FRAME: ``point`` is the locked rotation rate
-      Omega_hat (a float, treated as tau-independent) or an object with
-      ``omega_hat(tau)`` / ``omega_hat_prime(tau)`` methods (a rotating-wave
-      branch; coefficients then depend on tau).
+      Omega_hat (a float held fixed as tau moves) or an object with an
+      ``omega_hat(tau)`` method (a rotating-wave branch).  The modal gain
+      a = K mu cos(Omega_hat tau) depends on tau either way; along a branch
+      its derivative takes Omega_hat' from the locked-frequency relation.
     * PHASE_DIFFERENCE (N <= 3): ``point`` is the constant pairwise difference
       C; the returned pair are the non-fictitious blocks at modal gain
-      a = K mu cos(C + omega_M tau).
+      a = K mu cos(C + tau) (time normalized by omega_M).
     """
     p = normalize(params)
     mu = p.filter_gain
@@ -261,11 +228,13 @@ def build_blocks(kind: ModelKind, params: NetworkParams, point: Point) -> BlockS
             )
         c_const = float(point)
 
-        def a_of(tau):
-            t = np.asarray(tau, dtype=float)
-            return k * mu * np.cos(c_const + p.free_freq * t)
+        def a_diff(tau):
+            return k * mu * np.cos(c_const + np.asarray(tau, dtype=float))
 
-        return blocks_from_gain(p, a_of)
+        def da_diff(tau):
+            return -k * mu * np.sin(c_const + np.asarray(tau, dtype=float))
+
+        return blocks_from_gain(p, a_diff, da_diff)
 
     raise UnsupportedKindError(str(kind))
 

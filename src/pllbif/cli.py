@@ -7,7 +7,8 @@ self-contained line chart.  ``--config FILE`` supplies defaults from a JSON
 object keyed by the long flag names; explicit flags win, and a key that names
 no option of the command is a usage error.  A default applies only to an
 option that neither a flag nor the config set; a value that is set but out of
-range is a usage error, never replaced by the default.
+range is a usage error, never replaced by the default.  Numbers from flags
+and from the config pass the same checks.
 
 Delays, times, and steps given on the command line are in the caller's time
 units and are rescaled by omega_m at this boundary, so configurations that
@@ -125,7 +126,7 @@ def _choice(opts: dict, key: str, table: dict, default: str, flag: str):
 
 
 def _num(val, flag: str) -> float:
-    # config files bypass argparse typing, so coerce defensively
+    # the one numeric check: flags arrive as strings, config values as JSON
     if isinstance(val, bool) or not isinstance(val, (int, float, str)):
         raise _UsageError(f"{flag} expects a number, got {val!r}")
     try:
@@ -633,15 +634,14 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON file of option defaults (flags override)")
     sp.add_argument("--out", help="CSV output path ('-' = stdout, the default)")
     sp.add_argument("--svg", help="also write an SVG chart here")
-    sp.add_argument("--seed", type=int, help="seed for randomized checks")
 
 
 def _add_params(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--nodes", type=int, help="number of loops N (default 2)")
-    sp.add_argument("--K", dest="coupling", type=float, help="coupling gain")
-    sp.add_argument("--mu", type=float, help="loop-filter rate")
-    sp.add_argument("--omega-m", dest="omega_m", type=float, help="free-running frequency (default 1)")
-    sp.add_argument("--tau", type=float, help="transmission delay")
+    sp.add_argument("--nodes", help="number of loops N (default 2)")
+    sp.add_argument("--K", dest="coupling", help="coupling gain")
+    sp.add_argument("--mu", help="loop-filter rate")
+    sp.add_argument("--omega-m", dest="omega_m", help="free-running frequency (default 1)")
+    sp.add_argument("--tau", help="transmission delay")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -660,7 +660,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu-grid", dest="mu_grid", help="start:stop:count")
     sp.add_argument("--k-grid", dest="k_grid", help="start:stop:count")
     sp.add_argument("--n", help="crossing index range lo:hi (default 0:4)")
-    sp.add_argument("--tau-max", dest="tau_max", type=float)
+    sp.add_argument("--tau-max", dest="tau_max")
     sp.set_defaults(func=_cmd_curves)
 
     sp = sub.add_parser("rightmost", help="rightmost characteristic root along a delay grid")
@@ -681,15 +681,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--block", choices=["fix", "standard"])
     sp.add_argument("--eq", choices=["plus", "minus"])
     sp.add_argument("--tau-window", dest="tau_window", help="start:stop")
-    sp.add_argument("--grid-step", dest="grid_step", type=float)
-    sp.add_argument("--resolution", type=int, help="branch sampling (phase model)")
+    sp.add_argument("--grid-step", dest="grid_step")
+    sp.add_argument("--resolution", help="branch sampling (phase model)")
     sp.set_defaults(func=_cmd_snmap)
 
     sp = sub.add_parser("releq", help="locked-frequency branches over a delay window")
     _add_params(sp)
     _add_common(sp)
     sp.add_argument("--tau-window", dest="tau_window", help="start:stop")
-    sp.add_argument("--resolution", type=int)
+    sp.add_argument("--resolution")
     sp.set_defaults(func=_cmd_releq)
 
     sp = sub.add_parser("zero-roots", help="steady-state bifurcation delays of the phase model")
@@ -701,9 +701,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("phasediff-check", help="difference-model consistency checks")
     _add_params(sp)
     _add_common(sp)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--omega-index", dest="omega_index", type=int)
-    sp.add_argument("--c-const", dest="c_const", type=float)
+    sp.add_argument("--seed", help="seed of the sampled lambda values (default 0)")
+    sp.add_argument("--samples")
+    sp.add_argument("--omega-index", dest="omega_index")
+    sp.add_argument("--c-const", dest="c_const")
     sp.set_defaults(func=_cmd_phasediff_check)
 
     sp = sub.add_parser("simulate", help="integrate a model and classify the orbit")
@@ -712,15 +713,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", choices=list(_MODEL))
     sp.add_argument("--eq", choices=["plus", "minus"])
     sp.add_argument("--perturb", help="none | sync | pair:i,j | isotypic:j[:imag]")
-    sp.add_argument("--amplitude", type=float)
-    sp.add_argument("--t-end", dest="t_end", type=float)
-    sp.add_argument("--step", type=float)
-    sp.add_argument("--step-div", dest="step_div", type=int, help="step = tau / DIV")
-    sp.add_argument("--transient", type=float, help="discarded fraction (default 0.6)")
+    sp.add_argument("--amplitude")
+    sp.add_argument("--t-end", dest="t_end")
+    sp.add_argument("--step")
+    sp.add_argument("--step-div", dest="step_div", help="step = tau / DIV")
+    sp.add_argument("--transient", help="discarded fraction (default 0.6)")
     sp.add_argument("--classify", choices=["yes", "no"])
-    sp.add_argument("--tol", type=float, help="symmetry residual tolerance")
-    sp.add_argument("--omega-hat", dest="omega_hat", type=float, help="frame rate (rotating frame)")
-    sp.add_argument("--c-const", dest="c_const", type=float)
+    sp.add_argument("--tol", help="symmetry residual tolerance")
+    sp.add_argument("--omega-hat", dest="omega_hat", help="frame rate (rotating frame)")
+    sp.add_argument("--c-const", dest="c_const")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")

@@ -117,26 +117,23 @@ def omega_candidates(b: float, c: float) -> list[OmegaCandidate]:
     return out
 
 
+def _angle(r0: float, r1: float, s0: float, omega: float) -> float:
+    # S is real and constant in lambda (S_R = s0, S_I = 0); scalar atan2 on
+    # purpose, np.arctan2 can differ in the last bit
+    theta = math.atan2(s0 * (r1 * omega), -s0 * (r0 - omega * omega))
+    return theta + _TWO_PI if theta <= -math.pi else theta
+
+
 def crossing_angle(p: QuasiPolynomial, omega: float, tau: float | None = None) -> float:
     """Principal angle theta in (-pi, pi] with w tau = theta (mod 2 pi) at a crossing.
 
     theta = arg(-S_I R_I - S_R R_R, R_I S_R - S_I R_R) evaluated at lambda = i w.
     Raises DegenerateSError when the delay coefficient vanishes.
     """
-    t = p.delay if tau is None else tau
-    r0, r1, r2 = (float(v) for v in p.r_coeffs(t))
-    s0 = float(p.s_coeffs(t))
+    r0, r1, s0 = (float(v) for v in p.at(tau))
     if s0 == 0.0:
         raise DegenerateSError("S(i w) = 0; crossing angle undefined")
-    rr = r0 - r2 * omega * omega
-    ri = r1 * omega
-    # S is real and constant in lambda: S_R = s0, S_I = 0
-    x = -s0 * rr
-    y = s0 * ri
-    theta = math.atan2(y, x)
-    if theta <= -math.pi:
-        theta += _TWO_PI
-    return theta
+    return _angle(r0, r1, s0, omega)
 
 
 def transversality(
@@ -145,19 +142,17 @@ def transversality(
     """Crossing direction delta = sign of d Re(lambda)/d tau at lambda = i w, tau_star.
 
     Computed from delta = (A C + B D)/(C^2 + D^2) where A + iB collects the
-    explicit tau-derivative of P (including coefficient derivatives for
+    explicit tau-derivative of P (including the derivatives of r0 and s0 for
     delay-dependent blocks) and C + iD the lambda-derivative.  Raises
     DegenerateCrossingError when the value vanishes (e.g. a double w root).
     """
     t = float(tau_star)
-    r0, r1, r2 = (float(v) for v in p.r_coeffs(t))
-    s0 = float(p.s_coeffs(t))
-    dr0, dr1, dr2, ds0 = (float(v) for v in p.coefficient_derivatives(t))
+    r0, r1, s0 = (float(v) for v in p.at(t))
+    dr0, ds0 = (0.0, 0.0) if p.dcoeffs is None else (float(v) for v in p.dcoeffs(t))
     iw = 1j * omega
     e = np.exp(-iw * t)
-    r_tau = dr0 + dr1 * iw + dr2 * iw * iw
-    num = e * (iw * s0 - ds0) - r_tau
-    den = (2.0 * r2 * iw + r1) + e * (-t * s0)
+    num = e * (iw * s0 - ds0) - dr0
+    den = (2.0 * iw + r1) + e * (-t * s0)
     a, bb = num.real, num.imag
     cc, d = den.real, den.imag
     norm = cc * cc + d * d
@@ -200,13 +195,15 @@ def tau_candidates(
     return out
 
 
+def _b_c(r0, r1, s0):
+    # the quartic's coefficients from a snapshot, as QuasiPolynomial.b_c
+    return r1 * r1 - 2.0 * r0, r0 * r0 - s0 * s0
+
+
 def _scan_arrays(p: QuasiPolynomial, taus: np.ndarray):
     """Vectorized (w, theta) per root branch along a tau grid; NaN where absent."""
-    z = np.zeros_like(taus)
-    r0, r1, _ = (np.asarray(v, dtype=float) + z for v in p.r_coeffs(taus))
-    s0 = np.asarray(p.s_coeffs(taus), dtype=float) + z
-    b = r1 * r1 - 2.0 * r0
-    c = r0 * r0 - s0 * s0
+    r0, r1, s0 = (np.broadcast_to(v, taus.shape) for v in p.at(taus))
+    b, c = _b_c(r0, r1, s0)
     disc = b * b - 4.0 * c
     ok = disc >= 0.0
     sq = np.sqrt(np.where(ok, disc, np.nan))
@@ -225,19 +222,15 @@ def _scan_arrays(p: QuasiPolynomial, taus: np.ndarray):
 
 def _sn_value(p: QuasiPolynomial, tau: float, tag: RootBranch, n: int):
     """S_n(tau) = tau - (theta + 2 pi n)/w at a single tau; (value, w) or None."""
-    b, c = (float(v) for v in p.b_c(tau))
-    roots = _stable_quadratic_roots(b, c)
-    if roots is None:
+    r0, r1, s0 = (float(v) for v in p.at(tau))
+    roots = _stable_quadratic_roots(*_b_c(r0, r1, s0))
+    if roots is None or s0 == 0.0:
         return None
     w2 = roots[0] if tag is RootBranch.PLUS else roots[1]
     if w2 <= 0.0:
         return None
     w = math.sqrt(w2)
-    try:
-        theta = crossing_angle(p, w, tau)
-    except DegenerateSError:
-        return None
-    return tau - (theta + _TWO_PI * n) / w, w
+    return tau - (_angle(r0, r1, s0, w) + _TWO_PI * n) / w, w
 
 
 def sn_scan(

@@ -143,35 +143,40 @@ def lambert_w(k: int, z: complex) -> complex:
 
 
 def _pcoeffs(p: QuasiPolynomial, tau: float) -> tuple[float, float, float]:
-    r0, r1, _ = (float(v) for v in p.r_coeffs(tau))
-    s0 = float(p.s_coeffs(tau))
-    return r0, r1, s0
+    return tuple(float(v) for v in p.at(tau))
+
+
+def _p_dp(r0, r1, s0, tau, lam) -> tuple[complex, complex, complex]:
+    """(P, P', s0 e^{-lambda tau}) at lambda; P' is the lambda-derivative."""
+    e = cmath.exp(-lam * tau) * s0
+    return (lam + r1) * lam + r0 + e, 2.0 * lam + r1 - tau * e, e
 
 
 def _polish(
     r0: float, r1: float, s0: float, tau: float, lam: complex, scheme: Scheme
 ) -> tuple[complex, float] | None:
-    for _ in range(60):
-        e = cmath.exp(-lam * tau) * s0
-        f = (lam + r1) * lam + r0 + e
-        fp = 2.0 * lam + r1 - tau * e
-        if fp == 0:
-            return None
-        if scheme is Scheme.NEWTON:
-            step = f / fp
-        else:
-            fpp = 2.0 + tau * tau * e
-            denom = 2.0 * fp * fp - f * fpp
-            if denom == 0:
+    """Newton or Halley from one seed; None if it fails or e^{-lambda tau} overflows."""
+    try:
+        for _ in range(60):
+            f, fp, e = _p_dp(r0, r1, s0, tau, lam)
+            if fp == 0:
                 return None
-            step = 2.0 * f * fp / denom
-        lam = lam - step
-        if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-            return None
-        if abs(step) <= 1e-15 * (1.0 + abs(lam)):
-            break
-    e = cmath.exp(-lam * tau) * s0
-    res = abs((lam + r1) * lam + r0 + e)
+            if scheme is Scheme.NEWTON:
+                step = f / fp
+            else:
+                fpp = 2.0 + tau * tau * e
+                denom = 2.0 * fp * fp - f * fpp
+                if denom == 0:
+                    return None
+                step = 2.0 * f * fp / denom
+            lam = lam - step
+            if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+                return None
+            if abs(step) <= 1e-15 * (1.0 + abs(lam)):
+                break
+        res = abs(_p_dp(r0, r1, s0, tau, lam)[0])
+    except OverflowError:
+        return None
     if res <= 1e-12 * max(1.0, abs(lam) ** 2):
         return lam, res
     return None
@@ -294,9 +299,7 @@ def _census_eval(r0, r1, s0, tau, z, state: _CensusState) -> complex:
     state.evals += 1
     if state.evals > state.max_evals:
         raise NoConvergenceError("census evaluation budget exhausted")
-    e = cmath.exp(-z * tau) * s0
-    f = (z + r1) * z + r0 + e
-    fp = 2.0 * z + r1 - tau * e
+    f, fp, _ = _p_dp(r0, r1, s0, tau, z)
     if abs(f) <= 1e-8 * max(abs(fp), 1e-3):
         raise BoundaryRootError(f"root within ~1e-8 of census contour near {z}")
     return f

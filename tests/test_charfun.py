@@ -13,6 +13,7 @@ from pllbif import (
     NetworkParams,
     blocks_from_gain,
     build_blocks,
+    char_functions_n2,
     constant_quasi_polynomial,
     equilibrium,
     full_determinant,
@@ -33,11 +34,17 @@ def test_constant_block_eval_matches_formula():
 
 
 def test_eval_many_matches_scalar():
-    q = constant_quasi_polynomial(0.7, 0.3, -0.2, delay=1.5)
+    p = NetworkParams(2, 1.0, 1.0)
+    br = releq_branches(p, (0.0, 8.0))[0]
     lams = np.array([0.1 + 0.2j, -0.3 + 1.0j, 0.0 + 0.0j])
-    vals = q.eval_many(lams)
-    for lam, v in zip(lams, vals):
-        assert v == pytest.approx(q.eval(lam), abs=1e-14)
+    for q in (
+        constant_quasi_polynomial(0.7, 0.3, -0.2, delay=1.5),
+        build_blocks(ModelKind.PHASE, p, br).standard.with_delay(3.0),
+    ):
+        vals = q.eval(lams)
+        assert vals.shape == lams.shape
+        for lam, v in zip(lams, vals):
+            assert v == pytest.approx(q.eval(lam), abs=1e-14)
 
 
 def test_b_c_map():
@@ -123,15 +130,19 @@ def test_blocks_from_gain_matches_manual_formula():
 
 
 def test_coefficient_derivatives_by_finite_difference():
-    # PHASE blocks on a locked branch carry tau-dependent coefficients
+    # PHASE blocks on a locked branch and PHASE_DIFFERENCE blocks carry
+    # tau-dependent r0 and s0
     p = NetworkParams(2, 1.0, 1.0)
     br = releq_branches(p, (0.0, 8.0))[0]
-    blk = build_blocks(ModelKind.PHASE, p, br).standard
-    assert blk.tau_dependent
+    blocks = (
+        build_blocks(ModelKind.PHASE, p, br).standard,
+        char_functions_n2(p, 0.4).p1,
+        char_functions_n2(p, 0.4).p2,
+    )
     tau, h = 3.0, 1e-6
-    d = blk.coefficient_derivatives(tau)
-    r_hi, r_lo = blk.r_coeffs(tau + h), blk.r_coeffs(tau - h)
-    s_hi, s_lo = blk.s_coeffs(tau + h), blk.s_coeffs(tau - h)
-    for want, hi, lo in zip(d[:3], r_hi, r_lo):
-        assert float(want) == pytest.approx(float(hi - lo) / (2 * h), abs=1e-5)
-    assert float(d[3]) == pytest.approx(float(s_hi - s_lo) / (2 * h), abs=1e-5)
+    for blk in blocks:
+        assert blk.tau_dependent
+        d = blk.dcoeffs(tau)
+        hi, lo = blk.coeffs(tau + h), blk.coeffs(tau - h)
+        for want, c_hi, c_lo in zip(d, hi, lo):
+            assert float(want) == pytest.approx(float(c_hi - c_lo) / (2 * h), abs=1e-5)

@@ -185,6 +185,19 @@ def test_resolution_below_two_is_rejected(capsys, resolution):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["releq", "--K", "1", "--tau-window", "0:8", "--resolution", "abc"], "--resolution"),
+        (["zero-roots", "--K", "0.8", "--mu", "0.5", "--nodes", "2.5"], "--nodes"),
+        (["phasediff-check", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--seed", "x"], "--seed"),
+    ],
+)
+def test_bad_number_flag_is_one_line(capsys, argv, flag):
+    # flags go through the same numeric checks as config values
+    assert_usage_error(capsys, argv, flag)
+
+
 def test_zero_transient_discards_nothing(monkeypatch):
     seen = []
 

@@ -17,7 +17,9 @@ from pllbif import (
     ModelKind,
     NetworkParams,
     RootBranch,
+    UnsupportedKindError,
     build_blocks,
+    char_functions_n2,
     constant_quasi_polynomial,
     crossing_angle,
     equilibrium,
@@ -72,6 +74,14 @@ def test_tau_candidates_spacing():
     assert [r.winding for r in rows] == [1, 2, 3, 4]
     gaps = np.diff([r.tau_star for r in rows])
     assert np.allclose(gaps, 2.0 * math.pi / cand.omega, atol=1e-10)
+
+
+def test_tau_candidates_rejects_difference_blocks():
+    # a = K mu cos(C + tau) moves with the delay, so the fixed ladder is wrong
+    ch = char_functions_n2(NetworkParams(2, 1.05, 0.3), 0.4)
+    cand = omega_candidates(*ch.p1.b_c(1.0))[0]
+    with pytest.raises(UnsupportedKindError):
+        tau_candidates(ch.p1, cand, range(0, 3))
 
 
 def test_crossing_angle_is_principal():

@@ -125,3 +125,14 @@ def test_sweep_warm_start_continuity():
     # real part crosses zero inside the grid (destabilization at ~6.34)
     signs = [r.lam.real > 0 for r in rows]
     assert signs[0] is False and signs[-1] is True
+
+
+@pytest.mark.parametrize("scheme", [Scheme.NEWTON, Scheme.HALLEY])
+def test_overflowing_seed_fails_alone(scheme):
+    # polishing some of the seeds here overflows e^{-lambda tau}
+    p = NetworkParams(2, 2.4640029301488293, 1.6160164315748644)
+    blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.PLUS)).standard
+    est = rightmost_root(blk, 3.0, scheme=scheme)
+    assert est.lam == pytest.approx(0.4610 + 0.6759j, abs=1e-4)
+    assert est.residual <= 1e-12
+    assert est.certified
