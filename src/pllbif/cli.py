@@ -63,6 +63,7 @@ _MODEL = {
 }
 _BLOCK = {"fix": BlockKind.FIX, "standard": BlockKind.STANDARD}
 _EQ = {"plus": Branch.PLUS, "minus": Branch.MINUS}
+_BLOCKS = {"fix": ("fix",), "standard": ("standard",), "both": ("fix", "standard")}
 _SCHEME = {"newton": Scheme.NEWTON, "halley": Scheme.HALLEY}
 _YES = {"yes": True, "no": False}
 
@@ -286,6 +287,7 @@ def _cmd_rightmost(opts: dict) -> int:
         raise _UsageError("rightmost supports --model full-phase")
     eq_branch = _choice(opts, "eq", _EQ, "plus", "--eq")
     which = _opt(opts, "block", "both")
+    names = _choice(opts, "block", _BLOCKS, "both", "--block")
     scheme = _choice(opts, "scheme", _SCHEME, "newton", "--scheme")
     certify = _choice(opts, "certify", _YES, "yes", "--certify")
     wm = _omega_m(opts)
@@ -293,13 +295,10 @@ def _cmd_rightmost(opts: dict) -> int:
     p = normalize(_mkparams(opts))
     eq = equilibrium(p, eq_branch)
     blocks = build_blocks(ModelKind.FULL_PHASE, p, eq)
-    sweeps = {}
-    if which in ("fix", "both"):
-        sweeps["fix"] = rightmost_sweep(blocks.fix.with_delay, taus, scheme, certify)
-    if which in ("standard", "both"):
-        sweeps["standard"] = rightmost_sweep(blocks.standard.with_delay, taus, scheme, certify)
-    if not sweeps:
-        raise _UsageError("--block must be fix, standard, or both")
+    sweeps = {
+        name: rightmost_sweep(getattr(blocks, name).with_delay, taus, scheme, certify)
+        for name in names
+    }
     rows = []
     for i, tau in enumerate(taus):
         per = {name: sw[i] for name, sw in sweeps.items()}
@@ -343,6 +342,7 @@ def _cmd_rightmost(opts: dict) -> int:
 def _cmd_snmap(opts: dict) -> int:
     kind = _choice(opts, "model", _MODEL, "full-phase", "--model")
     block = _choice(opts, "block", _BLOCK, "fix", "--block")
+    eq_branch = _choice(opts, "eq", _EQ, "minus", "--eq")
     wm = _omega_m(opts)
     lo, hi = _window(_require(opts, "tau_window", "--tau-window"), "--tau-window")
     lo, hi = lo * wm, hi * wm
@@ -351,7 +351,6 @@ def _cmd_snmap(opts: dict) -> int:
 
     if kind is ModelKind.FULL_PHASE:
         p = normalize(_mkparams(opts))
-        eq_branch = _choice(opts, "eq", _EQ, "minus", "--eq")
         eq = equilibrium(p, eq_branch)
         blk = build_blocks(kind, p, eq).fix if block is BlockKind.FIX else build_blocks(kind, p, eq).standard
         cands = sn_scan(blk, (lo, hi), grid_step=grid_step)
@@ -498,13 +497,15 @@ def _cmd_phasediff_check(opts: dict) -> int:
 
 def _cmd_simulate(opts: dict) -> int:
     kind = _choice(opts, "model", _MODEL, "full-phase", "--model")
+    eq_branch = _choice(opts, "eq", _EQ, "minus", "--eq")
+    classify = _choice(opts, "classify", _YES, "yes", "--classify")
     wm = _omega_m(opts)
     p = normalize(_mkparams(opts))
     t_end = _num(_require(opts, "t_end", "--t-end"), "--t-end") * wm
     omega = None
 
     if kind is ModelKind.FULL_PHASE:
-        eq = equilibrium(p, _choice(opts, "eq", _EQ, "minus", "--eq"))
+        eq = equilibrium(p, eq_branch)
         base = equilibrium_state(kind, p, eq)
     elif kind is ModelKind.PHASE:
         base = np.zeros(2 * p.n_nodes)
@@ -576,7 +577,7 @@ def _cmd_simulate(opts: dict) -> int:
         ("amplitude", amplitude),
     )
 
-    if _choice(opts, "classify", _YES, "yes", "--classify"):
+    if classify:
         transient = _num(_opt(opts, "transient", 0.6), "--transient")
         if not 0.0 <= transient < 1.0:
             raise _UsageError(f"--transient must lie in [0, 1), got {transient:g}")
@@ -630,6 +631,17 @@ def _cmd_verify(opts: dict) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error (unknown flag, missing value) as one line, exit 2.
+
+    Choice-valued options carry no argparse ``choices``: ``_choice`` checks
+    them, for flags and config values alike.
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"usage error: {message}\n")
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON file of option defaults (flags override)")
     sp.add_argument("--out", help="CSV output path ('-' = stdout, the default)")
@@ -645,7 +657,7 @@ def _add_params(sp: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pllbif",
         description="Bifurcation analysis of delay-coupled oscillator networks",
     )
@@ -654,9 +666,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("curves", help="crossing-delay curves over a mu or K sweep")
     _add_params(sp)
     _add_common(sp)
-    sp.add_argument("--model", choices=list(_MODEL), help="model (full-phase)")
-    sp.add_argument("--block", choices=["fix", "standard"])
-    sp.add_argument("--eq", choices=["plus", "minus"])
+    sp.add_argument("--model", help="model (full-phase)")
+    sp.add_argument("--block", help="fix (default) | standard")
+    sp.add_argument("--eq", help="minus (default) | plus")
     sp.add_argument("--mu-grid", dest="mu_grid", help="start:stop:count")
     sp.add_argument("--k-grid", dest="k_grid", help="start:stop:count")
     sp.add_argument("--n", help="crossing index range lo:hi (default 0:4)")
@@ -666,20 +678,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rightmost", help="rightmost characteristic root along a delay grid")
     _add_params(sp)
     _add_common(sp)
-    sp.add_argument("--model", choices=list(_MODEL))
-    sp.add_argument("--eq", choices=["plus", "minus"], help="equilibrium (default plus)")
-    sp.add_argument("--block", choices=["fix", "standard", "both"])
+    sp.add_argument("--model", help="model (full-phase)")
+    sp.add_argument("--eq", help="equilibrium: plus (default) | minus")
+    sp.add_argument("--block", help="fix | standard | both (default)")
     sp.add_argument("--tau-grid", dest="tau_grid", help="start:stop:count")
-    sp.add_argument("--scheme", choices=["newton", "halley"])
-    sp.add_argument("--certify", choices=["yes", "no"])
+    sp.add_argument("--scheme", help="newton (default) | halley")
+    sp.add_argument("--certify", help="yes (default) | no")
     sp.set_defaults(func=_cmd_rightmost)
 
     sp = sub.add_parser("snmap", help="imaginary-axis crossings over a delay window")
     _add_params(sp)
     _add_common(sp)
-    sp.add_argument("--model", choices=["full-phase", "phase"])
-    sp.add_argument("--block", choices=["fix", "standard"])
-    sp.add_argument("--eq", choices=["plus", "minus"])
+    sp.add_argument("--model", help="full-phase (default) | phase")
+    sp.add_argument("--block", help="fix (default) | standard")
+    sp.add_argument("--eq", help="minus (default) | plus")
     sp.add_argument("--tau-window", dest="tau_window", help="start:stop")
     sp.add_argument("--grid-step", dest="grid_step")
     sp.add_argument("--resolution", help="branch sampling (phase model)")
@@ -710,15 +722,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="integrate a model and classify the orbit")
     _add_params(sp)
     _add_common(sp)
-    sp.add_argument("--model", choices=list(_MODEL))
-    sp.add_argument("--eq", choices=["plus", "minus"])
+    sp.add_argument("--model", help=f"{' | '.join(_MODEL)} (default full-phase)")
+    sp.add_argument("--eq", help="minus (default) | plus")
     sp.add_argument("--perturb", help="none | sync | pair:i,j | isotypic:j[:imag]")
     sp.add_argument("--amplitude")
     sp.add_argument("--t-end", dest="t_end")
     sp.add_argument("--step")
     sp.add_argument("--step-div", dest="step_div", help="step = tau / DIV")
     sp.add_argument("--transient", help="discarded fraction (default 0.6)")
-    sp.add_argument("--classify", choices=["yes", "no"])
+    sp.add_argument("--classify", help="yes (default) | no")
     sp.add_argument("--tol", help="symmetry residual tolerance")
     sp.add_argument("--omega-hat", dest="omega_hat", help="frame rate (rotating frame)")
     sp.add_argument("--c-const", dest="c_const")

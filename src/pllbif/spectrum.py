@@ -7,6 +7,14 @@ so u = W_k(.)/tau enumerates root chains over Lambert W branches.  Those seeds
 (plus rho themselves) are polished on P by Newton or Halley iteration, and the
 winner is certified by an argument-principle census over a box guaranteed to
 contain any root further right.
+
+The census counts roots in a rectangle by the winding of P along its edges.
+Each edge starts as enough segments that e^{-lambda tau} turns by at most
+pi/4 on each (so a whole turn never hides inside one segment), all sampled in
+one vectorized evaluation; only segments whose phase step is pi/4 or more
+are bisected, point by point.  Certification divides the polished root and
+its conjugate out of P, so the box's left edge, 1e-6 to their right, sees a
+smooth phase and needs no deep bisection.
 """
 
 from __future__ import annotations
@@ -146,9 +154,12 @@ def _pcoeffs(p: QuasiPolynomial, tau: float) -> tuple[float, float, float]:
     return tuple(float(v) for v in p.at(tau))
 
 
-def _p_dp(r0, r1, s0, tau, lam) -> tuple[complex, complex, complex]:
-    """(P, P', s0 e^{-lambda tau}) at lambda; P' is the lambda-derivative."""
-    e = cmath.exp(-lam * tau) * s0
+def _p_dp(r0, r1, s0, tau, lam, exp=cmath.exp) -> tuple[complex, complex, complex]:
+    """(P, P', s0 e^{-lambda tau}) at lambda; P' is the lambda-derivative.
+
+    Pass ``exp=np.exp`` for an array of lambda values.
+    """
+    e = exp(-lam * tau) * s0
     return (lam + r1) * lam + r0 + e, 2.0 * lam + r1 - tau * e, e
 
 
@@ -237,13 +248,11 @@ def rightmost_root(
 
     certified = False
     if certify:
-        certified = _certify_rightmost(p, t, lam, r0, r1, s0)
+        certified = _certify_rightmost(t, lam, r0, r1, s0)
     return SpectrumEstimate(lam, scheme, res, certified)
 
 
-def _certify_rightmost(
-    p: QuasiPolynomial, tau: float, lam: complex, r0: float, r1: float, s0: float
-) -> bool:
+def _certify_rightmost(tau: float, lam: complex, r0: float, r1: float, s0: float) -> bool:
     a = lam.real + 1e-6
     growth = abs(s0) * math.exp(-a * tau) if a < 0.0 else abs(s0)
     if growth > 1e10:
@@ -253,8 +262,15 @@ def _certify_rightmost(
     right = max(a + 1.0, 1.05 * r_bound + 0.5)
     y = r_bound + 1.0
     box = CensusBox((a, right), (-y, y))
+    # The census follows the winding of P/((z - lam)(z - conj lam)), whose
+    # phase stays smooth along the left edge 1e-6 from lam.  Dividing out a
+    # factor z - k lowers the winding by one only if k is inside the contour;
+    # both k lie 1e-6 left of the box, and a padded retry that takes them in
+    # adds them back, so the count is still P's own.  A real root is divided
+    # out once: it is its own conjugate.
+    known = (lam,) if lam.imag == 0.0 else (lam, lam.conjugate())
     try:
-        return root_census(p, tau, box) == 0
+        return _census(r0, r1, s0, tau, box, known=known) == 0
     except (BoundaryRootError, NoConvergenceError):
         return False
 
@@ -287,12 +303,20 @@ def rightmost_sweep(
 
 
 class _CensusState:
-    __slots__ = ("evals", "capped", "max_evals")
+    __slots__ = ("evals", "capped", "max_evals", "known")
 
-    def __init__(self, max_evals: int) -> None:
-        self.evals = 0
+    def __init__(self, evals: int, max_evals: int, known: tuple[complex, ...]) -> None:
+        self.evals = evals
         self.capped = False
         self.max_evals = max_evals
+        self.known = known
+
+
+def _deflate(z, f, known: tuple[complex, ...]):
+    """f / prod(z - k) over the known roots k, for a point or an array of z."""
+    for k in known:
+        f = f / (z - k)
+    return f
 
 
 def _census_eval(r0, r1, s0, tau, z, state: _CensusState) -> complex:
@@ -302,7 +326,7 @@ def _census_eval(r0, r1, s0, tau, z, state: _CensusState) -> complex:
     f, fp, _ = _p_dp(r0, r1, s0, tau, z)
     if abs(f) <= 1e-8 * max(abs(fp), 1e-3):
         raise BoundaryRootError(f"root within ~1e-8 of census contour near {z}")
-    return f
+    return _deflate(z, f, state.known)
 
 
 def _edge_arg(r0, r1, s0, tau, z0, z1, f0, f1, depth, state) -> float:
@@ -318,34 +342,63 @@ def _edge_arg(r0, r1, s0, tau, z0, z1, f0, f1, depth, state) -> float:
     )
 
 
-def _census_once(p, tau, rect, max_evals) -> int:
+def _census_once(r0, r1, s0, tau, rect, max_evals, known) -> int:
     re0, re1, im0, im1 = rect
-    r0, r1, s0 = _pcoeffs(p, tau)
-    corners = [
-        complex(re0, im0),
-        complex(re1, im0),
-        complex(re1, im1),
-        complex(re0, im1),
-    ]
-    state = _CensusState(max_evals)
-    total = 0.0
-    for i in range(4):
-        z0, z1 = corners[i], corners[(i + 1) % 4]
-        # initial subdivision keeps each recursion shallow
-        pts = np.linspace(0.0, 1.0, 33)
-        zs = [z0 + (z1 - z0) * t for t in pts]
-        fs = [_census_eval(r0, r1, s0, tau, z, state) for z in zs]
-        for j in range(32):
-            total += _edge_arg(
-                r0, r1, s0, tau, zs[j], zs[j + 1], fs[j], fs[j + 1], 0, state
-            )
+    # e^{-lambda tau} turns by tau |d lambda|: at most pi/4 per initial segment
+    nseg = max(32, math.ceil(4.0 * tau * max(re1 - re0, im1 - im0) / math.pi))
+    state = _CensusState(4 * (nseg + 1), max_evals, known)
+    if state.evals > max_evals:
+        raise NoConvergenceError(
+            f"census needs {state.evals} initial samples, budget is {max_evals}"
+        )
+    corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
+    z0 = np.array(corners)[:, None]
+    z1 = np.array(corners[1:] + corners[:1])[:, None]
+    z = z0 + (z1 - z0) * np.linspace(0.0, 1.0, nseg + 1)
+    with np.errstate(all="ignore"):
+        f, fp, _ = _p_dp(r0, r1, s0, tau, z, exp=np.exp)
+    if not np.isfinite(f).all():
+        raise OverflowError("e^{-lambda tau} overflows on the census contour")
+    near = np.abs(f) <= 1e-8 * np.maximum(np.abs(fp), 1e-3)
+    if near.any():
+        raise BoundaryRootError(
+            f"root within ~1e-8 of census contour near {complex(z[near][0])}"
+        )
+    g = _deflate(z, f, known)
+    steps = np.angle(g[:, 1:] / g[:, :-1])
+    big = np.abs(steps) >= math.pi / 4.0
+    total = float(steps[~big].sum())
+    for e, j in zip(*np.nonzero(big)):
+        total += _edge_arg(
+            r0, r1, s0, tau,
+            complex(z[e, j]), complex(z[e, j + 1]), complex(g[e, j]), complex(g[e, j + 1]),
+            0, state,
+        )
     winding = total / (2.0 * math.pi)
     count = round(winding)
     if abs(winding - count) > 0.05:
         raise NoConvergenceError(
             f"census winding {winding} is not close to an integer"
         )
-    return int(count)
+    # the winding of P/prod(z - k) misses the known roots inside the contour
+    inside = sum(re0 < k.real < re1 and im0 < k.imag < im1 for k in known)
+    return int(count) + inside
+
+
+def _census(r0, r1, s0, tau, box: CensusBox, max_evals=500_000, known=()) -> int:
+    re0, re1 = (float(v) for v in box.re_interval)
+    im0, im1 = (float(v) for v in box.im_interval)
+    if not (re1 > re0 and im1 > im0):
+        raise ValueError("census box must have positive extent")
+    size = max(re1 - re0, im1 - im0)
+    for attempt in range(6):
+        pad = attempt * (1e-6 + 1e-6 * size) * (1.3**attempt)
+        rect = (re0 - pad, re1 + pad, im0 - pad, im1 + pad)
+        try:
+            return _census_once(r0, r1, s0, tau, rect, max_evals, known)
+        except BoundaryRootError as err:
+            last = err
+    raise last
 
 
 def root_census(
@@ -356,24 +409,18 @@ def root_census(
 ) -> int:
     """Number of roots of P (with multiplicity) inside a rectangular box.
 
-    Tracks the winding of P along the boundary, refining each segment until
-    its phase increment is below pi/4.  If a root sits numerically on the
+    Tracks the winding of P along the boundary.  Each edge starts as
+    max(32, ceil(4 tau span / pi)) segments, span being the box's longer side,
+    so that e^{-lambda tau} turns by at most pi/4 on each; all of those
+    samples are evaluated in one vectorized sweep.  Only a segment whose
+    phase increment is pi/4 or more is refined, by bisection until every
+    piece's increment is below pi/4.  Raises NoConvergenceError if the
+    initial samples alone exceed ``max_evals``, if refinement does, or if the
+    winding is not close to an integer.  If a root sits numerically on the
     contour the box is dilated slightly and the census retried (up to 6
     times) before BoundaryRootError propagates.
     """
     if box is None:
         raise ValueError("root_census requires a CensusBox")
     t = p.delay if tau is None else float(tau)
-    re0, re1 = (float(v) for v in box.re_interval)
-    im0, im1 = (float(v) for v in box.im_interval)
-    if not (re1 > re0 and im1 > im0):
-        raise ValueError("census box must have positive extent")
-    size = max(re1 - re0, im1 - im0)
-    last: BoundaryRootError | None = None
-    for attempt in range(6):
-        pad = attempt * (1e-6 + 1e-6 * size) * (1.3**attempt)
-        try:
-            return _census_once(p, t, (re0 - pad, re1 + pad, im0 - pad, im1 + pad), max_evals)
-        except BoundaryRootError as err:
-            last = err
-    raise last if last is not None else BoundaryRootError("census failed")
+    return _census(*_pcoeffs(p, t), t, box, max_evals)

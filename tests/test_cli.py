@@ -233,3 +233,24 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "typo.json"
     cfg.write_text(json.dumps({"K": 0.8, "mu": 0.5, "tua": 5}), encoding="utf-8")
     assert_usage_error(capsys, ["zero-roots", "--config", cfg], "'tua'")
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["snmap", "--model", "foo", "--K", "1", "--mu", "1", "--tau-window", "0:5"], "--model"),
+        (["snmap", "--model", "phase", "--eq", "foo", "--K", "1", "--mu", "1",
+          "--tau-window", "0:5"], "--eq"),
+        (["rightmost", "--K", "1.05", "--mu", "0.3", "--tau-grid", "0:1:3", "--certify", "maybe"],
+         "--certify"),
+        (["rightmost", "--K", "1.05", "--mu", "0.3", "--tau-grid", "0:1:3", "--scheme", "secant"],
+         "--scheme"),
+        (["rightmost", "--K", "1.05", "--mu", "0.3", "--tau-grid", "0:1:3", "--block", "all"],
+         "--block"),
+        (["simulate", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--t-end", "10",
+          "--classify", "maybe"], "--classify"),
+        (["zero-roots", "--K", "0.8", "--mu", "0.5", "--bogus", "1"], "--bogus"),
+    ],
+)
+def test_bad_choice_or_unknown_flag_is_one_line(capsys, argv, needle):
+    assert_usage_error(capsys, argv, needle)

@@ -1,13 +1,16 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pllbif import spectrum
 from pllbif import (
     BranchDomainError,
     Branch,
+    NoConvergenceError,
     CensusBox,
     ModelKind,
     NetworkParams,
@@ -111,6 +114,20 @@ def test_census_agrees_with_rightmost_sign():
         assert (est.lam.real > 0.0) == (count > 0)
 
 
+def test_deflated_census_counts_the_roots_of_p():
+    # dividing a known root pair out of P leaves the count unchanged, whether
+    # the pair lies inside the box or just outside its left edge
+    p = NetworkParams(2, 1.05, 0.3)
+    eq = equilibrium(p, Branch.MINUS)
+    blk = build_blocks(ModelKind.FULL_PHASE, p, eq).fix
+    lam = rightmost_root(blk, 8.67).lam
+    known = (lam, lam.conjugate())
+    coeffs = blk.at(8.67)
+    for box in (CensusBox((1e-6, 2.0), (-5.0, 5.0)), CensusBox((lam.real + 1e-6, 2.0), (-5.0, 5.0))):
+        assert spectrum._census(*coeffs, 8.67, box, known=known) == root_census(blk, 8.67, box)
+    assert root_census(blk, 8.67, CensusBox((1e-6, 2.0), (-5.0, 5.0))) == 2
+
+
 def test_sweep_warm_start_continuity():
     p = NetworkParams(2, 1.05, 0.3)
     eq = equilibrium(p, Branch.MINUS)
@@ -136,3 +153,65 @@ def test_overflowing_seed_fails_alone(scheme):
     assert est.lam == pytest.approx(0.4610 + 0.6759j, abs=1e-4)
     assert est.residual <= 1e-12
     assert est.certified
+
+
+def dense_winding(blk, tau, box):
+    """Winding number of P around the box from a dense, unwrapped phase.
+
+    Each step moves lambda by at most 1/(64 (tau + 1)), so e^{-lambda tau}
+    turns by less than 1/64 rad between samples.
+    """
+    (a, b), (lo, hi) = box.re_interval, box.im_interval
+    corners = [complex(a, lo), complex(b, lo), complex(b, hi), complex(a, hi), complex(a, lo)]
+    per_edge = math.ceil(64 * (tau + 1.0) * max(b - a, hi - lo))
+    z = np.concatenate(
+        [np.linspace(z0, z1, per_edge, endpoint=False) for z0, z1 in zip(corners, corners[1:])]
+        + [np.array(corners[:1])]
+    )
+    phase = np.unwrap(np.angle(blk.eval(z, tau)))
+    return (phase[-1] - phase[0]) / (2.0 * math.pi)
+
+
+def upper_bound_box(blk, tau):
+    # every root with Re >= 0 has |lambda|^2 <= |r1||lambda| + |r0| + |s0|
+    r0, r1, s0 = blk.at(tau)
+    bound = (abs(r1) + math.sqrt(r1 * r1 + 4.0 * (abs(r0) + abs(s0)))) / 2.0 + 1.0
+    return CensusBox((1e-6, bound), (-bound, bound))
+
+
+def test_census_counts_windings_of_a_long_delay():
+    # e^{-lambda tau} turns about 19 rad per unit of Im lambda here; the 17
+    # roots are the tau = 0 quadratic's one plus a pair for each of the 8
+    # destabilizing crossings below tau = 19.35
+    p = NetworkParams(3, 2.9749666054794064, 1.2929269227406166)
+    blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.PLUS)).fix
+    box = CensusBox((1e-6, 5.0), (-5.0, 5.0))
+    assert root_census(blk, 19.35, box) == 17
+    assert round(dense_winding(blk, 19.35, box)) == 17
+    # too small a budget for the delay-scaled samples fails, never samples coarser
+    with pytest.raises(NoConvergenceError):
+        root_census(blk, 19.35, box, max_evals=500)
+
+
+def test_census_matches_a_dense_winding_count():
+    rng = np.random.default_rng(20131025)
+    for _ in range(60):
+        p = NetworkParams(int(rng.integers(2, 6)), rng.uniform(1.05, 3.0), rng.uniform(0.05, 2.0))
+        branch = Branch.PLUS if rng.uniform() < 0.5 else Branch.MINUS
+        blocks = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, branch))
+        blk = blocks.fix if rng.uniform() < 0.5 else blocks.standard
+        tau = 25.0 * (1.0 - rng.uniform())  # in (0, 25]
+        box = upper_bound_box(blk, tau)
+        want = dense_winding(blk, tau, box)
+        assert want == pytest.approx(round(want), abs=0.01)
+        assert root_census(blk, tau, box) == round(want), (p, branch, blk.role, tau)
+
+
+def test_readme_rightmost_grid_is_certified():
+    # pllbif rightmost --nodes 2 --K 1.05 --mu 0.3 --eq minus --tau-grid 0:25:251
+    p = NetworkParams(2, 1.05, 0.3)
+    blocks = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS))
+    taus = np.linspace(0.0, 25.0, 251)
+    fix = rightmost_sweep(blocks.fix.with_delay, taus)
+    std = rightmost_sweep(blocks.standard.with_delay, taus)
+    assert sum(a.certified and b.certified for a, b in zip(fix, std)) == 251
