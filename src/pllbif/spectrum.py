@@ -6,7 +6,9 @@ u = lambda - rho and linearizing R gives u e^{u tau} = -s0 tau e^{-rho tau}/R'(r
 so u = W_k(.)/tau enumerates root chains over Lambert W branches.  Those seeds
 (plus rho themselves) are polished on P by Newton or Halley iteration, and the
 winner is certified by an argument-principle census over a box guaranteed to
-contain any root further right.
+contain any root further right.  A caller's warm start (the root at a nearby
+delay) is polished and certified first; the Lambert W seeds are formed and
+polished only when that census cannot certify it.
 
 The census counts roots in a rectangle by the winding of P along its edges.
 Each edge starts as enough segments that e^{-lambda tau} turns by at most
@@ -90,8 +92,39 @@ def _w_seed(k: int, z: complex) -> complex:
     if k == -1 and z.imag == 0.0 and -_EXP_NEG1 < z.real < 0.0:
         l1 = math.log(-z.real)
         return complex(l1 - math.log(-l1))
+    return _w_asymptotic(k, z)
+
+
+def _w_asymptotic(k: int, z: complex) -> complex:
     big_l = cmath.log(z) + 2.0j * math.pi * k
     return big_l - cmath.log(big_l)
+
+
+def _w_halley(z: complex, w: complex) -> complex | None:
+    """Halley iteration for w e^w = z from w; None if it misses the identity."""
+    try:
+        for _ in range(100):
+            ew = cmath.exp(w)
+            f = w * ew - z
+            if f == 0:
+                return w
+            wp1 = w + 1.0
+            if wp1 == 0:
+                w += 1e-8
+                continue
+            denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+            if denom == 0:
+                w += 1e-8
+                continue
+            dw = f / denom
+            w -= dw
+            if abs(dw) <= 2e-16 * (1.0 + abs(w)):
+                break
+        if abs(w * cmath.exp(w) - z) > 1e-12 * max(1.0, abs(z)):
+            return None
+    except OverflowError:
+        return None
+    return w
 
 
 def lambert_w(k: int, z: complex) -> complex:
@@ -99,9 +132,12 @@ def lambert_w(k: int, z: complex) -> complex:
 
     Halley iteration from asymptotic seeds (log z - log log z on the shifted
     logarithm sheet), with a series seed near the branch point -1/e for
-    branches 0 and -1.  Inputs within 1e-14 of -1/e on those branches return
-    -1 exactly.  Raises BranchDomainError for z = 0 on k != 0 and
-    NoConvergenceError if the defining identity cannot be met.
+    branches 0 and -1.  If the iteration from that seed misses the identity
+    or overflows (W_0 just off its cut left of -1/e, where the seed
+    log(1 + z) is nearly real), it is retried once from the asymptotic seed.
+    Inputs within 1e-14 of -1/e on those branches return -1 exactly.  Raises
+    BranchDomainError for z = 0 on k != 0 and NoConvergenceError if the
+    defining identity cannot be met.
     """
     z = complex(z)
     k = int(k)
@@ -124,26 +160,12 @@ def lambert_w(k: int, z: complex) -> complex:
     else:
         w = _w_seed(k, z)
 
-    for _ in range(100):
-        ew = cmath.exp(w)
-        f = w * ew - z
-        if f == 0:
-            return w
-        wp1 = w + 1.0
-        if wp1 == 0:
-            w += 1e-8
-            continue
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        if denom == 0:
-            w += 1e-8
-            continue
-        dw = f / denom
-        w -= dw
-        if abs(dw) <= 2e-16 * (1.0 + abs(w)):
-            break
-    if abs(w * cmath.exp(w) - z) > 1e-12 * max(1.0, abs(z)):
+    got = _w_halley(z, w)
+    if got is None:
+        got = _w_halley(z, _w_asymptotic(k, z))
+    if got is None:
         raise NoConvergenceError(f"Lambert W branch {k} failed at z={z}")
-    return w
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +220,26 @@ def _quadratic_roots(r1: float, r0: float) -> tuple[complex, complex]:
     return (-r1 + d) / 2.0, (-r1 - d) / 2.0
 
 
+def _polish_into(
+    found: list[tuple[complex, float]], seeds, r0, r1, s0, tau, scheme: Scheme
+) -> None:
+    """Polish each seed and append the (root, residual) pairs not yet in ``found``."""
+    for seed in seeds:
+        hit = _polish(r0, r1, s0, tau, seed, scheme)
+        if hit is None:
+            continue
+        lam = hit[0]
+        if all(abs(lam - other) > 1e-8 * (1.0 + abs(lam)) for other, _ in found):
+            found.append(hit)
+
+
+def _upper_rightmost(found: list[tuple[complex, float]]) -> tuple[complex, float]:
+    lam, res = max(found, key=lambda pair: pair[0].real)
+    if lam.imag < 0.0:  # roots come in conjugate pairs; report the upper one
+        lam = lam.conjugate()
+    return lam, res
+
+
 def rightmost_root(
     p: QuasiPolynomial,
     tau: float | None = None,
@@ -207,10 +249,22 @@ def rightmost_root(
 ) -> SpectrumEstimate:
     """Root of P with the largest real part, census-certified by default.
 
-    Seeds: the roots rho of the polynomial part, the Lambert chains
-    rho + W_k(-s0 tau e^{-rho tau}/R'(rho))/tau for k in -3..3, and any
-    caller-provided warm starts.  At tau = 0 the quasi-polynomial is an exact
-    quadratic and is solved in closed form.
+    Seeds, in polishing order: any caller-provided warm starts, the roots rho
+    of the polynomial part, and the Lambert chains
+    rho + W_k(-s0 tau e^{-rho tau}/R'(rho))/tau for k in -3..3.  When
+    ``certify`` is true and warm starts are given, the rightmost of their
+    polished roots is certified first and returned if the census proves it
+    rightmost.  Only otherwise are the remaining seeds polished (the warm
+    starts' roots are kept, not polished again), and the rightmost root of
+    all seeds is certified.  With ``certify=False`` every seed is always
+    polished.  At tau = 0 the quasi-polynomial is an exact quadratic and is
+    solved in closed form.
+
+    ``certified`` guarantees that no root of P has Re > Re lambda + 1e-6,
+    because the census box's left edge sits 1e-6 right of lambda (a tighter
+    edge would meet the census's 1e-8 boundary-root test and its padded
+    retries).  So of two root pairs whose real parts differ by less than
+    1e-6, either may be returned: a warm start on the lower one certifies.
     """
     t = p.delay if tau is None else float(tau)
     r0, r1, s0 = _pcoeffs(p, t)
@@ -219,8 +273,15 @@ def rightmost_root(
         lam = max(roots, key=lambda r: (r.real, r.imag))
         return SpectrumEstimate(lam, scheme, 0.0, True)
 
+    found: list[tuple[complex, float]] = []
+    _polish_into(found, extra_seeds, r0, r1, s0, t, scheme)
+    if certify and found:
+        lam, res = _upper_rightmost(found)
+        if _certify_rightmost(t, lam, r0, r1, s0):
+            return SpectrumEstimate(lam, scheme, res, True)
+
     rho_pair = _quadratic_roots(r1, r0)
-    seeds: list[complex] = list(extra_seeds) + list(rho_pair)
+    seeds: list[complex] = list(rho_pair)
     for rho in rho_pair:
         rp = 2.0 * rho + r1
         if rp == 0:
@@ -231,20 +292,10 @@ def rightmost_root(
                 seeds.append(rho + lambert_w(k, arg) / t)
             except (BranchDomainError, NoConvergenceError):
                 continue
-
-    roots_found: list[tuple[complex, float]] = []
-    for seed in seeds:
-        hit = _polish(r0, r1, s0, t, seed, scheme)
-        if hit is None:
-            continue
-        lam, res = hit
-        if all(abs(lam - other) > 1e-8 * (1.0 + abs(lam)) for other, _ in roots_found):
-            roots_found.append((lam, res))
-    if not roots_found:
+    _polish_into(found, seeds, r0, r1, s0, t, scheme)
+    if not found:
         raise NoConvergenceError("no seed converged on the quasi-polynomial")
-    lam, res = max(roots_found, key=lambda pair: pair[0].real)
-    if lam.imag < 0.0:  # roots come in conjugate pairs; report the upper one
-        lam = lam.conjugate()
+    lam, res = _upper_rightmost(found)
 
     certified = False
     if certify:
@@ -284,7 +335,10 @@ def rightmost_sweep(
     """Rightmost root along an ascending delay grid, warm-started point to point.
 
     ``block_factory`` maps tau to a QuasiPolynomial (pass ``p.with_delay`` for
-    a delay-independent block).
+    a delay-independent block).  Each point after the first passes the
+    previous root to ``rightmost_root`` as its warm start, so with ``certify``
+    a point whose tracked root is still rightmost needs one polish and one
+    census; with ``certify=False`` every point polishes the full seed set.
     """
     rows: list[SweepRow] = []
     prev: complex | None = None

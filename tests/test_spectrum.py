@@ -35,6 +35,17 @@ def test_lambert_specials():
     assert lambert_w(0, -1.0 / math.e) == pytest.approx(-1.0, abs=1e-7)
 
 
+def test_lambert_principal_branch_on_its_cut():
+    # left of -1/e the seed log(1 + z) is real while W_0 is not; the signed
+    # zero of Im z picks the side of the cut
+    for x in np.linspace(-0.8, -0.46, 35):
+        for im in (0.0, -0.0):
+            z = complex(float(x), im)
+            w = lambert_w(0, z)
+            assert abs(w * cmath.exp(w) - z) <= 1e-12
+            assert 0.0 < math.copysign(1.0, im) * w.imag < math.pi
+
+
 def test_lambert_branch_domain():
     # only branches 0 and -1 reach the real segment [-1/e, 0)
     with pytest.raises(BranchDomainError):
@@ -155,11 +166,13 @@ def test_overflowing_seed_fails_alone(scheme):
     assert est.certified
 
 
-def dense_winding(blk, tau, box):
+def dense_winding(blk, tau, box, known=()):
     """Winding number of P around the box from a dense, unwrapped phase.
 
     Each step moves lambda by at most 1/(64 (tau + 1)), so e^{-lambda tau}
-    turns by less than 1/64 rad between samples.
+    turns by less than 1/64 rad between samples.  The ``known`` roots are
+    divided out of P first, so a root just outside the box cannot turn the
+    phase by about pi between two samples.
     """
     (a, b), (lo, hi) = box.re_interval, box.im_interval
     corners = [complex(a, lo), complex(b, lo), complex(b, hi), complex(a, hi), complex(a, lo)]
@@ -168,7 +181,10 @@ def dense_winding(blk, tau, box):
         [np.linspace(z0, z1, per_edge, endpoint=False) for z0, z1 in zip(corners, corners[1:])]
         + [np.array(corners[:1])]
     )
-    phase = np.unwrap(np.angle(blk.eval(z, tau)))
+    f = blk.eval(z, tau)
+    for k in known:
+        f = f / (z - k)
+    phase = np.unwrap(np.angle(f))
     return (phase[-1] - phase[0]) / (2.0 * math.pi)
 
 
@@ -193,18 +209,23 @@ def test_census_counts_windings_of_a_long_delay():
         root_census(blk, 19.35, box, max_evals=500)
 
 
+def _random_block(rng):
+    p = NetworkParams(int(rng.integers(2, 6)), rng.uniform(1.05, 3.0), rng.uniform(0.05, 2.0))
+    branch = Branch.PLUS if rng.uniform() < 0.5 else Branch.MINUS
+    blocks = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, branch))
+    blk = blocks.fix if rng.uniform() < 0.5 else blocks.standard
+    return blk, (p, branch, blk.role)
+
+
 def test_census_matches_a_dense_winding_count():
     rng = np.random.default_rng(20131025)
     for _ in range(60):
-        p = NetworkParams(int(rng.integers(2, 6)), rng.uniform(1.05, 3.0), rng.uniform(0.05, 2.0))
-        branch = Branch.PLUS if rng.uniform() < 0.5 else Branch.MINUS
-        blocks = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, branch))
-        blk = blocks.fix if rng.uniform() < 0.5 else blocks.standard
+        blk, case = _random_block(rng)
         tau = 25.0 * (1.0 - rng.uniform())  # in (0, 25]
         box = upper_bound_box(blk, tau)
         want = dense_winding(blk, tau, box)
         assert want == pytest.approx(round(want), abs=0.01)
-        assert root_census(blk, tau, box) == round(want), (p, branch, blk.role, tau)
+        assert root_census(blk, tau, box) == round(want), (case, tau)
 
 
 def test_readme_rightmost_grid_is_certified():
@@ -215,3 +236,73 @@ def test_readme_rightmost_grid_is_certified():
     fix = rightmost_sweep(blocks.fix.with_delay, taus)
     std = rightmost_sweep(blocks.standard.with_delay, taus)
     assert sum(a.certified and b.certified for a, b in zip(fix, std)) == 251
+
+
+def test_warm_start_matches_the_cold_path():
+    rng = np.random.default_rng(20030617)
+    for _ in range(80):
+        blk, case = _random_block(rng)
+        tau = 25.0 * (1.0 - rng.uniform())  # in (0, 25]
+        warm = rightmost_root(blk, max(tau - 0.5, 0.0)).lam
+        cold = rightmost_root(blk, tau)
+        est = rightmost_root(blk, tau, extra_seeds=(warm,))
+        assert abs(est.lam - cold.lam) <= 1e-14 * (1.0 + abs(cold.lam)), (case, tau)
+        assert est.certified == cold.certified, (case, tau)
+
+
+def test_warm_seed_left_of_the_rightmost_falls_back(monkeypatch):
+    p = NetworkParams(2, 1.05, 0.3)
+    blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS)).fix
+    tau = 8.67
+    r0, r1, s0 = blk.at(tau)
+    rho = spectrum._quadratic_roots(r1, r0)[0]
+    chain = rho + lambert_w(2, -s0 * tau * cmath.exp(-rho * tau) / (2.0 * rho + r1)) / tau
+    left = spectrum._polish(r0, r1, s0, tau, chain, Scheme.NEWTON)[0]
+    cold = rightmost_root(blk, tau)
+    assert left.real < cold.lam.real - 1e-6
+
+    calls = []
+    certify = spectrum._certify_rightmost
+
+    def spy(t, lam, *coeffs):
+        calls.append((lam, certify(t, lam, *coeffs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(spectrum, "_certify_rightmost", spy)
+    est = rightmost_root(blk, tau, extra_seeds=(left,))
+    # the warm root fails certification, and the full seed set gives the cold answer
+    assert [ok for _, ok in calls] == [False, True]
+    assert calls[0][0] in (left, left.conjugate())
+    assert est == cold
+
+
+def test_near_tie_keeps_the_certified_contract():
+    # two root pairs of the README fix block trade places between tau = 13.8
+    # and 13.9; bisect tau until their real parts agree to 1e-12
+    p = NetworkParams(2, 1.05, 0.3)
+    blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS)).fix
+    lo, hi = 13.8, 13.9
+    a, b = rightmost_root(blk, lo).lam, rightmost_root(blk, hi).lam
+    assert abs(a.imag - b.imag) > 0.2
+    for _ in range(60):
+        tau = 0.5 * (lo + hi)
+        r0, r1, s0 = blk.at(tau)
+        a = spectrum._polish(r0, r1, s0, tau, a, Scheme.NEWTON)[0]
+        b = spectrum._polish(r0, r1, s0, tau, b, Scheme.NEWTON)[0]
+        if abs(a.real - b.real) < 1e-12:
+            break
+        lo, hi = (tau, hi) if a.real > b.real else (lo, tau)
+    assert abs(a.real - b.real) < 1e-12
+    lower, upper = (a, b) if a.real < b.real else (b, a)
+
+    est = rightmost_root(blk, tau, extra_seeds=(lower,))
+    assert est.certified
+    assert est.lam == pytest.approx(lower, abs=1e-12)
+    # the contract: no root of P has Re > Re lambda + 1e-6; counted by a
+    # dense winding with both pairs, which lie just left of the box, divided out
+    edge = est.lam.real + 1e-6
+    assert upper.real <= edge
+    bound = (abs(r1) + math.sqrt(r1 * r1 + 4.0 * (abs(r0) + abs(s0) * math.exp(-edge * tau)))) / 2.0
+    box = CensusBox((edge, bound + 1.0), (-bound - 1.0, bound + 1.0))
+    known = (lower, lower.conjugate(), upper, upper.conjugate())
+    assert round(dense_winding(blk, tau, box, known)) == 0
