@@ -1,6 +1,10 @@
 """Command-line interface, exercised in process through main(argv)."""
 
 import json
+import math
+import shlex
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +31,9 @@ def meta_value(text, key):
 def test_no_command_prints_help(capsys):
     assert run([]) == 2
     assert "usage" in capsys.readouterr().err.lower()
+    for command in cli._COMMANDS:
+        assert run([command, "--help"]) == 0
+        assert "(default: " in capsys.readouterr().out
 
 
 def test_zero_roots_to_stdout(capsys):
@@ -191,6 +198,20 @@ def test_resolution_below_two_is_rejected(capsys, resolution):
         (["releq", "--K", "1", "--tau-window", "0:8", "--resolution", "abc"], "--resolution"),
         (["zero-roots", "--K", "0.8", "--mu", "0.5", "--nodes", "2.5"], "--nodes"),
         (["phasediff-check", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--seed", "x"], "--seed"),
+        (["phasediff-check", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--seed", "-1"], "--seed"),
+        (["phasediff-check", "--nodes", "3", "--K", "1.05", "--mu", "0.075", "--tau", "9.5",
+          "--c-const", "nan"], "--c-const"),
+        (["simulate", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--t-end", "10",
+          "--model", "phase-difference", "--c-const", "inf"], "--c-const"),
+        (["rightmost", "--K", "1.05", "--mu", "0.3", "--tau-grid", "0:inf:3"], "--tau-grid"),
+        (["simulate", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--t-end", "nan"], "--t-end"),
+        (["simulate", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--t-end", "10", "--step", "nan"],
+         "--step"),
+        (["snmap", "--K", "1.05", "--mu", "0.3", "--tau-window", "0:inf"], "--tau-window"),
+        (["releq", "--K", "1", "--tau-window", "0:nan"], "--tau-window"),
+        (["curves", "--K", "1.05", "--mu-grid", "0.05:0.45:5", "--tau-max", "-3"], "--tau-max"),
+        (["curves", "--K", "1.05", "--mu-grid", "0.05:0.45:5", "--tau-max", "nan"], "--tau-max"),
+        (["zero-roots", "--K", "0.8", "--mu", "0.5", "--n", "5:2"], "--n"),
     ],
 )
 def test_bad_number_flag_is_one_line(capsys, argv, flag):
@@ -250,7 +271,57 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
         (["simulate", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--t-end", "10",
           "--classify", "maybe"], "--classify"),
         (["zero-roots", "--K", "0.8", "--mu", "0.5", "--bogus", "1"], "--bogus"),
+        # flags that changed nothing are unknown now, abbreviations included
+        (["zero-roots", "--K", "0.8", "--mu", "0.5", "--tau", "5"], "--tau"),
+        (["releq", "--K", "1", "--tau-window", "0:8", "--tau", "5"], "--tau"),
+        (["snmap", "--K", "1.05", "--mu", "0.3", "--tau-window", "0:25", "--tau", "5"], "--tau"),
+        (["rightmost", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--tau-grid", "0:1:3"], "--tau"),
+        (["curves", "--K", "1.05", "--mu-grid", "0.05:0.45:5", "--tau", "5"], "--tau"),
+        (["phasediff-check", "--nodes", "3", "--K", "1.05", "--mu", "0.075", "--tau", "9.5",
+          "--svg", "x.svg"], "--svg"),
+        (["verify", "--out", "v.csv"], "--out"),
+        (["verify", "--svg", "v.svg"], "--svg"),
+        (["curves", "--K", "9", "--mu", "0.3", "--k-grid", "1:2:3"], "--K"),
+        (["curves", "--K", "1.05", "--mu", "9", "--mu-grid", "0.05:0.45:5"], "--mu"),
+        (["verify", "--only", "6,99"], "99"),
     ],
 )
 def test_bad_choice_or_unknown_flag_is_one_line(capsys, argv, needle):
     assert_usage_error(capsys, argv, needle)
+
+
+@pytest.mark.parametrize("key", ["k", "coupling"])
+def test_config_keys_are_flag_names(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau-window": "0:8", "omega_m": 1, "resolution": 300}), encoding="utf-8")
+    assert run(["releq", "--config", cfg, "--K", "1", "--out", tmp_path / "r.csv"]) == 0
+    cfg.write_text(json.dumps({key: 0.8, "mu": 0.5}), encoding="utf-8")
+    assert_usage_error(capsys, ["zero-roots", "--config", cfg], repr(key))
+
+
+@pytest.mark.parametrize("nodes", [2, 3])
+def test_phasediff_check_fails_on_nan_residual(monkeypatch, capsys, nodes):
+    # max() would drop the NaN and report PASS
+    nan = SimpleNamespace(eval=lambda z: math.nan)
+    monkeypatch.setattr(cli, "char_functions_n2", lambda p, c: SimpleNamespace(p1=nan, p2=nan))
+    monkeypatch.setattr(cli, "determinant_n3", lambda p, c, z: math.nan)
+    argv = ["phasediff-check", "--nodes", nodes, "--K", "1.05", "--mu", "0.075", "--tau", "9.5"]
+    assert run(argv) == 1
+    summary = capsys.readouterr().err
+    assert "error nan" in summary or "mismatch nan" in summary
+    assert "FAIL" in summary
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(l)[1:] for l in lines if l.startswith("pllbif ") and not l.startswith("pllbif verify")]
+
+
+def test_readme_command_lines_run(monkeypatch, tmp_path):
+    commands = readme_commands()
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(argv) == 0, argv
