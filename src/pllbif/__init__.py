@@ -103,7 +103,6 @@ from .snmap import (
 )
 from .spectrum import (
     CensusBox,
-    Scheme,
     SpectrumEstimate,
     SweepRow,
     lambert_w,

@@ -218,8 +218,8 @@ def _crit_7():
         p = NetworkParams(2, 2.0, mu)
         eq = equilibrium(p, Branch.PLUS)
         blocks = build_blocks(ModelKind.FULL_PHASE, p, eq)
-        rows_f = rightmost_sweep(blocks.fix.with_delay, taus)
-        rows_s = rightmost_sweep(blocks.standard.with_delay, taus)
+        rows_f = rightmost_sweep(blocks.fix, taus)
+        rows_s = rightmost_sweep(blocks.standard, taus)
         re = np.array([max(a.lam.real, b.lam.real) for a, b in zip(rows_f, rows_s)])
         certified = all(a.certified and b.certified for a, b in zip(rows_f, rows_s))
         c2 = eq.cos_two_phi

@@ -19,6 +19,7 @@ their coefficients from that snapshot.
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass, replace
 from typing import Callable, Union
@@ -52,6 +53,17 @@ class BlockKind(enum.Enum):
 
 
 Coeffs = Callable[[Union[float, np.ndarray]], tuple]
+
+
+def p_dp(r0, r1, s0, tau, lam, exp=cmath.exp):
+    """(P, P', s0 e^{-lambda tau}) at lambda from a snapshot; P' is the lambda-derivative.
+
+    The one evaluator of the quasi-polynomial: ``QuasiPolynomial.eval``, the
+    root polisher and the census all call it.  Pass ``exp=np.exp`` for an
+    array of lambda values.
+    """
+    e = exp(-lam * tau) * s0
+    return (lam + r1) * lam + r0 + e, 2.0 * lam + r1 - tau * e, e
 
 
 @dataclass(frozen=True)
@@ -91,8 +103,9 @@ class QuasiPolynomial:
         t = self.delay if tau is None else tau
         r0, r1, s0 = self.at(t)
         # a point stays a Python complex: numpy's array loops round differently
-        lam = complex(lam) if np.ndim(lam) == 0 else np.asarray(lam, dtype=complex)
-        return (lam + r1) * lam + r0 + s0 * np.exp(-lam * t)
+        if np.ndim(lam) == 0:
+            return p_dp(r0, r1, s0, t, complex(lam))[0]
+        return p_dp(r0, r1, s0, t, np.asarray(lam, dtype=complex), exp=np.exp)[0]
 
     def b_c(self, tau: float | np.ndarray | None = None):
         """Coefficients (b, c) of |R(i w)|^2 - |S|^2 = w^4 + b w^2 + c."""

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charfun import BlockKind, build_blocks
+from .charfun import BlockKind, build_blocks, p_dp
 from .errors import InvalidParamError, NotPeriodicError, PllbifError
 from .model import Branch, ModelKind, NetworkParams, equilibrium, normalize
 from .phasediff import block_product, char_functions_n2, determinant_n3, fictitious_roots
@@ -54,7 +54,7 @@ from .simulator import (
     sync_direction,
 )
 from .snmap import bifurcation_curves, sn_scan
-from .spectrum import Scheme, rightmost_sweep
+from .spectrum import rightmost_sweep
 from .svg import Series, line_chart
 
 __all__ = ["main"]
@@ -73,7 +73,6 @@ _MODEL = {
 _BLOCK = {"fix": BlockKind.FIX, "standard": BlockKind.STANDARD}
 _EQ = {"plus": Branch.PLUS, "minus": Branch.MINUS}
 _BLOCKS = {"fix": ("fix",), "standard": ("standard",), "both": ("fix", "standard")}
-_SCHEME = {"newton": Scheme.NEWTON, "halley": Scheme.HALLEY}
 _YES = {"yes": True, "no": False}
 
 
@@ -277,7 +276,7 @@ def _cmd_curves(o: argparse.Namespace) -> int:
     p = _network(o)
     values = grid / o.omega_m
     tau_max = o.tau_max * o.omega_m if o.tau_max is not None else None
-    rows = bifurcation_curves(o.model, p, o.block, o.eq, sweep, values, o.n, tau_max)
+    rows = bifurcation_curves(p, o.block, o.eq, sweep, values, o.n, tau_max)
     series: dict[tuple, Series] = {}
     for r in rows:
         label = f"{r.root_branch.value} n={r.winding}"
@@ -299,10 +298,7 @@ def _cmd_rightmost(o: argparse.Namespace) -> int:
     taus = o.tau_grid * o.omega_m
     p = _network(o)
     blocks = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, o.eq))
-    sweeps = {
-        name: rightmost_sweep(getattr(blocks, name).with_delay, taus, o.scheme, o.certify)
-        for name in o.block
-    }
+    sweeps = {name: rightmost_sweep(getattr(blocks, name), taus) for name in o.block}
     rows = []
     for i, tau in enumerate(taus):
         per = {name: sw[i] for name, sw in sweeps.items()}
@@ -314,7 +310,7 @@ def _cmd_rightmost(o: argparse.Namespace) -> int:
     worst = max(r[1] for r in rows)
     _emit(
         o,
-        _meta(p, "rightmost", ("eq", o.eq.value), ("block", block), ("scheme", o.scheme.value)),
+        _meta(p, "rightmost", ("eq", o.eq.value), ("block", block)),
         ["tau", "re_lambda", "im_lambda", "block", "residual", "certified"],
         rows,
         f"rightmost: max Re lambda = {worst:.6g}, certified {sum(1 for r in rows if r[5])}/{len(rows)}",
@@ -388,6 +384,19 @@ def _cmd_zero_roots(o: argparse.Namespace) -> int:
     return 0
 
 
+def _mismatch(got, want, z: complex, tau: float) -> float:
+    """|got(z) - want(z)| relative to the size of want's terms at z.
+
+    The scale 1 + |z|^2 + mu |z| + |r0| + |s0 e^{-z tau}| keeps the rounding
+    of the coefficients, which |e^{-z tau}| amplifies, from reading as a
+    mismatch.
+    """
+    r0, r1, s0 = want.at(tau)
+    value, _, delayed = p_dp(r0, r1, s0, tau, complex(z))
+    scale = 1.0 + abs(z) ** 2 + r1 * abs(z) + abs(r0) + abs(delayed)
+    return abs(got.eval(z) - value) / scale
+
+
 def _cmd_phasediff_check(o: argparse.Namespace) -> int:
     p = _network(o, o.tau)
     if p.delay <= 0.0:
@@ -405,14 +414,14 @@ def _cmd_phasediff_check(o: argparse.Namespace) -> int:
         ch = char_functions_n2(p, c_const)
         blocks = build_blocks(ModelKind.PHASE, p, omega_hat)
         rows = [
-            [z.real, z.imag, abs(ch.p1.eval(z) - blocks.fix.eval(z)),
-             abs(ch.p2.eval(z) - blocks.standard.eval(z))]
+            [z.real, z.imag, _mismatch(ch.p1, blocks.fix, z, p.delay),
+             _mismatch(ch.p2, blocks.standard, z, p.delay)]
             for z in lam
         ]
         worst = float(np.max([r[2:] for r in rows]))
         ok = worst < 1e-12
-        header = ["lam_re", "lam_im", "err_p1", "err_p2"]
-        tail = f"max block mismatch {worst:.3g} ({'PASS' if ok else 'FAIL'} at 1e-12)"
+        header = ["lam_re", "lam_im", "rel_err_p1", "rel_err_p2"]
+        tail = f"max relative block mismatch {worst:.3g} ({'PASS' if ok else 'FAIL'} at 1e-12)"
     elif p.n_nodes == 3:
         rows = []
         for z in lam:
@@ -491,7 +500,10 @@ def _cmd_simulate(o: argparse.Namespace) -> int:
     else:
         raise _UsageError("--step is required when tau = 0")
 
-    traj = integrate(kind, p, history, t_end, step, omega=omega)
+    try:
+        traj = integrate(kind, p, history, t_end, step, omega=omega)
+    except InvalidParamError as err:  # the step count exceeds the memory budget
+        raise _UsageError(str(err)) from err
     half = traj.states.shape[1] // 2
     header = ["t", *(f"x{k}_{i}" for i in range(1, half + 1) for k in (1, 2))]
     rows = [[t, *row] for t, row in zip(traj.times, traj.states)]
@@ -548,7 +560,6 @@ _K = _Opt("--K", _num, _REQUIRED, "coupling gain")
 _MU = _Opt("--mu", _num, _REQUIRED, "loop-filter rate")
 _OMEGA_M = _Opt("--omega-m", _positive, 1.0, "free-running frequency")
 _TAU = _Opt("--tau", _num, 0.0, "transmission delay")
-_FULL_PHASE = _Opt("--model", {"full-phase": ModelKind.FULL_PHASE}, "full-phase", "model")
 _CSV = _Opt("--out", _text, "-", "CSV output path; '-' is stdout")
 _OUT = (_CSV, _Opt("--svg", _text, None, "also write an SVG chart here"))
 _TAU_WINDOW = _Opt("--tau-window", _window, _REQUIRED, "delay window start:stop")
@@ -560,7 +571,7 @@ _COMMANDS = {
         _NODES,
         _K._replace(default=None, help="coupling gain; required with --mu-grid"),
         _MU._replace(default=None, help="loop-filter rate; required with --k-grid"),
-        _OMEGA_M, _FULL_PHASE,
+        _OMEGA_M,
         _Opt("--block", _BLOCK, "fix", "characteristic block"),
         _Opt("--eq", _EQ, "minus", "equilibrium branch"),
         _Opt("--mu-grid", _grid, None, "mu sweep start:stop:count"),
@@ -570,12 +581,10 @@ _COMMANDS = {
         *_OUT,
     )),
     "rightmost": (_cmd_rightmost, "rightmost characteristic root along a delay grid", (
-        _NODES, _K, _MU, _OMEGA_M, _FULL_PHASE,
+        _NODES, _K, _MU, _OMEGA_M,
         _Opt("--eq", _EQ, "plus", "equilibrium branch"),
         _Opt("--block", _BLOCKS, "both", "characteristic block"),
         _Opt("--tau-grid", _grid, _REQUIRED, "delay grid start:stop:count"),
-        _Opt("--scheme", _SCHEME, "newton", "root polishing iteration"),
-        _Opt("--certify", _YES, "yes", "certify each root by an argument-principle census"),
         *_OUT,
     )),
     "snmap": (_cmd_snmap, "imaginary-axis crossings over a delay window", (

@@ -114,10 +114,6 @@ class NetworkParams:
         if not (math.isfinite(self.delay) and self.delay >= 0):
             raise InvalidParamError(f"delay must be finite and >= 0, got {self.delay}")
 
-    @property
-    def is_normalized(self) -> bool:
-        return self.free_freq == 1.0
-
 
 def normalize(params: NetworkParams) -> NetworkParams:
     """Rescale time by omega_M: (K, mu, tau) -> (K/wM, mu/wM, wM tau), wM -> 1.
@@ -225,9 +221,10 @@ def compile_rhs(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Right-hand side ``f(state, delayed)`` of one formulation, bound once.
 
-    Normalization, the kind and parameter checks, and every constant of the
-    field (mu, the coupling gain, the drive, the delay shift, the pair
-    indices) are settled here, so the returned closure does arithmetic only.
+    Normalization (after which omega_M = 1 drops out of every term), the kind
+    and parameter checks, and every constant of the field (mu, the coupling
+    gain, the drive, the delay shift, the pair indices) are settled here, so
+    the returned closure does arithmetic only.
     It takes float arrays whose last axis has length state_dim and does not
     check them; leading axes evaluate many states at once.  The public
     ``rhs`` is this closure behind a shape check.  ``omega`` is the frame
@@ -242,7 +239,7 @@ def compile_rhs(
     if kind is ModelKind.PHASE_DIFFERENCE:
         pairs = np.array(difference_pairs(n))
         first, second = pairs[:, 0], pairs[:, 1]
-        shift = p.free_freq * p.delay
+        shift = p.delay  # omega_M tau with omega_M = 1
 
         def node_sums(d):
             # sum_l sin(d_(i,l) + shift) per node i; the lexicographic layout
@@ -262,16 +259,16 @@ def compile_rhs(
         return field
 
     if kind is ModelKind.FULL_PHASE:
-        drive = mu * p.free_freq
+        drive = mu
         coupled = _coupled_sum_full
     elif kind is ModelKind.PHASE:
         drive = 0.0
-        coupled = partial(_coupled_sum_phase, shift=p.free_freq * p.delay)
+        coupled = partial(_coupled_sum_phase, shift=p.delay)
     elif kind is ModelKind.PHASE_ROTATING_FRAME:
         if omega is None:
             raise UnsupportedKindError("rotating-frame evaluation needs the frame rate omega")
         drive = -mu * omega
-        coupled = partial(_coupled_sum_phase, shift=(omega + p.free_freq) * p.delay)
+        coupled = partial(_coupled_sum_phase, shift=(omega + 1.0) * p.delay)
     else:  # pragma: no cover - exhaustive enum
         raise UnsupportedKindError(str(kind))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,13 +36,12 @@ class PhaseDiffChar:
     """Characteristic data of the difference formulation at d == c_const.
 
     p1 carries the persistent zero root (P(0) = a - a = 0 for every C); p2 is
-    the symmetry-breaking partner.  det3 is only populated for 3 nodes.
+    the symmetry-breaking partner.
     """
 
     c_const: float
     p1: QuasiPolynomial
     p2: QuasiPolynomial
-    det3: Optional[Callable[[complex], complex]] = None
 
 
 def char_functions_n2(params: NetworkParams, c_const: float) -> PhaseDiffChar:
@@ -73,7 +71,7 @@ def linearization_matrices(
     if n > 3:
         raise UnsupportedKindError("difference coordinates close only for 2 or 3 nodes")
     mu = p.filter_gain
-    a_c = p.coupling * mu / (n - 1) * np.cos(float(c_const) + p.free_freq * p.delay)
+    a_c = p.coupling * mu / (n - 1) * np.cos(float(c_const) + p.delay)
     pairs = difference_pairs(n)
     index = {pair: idx for idx, pair in enumerate(pairs)}
     dim = 2 * len(pairs)

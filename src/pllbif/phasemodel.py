@@ -78,9 +78,9 @@ def _solve(f, a, b, x0=None) -> np.ndarray:
     return x
 
 
-def _phase_equation(tau, k: float, wm: float = 1.0):
+def _phase_equation(tau, k: float):
     """phi -> phi - tau Omega_hat(phi) and its derivative: zero where tau(phi) = tau."""
-    return lambda x: (x - tau * (wm - k * np.sin(x)), 1.0 + tau * k * np.cos(x))
+    return lambda x: (x - tau * (1.0 - k * np.sin(x)), 1.0 + tau * k * np.cos(x))
 
 
 def releq_solve(params: NetworkParams, tau: float) -> list[float]:
@@ -130,12 +130,7 @@ class RelEqBranch:
     taus: np.ndarray
     omegas: np.ndarray
     coupling: float
-    free_freq: float
     phase_piece: tuple[float, float]
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return (self.birth_tau, float(self.taus[-1]))
 
     def omega_hat(self, tau):
         """Omega_hat at tau: bracketed Newton on tau(phi) = tau over the phase piece.
@@ -145,17 +140,9 @@ class RelEqBranch:
         """
         t = np.asarray(tau, dtype=float)
         guess = np.interp(t, self.taus, self.omegas * self.taus)
-        phi = _solve(_phase_equation(t, self.coupling, self.free_freq), *self.phase_piece, guess)
-        oh = self.free_freq - self.coupling * np.sin(phi)
+        phi = _solve(_phase_equation(t, self.coupling), *self.phase_piece, guess)
+        oh = 1.0 - self.coupling * np.sin(phi)
         return oh if oh.ndim else float(oh)
-
-    def omega_hat_prime(self, tau):
-        """d Omega_hat/d tau from the locked-frequency relation (exact form)."""
-        t = np.asarray(tau, dtype=float)
-        oh = self.omega_hat(t)
-        c = np.cos(np.asarray(oh) * t)
-        val = -np.asarray(oh) * self.coupling * c / (1.0 + t * self.coupling * c)
-        return val if val.ndim else float(val)
 
 
 def _pieces(k: float, t1: float):
@@ -203,8 +190,7 @@ def releq_branches(
     vectorized bracketed solve per branch.  Branches with fewer than 2 samples
     are dropped; the rest are numbered by (birth, first Omega_hat).
     """
-    p = normalize(params)
-    k, wm = p.coupling, p.free_freq
+    k = normalize(params).coupling
     t0, t1 = float(tau_window[0]), float(tau_window[1])
     if t0 < 0.0:
         raise InvalidParamError("delay must be >= 0")
@@ -218,7 +204,7 @@ def releq_branches(
             kept.append((float(max(lo, t0)), taus, 1.0 - k * np.sin(phi), (float(phi_a), float(phi_b))))
     kept.sort(key=lambda br: (br[0], br[2][0]))
     return [
-        RelEqBranch(i, birth, taus, omegas, k, wm, piece)
+        RelEqBranch(i, birth, taus, omegas, k, piece)
         for i, (birth, taus, omegas, piece) in enumerate(kept)
     ]
 
@@ -261,20 +247,18 @@ class ZeroRootEvent:
     omega_hat: float
 
 
-def zero_root_taus(params: NetworkParams, n_range) -> list[ZeroRootEvent]:
+def zero_root_taus(params: NetworkParams, n_range: range) -> list[ZeroRootEvent]:
     """Zero-root events of the symmetry-breaking block: Omega_hat tau = pi/2 + n pi.
 
-    Only entries with positive denominator omega_M + (-1)^{n+1} K and
-    nonnegative tau qualify; delta0 is the steady-state crossing speed scale
-    (-1)^n (K N/(N-1)) (omega_M + (-1)^{n+1} K).
+    For each n in ``n_range``, only entries with positive denominator
+    1 + (-1)^{n+1} K and nonnegative tau qualify; delta0 is the steady-state
+    crossing speed scale (-1)^n (K N/(N-1)) (1 + (-1)^{n+1} K).
     """
     p = normalize(params)
-    k, wm, n_nodes = p.coupling, p.free_freq, p.n_nodes
+    k, n_nodes = p.coupling, p.n_nodes
     events = []
-    ns = n_range if not isinstance(n_range, tuple) else range(n_range[0], n_range[1] + 1)
-    for n in ns:
-        n = int(n)
-        denom = wm + (-1.0) ** (n + 1) * k
+    for n in n_range:
+        denom = 1.0 + (-1.0) ** (n + 1) * k
         if denom <= 0.0:
             continue
         tau_star = (math.pi / 2.0 + n * math.pi) / denom
@@ -296,43 +280,34 @@ class CurveSample:
 
 
 def equilibrium_case_curves(
-    params: NetworkParams,
     n: int,
-    m_range,
+    m_range: range,
     mu_grid=None,
-    parity: str = "even",
 ) -> list[CurveSample]:
-    """K(mu) curves of Hopf points at delays with omega_M tau = 2 n pi.
+    """K(mu) curves of Hopf points at delays with tau = 2 n pi (normalized time).
 
-    There the locked frequency equals omega_M, the crossing frequency is
-    omega = sqrt(2 K mu - mu^2), and the delay condition becomes
-    omega = (omega_M / 2 n pi)(atan2(-omega, mu - K) + 2 m pi), solved for K
-    by bisection on each mu grid point.  parity="odd" is the
-    omega_M tau = (2n+1) pi case, which admits no nonzero crossing
-    frequencies: the table is empty.
+    In normalized units the curves are the same for every N, so they take no
+    network parameters.  There the locked frequency is 1, the crossing
+    frequency is omega = sqrt(2 K mu - mu^2), and the delay condition becomes
+    omega = (atan2(-omega, mu - K) + 2 m pi) / (2 n pi) for each m in
+    ``m_range``, solved for K by bisection on each mu grid point.  The odd
+    family tau = (2n+1) pi admits no nonzero crossing frequency, so it has no
+    curves.
     """
-    if parity == "odd":
-        return []
-    if parity != "even":
-        raise InvalidParamError(f"parity must be 'even' or 'odd', got {parity!r}")
     if int(n) < 1:
         raise InvalidParamError("the delay-family index n must be >= 1")
     n = int(n)
-    p = normalize(params)
-    wm = p.free_freq
     if mu_grid is None:
         mu_grid = np.linspace(0.05, 2.0, 40)
-    ms = m_range if not isinstance(m_range, tuple) else range(m_range[0], m_range[1] + 1)
     rows: list[CurveSample] = []
-    for m in ms:
-        m = int(m)
+    for m in m_range:
         for mu in mu_grid:
             mu = float(mu)
 
             def h(kk: float) -> float:
                 w = math.sqrt(max(0.0, 2.0 * kk * mu - mu * mu))
                 ang = math.atan2(-w, mu - kk) + 2.0 * m * math.pi
-                return w - wm * ang / (2.0 * n * math.pi)
+                return w - ang / (2.0 * n * math.pi)
 
             lo = mu / 2.0
             hi = max(mu, 1.0)

@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _BOUND = 1e8
+_MAX_FLOATS = 2**27  # floats one integration may keep: 1 GiB of float64
 
 
 def equilibrium_state(kind: ModelKind, params: NetworkParams, point) -> np.ndarray:
@@ -214,6 +215,11 @@ def integrate(
     cubic dense output of segments at least three steps old, which the
     constraint step <= tau/4 guarantees are complete.  Each step reuses the
     derivative stored at its start as the first stage (first same as last).
+
+    The run keeps (steps + 1) (2 dim + 1) floats for the times, states and
+    derivatives, and (2 m + 1) dim for the history sampled at m steps per
+    delay.  One that would need more than 2^27 of them (1 GiB) raises
+    InvalidParamError before anything is allocated.
     """
     p = normalize(params)
     if t_end <= 0.0:
@@ -228,21 +234,29 @@ def integrate(
             raise StepTooLargeError(
                 f"step {step} exceeds tau/4 = {tau / 4.0}; delayed stages would be incomplete"
             )
-        m = max(4, int(math.ceil(tau / step - 1e-12)))
+        m = max(4, _ceil(tau / step))
         h = tau / m
+    else:
+        m = 0
+        h = step
+    nsteps = _ceil(t_end / h)
+    kept = (nsteps + 1) * (2 * dim + 1) + (2 * m + 1) * dim
+    if kept > _MAX_FLOATS:
+        raise InvalidParamError(
+            f"{nsteps} steps of size {h:.6g} to t_end = {t_end:.6g} would keep {kept} "
+            "floats, more than the budget of 2^27; use a larger step or a shorter t_end"
+        )
+    if m:
         # history at -tau + i h/2: grid points at even i, segment midpoints at odd i
         past = _sample_history(history, np.linspace(-tau, 0.0, 2 * m + 1), dim)
         f = field
     else:
-        m = 0
-        h = step
         past = _sample_history(history, [0.0], dim)
 
         # delay-free: each stage state is its own delayed argument
         def f(y, _):
             return field(y, y)
 
-    nsteps = int(math.ceil(t_end / h - 1e-12))
     times = np.arange(nsteps + 1) * h
     states = np.empty((nsteps + 1, dim))
     derivs = np.empty((nsteps + 1, dim))
@@ -269,6 +283,11 @@ def integrate(
         states[k + 1] = y1
         derivs[k + 1] = f(y1, d1)
     return Trajectory(kind, p, times, states, derivs, history, h, omega)
+
+
+def _ceil(x: float) -> int:
+    # a subnormal step makes x infinite; the clamp keeps it a countable int
+    return int(math.ceil(min(x, 2.0**62) - 1e-12))
 
 
 def _sample_history(history, ts, dim: int) -> np.ndarray:

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_REFINE_TOL = 1e-9  # |S_n| a bisected zero must reach; larger means a theta jump
 
 
 class RootBranch(enum.Enum):
@@ -165,16 +166,10 @@ def transversality(
     return val, (1 if val > 0.0 else -1)
 
 
-def _as_range(n_range) -> list[int]:
-    if isinstance(n_range, tuple) and len(n_range) == 2:
-        return list(range(n_range[0], n_range[1] + 1))
-    return [int(n) for n in n_range]
-
-
 def tau_candidates(
-    p: QuasiPolynomial, cand: OmegaCandidate, n_range
+    p: QuasiPolynomial, cand: OmegaCandidate, n_range: range
 ) -> list[CrossingCandidate]:
-    """Nonnegative crossing delays tau_n = (theta + 2 pi n)/w, sorted ascending.
+    """Nonnegative crossing delays tau_n = (theta + 2 pi n)/w for n in n_range, ascending.
 
     Requires delay-independent coefficients (theta does not move with tau);
     the delay-dependent case goes through sn_scan.
@@ -185,7 +180,7 @@ def tau_candidates(
         )
     theta = crossing_angle(p, cand.omega)
     out = []
-    for n in _as_range(n_range):
+    for n in n_range:
         tau_n = (theta + _TWO_PI * n) / cand.omega
         if tau_n < 0.0:
             continue
@@ -237,16 +232,14 @@ def sn_scan(
     p: QuasiPolynomial,
     tau_window: tuple[float, float],
     grid_step: float | None = None,
-    omega_selector: RootBranch | None = None,
-    refine_tol: float = 1e-9,
 ) -> list[CrossingCandidate]:
     """Zeros of S_n over a delay window for delay-dependent (or constant) blocks.
 
-    The window is sampled on a uniform grid (default step: 1e-3 of the window),
-    sign changes of S_n are bisected to |S_n| <= refine_tol, and candidates
-    where the bisection homes onto a branch-cut jump of theta (where S_n
-    changes sign without vanishing) are discarded.  All windings n that can
-    reach the window are enumerated.
+    The window is sampled on a uniform grid (default step: 1e-3 of the window)
+    for both root branches w+ and w-, sign changes of S_n are bisected to
+    |S_n| <= 1e-9, and candidates where the bisection homes onto a branch-cut
+    jump of theta (where S_n changes sign without vanishing) are discarded.
+    All windings n that can reach the window are enumerated.
     """
     t0, t1 = float(tau_window[0]), float(tau_window[1])
     if not t1 > t0:
@@ -255,14 +248,8 @@ def sn_scan(
         grid_step = (t1 - t0) * 1e-3
     npts = max(3, int(math.ceil((t1 - t0) / grid_step)) + 1)
     taus = np.linspace(t0, t1, npts)
-    per_branch = _scan_arrays(p, taus)
-    tags = (
-        (omega_selector,) if omega_selector is not None else (RootBranch.PLUS, RootBranch.MINUS)
-    )
-
     found: dict[tuple[str, float], CrossingCandidate] = {}
-    for tag in tags:
-        w, theta = per_branch[tag]
+    for tag, (w, theta) in _scan_arrays(p, taus).items():
         if not np.any(np.isfinite(w)):
             continue
         w_max = np.nanmax(w)
@@ -277,7 +264,7 @@ def sn_scan(
                 & ((sn[:-1] != 0.0) | (sn[1:] != 0.0))
             )
             for i in np.nonzero(sign_change)[0]:
-                hit = _bisect_sn(p, taus[i], taus[i + 1], tag, n, refine_tol)
+                hit = _bisect_sn(p, taus[i], taus[i + 1], tag, n)
                 if hit is None:
                     continue
                 tau_star, w_star = hit
@@ -293,7 +280,7 @@ def sn_scan(
     return sorted(found.values(), key=lambda c: c.tau_star)
 
 
-def _bisect_sn(p, ta, tb, tag, n, tol):
+def _bisect_sn(p, ta, tb, tag, n):
     fa = _sn_value(p, ta, tag, n)
     fb = _sn_value(p, tb, tag, n)
     if fa is None or fb is None:
@@ -319,7 +306,7 @@ def _bisect_sn(p, ta, tb, tag, n, tol):
             ta, ga = tm, gm
     tm = 0.5 * (ta + tb)
     fm = _sn_value(p, tm, tag, n)
-    if fm is None or abs(fm[0]) > tol:
+    if fm is None or abs(fm[0]) > _REFINE_TOL:
         return None  # theta branch-cut jump, not a zero
     return tm, fm[1]
 
@@ -377,22 +364,19 @@ class CurveRow:
 
 
 def bifurcation_curves(
-    kind: ModelKind,
     params: NetworkParams,
     block: BlockKind,
     eq_branch: Branch,
     sweep_param: str,
     sweep_values,
-    n_range,
+    n_range: range,
     tau_max: float | None = None,
 ) -> list[CurveRow]:
-    """Crossing-delay curves over a mu or K sweep (full-phase model).
+    """Crossing-delay curves of the full-phase model over a mu or K sweep.
 
     Sweep values where no equilibrium or no crossing frequency exists simply
     contribute no rows.  Rows are sorted by (sweep value, tau).
     """
-    if kind is not ModelKind.FULL_PHASE:
-        raise UnsupportedKindError("bifurcation curves are built on the full-phase model")
     if sweep_param not in ("mu", "K"):
         raise UnsupportedKindError(f"unknown sweep parameter {sweep_param!r}")
     p = normalize(params)

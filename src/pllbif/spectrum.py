@@ -4,8 +4,8 @@ The rightmost root of a quasi-polynomial P = R + S e^{-lambda tau} governs
 linear stability.  Near a root rho of the polynomial part R, writing
 u = lambda - rho and linearizing R gives u e^{u tau} = -s0 tau e^{-rho tau}/R'(rho),
 so u = W_k(.)/tau enumerates root chains over Lambert W branches.  Those seeds
-(plus rho themselves) are polished on P by Newton or Halley iteration, and the
-winner is certified by an argument-principle census over a box guaranteed to
+(plus rho themselves) are polished on P by Newton iteration, and the winner
+is certified by an argument-principle census over a box guaranteed to
 contain any root further right.  A caller's warm start (the root at a nearby
 delay) is polished and certified first; the Lambert W seeds are formed and
 polished only when that census cannot certify it.
@@ -22,13 +22,12 @@ smooth phase and needs no deep bisection.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charfun import QuasiPolynomial
+from .charfun import QuasiPolynomial, p_dp
 from .errors import (
     BoundaryRootError,
     BranchDomainError,
@@ -36,7 +35,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Scheme",
     "SpectrumEstimate",
     "CensusBox",
     "SweepRow",
@@ -51,15 +49,9 @@ _EXP_NEG1 = 1.0 / math.e
 _OMEGA = 0.5671432904097838  # W_0(1)
 
 
-class Scheme(enum.Enum):
-    NEWTON = "newton"
-    HALLEY = "halley"
-
-
 @dataclass(frozen=True)
 class SpectrumEstimate:
     lam: complex
-    scheme: Scheme
     residual: float
     certified: bool
 
@@ -68,7 +60,6 @@ class SpectrumEstimate:
 class CensusBox:
     re_interval: tuple[float, float]
     im_interval: tuple[float, float]
-    count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -127,14 +118,25 @@ def _w_halley(z: complex, w: complex) -> complex | None:
     return w
 
 
+def _on_branch(k: int, z: complex, w: complex) -> bool:
+    # w e^w = z fixes the real part of w + log w - log z at 0 and its
+    # imaginary part at a multiple of 2 pi: the branch index
+    return round((w + cmath.log(w) - cmath.log(z)).imag / (2.0 * math.pi)) == k
+
+
 def lambert_w(k: int, z: complex) -> complex:
     """Branch k of the Lambert W function: w with w e^w = z.
 
     Halley iteration from asymptotic seeds (log z - log log z on the shifted
     logarithm sheet), with a series seed near the branch point -1/e for
-    branches 0 and -1.  If the iteration from that seed misses the identity
-    or overflows (W_0 just off its cut left of -1/e, where the seed
-    log(1 + z) is nearly real), it is retried once from the asymptotic seed.
+    branches 0 and -1.  Off the real axis a result counts only if it lies on
+    branch k, that is if w + log w = log z + 2 pi i k.  If the iteration from
+    the first seed misses the identity, overflows (W_0 just off its cut left
+    of -1/e, where the seed log(1 + z) is nearly real) or lands on another
+    branch (the series seed of W_-1 below the real axis, where W_1 meets the
+    branch point instead), it is retried once from the asymptotic seed.  On
+    the real axis that branch test is skipped: there log w and log z sit on
+    their cuts, and the branch relation depends on the sign of a zero.
     Inputs within 1e-14 of -1/e on those branches return -1 exactly.  Raises
     BranchDomainError for z = 0 on k != 0 and NoConvergenceError if the
     defining identity cannot be met.
@@ -161,7 +163,7 @@ def lambert_w(k: int, z: complex) -> complex:
         w = _w_seed(k, z)
 
     got = _w_halley(z, w)
-    if got is None:
+    if got is None or (z.imag != 0.0 and not _on_branch(k, z, got)):
         got = _w_halley(z, _w_asymptotic(k, z))
     if got is None:
         raise NoConvergenceError(f"Lambert W branch {k} failed at z={z}")
@@ -176,38 +178,22 @@ def _pcoeffs(p: QuasiPolynomial, tau: float) -> tuple[float, float, float]:
     return tuple(float(v) for v in p.at(tau))
 
 
-def _p_dp(r0, r1, s0, tau, lam, exp=cmath.exp) -> tuple[complex, complex, complex]:
-    """(P, P', s0 e^{-lambda tau}) at lambda; P' is the lambda-derivative.
-
-    Pass ``exp=np.exp`` for an array of lambda values.
-    """
-    e = exp(-lam * tau) * s0
-    return (lam + r1) * lam + r0 + e, 2.0 * lam + r1 - tau * e, e
-
-
 def _polish(
-    r0: float, r1: float, s0: float, tau: float, lam: complex, scheme: Scheme
+    r0: float, r1: float, s0: float, tau: float, lam: complex
 ) -> tuple[complex, float] | None:
-    """Newton or Halley from one seed; None if it fails or e^{-lambda tau} overflows."""
+    """Newton from one seed; None if it fails or e^{-lambda tau} overflows."""
     try:
         for _ in range(60):
-            f, fp, e = _p_dp(r0, r1, s0, tau, lam)
+            f, fp, _ = p_dp(r0, r1, s0, tau, lam)
             if fp == 0:
                 return None
-            if scheme is Scheme.NEWTON:
-                step = f / fp
-            else:
-                fpp = 2.0 + tau * tau * e
-                denom = 2.0 * fp * fp - f * fpp
-                if denom == 0:
-                    return None
-                step = 2.0 * f * fp / denom
+            step = f / fp
             lam = lam - step
             if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
                 return None
             if abs(step) <= 1e-15 * (1.0 + abs(lam)):
                 break
-        res = abs(_p_dp(r0, r1, s0, tau, lam)[0])
+        res = abs(p_dp(r0, r1, s0, tau, lam)[0])
     except OverflowError:
         return None
     if res <= 1e-12 * max(1.0, abs(lam) ** 2):
@@ -220,12 +206,10 @@ def _quadratic_roots(r1: float, r0: float) -> tuple[complex, complex]:
     return (-r1 + d) / 2.0, (-r1 - d) / 2.0
 
 
-def _polish_into(
-    found: list[tuple[complex, float]], seeds, r0, r1, s0, tau, scheme: Scheme
-) -> None:
+def _polish_into(found: list[tuple[complex, float]], seeds, r0, r1, s0, tau) -> None:
     """Polish each seed and append the (root, residual) pairs not yet in ``found``."""
     for seed in seeds:
-        hit = _polish(r0, r1, s0, tau, seed, scheme)
+        hit = _polish(r0, r1, s0, tau, seed)
         if hit is None:
             continue
         lam = hit[0]
@@ -243,42 +227,41 @@ def _upper_rightmost(found: list[tuple[complex, float]]) -> tuple[complex, float
 def rightmost_root(
     p: QuasiPolynomial,
     tau: float | None = None,
-    scheme: Scheme = Scheme.NEWTON,
-    certify: bool = True,
     extra_seeds: tuple[complex, ...] = (),
 ) -> SpectrumEstimate:
-    """Root of P with the largest real part, census-certified by default.
+    """Root of P with the largest real part, with its census certificate.
 
     Seeds, in polishing order: any caller-provided warm starts, the roots rho
     of the polynomial part, and the Lambert chains
-    rho + W_k(-s0 tau e^{-rho tau}/R'(rho))/tau for k in -3..3.  When
-    ``certify`` is true and warm starts are given, the rightmost of their
-    polished roots is certified first and returned if the census proves it
-    rightmost.  Only otherwise are the remaining seeds polished (the warm
-    starts' roots are kept, not polished again), and the rightmost root of
-    all seeds is certified.  With ``certify=False`` every seed is always
-    polished.  At tau = 0 the quasi-polynomial is an exact quadratic and is
-    solved in closed form.
+    rho + W_k(-s0 tau e^{-rho tau}/R'(rho))/tau for k in -3..3 (a chain whose
+    argument overflows is skipped).  When warm starts are given, the rightmost
+    of their polished roots is certified first and returned if the census
+    proves it rightmost.  Only otherwise are the remaining seeds polished (the
+    warm starts' roots are kept, not polished again), and the rightmost root
+    of all seeds is certified.  At tau = 0 the quasi-polynomial is an exact
+    quadratic and is solved in closed form.  Raises NoConvergenceError if no
+    seed converges.
 
     ``certified`` guarantees that no root of P has Re > Re lambda + 1e-6,
     because the census box's left edge sits 1e-6 right of lambda (a tighter
     edge would meet the census's 1e-8 boundary-root test and its padded
     retries).  So of two root pairs whose real parts differ by less than
     1e-6, either may be returned: a warm start on the lower one certifies.
+    A census that overflows certifies nothing.
     """
     t = p.delay if tau is None else float(tau)
     r0, r1, s0 = _pcoeffs(p, t)
     if t == 0.0:
         roots = _quadratic_roots(r1, r0 + s0)
         lam = max(roots, key=lambda r: (r.real, r.imag))
-        return SpectrumEstimate(lam, scheme, 0.0, True)
+        return SpectrumEstimate(lam, 0.0, True)
 
     found: list[tuple[complex, float]] = []
-    _polish_into(found, extra_seeds, r0, r1, s0, t, scheme)
-    if certify and found:
+    _polish_into(found, extra_seeds, r0, r1, s0, t)
+    if found:
         lam, res = _upper_rightmost(found)
         if _certify_rightmost(t, lam, r0, r1, s0):
-            return SpectrumEstimate(lam, scheme, res, True)
+            return SpectrumEstimate(lam, res, True)
 
     rho_pair = _quadratic_roots(r1, r0)
     seeds: list[complex] = list(rho_pair)
@@ -286,26 +269,28 @@ def rightmost_root(
         rp = 2.0 * rho + r1
         if rp == 0:
             continue
-        arg = -s0 * t * cmath.exp(-rho * t) / rp
+        try:
+            arg = -s0 * t * cmath.exp(-rho * t) / rp
+        except OverflowError:
+            continue
         for k in range(-3, 4):
             try:
                 seeds.append(rho + lambert_w(k, arg) / t)
             except (BranchDomainError, NoConvergenceError):
                 continue
-    _polish_into(found, seeds, r0, r1, s0, t, scheme)
+    _polish_into(found, seeds, r0, r1, s0, t)
     if not found:
         raise NoConvergenceError("no seed converged on the quasi-polynomial")
     lam, res = _upper_rightmost(found)
-
-    certified = False
-    if certify:
-        certified = _certify_rightmost(t, lam, r0, r1, s0)
-    return SpectrumEstimate(lam, scheme, res, certified)
+    return SpectrumEstimate(lam, res, _certify_rightmost(t, lam, r0, r1, s0))
 
 
 def _certify_rightmost(tau: float, lam: complex, r0: float, r1: float, s0: float) -> bool:
     a = lam.real + 1e-6
-    growth = abs(s0) * math.exp(-a * tau) if a < 0.0 else abs(s0)
+    try:
+        growth = abs(s0) * math.exp(-a * tau) if a < 0.0 else abs(s0)
+    except OverflowError:
+        return False
     if growth > 1e10:
         return False
     m = abs(r0) + growth
@@ -322,31 +307,24 @@ def _certify_rightmost(tau: float, lam: complex, r0: float, r1: float, s0: float
     known = (lam,) if lam.imag == 0.0 else (lam, lam.conjugate())
     try:
         return _census(r0, r1, s0, tau, box, known=known) == 0
-    except (BoundaryRootError, NoConvergenceError):
+    except (BoundaryRootError, NoConvergenceError, OverflowError):
         return False
 
 
-def rightmost_sweep(
-    block_factory,
-    tau_grid,
-    scheme: Scheme = Scheme.NEWTON,
-    certify: bool = True,
-) -> list[SweepRow]:
-    """Rightmost root along an ascending delay grid, warm-started point to point.
+def rightmost_sweep(p: QuasiPolynomial, tau_grid) -> list[SweepRow]:
+    """Certified rightmost root of ``p`` along an ascending delay grid.
 
-    ``block_factory`` maps tau to a QuasiPolynomial (pass ``p.with_delay`` for
-    a delay-independent block).  Each point after the first passes the
-    previous root to ``rightmost_root`` as its warm start, so with ``certify``
-    a point whose tracked root is still rightmost needs one polish and one
-    census; with ``certify=False`` every point polishes the full seed set.
+    ``rightmost_root`` reads the coefficients at each delay, so a block whose
+    coefficients move with tau is swept as it is.  Each point after the first
+    passes the previous root as its warm start, so a point whose tracked root
+    is still rightmost needs one polish and one census.
     """
     rows: list[SweepRow] = []
     prev: complex | None = None
     for tau in tau_grid:
         tau = float(tau)
-        p = block_factory(tau)
         warm = (prev,) if prev is not None and tau > 0.0 else ()
-        est = rightmost_root(p, tau, scheme=scheme, certify=certify, extra_seeds=warm)
+        est = rightmost_root(p, tau, extra_seeds=warm)
         rows.append(SweepRow(tau, est.lam, est.residual, est.certified))
         prev = est.lam
     return rows
@@ -377,7 +355,7 @@ def _census_eval(r0, r1, s0, tau, z, state: _CensusState) -> complex:
     state.evals += 1
     if state.evals > state.max_evals:
         raise NoConvergenceError("census evaluation budget exhausted")
-    f, fp, _ = _p_dp(r0, r1, s0, tau, z)
+    f, fp, _ = p_dp(r0, r1, s0, tau, z)
     if abs(f) <= 1e-8 * max(abs(fp), 1e-3):
         raise BoundaryRootError(f"root within ~1e-8 of census contour near {z}")
     return _deflate(z, f, state.known)
@@ -410,7 +388,7 @@ def _census_once(r0, r1, s0, tau, rect, max_evals, known) -> int:
     z1 = np.array(corners[1:] + corners[:1])[:, None]
     z = z0 + (z1 - z0) * np.linspace(0.0, 1.0, nseg + 1)
     with np.errstate(all="ignore"):
-        f, fp, _ = _p_dp(r0, r1, s0, tau, z, exp=np.exp)
+        f, fp, _ = p_dp(r0, r1, s0, tau, z, exp=np.exp)
     if not np.isfinite(f).all():
         raise OverflowError("e^{-lambda tau} overflows on the census contour")
     near = np.abs(f) <= 1e-8 * np.maximum(np.abs(fp), 1e-3)

@@ -1,7 +1,9 @@
 """Command-line interface, exercised in process through main(argv)."""
 
+import inspect
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 from types import SimpleNamespace
@@ -284,6 +286,14 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
         (["curves", "--K", "9", "--mu", "0.3", "--k-grid", "1:2:3"], "--K"),
         (["curves", "--K", "1.05", "--mu", "9", "--mu-grid", "0.05:0.45:5"], "--mu"),
         (["verify", "--only", "6,99"], "99"),
+        # options that had one value in use are unknown now
+        (["rightmost", "--K", "1.05", "--mu", "0.3", "--tau-grid", "0:1:3", "--scheme", "newton"],
+         "--scheme"),
+        (["rightmost", "--K", "1.05", "--mu", "0.3", "--tau-grid", "0:1:3", "--certify", "yes"],
+         "--certify"),
+        (["rightmost", "--K", "1.05", "--mu", "0.3", "--tau-grid", "0:1:3", "--model", "full-phase"],
+         "--model"),
+        (["curves", "--K", "1.05", "--mu-grid", "0.05:0.45:5", "--model", "full-phase"], "--model"),
     ],
 )
 def test_bad_choice_or_unknown_flag_is_one_line(capsys, argv, needle):
@@ -325,3 +335,39 @@ def test_readme_command_lines_run(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert run(argv) == 0, argv
+
+
+def test_every_option_is_read():
+    # an option no code reads changes nothing; each command's handler, or the
+    # shared _network and _emit, must name every dest of its table
+    shared = inspect.getsource(cli._network) + inspect.getsource(cli._emit)
+    for command, (func, _, table) in cli._COMMANDS.items():
+        source = inspect.getsource(func) + shared
+        unread = [opt.flag for opt in table if not re.search(rf"\bo\.{opt.dest}\b", source)]
+        assert unread == [], command
+
+
+def test_rightmost_overflow_at_huge_delays_is_one_line(capsys):
+    # e^{-lambda tau} overflows for every seed at tau = 5e5 and 1e6
+    argv = ["rightmost", "--K", "1.05", "--mu", "0.3", "--tau-grid", "0:1e6:3"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.splitlines() == ["error: no seed converged on the quasi-polynomial"]
+
+
+def test_simulate_beyond_the_memory_budget_is_one_line(capsys):
+    argv = ["simulate", "--K", "1.05", "--mu", "0.3", "--t-end", "4", "--step", "1e-9"]
+    assert_usage_error(capsys, argv, "budget")
+
+
+def test_phasediff_check_two_nodes_scales_the_mismatch(tmp_path, capsys):
+    # the two modal gains differ by one rounding, which |e^{-lambda tau}|
+    # amplifies to 9.5e-11 in absolute terms; relative to the block's terms
+    # the mismatch is rounding, while a wrong constant C is not
+    out = tmp_path / "pd.csv"
+    argv = ["phasediff-check", "--nodes", "2", "--K", "1.05", "--mu", "0.075", "--tau", "9.5"]
+    assert run(argv + ["--out", out]) == 0
+    assert "PASS" in capsys.readouterr().out
+    c_const = float(meta_value(read(out), "c_const"))
+    assert run(argv + ["--out", out, "--c-const", repr(c_const + 1e-6)]) == 1
+    assert "FAIL" in capsys.readouterr().out

@@ -118,13 +118,6 @@ def test_branch_samples_satisfy_locked_relation():
         assert locked_residual(om, mid) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_omega_hat_prime_matches_finite_difference():
-    b = releq_branches(P21, (0.0, 8.0))[0]
-    tau, h = 3.0, 1e-6
-    fd = (b.omega_hat(tau + h) - b.omega_hat(tau - h)) / (2.0 * h)
-    assert b.omega_hat_prime(tau) == pytest.approx(fd, abs=1e-6)
-
-
 def test_relative_hopf_scan_frozen():
     crossings = relative_hopf_scan(P21, BlockKind.STANDARD, (0.0, 8.0))
     assert len(crossings) == 2
@@ -185,8 +178,7 @@ def test_zero_root_formula_consistency():
 
 
 def test_equilibrium_case_curves_solve_the_angle_condition():
-    p = NetworkParams(2, 1.2, 0.5)
-    rows = equilibrium_case_curves(p, 1, range(1, 3), np.linspace(0.1, 1.5, 15))
+    rows = equilibrium_case_curves(1, range(1, 3), np.linspace(0.1, 1.5, 15))
     assert len(rows) > 0
     for r in rows:
         assert r.n == 1 and r.m in (1, 2)
@@ -194,7 +186,3 @@ def test_equilibrium_case_curves_solve_the_angle_condition():
         assert r.omega == pytest.approx(w, abs=1e-10)
         ang = math.atan2(-w, r.mu - r.coupling) + 2.0 * r.m * math.pi
         assert w == pytest.approx(ang / (2.0 * math.pi), abs=1e-8)
-
-
-def test_equilibrium_case_curves_odd_family_empty():
-    assert equilibrium_case_curves(NetworkParams(2, 1.2, 0.5), 1, range(1, 3), parity="odd") == []

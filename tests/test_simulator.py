@@ -44,6 +44,16 @@ def test_step_guard():
         integrate(ModelKind.FULL_PHASE, P2, hist, -1.0, step=0.1)
 
 
+def test_step_count_beyond_the_memory_budget_is_refused():
+    # 4e9 steps would need about 290 GB; the refusal comes before any allocation,
+    # also when the history on [-tau, 0] alone would hold most of the floats
+    eq = equilibrium(P2, Branch.MINUS)
+    hist = HistorySpec.constant(equilibrium_state(ModelKind.FULL_PHASE, P2, eq))
+    for params, t_end in ((NetworkParams(2, 1.05, 0.3), 4.0), (P2, 1e-3)):
+        with pytest.raises(InvalidParamError, match="budget"):
+            integrate(ModelKind.FULL_PHASE, params, hist, t_end, step=1e-9)
+
+
 def test_equilibrium_is_preserved():
     eq = equilibrium(P2, Branch.MINUS)
     hist = HistorySpec.constant(equilibrium_state(ModelKind.FULL_PHASE, P2, eq))

@@ -14,7 +14,6 @@ from pllbif import (
     CensusBox,
     ModelKind,
     NetworkParams,
-    Scheme,
     build_blocks,
     constant_quasi_polynomial,
     equilibrium,
@@ -44,6 +43,19 @@ def test_lambert_principal_branch_on_its_cut():
             w = lambert_w(0, z)
             assert abs(w * cmath.exp(w) - z) <= 1e-12
             assert 0.0 < math.copysign(1.0, im) * w.imag < math.pi
+
+
+def test_lambert_branches_near_the_negative_axis_match_scipy():
+    # near -1/e the series seed of W_-1 below the axis and the log(1 + z)
+    # seed of W_0 near -0.8 converge to a neighbouring branch unless the
+    # branch relation w + log w = log z + 2 pi i k is checked
+    special = pytest.importorskip("scipy.special")
+    for k in range(-3, 4):
+        for x in np.linspace(-5.0, 0.0, 101)[:-1]:
+            for y in (-0.1, -0.05, -0.01, 0.01, 0.05, 0.1):
+                z = complex(x, y)
+                want = complex(special.lambertw(z, k))
+                assert lambert_w(k, z) == pytest.approx(want, rel=1e-10, abs=1e-10), (k, z)
 
 
 def test_lambert_branch_domain():
@@ -90,7 +102,6 @@ def test_rightmost_roots_frozen_three_node_blocks():
     assert std.lam == pytest.approx(-0.010186032089406714 + 0.27564669633103134j, abs=1e-9)
     assert fix.certified and std.certified
     assert fix.residual < 1e-12 and std.residual < 1e-12
-    assert fix.scheme is Scheme.NEWTON
 
 
 def test_rightmost_root_is_a_root_and_upper_half():
@@ -144,7 +155,7 @@ def test_sweep_warm_start_continuity():
     eq = equilibrium(p, Branch.MINUS)
     blk = build_blocks(ModelKind.FULL_PHASE, p, eq).fix
     taus = [4.0 + 0.25 * i for i in range(12)]
-    rows = rightmost_sweep(blk.with_delay, taus)
+    rows = rightmost_sweep(blk, taus)
     assert [r.tau for r in rows] == pytest.approx(taus)
     assert all(r.certified for r in rows)
     # the tracked root moves continuously on this grid
@@ -155,15 +166,23 @@ def test_sweep_warm_start_continuity():
     assert signs[0] is False and signs[-1] is True
 
 
-@pytest.mark.parametrize("scheme", [Scheme.NEWTON, Scheme.HALLEY])
-def test_overflowing_seed_fails_alone(scheme):
+def test_overflowing_seed_fails_alone():
     # polishing some of the seeds here overflows e^{-lambda tau}
     p = NetworkParams(2, 2.4640029301488293, 1.6160164315748644)
     blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.PLUS)).standard
-    est = rightmost_root(blk, 3.0, scheme=scheme)
+    est = rightmost_root(blk, 3.0)
     assert est.lam == pytest.approx(0.4610 + 0.6759j, abs=1e-4)
     assert est.residual <= 1e-12
     assert est.certified
+
+
+def test_overflow_leaves_a_root_uncertified():
+    # the census box of a root left of the axis grows with e^{-Re lambda tau},
+    # which overflows at this delay: no certificate, and no OverflowError
+    p = NetworkParams(2, 1.05, 0.3)
+    blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS)).fix
+    tau = 1e6
+    assert spectrum._certify_rightmost(tau, complex(-0.01, 0.4), *blk.at(tau)) is False
 
 
 def dense_winding(blk, tau, box, known=()):
@@ -233,8 +252,8 @@ def test_readme_rightmost_grid_is_certified():
     p = NetworkParams(2, 1.05, 0.3)
     blocks = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS))
     taus = np.linspace(0.0, 25.0, 251)
-    fix = rightmost_sweep(blocks.fix.with_delay, taus)
-    std = rightmost_sweep(blocks.standard.with_delay, taus)
+    fix = rightmost_sweep(blocks.fix, taus)
+    std = rightmost_sweep(blocks.standard, taus)
     assert sum(a.certified and b.certified for a, b in zip(fix, std)) == 251
 
 
@@ -257,7 +276,7 @@ def test_warm_seed_left_of_the_rightmost_falls_back(monkeypatch):
     r0, r1, s0 = blk.at(tau)
     rho = spectrum._quadratic_roots(r1, r0)[0]
     chain = rho + lambert_w(2, -s0 * tau * cmath.exp(-rho * tau) / (2.0 * rho + r1)) / tau
-    left = spectrum._polish(r0, r1, s0, tau, chain, Scheme.NEWTON)[0]
+    left = spectrum._polish(r0, r1, s0, tau, chain)[0]
     cold = rightmost_root(blk, tau)
     assert left.real < cold.lam.real - 1e-6
 
@@ -287,8 +306,8 @@ def test_near_tie_keeps_the_certified_contract():
     for _ in range(60):
         tau = 0.5 * (lo + hi)
         r0, r1, s0 = blk.at(tau)
-        a = spectrum._polish(r0, r1, s0, tau, a, Scheme.NEWTON)[0]
-        b = spectrum._polish(r0, r1, s0, tau, b, Scheme.NEWTON)[0]
+        a = spectrum._polish(r0, r1, s0, tau, a)[0]
+        b = spectrum._polish(r0, r1, s0, tau, b)[0]
         if abs(a.real - b.real) < 1e-12:
             break
         lo, hi = (tau, hi) if a.real > b.real else (lo, tau)
