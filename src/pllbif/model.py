@@ -30,8 +30,15 @@ The all-to-all sums cost O(N), not O(N^2).  With d_j = x_j(t - tau):
 * PHASE_DIFFERENCE: each per-node sum is one reduction over that node's
   n - 1 consecutive pairs.
 
-``compile_rhs`` binds a formulation and its parameters once and returns the
-field as a closure; ``rhs`` is that closure behind a shape check.
+Each field splits in two parts.  The delayed input is the only part that
+reads x(t - tau): sum_j sin(d_j) - sin(d_i) for FULL_PHASE, Z - exp(i d_i)
+for PHASE and the rotating frame, and the delayed node sums taken at the
+second index of each pair for PHASE_DIFFERENCE.  The local field maps the
+current state and that input to the derivative.  ``compile_rhs`` binds a
+formulation and its parameters once and returns the composition of the two
+as a closure; ``rhs`` is that closure behind a shape check.  The integrator
+uses the two parts apart, so that it evaluates the delayed input once per
+delay interval instead of at every stage.
 """
 
 from __future__ import annotations
@@ -202,33 +209,41 @@ def _check_dim(kind: ModelKind, n_nodes: int, *vecs: np.ndarray) -> int:
     return dim
 
 
-def _coupled_sum_full(pos: np.ndarray, dpos: np.ndarray) -> np.ndarray:
-    """sum_{j != i} sin(dpos_j - pos_i) + sin(dpos_j + pos_i) along the last axis, in O(N)."""
+def _full_input(dpos: np.ndarray) -> np.ndarray:
+    """sum_j sin(dpos_j) - sin(dpos_i) along the last axis: the delayed factor of the FULL_PHASE sum."""
     s = np.sin(dpos)
-    return 2.0 * np.cos(pos) * (s.sum(axis=-1, keepdims=True) - s)
+    return s.sum(axis=-1, keepdims=True) - s
 
 
-def _coupled_sum_phase(pos: np.ndarray, dpos: np.ndarray, shift: float) -> np.ndarray:
-    """sum_{j != i} sin(dpos_j - pos_i - shift) along the last axis, in O(N)."""
+def _phase_input(dpos: np.ndarray) -> np.ndarray:
+    """Z - exp(i dpos_i) along the last axis, Z = sum_j exp(i dpos_j): the delayed factor of the PHASE sum."""
     z = np.exp(1j * dpos)
-    return ((z.sum(axis=-1, keepdims=True) - z) * np.exp(-1j * (pos + shift))).imag
+    return z.sum(axis=-1, keepdims=True) - z
 
 
-def compile_rhs(
+def _full_coupling(pos: np.ndarray, inp: np.ndarray) -> np.ndarray:
+    """sum_{j != i} sin(d_j - pos_i) + sin(d_j + pos_i) from its delayed factor ``inp``."""
+    return 2.0 * np.cos(pos) * inp
+
+
+def _phase_coupling(pos: np.ndarray, inp: np.ndarray, shift: float) -> np.ndarray:
+    """sum_{j != i} sin(d_j - pos_i - shift) from its delayed factor ``inp``."""
+    return (inp * np.exp(-1j * (pos + shift))).imag
+
+
+def _compile_parts(
     kind: ModelKind,
     params: NetworkParams,
     omega: float | None = None,
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Right-hand side ``f(state, delayed)`` of one formulation, bound once.
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """The field of one formulation split as ``(delayed_input, local)``.
 
-    Normalization (after which omega_M = 1 drops out of every term), the kind
-    and parameter checks, and every constant of the field (mu, the coupling
-    gain, the drive, the delay shift, the pair indices) are settled here, so
-    the returned closure does arithmetic only.
-    It takes float arrays whose last axis has length state_dim and does not
-    check them; leading axes evaluate many states at once.  The public
-    ``rhs`` is this closure behind a shape check.  ``omega`` is the frame
-    rotation rate, required for PHASE_ROTATING_FRAME and ignored otherwise.
+    ``delayed_input(delayed)`` is the only part that reads x(t - tau): it maps
+    a delayed state to the per-row factor of the coupling sum that depends on
+    it alone.  ``local(state, inp)`` maps the current state and that factor
+    to the derivative, so ``local(state, delayed_input(delayed))`` is the field
+    ``f(state, delayed)``.  Both take leading axes and check nothing;
+    ``compile_rhs`` documents the binding.
     """
     p = normalize(params)
     n = p.n_nodes
@@ -246,38 +261,76 @@ def compile_rhs(
             # groups the pairs by first index, n - 1 to a node
             return np.sin(d + shift).reshape(d.shape[:-1] + (n, n - 1)).sum(axis=-1)
 
-        def field(state, delayed):
-            # row (i,j) needs node i's undelayed sum and node j's delayed sum
+        def delayed_input(delayed):
+            # row (i,j) needs node j's delayed sum ...
+            return node_sums(delayed[..., 0::2])[..., second]
+
+        def local(state, inp):
+            # ... and node i's undelayed one
             vel = state[..., 1::2]
             und = node_sums(state[..., 0::2])
-            dly = node_sums(delayed[..., 0::2])
             out = np.empty(state.shape)
             out[..., 0::2] = vel
-            out[..., 1::2] = -mu * vel - gain * (und[..., first] - dly[..., second])
+            out[..., 1::2] = -mu * vel - gain * (und[..., first] - inp)
             return out
 
-        return field
+        return delayed_input, local
 
     if kind is ModelKind.FULL_PHASE:
         drive = mu
-        coupled = _coupled_sum_full
+        factor = _full_input
+        coupling = _full_coupling
     elif kind is ModelKind.PHASE:
         drive = 0.0
-        coupled = partial(_coupled_sum_phase, shift=p.delay)
+        factor = _phase_input
+        coupling = partial(_phase_coupling, shift=p.delay)
     elif kind is ModelKind.PHASE_ROTATING_FRAME:
         if omega is None:
             raise UnsupportedKindError("rotating-frame evaluation needs the frame rate omega")
         drive = -mu * omega
-        coupled = partial(_coupled_sum_phase, shift=(omega + 1.0) * p.delay)
+        factor = _phase_input
+        coupling = partial(_phase_coupling, shift=(omega + 1.0) * p.delay)
     else:  # pragma: no cover - exhaustive enum
         raise UnsupportedKindError(str(kind))
 
-    def field(state, delayed):
+    def delayed_input(delayed):
+        return factor(delayed[..., 0::2])
+
+    def local(state, inp):
         vel = state[..., 1::2]
         out = np.empty(state.shape)
         out[..., 0::2] = vel
-        out[..., 1::2] = drive - mu * vel + gain * coupled(state[..., 0::2], delayed[..., 0::2])
+        out[..., 1::2] = drive - mu * vel + gain * coupling(state[..., 0::2], inp)
         return out
+
+    return delayed_input, local
+
+
+def compile_rhs(
+    kind: ModelKind,
+    params: NetworkParams,
+    omega: float | None = None,
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Right-hand side ``f(state, delayed)`` of one formulation, bound once.
+
+    Normalization (after which omega_M = 1 drops out of every term), the kind
+    and parameter checks, and every constant of the field (mu, the coupling
+    gain, the drive, the delay shift, the pair indices) are settled here, so
+    the returned closure does arithmetic only.
+    It takes float arrays whose last axis has length state_dim and does not
+    check them; leading axes evaluate many states at once.  The public
+    ``rhs`` is this closure behind a shape check.  ``omega`` is the frame
+    rotation rate, required for PHASE_ROTATING_FRAME and ignored otherwise.
+
+    The closure is ``local(state, delayed_input(delayed))``: the delayed
+    input is the part of the coupling sum that reads only x(t - tau), and the
+    local field combines it with the current state.  The integrator evaluates
+    the two parts apart, the delayed input once per delay interval.
+    """
+    delayed_input, local = _compile_parts(kind, params, omega)
+
+    def field(state, delayed):
+        return local(state, delayed_input(delayed))
 
     return field
 

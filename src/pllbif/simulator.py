@@ -31,7 +31,7 @@ from .errors import (
     StepTooLargeError,
     UnsupportedKindError,
 )
-from .model import Equilibrium, ModelKind, NetworkParams, compile_rhs, normalize, state_dim
+from .model import Equilibrium, ModelKind, NetworkParams, _compile_parts, normalize, state_dim
 
 __all__ = [
     "HistorySpec",
@@ -166,13 +166,23 @@ class Trajectory:
             self.history = HistorySpec.constant(self.history)
 
     def at(self, t: float) -> np.ndarray:
+        """State at time t: the history for t <= 0, the dense output up to the last node.
+
+        A t past the last node by more than a rounding (1e-12 relative), or
+        NaN, raises InvalidParamError.
+        """
         if t <= 0.0:
             return np.array(self.history.state(t), dtype=float)
+        t_last = float(self.times[-1])
+        if not t <= t_last * (1.0 + 1e-12):
+            raise InvalidParamError(
+                f"t = {t:.6g} lies outside the trajectory, which ends at t = {t_last:.6g}"
+            )
         h = self.step
         x = t / h
         j = min(int(x), len(self.times) - 2)
         th = x - j
-        if th > 1.0:  # clamp just past the final node
+        if th > 1.0:  # clamp a rounding past the final node
             j, th = len(self.times) - 2, 1.0
         return _hermite(
             self.states[j], self.derivs[j], self.states[j + 1], self.derivs[j + 1], h, th
@@ -212,9 +222,13 @@ def integrate(
     grid step is the largest divisor of tau not exceeding ``step`` (method of
     steps), so every delayed stage value sits on a grid point or a segment
     midpoint: the history sampled once on that grid over [-tau, 0], then the
-    cubic dense output of segments at least three steps old, which the
-    constraint step <= tau/4 guarantees are complete.  Each step reuses the
-    derivative stored at its start as the first stage (first same as last).
+    grid points and cubic dense-output midpoints of the delay interval before,
+    complete by the time they are read.  At the start of each interval of m
+    steps the delayed input of the field (see ``model``) is evaluated once on
+    those 2 m delayed states, and each stage evaluates only the local field;
+    with tau = 0 every stage evaluates both parts on its own state.  Each step
+    reuses the derivative stored at its start as the first stage (first same
+    as last).
 
     The run keeps (steps + 1) (2 dim + 1) floats for the times, states and
     derivatives, and (2 m + 1) dim for the history sampled at m steps per
@@ -227,7 +241,7 @@ def integrate(
     if step <= 0.0:
         raise InvalidParamError("step must be positive")
     dim = state_dim(kind, p.n_nodes)
-    field = compile_rhs(kind, p, omega)
+    delayed_input, local = _compile_parts(kind, p, omega)
     tau = p.delay
     if tau > 0.0:
         if step > tau / 4.0 + 1e-15:
@@ -249,30 +263,38 @@ def integrate(
     if m:
         # history at -tau + i h/2: grid points at even i, segment midpoints at odd i
         past = _sample_history(history, np.linspace(-tau, 0.0, 2 * m + 1), dim)
-        f = field
+        f = local
     else:
         past = _sample_history(history, [0.0], dim)
 
         # delay-free: each stage state is its own delayed argument
         def f(y, _):
-            return field(y, y)
+            return local(y, delayed_input(y))
 
     times = np.arange(nsteps + 1) * h
     states = np.empty((nsteps + 1, dim))
     derivs = np.empty((nsteps + 1, dim))
     states[0] = past[-1]
-    derivs[0] = f(past[-1], past[0])
+    derivs[0] = local(past[-1], delayed_input(past[0]))
     h2, h6 = 0.5 * h, h / 6.0
+    dh = d1 = None
     for k in range(nsteps):
-        # delayed values at t_k + h/2 - tau and t_k + h - tau
-        if m == 0:
-            dh = d1 = None
-        elif k < m:
-            dh, d1 = past[2 * k + 1], past[2 * k + 2]
-        else:
-            j = k - m
-            d1 = states[j + 1]
-            dh = _hermite(states[j], derivs[j], d1, derivs[j + 1], h, 0.5)
+        if m:
+            i = k % m
+            if i == 0:
+                # delayed states of the m steps from t_k, interleaved: row 2i
+                # at t_k + (i + 1/2) h - tau, row 2i + 1 at t_k + (i + 1) h - tau
+                if k == 0:
+                    lagged = past[1:]
+                else:
+                    j = k - m
+                    lagged = np.empty((2 * m, dim))
+                    lagged[1::2] = states[j + 1 : k + 1]
+                    lagged[0::2] = _hermite(
+                        states[j:k], derivs[j:k], lagged[1::2], derivs[j + 1 : k + 1], h, 0.5
+                    )
+                inputs = delayed_input(lagged)
+            dh, d1 = inputs[2 * i], inputs[2 * i + 1]
         y = states[k]
         k1 = derivs[k]
         k2 = f(y + h2 * k1, dh)

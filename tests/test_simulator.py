@@ -16,6 +16,7 @@ from pllbif import (
     InvalidParamError,
     ModelKind,
     NetworkParams,
+    NonFiniteError,
     NotPeriodicError,
     OrbitProfile,
     StepTooLargeError,
@@ -28,6 +29,7 @@ from pllbif import (
     pair_difference_direction,
     period_estimate,
     rhs,
+    state_dim,
     symmetry_classify,
     sync_direction,
 )
@@ -162,6 +164,135 @@ def test_fourth_order_convergence_through_the_delay():
         errs.append(np.max(np.abs(got - ref)))
     order = math.log2(errs[0] / errs[1])
     assert 3.7 <= order <= 4.3
+
+
+# ---------------------------------------------------------------------------
+# the integrator against a per-step reference loop
+
+
+def reference_integrate(kind, params, history, t_end, step, omega=None):
+    """Method-of-steps RK4 that evaluates the whole field at every stage.
+
+    Delayed stage values come from the history sampled on the half-step grid
+    for the first delay interval, and from the grid and its cubic midpoint
+    once per step after that; ``integrate`` must reproduce it bit for bit.
+    """
+    tau = params.delay
+    if tau > 0.0:
+        m = max(4, math.ceil(tau / step - 1e-12))
+        h = tau / m
+        past = np.array([history.state(t) for t in np.linspace(-tau, 0.0, 2 * m + 1)])
+    else:
+        m, h = 0, step
+        past = np.array([history.state(0.0)])
+
+    def f(y, d):
+        return rhs(kind, params, y, y if d is None else d, omega)
+
+    def hermite(y0, f0, y1, f1):
+        a, b, th = 0.25, 0.25, 0.5
+        return (
+            a * (1.0 + 2.0 * th) * y0
+            + b * (3.0 - 2.0 * th) * y1
+            + th * a * h * f0
+            - b * (1.0 - th) * h * f1
+        )
+
+    nsteps = math.ceil(t_end / h - 1e-12)
+    times = np.arange(nsteps + 1) * h
+    states = np.empty((nsteps + 1, len(past[0])))
+    derivs = np.empty_like(states)
+    states[0] = past[-1]
+    derivs[0] = f(past[-1], past[0])
+    for k in range(nsteps):
+        if m == 0:
+            dh = d1 = None
+        elif k < m:
+            dh, d1 = past[2 * k + 1], past[2 * k + 2]
+        else:
+            j = k - m
+            d1 = states[j + 1]
+            dh = hermite(states[j], derivs[j], d1, derivs[j + 1])
+        y = states[k]
+        k1 = derivs[k]
+        k2 = f(y + 0.5 * h * k1, dh)
+        k3 = f(y + 0.5 * h * k2, dh)
+        k4 = f(y + h * k3, d1)
+        states[k + 1] = y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        derivs[k + 1] = f(states[k + 1], d1)
+    return times, states, derivs
+
+
+def _kick(kind, n):
+    """A constant history off every equilibrium: positions spread, one velocity nudged."""
+    base = np.zeros(state_dim(kind, n))
+    base[0::2] = np.linspace(-0.9, 0.4, len(base) // 2)
+    base[1] = 0.05
+    return HistorySpec.constant(base)
+
+
+def assert_matches_reference(kind, params, history, t_end, step):
+    omega = 0.8 if kind is ModelKind.PHASE_ROTATING_FRAME else None
+    traj = integrate(kind, params, history, t_end, step, omega=omega)
+    times, states, derivs = reference_integrate(kind, params, history, t_end, step, omega)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.derivs, derivs)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+@pytest.mark.parametrize(
+    "delay, t_end, step",
+    [
+        (0.0, 3.0, 0.1),  # delay-free: the input is evaluated per stage
+        (2.0, 7.0, 0.5),  # m = 4, the smallest interval
+        (2.0, 1.3, 0.1),  # t_end < tau: part of the first interval only
+        (2.0, 9.3, 0.1),  # a partial last interval
+    ],
+)
+def test_integrate_matches_the_per_step_reference(kind, delay, t_end, step):
+    p = NetworkParams(3, 1.05, 0.3, delay=delay)
+    assert_matches_reference(kind, p, _kick(kind, 3), t_end, step)
+
+
+def test_integrate_matches_the_reference_from_a_moving_history():
+    assert_matches_reference(ModelKind.FULL_PHASE, P3, coarse_orbit(), 30.0, 9.5 / 20)
+
+
+@pytest.mark.parametrize(
+    "kind", [k for k in ModelKind if k is not ModelKind.PHASE_DIFFERENCE], ids=lambda k: k.value
+)
+def test_integrate_matches_the_reference_at_sixty_four_nodes(kind):
+    p = NetworkParams(64, 1.05, 0.3, delay=1.0)
+    assert_matches_reference(kind, p, _kick(kind, 64), 2.6, 0.1)
+
+
+def test_runaway_trajectory_is_stopped_at_the_step_it_leaves_bounds():
+    # the frame term -mu omega drives the velocities past 1e8 in the step to t = 13.3
+    p = NetworkParams(3, 1.05, 0.3, delay=2.0)
+    hist = HistorySpec.constant(np.zeros(6))
+    with pytest.raises(NonFiniteError, match=r"^trajectory left bounds near t = 13\.3$"):
+        integrate(ModelKind.PHASE_ROTATING_FRAME, p, hist, 100.0, 0.1, omega=1e7)
+
+
+def test_nan_history_is_stopped_at_the_first_step():
+    hist = HistorySpec.constant(np.full(4, np.nan))
+    with pytest.raises(NonFiniteError, match=r"^trajectory left bounds near t = 0\.25$"):
+        integrate(ModelKind.FULL_PHASE, P2, hist, 5.0, step=0.25)
+
+
+def test_dense_output_past_the_end_is_refused():
+    eq = equilibrium(P2, Branch.MINUS)
+    hist = HistorySpec.perturbed(equilibrium_state(ModelKind.FULL_PHASE, P2, eq), sync_direction(2), 0.2)
+    traj = integrate(ModelKind.FULL_PHASE, P2, hist, 10.0, step=0.1)
+    t_end = float(traj.times[-1])
+    for t in (50.0, 1e9, math.nan, t_end + 1e-6):
+        with pytest.raises(InvalidParamError, match="outside the trajectory"):
+            traj.at(t)
+    # a rounding past the last node still reads the final state
+    T = 2.9
+    assert np.array_equal(traj.at(t_end - T / 2 + T / 2), traj.states[-1])
+    assert np.array_equal(traj.at(np.nextafter(t_end, math.inf)), traj.states[-1])
 
 
 # ---------------------------------------------------------------------------
