@@ -33,7 +33,6 @@ from .errors import (
     NonFiniteError,
     NotPeriodicError,
     PllbifError,
-    StepTooLargeError,
     UnsupportedKindError,
 )
 from .model import (

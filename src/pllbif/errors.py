@@ -47,10 +47,6 @@ class IndexOutOfRangeError(PllbifError, IndexError):
     """Isotypic component index outside 0..N-1."""
 
 
-class StepTooLargeError(PllbifError, ValueError):
-    """Integration step exceeds tau/4; method of steps would skip the lag."""
-
-
 class NonFiniteError(PllbifError, ArithmeticError):
     """Trajectory left the finite range (blow-up or NaN)."""
 

@@ -39,6 +39,14 @@ formulation and its parameters once and returns the composition of the two
 as a closure; ``rhs`` is that closure behind a shape check.  The integrator
 uses the two parts apart, so that it evaluates the delayed input once per
 delay interval instead of at every stage.
+
+FULL_PHASE also has its local field on lists of Python floats, for states
+so small that numpy's per-call overhead outweighs the arithmetic.  It does
+the array form's operations in the array form's order with the same bound
+constants, and ``math.cos`` agrees with ``np.cos`` bit for bit, so both
+forms return the same numbers.  The other kinds have none: their coupling
+is a complex product, which numpy evaluates with fused multiply-adds where
+the hardware has them, so a Python version would differ in the last bit.
 """
 
 from __future__ import annotations
@@ -235,15 +243,23 @@ def _compile_parts(
     kind: ModelKind,
     params: NetworkParams,
     omega: float | None = None,
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]]:
-    """The field of one formulation split as ``(delayed_input, local)``.
+) -> tuple[
+    Callable[[np.ndarray], np.ndarray],
+    Callable[[np.ndarray, np.ndarray], np.ndarray],
+    Callable[[list, list], list] | None,
+]:
+    """The field of one formulation split as ``(delayed_input, local, local_floats)``.
 
     ``delayed_input(delayed)`` is the only part that reads x(t - tau): it maps
     a delayed state to the per-row factor of the coupling sum that depends on
     it alone.  ``local(state, inp)`` maps the current state and that factor
     to the derivative, so ``local(state, delayed_input(delayed))`` is the field
     ``f(state, delayed)``.  Both take leading axes and check nothing;
-    ``compile_rhs`` documents the binding.
+    ``compile_rhs`` documents the binding.  ``local_floats`` is ``local`` on
+    one state and one input row given as lists of floats, equal to it bit for
+    bit; it exists for FULL_PHASE only and is None otherwise.  Like
+    ``math.cos``, it raises ValueError on an infinite position, where
+    ``local`` returns NaN.
     """
     p = normalize(params)
     n = p.n_nodes
@@ -274,12 +290,23 @@ def _compile_parts(
             out[..., 1::2] = -mu * vel - gain * (und[..., first] - inp)
             return out
 
-        return delayed_input, local
+        return delayed_input, local, None
 
+    local_floats = None
     if kind is ModelKind.FULL_PHASE:
         drive = mu
         factor = _full_input
         coupling = _full_coupling
+
+        cos = math.cos
+
+        def local_floats(state, inp):
+            # _full_coupling and the line that uses it in ``local``, per node
+            out = []
+            for x, v, d in zip(state[0::2], state[1::2], inp):
+                out += (v, drive - mu * v + gain * (2.0 * cos(x) * d))
+            return out
+
     elif kind is ModelKind.PHASE:
         drive = 0.0
         factor = _phase_input
@@ -303,7 +330,7 @@ def _compile_parts(
         out[..., 1::2] = drive - mu * vel + gain * coupling(state[..., 0::2], inp)
         return out
 
-    return delayed_input, local
+    return delayed_input, local, local_floats
 
 
 def compile_rhs(
@@ -327,7 +354,7 @@ def compile_rhs(
     local field combines it with the current state.  The integrator evaluates
     the two parts apart, the delayed input once per delay interval.
     """
-    delayed_input, local = _compile_parts(kind, params, omega)
+    delayed_input, local, _ = _compile_parts(kind, params, omega)
 
     def field(state, delayed):
         return local(state, delayed_input(delayed))

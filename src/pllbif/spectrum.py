@@ -136,13 +136,18 @@ def lambert_w(k: int, z: complex) -> complex:
     branch (the series seed of W_-1 below the real axis, where W_1 meets the
     branch point instead), it is retried once from the asymptotic seed.  On
     the real axis that branch test is skipped: there log w and log z sit on
-    their cuts, and the branch relation depends on the sign of a zero.
-    Inputs within 1e-14 of -1/e on those branches return -1 exactly.  Raises
+    their cuts, and the branch relation depends on the sign of a zero.  So a
+    real z < -1/e with imaginary part -0.0, the lower side of every branch's
+    cut, returns conj(W_{-k}(conj z)), the mirror image of the upper side;
+    the iteration itself sees only upper sides.  Other inputs within 1e-14
+    of -1/e on branches 0 and -1 return -1 exactly.  Raises
     BranchDomainError for z = 0 on k != 0 and NoConvergenceError if the
     defining identity cannot be met.
     """
     z = complex(z)
     k = int(k)
+    if z.real < -_EXP_NEG1 and z.imag == 0.0 and math.copysign(1.0, z.imag) < 0.0:
+        return lambert_w(-k, z.conjugate()).conjugate()
     if z == 0:
         if k == 0:
             return complex(0.0)

@@ -26,6 +26,8 @@ from pllbif import (
     state_dim,
     sync_direction,
 )
+from pllbif.model import _compile_parts
+from pllbif.simulator import _FLOAT_DIM
 
 
 def test_params_validation():
@@ -215,6 +217,25 @@ def test_rhs_matches_pairwise_oracle(kind, n):
         assert np.max(np.abs(compiled(x, xd) - want)) <= 1e-12 * scale
         assert np.max(np.abs(rhs(kind, p, x, xd, omega=omega) - want)) <= 1e-12 * scale
         assert np.max(np.abs(row - want)) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_float_full_phase_field_equals_the_array_field(data):
+    """Bit for bit, at every network size the integrator steps on floats."""
+    n = data.draw(st.integers(min_value=2, max_value=_FLOAT_DIM // 2))
+    p = NetworkParams(
+        n,
+        data.draw(st.floats(0.1, 10.0)),
+        data.draw(st.floats(0.01, 10.0)),
+        free_freq=data.draw(st.floats(0.5, 2.0)),
+        delay=1.0,
+    )
+    state = data.draw(st.lists(st.floats(-1e8, 1e8), min_size=2 * n, max_size=2 * n))
+    inp = data.draw(st.lists(st.floats(1.0 - n, n - 1.0), min_size=n, max_size=n))
+    _, local, local_floats = _compile_parts(ModelKind.FULL_PHASE, p)
+    want = local(np.array(state), np.array(inp))
+    assert np.array(local_floats(state, inp)).tobytes() == want.tobytes()
 
 
 class _ShortPast:

@@ -6,6 +6,7 @@ under test.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from pllbif import (
     NonFiniteError,
     NotPeriodicError,
     OrbitProfile,
-    StepTooLargeError,
     SymmetryTag,
     Trajectory,
     equilibrium,
@@ -33,17 +33,20 @@ from pllbif import (
     symmetry_classify,
     sync_direction,
 )
+from pllbif import simulator
 
 P2 = NetworkParams(2, 1.05, 0.3, delay=2.0)
 
 
 def test_step_guard():
+    # a step above tau is not refused (it snaps to tau); see the m = 1, 2, 3
+    # cases of test_integrate_matches_the_per_step_reference
     eq = equilibrium(P2, Branch.MINUS)
     hist = HistorySpec.constant(equilibrium_state(ModelKind.FULL_PHASE, P2, eq))
-    with pytest.raises(StepTooLargeError):
-        integrate(ModelKind.FULL_PHASE, P2, hist, 5.0, step=0.6)
-    with pytest.raises(InvalidParamError):
-        integrate(ModelKind.FULL_PHASE, P2, hist, -1.0, step=0.1)
+    assert integrate(ModelKind.FULL_PHASE, P2, hist, 5.0, step=3.0).step == 2.0
+    for t_end, step in ((-1.0, 0.1), (0.0, 0.1), (5.0, 0.0), (5.0, -0.1)):
+        with pytest.raises(InvalidParamError):
+            integrate(ModelKind.FULL_PHASE, P2, hist, t_end, step)
 
 
 def test_step_count_beyond_the_memory_budget_is_refused():
@@ -179,7 +182,7 @@ def reference_integrate(kind, params, history, t_end, step, omega=None):
     """
     tau = params.delay
     if tau > 0.0:
-        m = max(4, math.ceil(tau / step - 1e-12))
+        m = max(1, math.ceil(tau / step - 1e-12))
         h = tau / m
         past = np.array([history.state(t) for t in np.linspace(-tau, 0.0, 2 * m + 1)])
     else:
@@ -245,7 +248,10 @@ def assert_matches_reference(kind, params, history, t_end, step):
     "delay, t_end, step",
     [
         (0.0, 3.0, 0.1),  # delay-free: the input is evaluated per stage
-        (2.0, 7.0, 0.5),  # m = 4, the smallest interval
+        (2.0, 7.0, 2.0),  # m = 1: a step of a whole delay
+        (2.0, 7.0, 1.0),  # m = 2
+        (2.0, 7.0, 0.7),  # m = 3
+        (2.0, 7.0, 0.5),  # m = 4
         (2.0, 1.3, 0.1),  # t_end < tau: part of the first interval only
         (2.0, 9.3, 0.1),  # a partial last interval
     ],
@@ -267,6 +273,23 @@ def test_integrate_matches_the_reference_at_sixty_four_nodes(kind):
     assert_matches_reference(kind, p, _kick(kind, 64), 2.6, 0.1)
 
 
+@pytest.mark.parametrize("side", [0, 1], ids=["floats", "arrays"])
+def test_integrate_matches_the_reference_on_both_sides_of_the_float_cut(side, monkeypatch):
+    # the largest full-phase network stepped on floats, and the smallest on arrays
+    n = simulator._FLOAT_DIM // 2 + side
+    calls = []
+    advance = simulator._advance_floats
+
+    def counted(*args):
+        calls.append(args)
+        return advance(*args)
+
+    monkeypatch.setattr(simulator, "_advance_floats", counted)
+    p = NetworkParams(n, 1.05, 0.3, delay=1.0)
+    assert_matches_reference(ModelKind.FULL_PHASE, p, _kick(ModelKind.FULL_PHASE, n), 2.6, 0.1)
+    assert bool(calls) == (side == 0)
+
+
 def test_runaway_trajectory_is_stopped_at_the_step_it_leaves_bounds():
     # the frame term -mu omega drives the velocities past 1e8 in the step to t = 13.3
     p = NetworkParams(3, 1.05, 0.3, delay=2.0)
@@ -279,6 +302,40 @@ def test_nan_history_is_stopped_at_the_first_step():
     hist = HistorySpec.constant(np.full(4, np.nan))
     with pytest.raises(NonFiniteError, match=r"^trajectory left bounds near t = 0\.25$"):
         integrate(ModelKind.FULL_PHASE, P2, hist, 5.0, step=0.25)
+
+
+class _InfiniteAt:
+    """A constant history with one coordinate infinite at the single time t_bad."""
+
+    def __init__(self, base, t_bad, coord, value):
+        self.base, self.t_bad, self.coord, self.value = base, t_bad, coord, value
+
+    def state(self, t=0.0):
+        v = np.array(self.base)
+        if t == self.t_bad:
+            v[self.coord] = self.value
+        return v
+
+
+@pytest.mark.parametrize("n", [3, 64])
+@pytest.mark.parametrize(
+    "t_bad, coord, value, t_stop",
+    [
+        (0.0, 0, math.inf, "0.25"),  # a position at t = 0 enters the first step
+        (0.0, 0, -math.inf, "0.25"),
+        (0.0, 1, math.inf, "0.25"),  # a velocity, through the position's derivative
+        (-2.0, 0, math.inf, "0.25"),  # t = -tau feeds the derivative at t = 0
+        (-1.0, 0, math.inf, "1"),  # read first as the delayed state of t = 1
+    ],
+)
+def test_infinite_history_is_stopped_where_it_enters(n, t_bad, coord, value, t_stop):
+    # floats at n = 3, arrays at n = 64; both refuse it without a warning
+    p = NetworkParams(n, 1.05, 0.3, delay=2.0)
+    hist = _InfiniteAt(_kick(ModelKind.FULL_PHASE, n).base, t_bad, coord, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=rf"^trajectory left bounds near t = {t_stop}$"):
+            integrate(ModelKind.FULL_PHASE, p, hist, 5.0, step=0.25)
 
 
 def test_dense_output_past_the_end_is_refused():

@@ -58,6 +58,38 @@ def test_lambert_branches_near_the_negative_axis_match_scipy():
                 assert lambert_w(k, z) == pytest.approx(want, rel=1e-10, abs=1e-10), (k, z)
 
 
+# W_k(z) on both sides of the cut left of -1/e, frozen from scipy.special.lambertw
+LAMBERT_ON_THE_CUT = [
+    (0, complex(-3.995, 0.0), 0.6778855627594408 + 1.9115812959921321j),
+    (0, complex(-3.995, -0.0), 0.6778855627594408 - 1.9115812959921321j),
+    (-1, complex(-0.4, 0.0), -0.9440897382649355 - 0.4072679640328579j),
+    (-1, complex(-0.4, -0.0), -3.002276896006925 - 7.47191753296396j),
+    (1, complex(-0.4, -0.0), -0.9440897382649355 + 0.4072679640328579j),
+    (2, complex(-2.5, -0.0), -1.1366690605365715 + 7.70756250643191j),
+    (-3, complex(-0.37, 0.0), -3.6582438288411736 - 13.879455441803092j),
+    (-3, complex(-0.37, -0.0), -4.020507669923109 - 20.224112988122975j),
+]
+
+
+@pytest.mark.parametrize("k, z, want", LAMBERT_ON_THE_CUT)
+def test_lambert_frozen_values_on_the_cut(k, z, want):
+    assert lambert_w(k, z) == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+
+def test_lambert_signed_zero_picks_the_side_of_the_cut():
+    # left of -1/e, x - 0j is the lower side: conj(W_-k(x + 0j)), and each side
+    # continues W_k from just off the axis, where the branch test holds
+    xs = [-1.0 / math.e - 1e-15, -1.0 / math.e - 1e-9, -0.37, -0.4, -1.0, -3.995, -50.0]
+    for k in range(-3, 4):
+        for x in xs:
+            below, above = lambert_w(k, complex(x, -0.0)), lambert_w(k, complex(x, 0.0))
+            assert below == lambert_w(-k, complex(x, 0.0)).conjugate(), (k, x)
+            assert above == lambert_w(-k, complex(x, -0.0)).conjugate(), (k, x)
+            for side, w in ((-1.0, below), (1.0, above)):
+                near = lambert_w(k, complex(x, side * 1e-12))
+                assert w == pytest.approx(near, rel=1e-5, abs=1e-5), (k, x, side)
+
+
 def test_lambert_branch_domain():
     # only branches 0 and -1 reach the real segment [-1/e, 0)
     with pytest.raises(BranchDomainError):
