@@ -108,6 +108,7 @@ from .spectrum import (
     rightmost_root,
     rightmost_sweep,
     root_census,
+    unstable_count,
 )
 
 __version__ = "0.1.0"

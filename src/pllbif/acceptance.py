@@ -29,7 +29,7 @@ from .simulator import (
     SymmetryTag,
 )
 from .snmap import RootBranch, region_boundaries, sn_scan
-from .spectrum import CensusBox, lambert_w, rightmost_sweep, root_census
+from .spectrum import lambert_w, rightmost_sweep, unstable_count
 
 __all__ = ["CriterionResult", "run_all"]
 
@@ -243,9 +243,8 @@ def _crit_8():
     if len(stars) != 5:
         return False, f"expected 5 crossing delays, found {len(stars)}"
     edges = [0.0, *stars, 25.0]
-    box = CensusBox((1e-6, 2.0), (-5.0, 5.0))
     counts = [
-        root_census(blk, 0.5 * (a + b), box) for a, b in zip(edges[:-1], edges[1:])
+        unstable_count(blk, 0.5 * (a + b), shift=1e-6) for a, b in zip(edges[:-1], edges[1:])
     ]
     want = [0, 2, 0, 2, 0, 2]
     return counts == want, f"unstable-root counts {counts} (want {want})"

@@ -139,6 +139,13 @@ def _grid(text, flag: str) -> np.ndarray:
     return np.linspace(a, b, count)
 
 
+def _delay_grid(text, flag: str) -> np.ndarray:
+    taus = _grid(text, flag)
+    if taus[0] < 0.0:
+        raise _UsageError(f"{flag} must start at a delay >= 0, got {taus[0]:g}")
+    return taus
+
+
 def _window(text, flag: str) -> tuple[float, float]:
     try:
         a, b = (float(v) for v in str(text).split(":"))
@@ -584,7 +591,7 @@ _COMMANDS = {
         _NODES, _K, _MU, _OMEGA_M,
         _Opt("--eq", _EQ, "plus", "equilibrium branch"),
         _Opt("--block", _BLOCKS, "both", "characteristic block"),
-        _Opt("--tau-grid", _grid, _REQUIRED, "delay grid start:stop:count"),
+        _Opt("--tau-grid", _delay_grid, _REQUIRED, "delay grid start:stop:count"),
         *_OUT,
     )),
     "snmap": (_cmd_snmap, "imaginary-axis crossings over a delay window", (

@@ -249,10 +249,11 @@ def integrate(
     InvalidParamError before anything is allocated.
     """
     p = normalize(params)
-    if t_end <= 0.0:
-        raise InvalidParamError("t_end must be positive")
-    if step <= 0.0:
-        raise InvalidParamError("step must be positive")
+    # written so that NaN fails too
+    if not 0.0 < t_end < math.inf:
+        raise InvalidParamError(f"t_end must be finite and positive, got {t_end}")
+    if not 0.0 < step < math.inf:
+        raise InvalidParamError(f"step must be finite and positive, got {step}")
     dim = state_dim(kind, p.n_nodes)
     delayed_input, local, local_floats = _compile_parts(kind, p, omega)
     tau = p.delay

@@ -5,18 +5,23 @@ linear stability.  Near a root rho of the polynomial part R, writing
 u = lambda - rho and linearizing R gives u e^{u tau} = -s0 tau e^{-rho tau}/R'(rho),
 so u = W_k(.)/tau enumerates root chains over Lambert W branches.  Those seeds
 (plus rho themselves) are polished on P by Newton iteration, and the winner
-is certified by an argument-principle census over a box guaranteed to
-contain any root further right.  A caller's warm start (the root at a nearby
-delay) is polished and certified first; the Lambert W seeds are formed and
-polished only when that census cannot certify it.
+is certified by counting the roots right of a vertical line just right of
+it.  A caller's warm start (the root at a nearby delay) is polished and
+certified first; the Lambert W seeds are formed and polished only when that
+count cannot certify it.
 
-The census counts roots in a rectangle by the winding of P along its edges.
-Each edge starts as enough segments that e^{-lambda tau} turns by at most
-pi/4 on each (so a whole turn never hides inside one segment), all sampled in
-one vectorized evaluation; only segments whose phase step is pi/4 or more
-are bisected, point by point.  Certification divides the polished root and
-its conjugate out of P, so the box's left edge, 1e-6 to their right, sees a
-smooth phase and needs no deep bisection.
+``unstable_count`` counts the roots right of a vertical line Re = a by the
+argument principle on that half-plane (the Mikhailov / Stepan count; Stepan,
+*Retarded Dynamical Systems*, 1989, Thm 2.19).  P has real coefficients, so
+the phase of P is followed only along a + i omega for omega in [0, W];
+beyond W the real part of P is negative and the remaining phase change has a
+closed form.  ``root_census`` counts the roots in a rectangle by the winding
+of P along its four edges.  Both sample their contour in segments short
+enough that e^{-lambda tau} turns by at most pi/4 on each (so a whole turn
+never hides inside one segment), all evaluated in one vectorized sweep, and
+bisect only the segments whose phase step is pi/4 or more.  Certification
+divides the polished root and its conjugate out of P, so the line 1e-6 to
+their right sees a smooth phase and needs no deep bisection.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .charfun import QuasiPolynomial, p_dp
 from .errors import (
     BoundaryRootError,
     BranchDomainError,
+    InvalidParamError,
     NoConvergenceError,
 )
 
@@ -42,6 +48,7 @@ __all__ = [
     "rightmost_root",
     "rightmost_sweep",
     "root_census",
+    "unstable_count",
 ]
 
 _E = math.e
@@ -245,16 +252,17 @@ def rightmost_root(
     warm starts' roots are kept, not polished again), and the rightmost root
     of all seeds is certified.  At tau = 0 the quasi-polynomial is an exact
     quadratic and is solved in closed form.  Raises NoConvergenceError if no
-    seed converges.
+    seed converges, and InvalidParamError for a non-finite or negative delay.
 
-    ``certified`` guarantees that no root of P has Re > Re lambda + 1e-6,
-    because the census box's left edge sits 1e-6 right of lambda (a tighter
-    edge would meet the census's 1e-8 boundary-root test and its padded
-    retries).  So of two root pairs whose real parts differ by less than
-    1e-6, either may be returned: a warm start on the lower one certifies.
-    A census that overflows certifies nothing.
+    ``certified`` guarantees that no root of P has Re > Re lambda + 1e-6:
+    the half-plane count along the line Re = Re lambda + 1e-6 is 0 (a line
+    nearer lambda would meet the count's 1e-8 boundary-root test).  So of two
+    root pairs whose real parts differ by less than 1e-6, either may be
+    returned: a warm start on the lower one certifies.  A count that
+    overflows, meets a root on its line or runs out of evaluations certifies
+    nothing.
     """
-    t = p.delay if tau is None else float(tau)
+    t = _delay(p, tau)
     r0, r1, s0 = _pcoeffs(p, t)
     if t == 0.0:
         roots = _quadratic_roots(r1, r0 + s0)
@@ -291,27 +299,13 @@ def rightmost_root(
 
 
 def _certify_rightmost(tau: float, lam: complex, r0: float, r1: float, s0: float) -> bool:
-    a = lam.real + 1e-6
-    try:
-        growth = abs(s0) * math.exp(-a * tau) if a < 0.0 else abs(s0)
-    except OverflowError:
-        return False
-    if growth > 1e10:
-        return False
-    m = abs(r0) + growth
-    r_bound = (abs(r1) + math.sqrt(r1 * r1 + 4.0 * m)) / 2.0
-    right = max(a + 1.0, 1.05 * r_bound + 0.5)
-    y = r_bound + 1.0
-    box = CensusBox((a, right), (-y, y))
-    # The census follows the winding of P/((z - lam)(z - conj lam)), whose
-    # phase stays smooth along the left edge 1e-6 from lam.  Dividing out a
-    # factor z - k lowers the winding by one only if k is inside the contour;
-    # both k lie 1e-6 left of the box, and a padded retry that takes them in
-    # adds them back, so the count is still P's own.  A real root is divided
-    # out once: it is its own conjugate.
+    # No root right of the line 1e-6 right of lam, counted with lam and its
+    # conjugate divided out of P: their factors would turn the phase by about
+    # pi within 1e-6 of Im lam, while the quotient stays smooth there.  A real
+    # root is divided out once: it is its own conjugate.
     known = (lam,) if lam.imag == 0.0 else (lam, lam.conjugate())
     try:
-        return _census(r0, r1, s0, tau, box, known=known) == 0
+        return _count(r0, r1, s0, tau, lam.real + 1e-6, known) == 0
     except (BoundaryRootError, NoConvergenceError, OverflowError):
         return False
 
@@ -322,7 +316,7 @@ def rightmost_sweep(p: QuasiPolynomial, tau_grid) -> list[SweepRow]:
     ``rightmost_root`` reads the coefficients at each delay, so a block whose
     coefficients move with tau is swept as it is.  Each point after the first
     passes the previous root as its warm start, so a point whose tracked root
-    is still rightmost needs one polish and one census.
+    is still rightmost needs one polish and one half-plane count.
     """
     rows: list[SweepRow] = []
     prev: complex | None = None
@@ -336,7 +330,7 @@ def rightmost_sweep(p: QuasiPolynomial, tau_grid) -> list[SweepRow]:
 
 
 # ---------------------------------------------------------------------------
-# Argument-principle census
+# Argument-principle counts
 
 
 class _CensusState:
@@ -379,19 +373,28 @@ def _edge_arg(r0, r1, s0, tau, z0, z1, f0, f1, depth, state) -> float:
     )
 
 
-def _census_once(r0, r1, s0, tau, rect, max_evals, known) -> int:
-    re0, re1, im0, im1 = rect
-    # e^{-lambda tau} turns by tau |d lambda|: at most pi/4 per initial segment
-    nseg = max(32, math.ceil(4.0 * tau * max(re1 - re0, im1 - im0) / math.pi))
-    state = _CensusState(4 * (nseg + 1), max_evals, known)
+def _phase_change(r0, r1, s0, tau, starts, ends, nseg, known, max_evals) -> float:
+    """Phase change of P/prod(z - k) along the segments starts[i] -> ends[i], summed.
+
+    Each segment is cut into ``nseg`` pieces, and all of their end points are
+    evaluated in one vectorized sweep.  A piece whose phase step is below
+    pi/4 counts as it is; the others are bisected by ``_edge_arg``.  Raises
+    NoConvergenceError if the initial samples alone exceed ``max_evals`` (before
+    any is evaluated) or if bisection does, OverflowError if P is not finite
+    on the samples, and BoundaryRootError if a sample lies within ~1e-8 of a
+    root of P.
+    """
+    state = _CensusState(len(starts) * (nseg + 1), max_evals, known)
     if state.evals > max_evals:
         raise NoConvergenceError(
             f"census needs {state.evals} initial samples, budget is {max_evals}"
         )
-    corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
-    z0 = np.array(corners)[:, None]
-    z1 = np.array(corners[1:] + corners[:1])[:, None]
-    z = z0 + (z1 - z0) * np.linspace(0.0, 1.0, nseg + 1)
+    z0 = np.array(starts, dtype=complex)[:, None]
+    z1 = np.array(ends, dtype=complex)[:, None]
+    # np.linspace(0, 1, nseg + 1) to the bit, without its call overhead
+    t = np.arange(nseg + 1) * (1.0 / nseg)
+    t[-1] = 1.0
+    z = z0 + (z1 - z0) * t
     with np.errstate(all="ignore"):
         f, fp, _ = p_dp(r0, r1, s0, tau, z, exp=np.exp)
     if not np.isfinite(f).all():
@@ -411,31 +414,71 @@ def _census_once(r0, r1, s0, tau, rect, max_evals, known) -> int:
             complex(z[e, j]), complex(z[e, j + 1]), complex(g[e, j]), complex(g[e, j + 1]),
             0, state,
         )
-    winding = total / (2.0 * math.pi)
-    count = round(winding)
-    if abs(winding - count) > 0.05:
-        raise NoConvergenceError(
-            f"census winding {winding} is not close to an integer"
-        )
-    # the winding of P/prod(z - k) misses the known roots inside the contour
-    inside = sum(re0 < k.real < re1 and im0 < k.imag < im1 for k in known)
-    return int(count) + inside
+    return total
 
 
-def _census(r0, r1, s0, tau, box: CensusBox, max_evals=500_000, known=()) -> int:
-    re0, re1 = (float(v) for v in box.re_interval)
-    im0, im1 = (float(v) for v in box.im_interval)
-    if not (re1 > re0 and im1 > im0):
-        raise ValueError("census box must have positive extent")
-    size = max(re1 - re0, im1 - im0)
-    for attempt in range(6):
-        pad = attempt * (1e-6 + 1e-6 * size) * (1.3**attempt)
-        rect = (re0 - pad, re1 + pad, im0 - pad, im1 + pad)
-        try:
-            return _census_once(r0, r1, s0, tau, rect, max_evals, known)
-        except BoundaryRootError as err:
-            last = err
-    raise last
+def _nearest_int(x: float, what: str) -> int:
+    n = round(x)
+    if abs(x - n) > 0.05:
+        raise NoConvergenceError(f"{what} {x} is not close to an integer")
+    return int(n)
+
+
+def _segments(tau: float, span: float) -> int:
+    # e^{-lambda tau} turns by tau |d lambda|: at most pi/4 per initial segment
+    return max(32, math.ceil(4.0 * tau * span / math.pi))
+
+
+def _count(r0, r1, s0, tau, shift, known=(), max_evals=500_000) -> int:
+    """Number of roots of P with Re > shift, from the phase of P/prod(z - k) along Re = shift.
+
+    The known roots k must lie left of the line, and must be closed under
+    conjugation, so that the deflated G = P/prod(z - k) is real at omega = 0.
+    The argument principle on the half-plane right of the line, with P's
+    conjugate symmetry, gives N = (2 - len(known))/2 - Delta/pi, Delta being
+    the phase change of G along shift + i omega for omega from 0 to infinity.
+    Beyond W = sqrt(|a^2 + r1 a + r0| + |s0| e^{-a tau}) + 1 (a = shift),
+    Re P < -1, so arg P runs to pi inside (pi/2, 3 pi/2), and each factor
+    shift + i omega - k, in the right half-plane, runs to pi/2: that tail is
+    closed in closed form, and only [0, W] is sampled.
+    """
+    a = shift
+    top = math.sqrt(abs((a + r1) * a + r0) + abs(s0) * math.exp(-a * tau)) + 1.0
+    end = complex(a, top)
+    total = _phase_change(
+        r0, r1, s0, tau, [complex(a)], [end], _segments(tau, top), known, max_evals
+    )
+    f_end = p_dp(r0, r1, s0, tau, end)[0]
+    total -= cmath.phase(-f_end)
+    total -= sum(math.pi / 2.0 - cmath.phase(end - k) for k in known)
+    return _nearest_int((2 - len(known)) / 2.0 - total / math.pi, "half-plane count")
+
+
+def _delay(p: QuasiPolynomial, tau: float | None) -> float:
+    t = p.delay if tau is None else float(tau)
+    # for tau < 0 the quasi-polynomial is of advanced type: no finite count
+    if not 0.0 <= t < math.inf:
+        raise InvalidParamError(f"delay must be finite and >= 0, got {t}")
+    return t
+
+
+def unstable_count(p: QuasiPolynomial, tau: float | None = None, shift: float = 0.0) -> int:
+    """Number of roots of P (with multiplicity) with Re lambda > ``shift``.
+
+    The Mikhailov / Stepan count: the phase of P is followed up the line
+    Re lambda = shift from Im lambda = 0 to a bound W beyond which Re P < 0,
+    in max(32, ceil(4 tau W / pi)) segments sampled in one vectorized sweep,
+    and the rest of the line is closed in closed form.  Raises
+    InvalidParamError for a non-finite or negative delay or a non-finite
+    shift, BoundaryRootError if a root lies within ~1e-8 of the line,
+    NoConvergenceError past 500,000 evaluations or if the count is not close
+    to an integer, and OverflowError if e^{-shift tau} overflows.
+    """
+    t = _delay(p, tau)
+    a = float(shift)
+    if not math.isfinite(a):
+        raise InvalidParamError(f"shift must be finite, got {a}")
+    return _count(*_pcoeffs(p, t), t, a)
 
 
 def root_census(
@@ -455,9 +498,30 @@ def root_census(
     initial samples alone exceed ``max_evals``, if refinement does, or if the
     winding is not close to an integer.  If a root sits numerically on the
     contour the box is dilated slightly and the census retried (up to 6
-    times) before BoundaryRootError propagates.
+    times) before BoundaryRootError propagates.  Raises InvalidParamError for
+    a non-finite or negative delay.  For a half-plane, ``unstable_count``
+    needs one line instead of four edges.
     """
     if box is None:
         raise ValueError("root_census requires a CensusBox")
-    t = p.delay if tau is None else float(tau)
-    return _census(*_pcoeffs(p, t), t, box, max_evals)
+    t = _delay(p, tau)
+    r0, r1, s0 = _pcoeffs(p, t)
+    re0, re1 = (float(v) for v in box.re_interval)
+    im0, im1 = (float(v) for v in box.im_interval)
+    if not (re1 > re0 and im1 > im0):
+        raise ValueError("census box must have positive extent")
+    size = max(re1 - re0, im1 - im0)
+    for attempt in range(6):
+        pad = attempt * (1e-6 + 1e-6 * size) * (1.3**attempt)
+        lo, hi = complex(re0 - pad, im0 - pad), complex(re1 + pad, im1 + pad)
+        corners = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
+        nseg = _segments(t, max(hi.real - lo.real, hi.imag - lo.imag))
+        try:
+            total = _phase_change(
+                r0, r1, s0, t, corners, corners[1:] + corners[:1], nseg, (), max_evals
+            )
+        except BoundaryRootError as err:
+            last = err
+            continue
+        return _nearest_int(total / (2.0 * math.pi), "census winding")
+    raise last

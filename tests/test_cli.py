@@ -214,6 +214,8 @@ def test_resolution_below_two_is_rejected(capsys, resolution):
         (["curves", "--K", "1.05", "--mu-grid", "0.05:0.45:5", "--tau-max", "-3"], "--tau-max"),
         (["curves", "--K", "1.05", "--mu-grid", "0.05:0.45:5", "--tau-max", "nan"], "--tau-max"),
         (["zero-roots", "--K", "0.8", "--mu", "0.5", "--n", "5:2"], "--n"),
+        # a negative delay makes the quasi-polynomial advanced: no certificate exists
+        (["rightmost", "--K", "1.05", "--mu", "0.3", "--tau-grid=-1:1:3"], "--tau-grid"),
     ],
 )
 def test_bad_number_flag_is_one_line(capsys, argv, flag):

@@ -44,7 +44,9 @@ def test_step_guard():
     eq = equilibrium(P2, Branch.MINUS)
     hist = HistorySpec.constant(equilibrium_state(ModelKind.FULL_PHASE, P2, eq))
     assert integrate(ModelKind.FULL_PHASE, P2, hist, 5.0, step=3.0).step == 2.0
-    for t_end, step in ((-1.0, 0.1), (0.0, 0.1), (5.0, 0.0), (5.0, -0.1)):
+    bad = ((-1.0, 0.1), (0.0, 0.1), (5.0, 0.0), (5.0, -0.1), (math.nan, 0.1), (5.0, math.nan),
+           (math.inf, 0.1), (5.0, math.inf))
+    for t_end, step in bad:
         with pytest.raises(InvalidParamError):
             integrate(ModelKind.FULL_PHASE, P2, hist, t_end, step)
 

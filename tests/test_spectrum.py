@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from pllbif import spectrum
 from pllbif import (
+    BoundaryRootError,
     BranchDomainError,
     Branch,
+    InvalidParamError,
     NoConvergenceError,
     CensusBox,
     ModelKind,
@@ -21,6 +23,8 @@ from pllbif import (
     rightmost_root,
     rightmost_sweep,
     root_census,
+    sn_scan,
+    unstable_count,
 )
 
 OMEGA_CONST = 0.5671432904097838  # W_0(1)
@@ -169,16 +173,18 @@ def test_census_agrees_with_rightmost_sign():
 
 
 def test_deflated_census_counts_the_roots_of_p():
-    # dividing a known root pair out of P leaves the count unchanged, whether
-    # the pair lies inside the box or just outside its left edge
+    # dividing a known root pair out of P, just left of the line, leaves the
+    # count of P's roots right of the line unchanged
     p = NetworkParams(2, 1.05, 0.3)
     eq = equilibrium(p, Branch.MINUS)
     blk = build_blocks(ModelKind.FULL_PHASE, p, eq).fix
     lam = rightmost_root(blk, 8.67).lam
     known = (lam, lam.conjugate())
     coeffs = blk.at(8.67)
-    for box in (CensusBox((1e-6, 2.0), (-5.0, 5.0)), CensusBox((lam.real + 1e-6, 2.0), (-5.0, 5.0))):
-        assert spectrum._census(*coeffs, 8.67, box, known=known) == root_census(blk, 8.67, box)
+    shift = lam.real + 1e-6
+    assert spectrum._count(*coeffs, 8.67, shift, known=known) == 0
+    assert unstable_count(blk, 8.67, shift) == 0
+    assert unstable_count(blk, 8.67, shift=1e-6) == 2
     assert root_census(blk, 8.67, CensusBox((1e-6, 2.0), (-5.0, 5.0))) == 2
 
 
@@ -209,8 +215,9 @@ def test_overflowing_seed_fails_alone():
 
 
 def test_overflow_leaves_a_root_uncertified():
-    # the census box of a root left of the axis grows with e^{-Re lambda tau},
-    # which overflows at this delay: no certificate, and no OverflowError
+    # the bound W of the count's line left of the axis grows with
+    # e^{-Re lambda tau}, which overflows at this delay: no certificate, and
+    # no OverflowError
     p = NetworkParams(2, 1.05, 0.3)
     blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS)).fix
     tau = 1e6
@@ -255,9 +262,12 @@ def test_census_counts_windings_of_a_long_delay():
     box = CensusBox((1e-6, 5.0), (-5.0, 5.0))
     assert root_census(blk, 19.35, box) == 17
     assert round(dense_winding(blk, 19.35, box)) == 17
+    assert unstable_count(blk, 19.35, shift=1e-6) == 17
     # too small a budget for the delay-scaled samples fails, never samples coarser
     with pytest.raises(NoConvergenceError):
         root_census(blk, 19.35, box, max_evals=500)
+    with pytest.raises(NoConvergenceError):
+        spectrum._count(*blk.at(19.35), 19.35, 1e-6, max_evals=100)
 
 
 def _random_block(rng):
@@ -269,14 +279,17 @@ def _random_block(rng):
 
 
 def test_census_matches_a_dense_winding_count():
+    # the box holds every root right of its left edge, so the half-plane
+    # count right of that edge is the box's count too
     rng = np.random.default_rng(20131025)
-    for _ in range(60):
+    for _ in range(200):
         blk, case = _random_block(rng)
         tau = 25.0 * (1.0 - rng.uniform())  # in (0, 25]
         box = upper_bound_box(blk, tau)
         want = dense_winding(blk, tau, box)
         assert want == pytest.approx(round(want), abs=0.01)
         assert root_census(blk, tau, box) == round(want), (case, tau)
+        assert unstable_count(blk, tau, shift=1e-6) == round(want), (case, tau)
 
 
 def test_readme_rightmost_grid_is_certified():
@@ -353,7 +366,117 @@ def test_near_tie_keeps_the_certified_contract():
     # dense winding with both pairs, which lie just left of the box, divided out
     edge = est.lam.real + 1e-6
     assert upper.real <= edge
-    bound = (abs(r1) + math.sqrt(r1 * r1 + 4.0 * (abs(r0) + abs(s0) * math.exp(-edge * tau)))) / 2.0
-    box = CensusBox((edge, bound + 1.0), (-bound - 1.0, bound + 1.0))
     known = (lower, lower.conjugate(), upper, upper.conjugate())
-    assert round(dense_winding(blk, tau, box, known)) == 0
+    assert round(dense_winding(blk, tau, box_right_of(blk, tau, edge), known)) == 0
+
+
+def box_right_of(blk, tau, edge):
+    # every root with Re >= edge has |lambda|^2 <= |r1||lambda| + |r0| + |s0| e^{-edge tau}
+    r0, r1, s0 = blk.at(tau)
+    bound = (abs(r1) + math.sqrt(r1 * r1 + 4.0 * (abs(r0) + abs(s0) * math.exp(-edge * tau)))) / 2.0
+    return CensusBox((edge, bound + 1.0), (-bound - 1.0, bound + 1.0))
+
+
+def test_certification_count_matches_a_dense_winding():
+    # the count behind a certificate: the rightmost pair divided out, the line
+    # 1e-6 to its right; the dense winding runs on the box with that left edge
+    rng = np.random.default_rng(19970301)
+    for _ in range(60):
+        blk, case = _random_block(rng)
+        tau = 25.0 * (1.0 - rng.uniform())  # in (0, 25]
+        lam = rightmost_root(blk, tau).lam
+        if abs(lam.imag) <= 1e-12:  # a real root, whose imaginary part may be a stray 1e-45
+            lam = complex(lam.real)
+        known = (lam,) if lam.imag == 0.0 else (lam, lam.conjugate())
+        edge = lam.real + 1e-6
+        want = dense_winding(blk, tau, box_right_of(blk, tau, edge), known)
+        assert want == pytest.approx(round(want), abs=0.01)
+        assert spectrum._count(*blk.at(tau), tau, edge, known) == round(want), (case, tau)
+
+
+def _tally_at_zero_plus(blk):
+    # the tau = 0+ roots with Re > 0 are those of lambda^2 + r1 lambda + r0 + s0
+    r0, r1, s0 = blk.at(0.0)
+    disc = cmath.sqrt(r1 * r1 - 4.0 * (r0 + s0))
+    return sum(((-r1 + sg * disc) / 2.0).real > 0.0 for sg in (1.0, -1.0))
+
+
+def test_unstable_count_at_zero_matches_the_crossing_tally():
+    # each crossing of sn_scan moves one conjugate pair across the axis in
+    # the direction of its sign; the count at shift 0 between two crossings
+    # is the running tally
+    rng = np.random.default_rng(20110707)
+    for _ in range(30):
+        blk, case = _random_block(rng)
+        crossings = sn_scan(blk, (0.0, 25.0))
+        edges = [0.0, *(c.tau_star for c in crossings), 25.0]
+        want = _tally_at_zero_plus(blk)
+        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            if i:
+                want += 2 * crossings[i - 1].delta_sign
+            assert unstable_count(blk, 0.5 * (a + b)) == want, (case, a, b)
+
+
+def test_a_pair_that_just_crossed_is_counted_at_zero_only():
+    # this standard block gains its 14th unstable root at tau* = 24.99979; at
+    # the midpoint up to 25 that pair sits at Re lambda = 2.8e-7, right of the
+    # axis but left of the line Re = 1e-6
+    p = NetworkParams(2, 1.2522292598799094, 1.3375596576318436)
+    blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.PLUS)).standard
+    crossings = sn_scan(blk, (0.0, 25.0))
+    assert crossings[-1].tau_star == pytest.approx(24.99979, abs=1e-5)
+    tally = _tally_at_zero_plus(blk) + 2 * sum(c.delta_sign for c in crossings)
+    mid = 0.5 * (crossings[-1].tau_star + 25.0)
+    assert unstable_count(blk, mid) == tally == 14
+    assert unstable_count(blk, mid, shift=1e-6) == 12
+
+
+def test_unstable_count_of_a_real_rightmost_root():
+    # lambda^2 + lambda - 2 + 0.1 e^{-lambda} has one real root near 0.97,
+    # which certification divides out as a single factor
+    blk = constant_quasi_polynomial(-2.0, 1.0, 0.1, delay=1.0)
+    est = rightmost_root(blk)
+    assert est.lam.imag == 0.0 and 0.9 < est.lam.real < 1.0
+    assert est.certified
+    r0, r1, s0 = blk.at(1.0)
+    assert spectrum._count(r0, r1, s0, 1.0, est.lam.real + 1e-6, (est.lam,)) == 0
+    assert unstable_count(blk, shift=est.lam.real - 1e-3) == 1
+    assert unstable_count(blk, shift=est.lam.real + 1e-3) == 0
+
+
+def test_unstable_count_refuses_a_root_on_its_line():
+    # a real root at omega = 0, and the rightmost pair of the README fix block
+    # at omega > 0
+    blk = constant_quasi_polynomial(-2.0, 1.0, 0.1, delay=1.0)
+    with pytest.raises(BoundaryRootError):
+        unstable_count(blk, shift=rightmost_root(blk).lam.real)
+    p = NetworkParams(2, 1.05, 0.3)
+    fix = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS)).fix
+    lam = rightmost_root(fix, 8.67).lam
+    assert lam.imag > 0.1
+    with pytest.raises(BoundaryRootError):
+        unstable_count(fix, 8.67, shift=lam.real)
+
+
+@pytest.mark.parametrize("tau", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_bad_delays_are_refused(tau):
+    # for tau < 0 the quasi-polynomial is of advanced type and no count exists
+    p = NetworkParams(2, 1.05, 0.3)
+    blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS)).fix
+    box = CensusBox((1e-6, 2.0), (-5.0, 5.0))
+    for call in (
+        lambda: rightmost_root(blk, tau),
+        lambda: rightmost_sweep(blk, [tau, 1.0]),
+        lambda: root_census(blk, tau, box),
+        lambda: unstable_count(blk, tau),
+        lambda: unstable_count(blk.with_delay(tau)),
+    ):
+        with pytest.raises(InvalidParamError):
+            call()
+
+
+def test_non_finite_shift_is_refused():
+    blk = constant_quasi_polynomial(-2.0, 1.0, 0.1, delay=1.0)
+    for shift in (math.nan, math.inf):
+        with pytest.raises(InvalidParamError):
+            unstable_count(blk, shift=shift)
