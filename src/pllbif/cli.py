@@ -146,7 +146,7 @@ def _delay_grid(text, flag: str) -> np.ndarray:
     return taus
 
 
-def _window(text, flag: str) -> tuple[float, float]:
+def _delay_window(text, flag: str) -> tuple[float, float]:
     try:
         a, b = (float(v) for v in str(text).split(":"))
     except ValueError as exc:
@@ -154,6 +154,8 @@ def _window(text, flag: str) -> tuple[float, float]:
     _ends(a, b, text, flag)
     if not b > a:
         raise _UsageError(f"{flag} needs positive extent")
+    if a < 0.0:
+        raise _UsageError(f"{flag} must start at a delay >= 0, got {a:g}")
     return a, b
 
 
@@ -569,7 +571,7 @@ _OMEGA_M = _Opt("--omega-m", _positive, 1.0, "free-running frequency")
 _TAU = _Opt("--tau", _num, 0.0, "transmission delay")
 _CSV = _Opt("--out", _text, "-", "CSV output path; '-' is stdout")
 _OUT = (_CSV, _Opt("--svg", _text, None, "also write an SVG chart here"))
-_TAU_WINDOW = _Opt("--tau-window", _window, _REQUIRED, "delay window start:stop")
+_TAU_WINDOW = _Opt("--tau-window", _delay_window, _REQUIRED, "delay window start:stop")
 _RESOLUTION = _Opt("--resolution", _int(2), 2000, "locked-branch sampling")
 _C_CONST = _Opt("--c-const", _num, None, "difference-model constant (default: from the locked state)")
 

@@ -302,8 +302,10 @@ def _certify_rightmost(tau: float, lam: complex, r0: float, r1: float, s0: float
     # No root right of the line 1e-6 right of lam, counted with lam and its
     # conjugate divided out of P: their factors would turn the phase by about
     # pi within 1e-6 of Im lam, while the quotient stays smooth there.  A real
-    # root is divided out once: it is its own conjugate.
-    known = (lam,) if lam.imag == 0.0 else (lam, lam.conjugate())
+    # root is divided out once: it is its own conjugate.  Newton can leave a
+    # real root a stray imaginary part (1e-45 has been seen); one at rounding
+    # level still marks a single real factor.
+    known = (complex(lam.real),) if abs(lam.imag) <= 1e-12 else (lam, lam.conjugate())
     try:
         return _count(r0, r1, s0, tau, lam.real + 1e-6, known) == 0
     except (BoundaryRootError, NoConvergenceError, OverflowError):

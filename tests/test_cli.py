@@ -216,6 +216,8 @@ def test_resolution_below_two_is_rejected(capsys, resolution):
         (["zero-roots", "--K", "0.8", "--mu", "0.5", "--n", "5:2"], "--n"),
         # a negative delay makes the quasi-polynomial advanced: no certificate exists
         (["rightmost", "--K", "1.05", "--mu", "0.3", "--tau-grid=-1:1:3"], "--tau-grid"),
+        (["snmap", "--K", "1.05", "--mu", "0.3", "--tau-window=-30:-1"], "--tau-window"),
+        (["releq", "--K", "1", "--tau-window=-5:2"], "--tau-window"),
     ],
 )
 def test_bad_number_flag_is_one_line(capsys, argv, flag):

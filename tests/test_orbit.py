@@ -8,6 +8,7 @@ coefficients, so the test exercises the whole Gauss-Newton path.
 import numpy as np
 import pytest
 
+from pllbif import orbit
 from pllbif import (
     InvalidParamError,
     ModelKind,
@@ -18,6 +19,8 @@ from pllbif import (
     fit_profile,
     integrate,
     refine_orbit,
+    normalize,
+    state_dim,
     symmetry_classify,
     SymmetryTag,
 )
@@ -142,3 +145,49 @@ def test_refine_rejects_hopeless_seed():
     junk = OrbitProfile(ModelKind.FULL_PHASE, P3, 5.0, a, b)
     with pytest.raises(NotPeriodicError):
         refine_orbit(junk, max_iter=4)
+
+
+@pytest.mark.parametrize(
+    "kind, nodes",
+    [(ModelKind.FULL_PHASE, 3), (ModelKind.PHASE_DIFFERENCE, 2), (ModelKind.PHASE_DIFFERENCE, 3)],
+    ids=["full-3", "difference-2", "difference-3"],
+)
+def test_batched_residual_rows_equal_single_sets(kind, nodes):
+    # leading axes share the collocation tables; each row must still be the
+    # residual of its coefficient set alone, bit for bit
+    p = normalize(NetworkParams(nodes, 1.05, 0.075, delay=9.5))
+    n_comp, h = state_dim(kind, nodes) // 2, 6
+    rng = np.random.default_rng(nodes)
+    a = rng.normal(scale=0.3, size=(2, 3, n_comp, h + 1))
+    b = rng.normal(scale=0.3, size=(2, 3, n_comp, h + 1))
+    b[..., 0] = 0.0
+    rows = orbit._residual(kind, p, a, b, 24.2, 8 * (h + 1))
+    assert rows.shape == (2, 3, 8 * (h + 1) * n_comp)
+    for i in np.ndindex(2, 3):
+        assert np.array_equal(rows[i], orbit._residual(kind, p, a[i], b[i], 24.2, 8 * (h + 1))), i
+
+
+def loop_jacobian(col, u, r):
+    """The forward difference one column at a time, the reference for the batched one."""
+    jac = np.empty((r.size, u.size))
+    for j in range(u.size):
+        du = 1e-7 * max(1.0, abs(u[j]))
+        up = u.copy()
+        up[j] += du
+        jac[:, j] = (col.residual(up[:-1], float(up[-1])) - r) / du
+    return jac
+
+
+@pytest.mark.parametrize("turns", [0, 1])
+@pytest.mark.parametrize("harmonics", [10, 16])
+def test_jacobian_matches_a_column_loop(harmonics, turns):
+    # 63 and 99 coefficient columns: both end on a partial block.  One more
+    # turn of every mean phase is the same orbit, with coefficients above 1
+    # whose columns take larger steps than their neighbours.
+    prof = seed_profile().with_harmonics(harmonics)
+    a, b = prof.cos_coeffs.copy(), prof.sin_coeffs
+    a[:, 0] += 2.0 * np.pi * turns
+    col = orbit._Collocation(prof.kind, normalize(P3), 3, harmonics, 8 * (harmonics + 1), 0)
+    u = np.concatenate([a.ravel(), b[:, 1:].ravel(), [prof.period]])
+    r = col.residual(u[:-1], prof.period)
+    assert np.array_equal(col.jacobian(u, r), loop_jacobian(col, u, r))

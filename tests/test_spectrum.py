@@ -394,6 +394,27 @@ def test_certification_count_matches_a_dense_winding():
         assert spectrum._count(*blk.at(tau), tau, edge, known) == round(want), (case, tau)
 
 
+def test_a_real_root_with_a_stray_imaginary_part_is_divided_out_once(monkeypatch):
+    # Newton leaves this real rightmost root an imaginary part of 1.4e-45; the
+    # certificate divides one real factor out of P, not the root twice, which
+    # would leave a pole 1e-6 left of the line
+    p = NetworkParams(3, 2.5335381299377913, 0.10164487036274605)
+    blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.PLUS)).fix
+    tau = 13.073149859066262
+    seen = []
+    count = spectrum._count
+
+    def spy(r0, r1, s0, t, shift, known=()):
+        seen.append(known)
+        return count(r0, r1, s0, t, shift, known)
+
+    monkeypatch.setattr(spectrum, "_count", spy)
+    est = rightmost_root(blk, tau)
+    assert 0.0 < abs(est.lam.imag) <= 1e-12
+    assert est.certified
+    assert seen == [(complex(est.lam.real),)]
+
+
 def _tally_at_zero_plus(blk):
     # the tau = 0+ roots with Re > 0 are those of lambda^2 + r1 lambda + r0 + s0
     r0, r1, s0 = blk.at(0.0)
