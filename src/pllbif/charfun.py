@@ -73,15 +73,13 @@ class QuasiPolynomial:
     ``r1`` is the constant damping coefficient (mu).  ``coeffs`` maps tau (a
     scalar or an array) to (r0, s0); ``dcoeffs`` maps it to their
     tau-derivatives (dr0, ds0), and None means the coefficients do not depend
-    on the delay.  ``delay`` is the evaluation default; ``role`` tags which
-    symmetry block this is, when known.
+    on the delay.  ``delay`` is the evaluation default.
     """
 
     r1: float
     coeffs: Coeffs
     delay: float
     dcoeffs: Coeffs | None = None
-    role: BlockKind | None = None
 
     def with_delay(self, tau: float) -> "QuasiPolynomial":
         return replace(self, delay=float(tau))
@@ -113,11 +111,9 @@ class QuasiPolynomial:
         return r1 * r1 - 2.0 * r0, r0 * r0 - s0 * s0
 
 
-def constant_quasi_polynomial(
-    r0: float, r1: float, s0: float, delay: float, role: BlockKind | None = None
-) -> QuasiPolynomial:
+def constant_quasi_polynomial(r0: float, r1: float, s0: float, delay: float) -> QuasiPolynomial:
     """Quasi-polynomial with delay-independent coefficients."""
-    return QuasiPolynomial(r1, lambda tau: (r0, s0), float(delay), role=role)
+    return QuasiPolynomial(r1, lambda tau: (r0, s0), float(delay))
 
 
 @dataclass(frozen=True)
@@ -152,7 +148,7 @@ def blocks_from_gain(
     tau0 = p.delay if delay is None else float(delay)
     a_of = gain if callable(gain) else (lambda tau, a=float(gain): a)
 
-    def block(div, role: BlockKind) -> QuasiPolynomial:
+    def block(div) -> QuasiPolynomial:
         # s0 = a/div with div = -1 (synchronized) or N - 1 (symmetry-breaking);
         # a division, since a * (1/div) rounds differently
         def coeffs(tau):
@@ -166,9 +162,9 @@ def blocks_from_gain(
                 da = dgain(tau)
                 return da, da / div
 
-        return QuasiPolynomial(p.filter_gain, coeffs, tau0, dcoeffs, role)
+        return QuasiPolynomial(p.filter_gain, coeffs, tau0, dcoeffs)
 
-    return BlockSet(block(-1.0, BlockKind.FIX), block(n - 1, BlockKind.STANDARD), n)
+    return BlockSet(block(-1.0), block(n - 1), n)
 
 
 Point = Union[Equilibrium, float, Callable[[float], float], "object"]
@@ -199,10 +195,8 @@ def build_blocks(kind: ModelKind, params: NetworkParams, point: Point) -> BlockS
         c2 = point.cos_two_phi
         q = k * mu * (1.0 - c2)
         s = k * mu * (1.0 + c2)
-        fix = constant_quasi_polynomial(q, mu, -s, p.delay, role=BlockKind.FIX)
-        std = constant_quasi_polynomial(
-            q, mu, s / (p.n_nodes - 1), p.delay, role=BlockKind.STANDARD
-        )
+        fix = constant_quasi_polynomial(q, mu, -s, p.delay)
+        std = constant_quasi_polynomial(q, mu, s / (p.n_nodes - 1), p.delay)
         return BlockSet(fix, std, p.n_nodes)
 
     if kind in (ModelKind.PHASE, ModelKind.PHASE_ROTATING_FRAME):

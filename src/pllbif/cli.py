@@ -156,7 +156,7 @@ def _delay_window(text, flag: str) -> tuple[float, float]:
         raise _UsageError(f"{flag} needs positive extent")
     if a < 0.0:
         raise _UsageError(f"{flag} must start at a delay >= 0, got {a:g}")
-    return a, b
+    return a + 0.0, b  # a start of -0 becomes +0
 
 
 def _irange(text, flag: str) -> range:
@@ -500,10 +500,6 @@ def _cmd_simulate(o: argparse.Namespace) -> int:
 
     if o.step is not None:
         step = o.step * wm
-    elif o.step_div is not None:
-        if p.delay <= 0.0:
-            raise _UsageError("--step-div needs tau > 0")
-        step = p.delay / o.step_div
     elif p.delay > 0.0:
         step = p.delay / 100.0
     else:
@@ -628,8 +624,9 @@ _COMMANDS = {
         _Opt("--perturb", _text, "none", "history perturbation: none | sync | pair:i,j | isotypic:j[:imag]"),
         _Opt("--amplitude", _num, 0.0, "perturbation amplitude"),
         _Opt("--t-end", _positive, _REQUIRED, "integration time"),
-        _Opt("--step", _positive, None, "integration step (default: tau / 100)"),
-        _Opt("--step-div", _int(1), None, "step = tau / DIV"),
+        _Opt("--step", _positive, None,
+             "integration step; with tau > 0 the run uses tau / m for the smallest "
+             "integer m >= 1 that keeps it at most this (default: tau / 100)"),
         _Opt("--transient", _fraction, 0.6, "fraction discarded before classifying"),
         _Opt("--classify", _YES, "yes", "estimate the period and classify the symmetry"),
         _Opt("--tol", _num, 1e-2, "symmetry residual tolerance"),

@@ -71,6 +71,7 @@ __all__ = [
     "ModelKind",
     "NetworkParams",
     "Equilibrium",
+    "check_delay",
     "normalize",
     "state_dim",
     "equilibria",
@@ -126,8 +127,19 @@ class NetworkParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise InvalidParamError(f"{name} must be finite and > 0, got {v}")
-        if not (math.isfinite(self.delay) and self.delay >= 0):
-            raise InvalidParamError(f"delay must be finite and >= 0, got {self.delay}")
+        check_delay(self.delay)
+
+
+def check_delay(tau) -> float:
+    """``tau`` as a float; InvalidParamError unless it is finite and >= 0.
+
+    The one check of a delay, for parameters, evaluation points and window
+    ends alike: for tau < 0 the delay equations turn advanced.
+    """
+    t = float(tau)
+    if not 0.0 <= t < math.inf:  # written so that NaN fails too
+        raise InvalidParamError(f"delay must be finite and >= 0, got {tau}")
+    return t
 
 
 def normalize(params: NetworkParams) -> NetworkParams:

@@ -39,6 +39,7 @@ class OrbitProfile:
     ``cos_coeffs`` and ``sin_coeffs`` have shape (n_components, H + 1);
     column k holds the coefficients of cos(k w t) and sin(k w t) with
     w = 2 pi / period.  Column 0 of ``sin_coeffs`` is identically zero.
+    Both are stored as float arrays, whatever array-like they are given as.
     """
 
     kind: ModelKind
@@ -54,6 +55,8 @@ class OrbitProfile:
         b = np.asarray(self.sin_coeffs, dtype=float)
         if a.shape != b.shape or a.ndim != 2:
             raise InvalidParamError("coefficient arrays must share shape (components, H+1)")
+        object.__setattr__(self, "cos_coeffs", a)
+        object.__setattr__(self, "sin_coeffs", b)
 
     @property
     def harmonics(self) -> int:
@@ -151,18 +154,13 @@ def _residual(kind, p, a, b, period, samples):
     return r.reshape(lead + (samples * n_comp,))
 
 
-def fit_profile(
-    traj,
-    window: tuple[float, float],
-    harmonics: int = 8,
-    period_guess: float | None = None,
-) -> OrbitProfile:
+def fit_profile(traj, window: tuple[float, float], harmonics: int = 8) -> OrbitProfile:
     """Fourier candidate fitted to a trajectory segment.
 
-    The base frequency starts from ``period_guess`` (or the spectral peak of
-    the most active velocity component) and is polished by golden-section
-    minimization of the least-squares misfit; coefficients come from a linear
-    solve at the final frequency.
+    The base frequency starts from the spectral peak of the most active
+    velocity component and is polished by golden-section minimization of the
+    least-squares misfit; coefficients come from a linear solve at the final
+    frequency.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t0 < t1:
@@ -173,17 +171,16 @@ def fit_profile(
     ts = traj.times[mask]
     xs = traj.states[mask][:, 0::2]
 
-    if period_guess is None:
-        vs = traj.states[mask][:, 1::2]
-        col = int(np.argmax(vs.std(axis=0)))
-        sig = vs[:, col] - vs[:, col].mean()
-        dt = float(ts[1] - ts[0])
-        spec = np.abs(np.fft.rfft(sig * np.hanning(sig.size)))
-        freqs = np.fft.rfftfreq(sig.size, dt)
-        kk = int(np.argmax(spec[1:])) + 1
-        if freqs[kk] <= 0.0:
-            raise NotPeriodicError("no spectral peak in the fit window")
-        period_guess = 1.0 / float(freqs[kk])
+    vs = traj.states[mask][:, 1::2]
+    col = int(np.argmax(vs.std(axis=0)))
+    sig = vs[:, col] - vs[:, col].mean()
+    dt = float(ts[1] - ts[0])
+    spec = np.abs(np.fft.rfft(sig * np.hanning(sig.size)))
+    freqs = np.fft.rfftfreq(sig.size, dt)
+    kk = int(np.argmax(spec[1:])) + 1
+    if freqs[kk] <= 0.0:
+        raise NotPeriodicError("no spectral peak in the fit window")
+    period_guess = 1.0 / float(freqs[kk])
 
     def design(w):
         # columns 1, cos(w t), sin(w t), ..., cos(H w t), sin(H w t)
@@ -297,21 +294,20 @@ class _Collocation:
 
 
 def refine_orbit(
-    profile: OrbitProfile,
-    harmonics: int | None = None,
-    samples: int | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 30,
+    profile: OrbitProfile, harmonics: int | None = None, max_iter: int = 30
 ) -> OrbitProfile:
     """Gauss-Newton polish of a periodic candidate to collocation accuracy.
 
-    Unknowns are every Fourier coefficient plus the period; one anchor row
-    pins the sine coefficient of the first harmonic of the component with the
-    strongest first harmonic, removing the time-shift null direction.  The
-    Jacobian is a forward difference; the columns of the coefficients, which
-    share one period, are evaluated in batches through one set of
-    collocation tables.  The step is damped by halving until the residual
-    norm decreases.
+    Unknowns are every Fourier coefficient plus the period, at ``harmonics``
+    harmonics (default: the profile's own); the residual is collocated at
+    8 (H + 1) points per period, more than four times the 2 H + 1
+    coefficients of each component.  One anchor row pins the sine
+    coefficient of the first harmonic of the component with the strongest
+    first harmonic, removing the time-shift null direction.  The Jacobian is
+    a forward difference; the columns of the coefficients, which share one
+    period, are evaluated in batches through one set of collocation tables.
+    The step is damped by halving until the residual norm decreases, and the
+    iteration stops once every residual entry is below 1e-10.
     """
     p = normalize(profile.params)
     kind = profile.kind
@@ -319,9 +315,7 @@ def refine_orbit(
     if h < 1:
         raise InvalidParamError("harmonics must be >= 1")
     prof = profile.with_harmonics(h)
-    m = int(8 * (h + 1)) if samples is None else int(samples)
-    if m < 2 * (2 * h + 1):
-        raise InvalidParamError("too few collocation samples for the harmonic count")
+    m = 8 * (h + 1)
 
     a = prof.cos_coeffs.copy()
     b = prof.sin_coeffs.copy()
@@ -337,7 +331,7 @@ def refine_orbit(
     r = col.residual(u[:-1], prof.period)
     norm = float(np.linalg.norm(r))
     for _ in range(max_iter):
-        if float(np.max(np.abs(r))) < tol:
+        if float(np.max(np.abs(r))) < 1e-10:
             break
         step = np.linalg.lstsq(col.jacobian(u, r), -r, rcond=None)[0]
         scale = 1.0

@@ -29,7 +29,7 @@ import numpy as np
 
 from .charfun import BlockKind, build_blocks
 from .errors import InvalidParamError
-from .model import ModelKind, NetworkParams, normalize
+from .model import ModelKind, NetworkParams, check_delay, normalize
 from .snmap import CrossingCandidate, sn_scan
 
 __all__ = [
@@ -88,13 +88,12 @@ def releq_solve(params: NetworkParams, tau: float) -> list[float]:
 
     The residual Omega_hat + K sin(Omega_hat tau) - 1 is monotone between its
     critical points Omega_hat tau = +-acos(-1/(K tau)) + 2 pi m, so each root
-    has its own bracket; residuals end below 1e-12.
+    has its own bracket; residuals end below 1e-12.  Raises InvalidParamError
+    for a negative or non-finite delay.
     """
     p = normalize(params)
     k = p.coupling
-    tau = float(tau)
-    if tau < 0.0:
-        raise InvalidParamError("delay must be >= 0")
+    tau = check_delay(tau)
     if tau == 0.0:
         return [1.0]
     edges = [1.0 - k, 1.0 + k]
@@ -188,12 +187,14 @@ def releq_branches(
     sampled on the ``resolution``-point grid over the window at the points in
     (birth, end], plus the window start for branches alive there, by one
     vectorized bracketed solve per branch.  Branches with fewer than 2 samples
-    are dropped; the rest are numbered by (birth, first Omega_hat).
+    are dropped; the rest are numbered by (birth, first Omega_hat).  Raises
+    InvalidParamError for a negative or non-finite window end, or a window
+    that ends before it starts.
     """
     k = normalize(params).coupling
-    t0, t1 = float(tau_window[0]), float(tau_window[1])
-    if t0 < 0.0:
-        raise InvalidParamError("delay must be >= 0")
+    t0, t1 = check_delay(tau_window[0]), check_delay(tau_window[1])
+    if t1 < t0:
+        raise InvalidParamError(f"delay window [{t0:g}, {t1:g}] ends before it starts")
     grid = np.linspace(t0, t1, int(resolution))
     kept = []
     for phi_a, phi_b, tau_a, tau_b in _pieces(k, t1):
@@ -279,26 +280,20 @@ class CurveSample:
     omega: float
 
 
-def equilibrium_case_curves(
-    n: int,
-    m_range: range,
-    mu_grid=None,
-) -> list[CurveSample]:
+def equilibrium_case_curves(n: int, m_range: range, mu_grid) -> list[CurveSample]:
     """K(mu) curves of Hopf points at delays with tau = 2 n pi (normalized time).
 
     In normalized units the curves are the same for every N, so they take no
     network parameters.  There the locked frequency is 1, the crossing
     frequency is omega = sqrt(2 K mu - mu^2), and the delay condition becomes
     omega = (atan2(-omega, mu - K) + 2 m pi) / (2 n pi) for each m in
-    ``m_range``, solved for K by bisection on each mu grid point.  The odd
-    family tau = (2n+1) pi admits no nonzero crossing frequency, so it has no
-    curves.
+    ``m_range``, solved for K by bisection at each value of ``mu_grid``.  The
+    odd family tau = (2n+1) pi admits no nonzero crossing frequency, so it has
+    no curves.
     """
     if int(n) < 1:
         raise InvalidParamError("the delay-family index n must be >= 1")
     n = int(n)
-    if mu_grid is None:
-        mu_grid = np.linspace(0.05, 2.0, 40)
     rows: list[CurveSample] = []
     for m in m_range:
         for mu in mu_grid:

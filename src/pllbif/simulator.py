@@ -153,7 +153,7 @@ class Trajectory:
     ``states``/``derivs`` hold the state and its time derivative on the step
     grid; ``at`` evaluates the piecewise cubic matched to both, and the
     history the run started from for t <= 0.  ``history`` is any object with
-    ``state(t)``; a bare vector stands for the constant history.
+    ``state(t)``, such as a HistorySpec or an OrbitProfile.
     """
 
     kind: ModelKind
@@ -163,11 +163,6 @@ class Trajectory:
     derivs: np.ndarray
     history: object
     step: float
-    omega: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not hasattr(self.history, "state"):
-            self.history = HistorySpec.constant(self.history)
 
     def at(self, t: float) -> np.ndarray:
         """State at time t: the history for t <= 0, the dense output up to the last node.
@@ -194,10 +189,6 @@ class Trajectory:
 
     def sample(self, ts) -> np.ndarray:
         return np.array([self.at(float(t)) for t in np.asarray(ts, dtype=float)])
-
-    def node(self, i: int) -> np.ndarray:
-        """(len(times), 2) position/velocity track of node i (1-based)."""
-        return self.states[:, 2 * (i - 1) : 2 * (i - 1) + 2]
 
 
 def _hermite(y0, f0, y1, f1, h, th):
@@ -308,7 +299,7 @@ def integrate(
                     )
                 stop = min(k + m, nsteps)
                 advance(field, states, derivs, times, h, k, stop, delayed_input(lagged))
-    return Trajectory(kind, p, times, states, derivs, history, h, omega)
+    return Trajectory(kind, p, times, states, derivs, history, h)
 
 
 def _advance_arrays(f, states, derivs, times, h, start, stop, inputs):
@@ -453,9 +444,13 @@ class SymmetryTag(enum.Enum):
 
 @dataclass(frozen=True)
 class SymmetryClass:
+    """The symmetry of an orbit and the max-norm defect of its relation.
+
+    ``pair`` names the two nodes (1-based) of a pair class, else None.
+    """
+
     tag: SymmetryTag
-    pair: Optional[tuple[int, int]]  # 1-based node labels
-    period: Optional[float]
+    pair: Optional[tuple[int, int]]
     residual: float
 
 
@@ -482,7 +477,7 @@ def symmetry_classify(traj: Trajectory, period: float, tol: float = 1e-2) -> Sym
 
     r_sync = float(np.max(np.abs(x0 - x0[:, :1, :])))
     if r_sync < tol:
-        return SymmetryClass(SymmetryTag.FULLY_SYNC, None, T, r_sync)
+        return SymmetryClass(SymmetryTag.FULLY_SYNC, None, r_sync)
 
     if n >= 3:
         xs = _by_node(traj.sample(base + T / n), n)
@@ -490,7 +485,7 @@ def symmetry_classify(traj: Trajectory, period: float, tol: float = 1e-2) -> Sym
         bwd = float(np.max(np.abs(np.roll(x0, 1, axis=1) - xs)))
         r_rot = min(fwd, bwd)
         if r_rot < tol:
-            return SymmetryClass(SymmetryTag.ROTATING_WAVE, None, T, r_rot)
+            return SymmetryClass(SymmetryTag.ROTATING_WAVE, None, r_rot)
 
     best_st = None
     for i in range(n):
@@ -501,7 +496,7 @@ def symmetry_classify(traj: Trajectory, period: float, tol: float = 1e-2) -> Sym
             if best_st is None or r < best_st[0]:
                 best_st = (r, (i + 1, j + 1))
     if best_st is not None and best_st[0] < tol:
-        return SymmetryClass(SymmetryTag.Z2_SPATIO_TEMPORAL, best_st[1], T, best_st[0])
+        return SymmetryClass(SymmetryTag.Z2_SPATIO_TEMPORAL, best_st[1], best_st[0])
 
     best_sp = None
     for i in range(n):
@@ -510,12 +505,12 @@ def symmetry_classify(traj: Trajectory, period: float, tol: float = 1e-2) -> Sym
             if best_sp is None or r < best_sp[0]:
                 best_sp = (r, (i + 1, j + 1))
     if best_sp is not None and best_sp[0] < tol:
-        return SymmetryClass(SymmetryTag.Z2_SPATIAL, best_sp[1], T, best_sp[0])
+        return SymmetryClass(SymmetryTag.Z2_SPATIAL, best_sp[1], best_sp[0])
 
     floor = min(
         r for r in (r_sync, best_st and best_st[0], best_sp and best_sp[0]) if r is not None
     )
-    return SymmetryClass(SymmetryTag.ASYMMETRIC, None, T, floor)
+    return SymmetryClass(SymmetryTag.ASYMMETRIC, None, floor)
 
 
 def _by_node(flat: np.ndarray, n: int) -> np.ndarray:

@@ -25,10 +25,11 @@ from .charfun import BlockKind, QuasiPolynomial, build_blocks
 from .errors import (
     DegenerateCrossingError,
     DegenerateSError,
+    InvalidParamError,
     NoEquilibriumError,
     UnsupportedKindError,
 )
-from .model import Branch, ModelKind, NetworkParams, equilibrium, normalize
+from .model import Branch, ModelKind, NetworkParams, check_delay, equilibrium, normalize
 
 __all__ = [
     "RootBranch",
@@ -58,10 +59,10 @@ class RootBranch(enum.Enum):
 
 @dataclass(frozen=True)
 class OmegaCandidate:
+    """A crossing frequency w > 0 and the root of the quadratic in w^2 it comes from."""
+
     omega: float
     root_branch: RootBranch
-    b: float
-    c: float
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,6 @@ class CrossingCandidate:
     winding: int
     delta: float
     delta_sign: int
-    block: BlockKind | None = None
 
     @property
     def omega(self) -> float:
@@ -114,7 +114,7 @@ def omega_candidates(b: float, c: float) -> list[OmegaCandidate]:
         if fp != 0.0:
             w -= (w2 * w2 + b * w2 + c) / fp
         if w > 0.0:
-            out.append(OmegaCandidate(w, tag, b, c))
+            out.append(OmegaCandidate(w, tag))
     return out
 
 
@@ -185,7 +185,7 @@ def tau_candidates(
         if tau_n < 0.0:
             continue
         delta, sign = transversality(p, cand.omega, tau_n)
-        out.append(CrossingCandidate(cand, tau_n, n, delta, sign, p.role))
+        out.append(CrossingCandidate(cand, tau_n, n, delta, sign))
     out.sort(key=lambda c: c.tau_star)
     return out
 
@@ -239,9 +239,14 @@ def sn_scan(
     for both root branches w+ and w-, sign changes of S_n are bisected to
     |S_n| <= 1e-9, and candidates where the bisection homes onto a branch-cut
     jump of theta (where S_n changes sign without vanishing) are discarded.
-    All windings n that can reach the window are enumerated.
+    All windings n that can reach the window are enumerated.  A window that
+    ends at or before its start holds no crossings; a negative or non-finite
+    window end, or a grid step that is not finite and positive, raises
+    InvalidParamError.
     """
-    t0, t1 = float(tau_window[0]), float(tau_window[1])
+    t0, t1 = check_delay(tau_window[0]), check_delay(tau_window[1])
+    if grid_step is not None and not 0.0 < grid_step < math.inf:
+        raise InvalidParamError(f"grid_step must be finite and > 0, got {grid_step}")
     if not t1 > t0:
         return []
     if grid_step is None:
@@ -273,10 +278,9 @@ def sn_scan(
                 key = (tag.value, round(tau_star, 7))
                 if key in found:
                     continue
-                b_star, c_star = (float(v) for v in p.b_c(tau_star))
-                cand = OmegaCandidate(w_star, tag, b_star, c_star)
+                cand = OmegaCandidate(w_star, tag)
                 delta, sgn = transversality(p, w_star, tau_star)
-                found[key] = CrossingCandidate(cand, tau_star, n, delta, sgn, p.role)
+                found[key] = CrossingCandidate(cand, tau_star, n, delta, sgn)
     return sorted(found.values(), key=lambda c: c.tau_star)
 
 

@@ -39,6 +39,7 @@ from .errors import (
     InvalidParamError,
     NoConvergenceError,
 )
+from .model import check_delay
 
 __all__ = [
     "SpectrumEstimate",
@@ -457,11 +458,8 @@ def _count(r0, r1, s0, tau, shift, known=(), max_evals=500_000) -> int:
 
 
 def _delay(p: QuasiPolynomial, tau: float | None) -> float:
-    t = p.delay if tau is None else float(tau)
     # for tau < 0 the quasi-polynomial is of advanced type: no finite count
-    if not 0.0 <= t < math.inf:
-        raise InvalidParamError(f"delay must be finite and >= 0, got {t}")
-    return t
+    return check_delay(p.delay if tau is None else tau)
 
 
 def unstable_count(p: QuasiPolynomial, tau: float | None = None, shift: float = 0.0) -> int:
@@ -485,11 +483,11 @@ def unstable_count(p: QuasiPolynomial, tau: float | None = None, shift: float = 
 
 def root_census(
     p: QuasiPolynomial,
-    tau: float | None = None,
-    box: CensusBox | None = None,
+    tau: float,
+    box: CensusBox,
     max_evals: int = 500_000,
 ) -> int:
-    """Number of roots of P (with multiplicity) inside a rectangular box.
+    """Number of roots of P (with multiplicity) at delay ``tau`` inside ``box``.
 
     Tracks the winding of P along the boundary.  Each edge starts as
     max(32, ceil(4 tau span / pi)) segments, span being the box's longer side,
@@ -504,9 +502,7 @@ def root_census(
     a non-finite or negative delay.  For a half-plane, ``unstable_count``
     needs one line instead of four edges.
     """
-    if box is None:
-        raise ValueError("root_census requires a CensusBox")
-    t = _delay(p, tau)
+    t = check_delay(tau)
     r0, r1, s0 = _pcoeffs(p, t)
     re0, re1 = (float(v) for v in box.re_interval)
     im0, im1 = (float(v) for v in box.im_interval)

@@ -65,13 +65,10 @@ def _ticks(lo: float, hi: float, want: int = 6) -> list[float]:
 
 
 def line_chart(
-    series: Sequence[Series],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    width: int = 800,
-    height: int = 500,
+    series: Sequence[Series], title: str = "", xlabel: str = "", ylabel: str = ""
 ) -> str:
+    """An 800 x 500 SVG document plotting ``series`` on shared linear axes."""
+    width, height = 800, 500
     ml, mr, mt, mb = 72, 24, 44, 56
     pw, ph = width - ml - mr, height - mt - mb
     lo_x, hi_x, lo_y, hi_y = _finite_bounds(series)

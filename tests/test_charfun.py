@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pllbif import (
-    BlockKind,
     Branch,
     IndexOutOfRangeError,
     ModelKind,
@@ -109,14 +108,6 @@ def test_full_phase_determinant_factors(re, im, n):
     prod = blocks.fix.eval(lam) * blocks.standard.eval(lam) ** (n - 1)
     scale = max(1.0, abs(det))
     assert abs(det - prod) / scale < 1e-9
-
-
-def test_block_roles_are_tagged():
-    p = NetworkParams(3, 1.05, 0.075, delay=9.5)
-    eq = equilibrium(p, Branch.MINUS)
-    blocks = build_blocks(ModelKind.FULL_PHASE, p, eq)
-    assert blocks.fix.role is BlockKind.FIX
-    assert blocks.standard.role is BlockKind.STANDARD
 
 
 def test_blocks_from_gain_matches_manual_formula():

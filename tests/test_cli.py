@@ -1,10 +1,10 @@
 """Command-line interface, exercised in process through main(argv)."""
 
+import importlib.util
 import inspect
 import json
 import math
 import re
-import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -50,13 +50,18 @@ def test_zero_roots_to_stdout(capsys):
     assert first[0] == repr(2.6179938779914944)
 
 
-def test_outputs_are_deterministic(tmp_path):
+def test_outputs_are_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["releq", "--K", "1", "--tau-window", "0:8", "--resolution", "400"]
     assert run(args + ["--out", a]) == 0
     assert run(args + ["--out", b]) == 0
     assert read(a) == read(b)
     assert read(a).startswith("# n_nodes = 2\n")
+    # a window start of -0 is the delay 0, in the summary line too
+    c = tmp_path / "c.csv"
+    assert run(["releq", "--K", "1", "--tau-window=-0:8", "--resolution", "400", "--out", c]) == 0
+    assert read(c) == read(a)
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" on [0, 8]")
 
 
 def test_normalization_happens_at_the_boundary(tmp_path):
@@ -298,6 +303,9 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
         (["rightmost", "--K", "1.05", "--mu", "0.3", "--tau-grid", "0:1:3", "--model", "full-phase"],
          "--model"),
         (["curves", "--K", "1.05", "--mu-grid", "0.05:0.45:5", "--model", "full-phase"], "--model"),
+        # --step tau/DIV gives the grid --step-div DIV gave
+        (["simulate", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--t-end", "10",
+          "--step-div", "4"], "--step-div"),
     ],
 )
 def test_bad_choice_or_unknown_flag_is_one_line(capsys, argv, needle):
@@ -326,19 +334,40 @@ def test_phasediff_check_fails_on_nan_residual(monkeypatch, capsys, nodes):
     assert "FAIL" in summary
 
 
-def readme_commands():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
-    return [shlex.split(l)[1:] for l in lines if l.startswith("pllbif ") and not l.startswith("pllbif verify")]
+def load_readme_outputs():
+    path = Path(__file__).resolve().parents[1] / "tools" / "readme_outputs.py"
+    spec = importlib.util.spec_from_file_location("readme_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_readme_command_lines_run(monkeypatch, tmp_path):
-    commands = readme_commands()
+    commands = load_readme_outputs().readme_commands()
     assert len(commands) == 7
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert run(argv) == 0, argv
+
+
+def test_readme_outputs_script_finds_the_seven_commands():
+    commands = load_readme_outputs().readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "curves", "rightmost", "snmap", "releq", "zero-roots", "phasediff-check", "simulate",
+    ]
+    # the continuation line of the simulate command is joined
+    assert commands[-1][-4:] == ["--classify", "no", "--out", "sim.csv"]
+
+
+def test_readme_outputs_script_keeps_streams_code_and_files(tmp_path):
+    tool = load_readme_outputs()
+    argv = ["zero-roots", "--K", "0.8", "--mu", "0.5", "--out", "z.csv", "--svg", "z.svg"]
+    assert tool.capture(argv, tmp_path / "run") == 0
+    files = {f.name: f.read_text(encoding="utf-8") for f in (tmp_path / "run").iterdir()}
+    assert sorted(files) == ["exit_code", "stderr", "stdout", "z.csv", "z.svg"]
+    assert files["exit_code"] == "0\n"
+    assert files["stdout"] == "zero-roots: 7 events, first at tau = 2.61799\n"
+    assert files["z.csv"].startswith("# n_nodes = 2\n")
 
 
 def test_every_option_is_read():

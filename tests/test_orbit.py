@@ -10,6 +10,7 @@ import pytest
 
 from pllbif import orbit
 from pllbif import (
+    HistorySpec,
     InvalidParamError,
     ModelKind,
     NetworkParams,
@@ -45,6 +46,16 @@ def seed_profile(period=24.2, harmonics=4):
 @pytest.fixture(scope="module")
 def refined():
     return refine_orbit(seed_profile(), harmonics=10)
+
+
+def test_profile_from_nested_lists():
+    ref = seed_profile()
+    listed = OrbitProfile(
+        ModelKind.FULL_PHASE, P3, ref.period, ref.cos_coeffs.tolist(), ref.sin_coeffs.tolist()
+    )
+    assert listed.harmonics == ref.harmonics
+    assert np.array_equal(listed.state(1.3), ref.state(1.3))
+    assert listed.residual_norm() == ref.residual_norm()
 
 
 def test_refined_period_and_residual(refined):
@@ -119,7 +130,8 @@ def test_fit_profile_recovers_synthetic_coefficients(refined):
     states[:, 0::2] = refined.positions(times)
     states[:, 1::2] = refined.velocities(times)
     derivs = np.zeros_like(states)
-    traj = Trajectory(ModelKind.FULL_PHASE, P3, times, states, derivs, states[0], step)
+    history = HistorySpec.constant(states[0])
+    traj = Trajectory(ModelKind.FULL_PHASE, P3, times, states, derivs, history, step)
     fit = fit_profile(traj, (0.0, 60.0), harmonics=6)
     assert fit.period == pytest.approx(REF_PERIOD, rel=2e-4)
     amp1 = np.hypot(fit.cos_coeffs[0, 1], fit.sin_coeffs[0, 1])
@@ -130,7 +142,8 @@ def test_fit_profile_window_validation(refined):
     step = 0.05
     times = np.arange(201) * step
     states = np.zeros((len(times), 6))
-    traj = Trajectory(ModelKind.FULL_PHASE, P3, times, states, np.zeros_like(states), states[0], step)
+    history = HistorySpec.constant(states[0])
+    traj = Trajectory(ModelKind.FULL_PHASE, P3, times, states, np.zeros_like(states), history, step)
     with pytest.raises(InvalidParamError):
         fit_profile(traj, (5.0, 5.0))
     with pytest.raises(NotPeriodicError):

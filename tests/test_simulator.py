@@ -124,8 +124,6 @@ def test_trajectory_dense_output_matches_grid():
         assert np.allclose(traj.at(float(traj.times[k])), traj.states[k], atol=1e-12)
     # negative times fall back to the stored history snapshot
     assert np.allclose(traj.at(-0.5), hist.state())
-    # csv round trip stays in sync with the node view
-    assert traj.node(2).shape == (len(traj.times), 2)
 
 
 P3 = NetworkParams(3, 1.05, 0.075, delay=9.5)
@@ -373,7 +371,8 @@ def synthetic(n, funs, t_end=80.0, step=0.05, params=None):
         states[:, 2 * i + 1] = vel
         derivs[:, 2 * i] = vel
         derivs[:, 2 * i + 1] = acc
-    return Trajectory(ModelKind.FULL_PHASE, p, times, states, derivs, states[0].copy(), step)
+    history = HistorySpec.constant(states[0].copy())
+    return Trajectory(ModelKind.FULL_PHASE, p, times, states, derivs, history, step)
 
 
 T0 = 7.3

@@ -14,6 +14,7 @@ from pllbif import (
     Branch,
     DegenerateCrossingError,
     DegenerateSError,
+    InvalidParamError,
     ModelKind,
     NetworkParams,
     RootBranch,
@@ -25,6 +26,8 @@ from pllbif import (
     equilibrium,
     omega_candidates,
     region_boundaries,
+    releq_branches,
+    releq_solve,
     sn_scan,
     tau_candidates,
     transversality,
@@ -121,6 +124,39 @@ def test_scan_on_subwindow_and_ordering():
     taus = [c.tau_star for c in cands]
     assert taus == sorted(taus)
     assert [round(t, 2) for t in taus] == [11.0, 15.41]
+    # a window that ends at or before its start holds no crossings
+    assert sn_scan(fix_block(), (10.0, 10.0)) == []
+    assert sn_scan(fix_block(), (20.0, 10.0)) == []
+
+
+P21 = NetworkParams(2, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        (releq_solve, (P21, math.nan)),
+        (releq_solve, (P21, math.inf)),
+        (releq_solve, (P21, -1.0)),
+        (releq_branches, (P21, (0.0, math.nan))),
+        (releq_branches, (P21, (math.nan, 5.0))),
+        (releq_branches, (P21, (0.0, math.inf))),
+        (releq_branches, (P21, (-1.0, 5.0))),
+        (releq_branches, (P21, (5.0, 1.0))),  # its delays would run backwards
+        (sn_scan, (fix_block(), (0.0, math.nan))),
+        (sn_scan, (fix_block(), (0.0, math.inf))),
+        (sn_scan, (fix_block(), (-1.0, 5.0))),
+        # the third argument is the grid step
+        (sn_scan, (fix_block(), (0.0, 25.0), math.nan)),
+        (sn_scan, (fix_block(), (0.0, 25.0), math.inf)),
+        (sn_scan, (fix_block(), (0.0, 25.0), 0.0)),
+        (sn_scan, (fix_block(), (0.0, 25.0), -0.1)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else "-".join(map(str, v[1:])),
+)
+def test_bad_delays_are_refused(func, args):
+    with pytest.raises(InvalidParamError):
+        func(*args)
 
 
 def test_transversality_sign_law():

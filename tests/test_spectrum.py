@@ -274,8 +274,8 @@ def _random_block(rng):
     p = NetworkParams(int(rng.integers(2, 6)), rng.uniform(1.05, 3.0), rng.uniform(0.05, 2.0))
     branch = Branch.PLUS if rng.uniform() < 0.5 else Branch.MINUS
     blocks = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, branch))
-    blk = blocks.fix if rng.uniform() < 0.5 else blocks.standard
-    return blk, (p, branch, blk.role)
+    name = "fix" if rng.uniform() < 0.5 else "standard"
+    return getattr(blocks, name), (p, branch, name)
 
 
 def test_census_matches_a_dense_winding_count():

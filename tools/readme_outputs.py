@@ -1,0 +1,66 @@
+"""Run the README's ``pllbif`` commands and keep everything they produce.
+
+Usage::
+
+    python3 tools/readme_outputs.py OUTDIR
+
+Reads the ``pllbif`` command lines from the ``sh`` blocks of the README next
+to this script (``\\`` continuations joined, ``pllbif verify`` skipped) and
+runs each one with this checkout's ``src`` on the path, in its own directory
+``OUTDIR/<k>-<command>/``.  That directory then holds ``stdout``, ``stderr``,
+``exit_code`` and every file the command wrote there (``curves.svg``,
+``sim.csv``).  Captured from two checkouts, the outputs compare with one
+``diff -r``.
+"""
+
+from __future__ import annotations
+
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_commands(readme: Path = ROOT / "README.md") -> list[list[str]]:
+    """Argument lists (without ``pllbif``) of the README's commands but ``verify``."""
+    commands = []
+    for block in readme.read_text(encoding="utf-8").split("```sh\n")[1:]:
+        body = block.split("```", 1)[0].replace("\\\n", " ")
+        for line in body.splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["pllbif"] and argv[1:2] != ["verify"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def capture(argv: list[str], workdir: Path) -> int:
+    """Run ``pllbif argv`` in ``workdir`` and write its streams and exit code there."""
+    workdir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "pllbif.cli", *argv],
+        cwd=workdir, env=env, capture_output=True, check=False,
+    )
+    (workdir / "stdout").write_bytes(run.stdout)
+    (workdir / "stderr").write_bytes(run.stderr)
+    (workdir / "exit_code").write_text(f"{run.returncode}\n", encoding="utf-8")
+    return run.returncode
+
+
+def main(args: list[str]) -> int:
+    if len(args) != 1:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: readme_outputs.py OUTDIR", file=sys.stderr)
+        return 2
+    out = Path(args[0])
+    for k, argv in enumerate(readme_commands(), start=1):
+        code = capture(argv, out / f"{k}-{argv[0]}")
+        print(f"{k}-{argv[0]}: exit {code}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
