@@ -14,11 +14,13 @@ from .charfun import (
     BlockKind,
     BlockSet,
     QuasiPolynomial,
+    block_product,
     blocks_from_gain,
     build_blocks,
     constant_quasi_polynomial,
     full_determinant,
     isotypic_basis,
+    linearization_matrices,
 )
 from .errors import (
     BoundaryRootError,
@@ -50,12 +52,8 @@ from .model import (
 )
 from .phasediff import (
     FictitiousRoot,
-    PhaseDiffChar,
-    block_product,
-    char_functions_n2,
     determinant_n3,
     fictitious_roots,
-    linearization_matrices,
 )
 from .phasemodel import (
     CurveSample,

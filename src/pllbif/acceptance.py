@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfun import BlockKind, build_blocks, full_determinant
+from .charfun import BlockKind, block_product, build_blocks, full_determinant
 from .model import Branch, ModelKind, NetworkParams, equilibrium
 from .orbit import fit_profile, refine_orbit
-from .phasediff import block_product, char_functions_n2, determinant_n3
+from .phasediff import determinant_n3
 from .phasemodel import releq_branches, releq_solve, relative_hopf_scan, zero_root_taus
 from .simulator import (
     HistorySpec,
@@ -165,8 +165,7 @@ def _crit_5():
                     point = rng.uniform(1.0 - k, 1.0 + k)
                 lam = complex(rng.uniform(-1.0, 1.0), rng.uniform(-3.0, 3.0))
                 det = full_determinant(kind, params, point, lam)
-                blocks = build_blocks(kind, params, point)
-                prod = blocks.fix.eval(lam) * blocks.standard.eval(lam) ** (n - 1)
+                prod = block_product(kind, params, point, lam)
                 if abs(det) < 1e-6 * max(1.0, abs(prod)):
                     continue
                 worst = max(worst, abs(det - prod) / abs(det))
@@ -287,15 +286,15 @@ def _crit_11():
     p2 = NetworkParams(2, 1.2, 0.7, delay=1.3)
     omega_hat = releq_solve(p2, 1.3)[0]
     c_const = (omega_hat - 1.0) * 1.3
-    ch = char_functions_n2(p2, c_const)
+    diff = build_blocks(ModelKind.PHASE_DIFFERENCE, p2, c_const)
     blocks = build_blocks(ModelKind.PHASE, p2, omega_hat)
     worst2 = 0.0
     for _ in range(1000):
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-2.0, 2.0))
         worst2 = max(
             worst2,
-            abs(ch.p1.eval(z) - blocks.fix.eval(z)),
-            abs(ch.p2.eval(z) - blocks.standard.eval(z)),
+            abs(diff.fix.eval(z) - blocks.fix.eval(z)),
+            abs(diff.standard.eval(z) - blocks.standard.eval(z)),
         )
     p3 = NetworkParams(3, 1.2, 0.7, delay=1.3)
     worst3 = 0.0
@@ -303,7 +302,7 @@ def _crit_11():
     for _ in range(200):
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0))
         det = determinant_n3(p3, c_const, z)
-        prod = block_product(p3, c_const, z)
+        prod = block_product(ModelKind.PHASE_DIFFERENCE, p3, c_const, z)
         scale = max(abs(det), abs(prod))
         if scale < 1e-8:
             continue

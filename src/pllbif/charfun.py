@@ -15,6 +15,12 @@ phase model (a(tau) = K mu cos(C + tau) in the difference model).
 ``QuasiPolynomial.at`` takes one snapshot (r0, r1, s0) at a delay (a scalar
 or an array); evaluation, the crossing map and the root finders all read
 their coefficients from that snapshot.
+
+The factorization det Delta = P_fix P_std^(N-1) is checkable for every
+formulation: ``linearization_matrices`` builds (A0, Atau) from the
+right-hand side alone, ``full_determinant`` takes det Delta(lambda), and
+``block_product`` the product the blocks predict (in difference coordinates
+times a fictitious factor, see ``phasediff``).
 """
 
 from __future__ import annotations
@@ -28,11 +34,12 @@ import numpy as np
 
 from .errors import IndexOutOfRangeError, UnsupportedKindError
 from .model import (
-    Branch,
     Equilibrium,
     ModelKind,
     NetworkParams,
+    difference_pairs,
     normalize,
+    state_dim,
 )
 
 __all__ = [
@@ -42,7 +49,9 @@ __all__ = [
     "constant_quasi_polynomial",
     "build_blocks",
     "blocks_from_gain",
+    "linearization_matrices",
     "full_determinant",
+    "block_product",
     "isotypic_basis",
 ]
 
@@ -246,19 +255,44 @@ def build_blocks(kind: ModelKind, params: NetworkParams, point: Point) -> BlockS
     raise UnsupportedKindError(str(kind))
 
 
-def _linearization_matrices(
+def linearization_matrices(
     kind: ModelKind, params: NetworkParams, point: Point
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(A0, Atau) of the 2N-dimensional first-order linearization.
+    """(A0, Atau) of the first-order linearization of ``kind`` at ``point``.
 
-    Assembled entry-by-entry from partial derivatives of the right-hand side,
-    independent of the block formulas (the product identity test leans on
-    that independence).
+    ``point`` is what ``build_blocks`` takes (a locked branch is read at the
+    parameters' delay).  The matrices are assembled entry by entry from
+    partial derivatives of the right-hand side, independent of the block
+    formulas, which ``full_determinant`` against ``block_product`` checks:
+
+    * FULL_PHASE, PHASE, PHASE_ROTATING_FRAME: 2N-dimensional, one (position,
+      velocity) pair per node.
+    * PHASE_DIFFERENCE (N <= 3): 2N(N-1)-dimensional, one pair per ordered
+      node pair (i, j) of ``difference_pairs``; row (i,j) couples to every
+      undelayed d_(i,l) with weight -a_c and every delayed d_(j,l) with
+      weight +a_c, a_c = (K mu/(N-1)) cos(C + omega_M tau).
     """
     p = normalize(params)
     n = p.n_nodes
     mu = p.filter_gain
     k = p.coupling
+
+    if kind is ModelKind.PHASE_DIFFERENCE:
+        dim = state_dim(kind, n)
+        a_c = k * mu / (n - 1) * np.cos(float(point) + p.delay)
+        pairs = difference_pairs(n)
+        index = {pair: idx for idx, pair in enumerate(pairs)}
+        a0 = np.zeros((dim, dim))
+        atau = np.zeros((dim, dim))
+        for idx, (i, j) in enumerate(pairs):
+            a0[2 * idx, 2 * idx + 1] = 1.0
+            a0[2 * idx + 1, 2 * idx + 1] = -mu
+            for l in range(n):
+                if l != i:
+                    a0[2 * idx + 1, 2 * index[(i, l)]] -= a_c
+                if l != j:
+                    atau[2 * idx + 1, 2 * index[(j, l)]] += a_c
+        return a0, atau
 
     if kind is ModelKind.FULL_PHASE:
         if not isinstance(point, Equilibrium):
@@ -275,7 +309,7 @@ def _linearization_matrices(
         diag = -k * mu * c
         off = k * mu * c / (n - 1)
     else:
-        raise UnsupportedKindError(f"no 2N-dimensional linearization for {kind}")
+        raise UnsupportedKindError(str(kind))
 
     a0 = np.zeros((2 * n, 2 * n))
     atau = np.zeros((2 * n, 2 * n))
@@ -292,12 +326,36 @@ def _linearization_matrices(
 def full_determinant(
     kind: ModelKind, params: NetworkParams, point: Point, lam: complex
 ) -> complex:
-    """det(lambda I - A0 - Atau e^{-lambda tau}) of the full linearization."""
+    """det Delta(lambda) = det(lambda I - A0 - Atau e^{-lambda tau}).
+
+    (A0, Atau) are ``linearization_matrices(kind, params, point)``; the
+    identity takes their size, 2N or, for PHASE_DIFFERENCE, 2N(N-1).
+    """
     p = normalize(params)
-    a0, atau = _linearization_matrices(kind, p, point)
+    a0, atau = linearization_matrices(kind, p, point)
     lam = complex(lam)
-    m = lam * np.eye(2 * p.n_nodes, dtype=complex) - a0 - atau * np.exp(-lam * p.delay)
+    m = lam * np.eye(a0.shape[0], dtype=complex) - a0 - atau * np.exp(-lam * p.delay)
     return complex(np.linalg.det(m))
+
+
+def block_product(
+    kind: ModelKind, params: NetworkParams, point: Point, lam: complex
+) -> complex:
+    """P_fix(lambda) P_std(lambda)^(N-1): the symmetry's prediction of ``full_determinant``.
+
+    The blocks are ``build_blocks(kind, params, point)``.  For
+    PHASE_DIFFERENCE, P_fix first takes on the fictitious factor
+    (lambda^2 + mu lambda)^(N(N-2)) of the over-parameterized coordinates
+    (1 for N = 2; see ``phasediff``).
+    """
+    p = normalize(params)
+    blocks = build_blocks(kind, p, point)
+    lam = complex(lam)
+    n = p.n_nodes
+    fix = blocks.fix.eval(lam)
+    if kind is ModelKind.PHASE_DIFFERENCE:
+        fix = (lam * lam + p.filter_gain * lam) ** (n * (n - 2)) * fix
+    return fix * blocks.standard.eval(lam) ** (n - 1)
 
 
 def isotypic_basis(n_nodes: int, j: int) -> np.ndarray:

@@ -38,10 +38,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charfun import BlockKind, build_blocks, p_dp
+from .charfun import BlockKind, block_product, build_blocks, p_dp
 from .errors import InvalidParamError, NotPeriodicError, PllbifError
 from .model import Branch, ModelKind, NetworkParams, equilibrium, normalize
-from .phasediff import block_product, char_functions_n2, determinant_n3, fictitious_roots
+from .phasediff import determinant_n3, fictitious_roots
 from .phasemodel import releq_branches, releq_solve, relative_hopf_scan, zero_root_taus
 from .simulator import (
     HistorySpec,
@@ -217,12 +217,17 @@ class _Opt(NamedTuple):
 # shared pieces of the commands
 
 
-def _network(o: argparse.Namespace, tau: float = 0.0) -> NetworkParams:
-    """The normalized network of the parsed options."""
+def _params(*args) -> NetworkParams:
+    """The normalized ``NetworkParams(*args)``; invalid parameters are a usage error."""
     try:
-        return normalize(NetworkParams(o.nodes, o.K, o.mu, o.omega_m, tau))
+        return normalize(NetworkParams(*args))
     except InvalidParamError as err:
         raise _UsageError(str(err)) from err
+
+
+def _network(o: argparse.Namespace, tau: float = 0.0) -> NetworkParams:
+    """The normalized network of the parsed options."""
+    return _params(o.nodes, o.K, o.mu, o.omega_m, tau)
 
 
 def _meta(p: NetworkParams, command: str, *extra: tuple) -> list[tuple]:
@@ -361,7 +366,8 @@ def _cmd_snmap(o: argparse.Namespace) -> int:
 
 def _cmd_releq(o: argparse.Namespace) -> int:
     lo, hi = o.tau_window[0] * o.omega_m, o.tau_window[1] * o.omega_m
-    p = _network(o)
+    # the locked branches depend on K alone; 2 nodes and mu = 1 fill the metadata
+    p = _params(2, o.K, 1.0, o.omega_m)
     branches = releq_branches(p, (lo, hi), o.resolution)
     rows = [[br.branch_id, br.birth_tau, t, oh] for br in branches for t, oh in zip(br.taus, br.omegas)]
     series = [Series(list(br.taus), list(br.omegas), label=f"branch {br.branch_id}") for br in branches]
@@ -420,11 +426,11 @@ def _cmd_phasediff_check(o: argparse.Namespace) -> int:
 
     # the worst error is an np.max, which, unlike max(), never drops a NaN
     if p.n_nodes == 2:
-        ch = char_functions_n2(p, c_const)
+        diff = build_blocks(ModelKind.PHASE_DIFFERENCE, p, c_const)
         blocks = build_blocks(ModelKind.PHASE, p, omega_hat)
         rows = [
-            [z.real, z.imag, _mismatch(ch.p1, blocks.fix, z, p.delay),
-             _mismatch(ch.p2, blocks.standard, z, p.delay)]
+            [z.real, z.imag, _mismatch(diff.fix, blocks.fix, z, p.delay),
+             _mismatch(diff.standard, blocks.standard, z, p.delay)]
             for z in lam
         ]
         worst = float(np.max([r[2:] for r in rows]))
@@ -435,7 +441,7 @@ def _cmd_phasediff_check(o: argparse.Namespace) -> int:
         rows = []
         for z in lam:
             det = determinant_n3(p, c_const, z)
-            prod = block_product(p, c_const, z)
+            prod = block_product(ModelKind.PHASE_DIFFERENCE, p, c_const, z)
             if abs(det) < 1e-8 and abs(prod) < 1e-8:  # too close to a root for a relative comparison
                 continue
             rows.append([z.real, z.imag, abs(det), abs(det - prod) / max(abs(det), abs(prod))])
@@ -603,7 +609,7 @@ _COMMANDS = {
         *_OUT,
     )),
     "releq": (_cmd_releq, "locked-frequency branches over a delay window", (
-        _NODES, _K, _MU._replace(default=1.0), _OMEGA_M, _TAU_WINDOW, _RESOLUTION, *_OUT,
+        _K, _OMEGA_M, _TAU_WINDOW, _RESOLUTION, *_OUT,
     )),
     "zero-roots": (_cmd_zero_roots, "steady-state bifurcation delays of the phase model", (
         _NODES, _K, _MU._replace(default=1.0), _OMEGA_M,

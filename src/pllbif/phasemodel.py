@@ -189,12 +189,12 @@ def releq_branches(
     vectorized bracketed solve per branch.  Branches with fewer than 2 samples
     are dropped; the rest are numbered by (birth, first Omega_hat).  Raises
     InvalidParamError for a negative or non-finite window end, or a window
-    that ends before it starts.
+    that does not end after it starts.
     """
     k = normalize(params).coupling
     t0, t1 = check_delay(tau_window[0]), check_delay(tau_window[1])
-    if t1 < t0:
-        raise InvalidParamError(f"delay window [{t0:g}, {t1:g}] ends before it starts")
+    if not t1 > t0:
+        raise InvalidParamError(f"delay window [{t0:g}, {t1:g}] does not end after it starts")
     grid = np.linspace(t0, t1, int(resolution))
     kept = []
     for phi_a, phi_b, tau_a, tau_b in _pieces(k, t1):
@@ -223,7 +223,11 @@ def relative_hopf_scan(
     resolution: int = 2000,
     grid_step: float | None = None,
 ) -> list[PhaseCrossing]:
-    """Imaginary-axis crossings of a phase-model block along every locked branch."""
+    """Imaginary-axis crossings of a phase-model block along every locked branch.
+
+    The branches are ``releq_branches(params, tau_window, resolution)``, whose
+    window checks apply.
+    """
     p = normalize(params)
     branches = releq_branches(p, tau_window, resolution)
     out: list[PhaseCrossing] = []

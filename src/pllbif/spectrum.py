@@ -499,15 +499,16 @@ def root_census(
     winding is not close to an integer.  If a root sits numerically on the
     contour the box is dilated slightly and the census retried (up to 6
     times) before BoundaryRootError propagates.  Raises InvalidParamError for
-    a non-finite or negative delay.  For a half-plane, ``unstable_count``
+    a non-finite or negative delay, and for a box with a non-finite edge or
+    without positive extent.  For a half-plane, ``unstable_count``
     needs one line instead of four edges.
     """
     t = check_delay(tau)
     r0, r1, s0 = _pcoeffs(p, t)
     re0, re1 = (float(v) for v in box.re_interval)
     im0, im1 = (float(v) for v in box.im_interval)
-    if not (re1 > re0 and im1 > im0):
-        raise ValueError("census box must have positive extent")
+    if not (all(map(math.isfinite, (re0, re1, im0, im1))) and re1 > re0 and im1 > im0):
+        raise InvalidParamError(f"census box must have finite edges and positive extent, got {box}")
     size = max(re1 - re0, im1 - im0)
     for attempt in range(6):
         pad = attempt * (1e-6 + 1e-6 * size) * (1.3**attempt)

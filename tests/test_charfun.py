@@ -10,14 +10,15 @@ from pllbif import (
     IndexOutOfRangeError,
     ModelKind,
     NetworkParams,
+    block_product,
     blocks_from_gain,
     build_blocks,
-    char_functions_n2,
     constant_quasi_polynomial,
     equilibrium,
     full_determinant,
     isotypic_basis,
     releq_branches,
+    releq_solve,
 )
 
 
@@ -99,15 +100,26 @@ def test_multiplicities():
     n=st.integers(min_value=2, max_value=5),
 )
 def test_full_phase_determinant_factors(re, im, n):
-    """det(lam I - A0 - Atau e^{-lam tau}) = P_fix * P_std^(N-1)."""
+    """det(lam I - A0 - Atau e^{-lam tau}) = P_fix * P_std^(N-1) on every formulation.
+
+    Full phase at an equilibrium, the phase model at a locked rotation rate,
+    and for N <= 3 the difference model at its constant C = (Omega - 1) tau,
+    whose P_fix carries the fictitious factor (none for N = 2).
+    """
     p = NetworkParams(n, 1.05, 0.3, delay=2.2)
-    eq = equilibrium(p, Branch.MINUS)
-    blocks = build_blocks(ModelKind.FULL_PHASE, p, eq)
+    omega_hat = releq_solve(p, 2.2)[0]
+    cases = [
+        (ModelKind.FULL_PHASE, equilibrium(p, Branch.MINUS)),
+        (ModelKind.PHASE, omega_hat),
+    ]
+    if n <= 3:
+        cases.append((ModelKind.PHASE_DIFFERENCE, (omega_hat - 1.0) * 2.2))
     lam = complex(re, im)
-    det = full_determinant(ModelKind.FULL_PHASE, p, eq, lam)
-    prod = blocks.fix.eval(lam) * blocks.standard.eval(lam) ** (n - 1)
-    scale = max(1.0, abs(det))
-    assert abs(det - prod) / scale < 1e-9
+    for kind, point in cases:
+        det = full_determinant(kind, p, point, lam)
+        prod = block_product(kind, p, point, lam)
+        scale = max(1.0, abs(det))
+        assert abs(det - prod) / scale < 1e-9, kind
 
 
 def test_blocks_from_gain_matches_manual_formula():
@@ -127,8 +139,8 @@ def test_coefficient_derivatives_by_finite_difference():
     br = releq_branches(p, (0.0, 8.0))[0]
     blocks = (
         build_blocks(ModelKind.PHASE, p, br).standard,
-        char_functions_n2(p, 0.4).p1,
-        char_functions_n2(p, 0.4).p2,
+        build_blocks(ModelKind.PHASE_DIFFERENCE, p, 0.4).fix,
+        build_blocks(ModelKind.PHASE_DIFFERENCE, p, 0.4).standard,
     )
     tau, h = 3.0, 1e-6
     for blk in blocks:

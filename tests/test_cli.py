@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pllbif import cli
+from pllbif import ModelKind, cli
 from pllbif.cli import main
 from pllbif.errors import NotPeriodicError
 
@@ -306,6 +306,9 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
         # --step tau/DIV gives the grid --step-div DIV gave
         (["simulate", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--t-end", "10",
           "--step-div", "4"], "--step-div"),
+        # the locked branches depend on K alone
+        (["releq", "--K", "1", "--tau-window", "0:8", "--nodes", "3"], "--nodes"),
+        (["releq", "--K", "1", "--tau-window", "0:8", "--mu", "0.5"], "--mu"),
     ],
 )
 def test_bad_choice_or_unknown_flag_is_one_line(capsys, argv, needle):
@@ -325,7 +328,14 @@ def test_config_keys_are_flag_names(tmp_path, capsys, key):
 def test_phasediff_check_fails_on_nan_residual(monkeypatch, capsys, nodes):
     # max() would drop the NaN and report PASS
     nan = SimpleNamespace(eval=lambda z: math.nan)
-    monkeypatch.setattr(cli, "char_functions_n2", lambda p, c: SimpleNamespace(p1=nan, p2=nan))
+    real_blocks = cli.build_blocks
+
+    def nan_difference_blocks(kind, p, point):
+        if kind is ModelKind.PHASE_DIFFERENCE:
+            return SimpleNamespace(fix=nan, standard=nan)
+        return real_blocks(kind, p, point)
+
+    monkeypatch.setattr(cli, "build_blocks", nan_difference_blocks)
     monkeypatch.setattr(cli, "determinant_n3", lambda p, c, z: math.nan)
     argv = ["phasediff-check", "--nodes", nodes, "--K", "1.05", "--mu", "0.075", "--tau", "9.5"]
     assert run(argv) == 1

@@ -6,44 +6,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pllbif import (
+    ModelKind,
     NetworkParams,
     UnsupportedKindError,
     block_product,
-    char_functions_n2,
+    build_blocks,
     determinant_n3,
     fictitious_roots,
     linearization_matrices,
 )
 
+DIFF = ModelKind.PHASE_DIFFERENCE
+
 
 def test_two_node_blocks_match_manual_formula():
     p = NetworkParams(2, 1.05, 0.3, delay=1.7)
     c = 0.4
-    ch = char_functions_n2(p, c)
+    blocks = build_blocks(DIFF, p, c)
     mu = 0.3
     a = 1.05 * mu * np.cos(c + 1.7)  # modal gain K mu cos(C + omega_M tau)
     lam = 0.3 + 0.9j
     e = np.exp(-lam * 1.7)
-    assert ch.p1.eval(lam) == pytest.approx(lam**2 + mu * lam + a - a * e, abs=1e-13)
-    assert ch.p2.eval(lam) == pytest.approx(lam**2 + mu * lam + a + a * e, abs=1e-13)
-    assert ch.c_const == c
+    assert blocks.fix.eval(lam) == pytest.approx(lam**2 + mu * lam + a - a * e, abs=1e-13)
+    assert blocks.standard.eval(lam) == pytest.approx(lam**2 + mu * lam + a + a * e, abs=1e-13)
 
 
 def test_p1_carries_the_persistent_zero_root():
-    ch = char_functions_n2(NetworkParams(2, 1.05, 0.3, delay=1.7), 0.4)
-    assert abs(ch.p1.eval(0.0)) < 1e-14
-    assert abs(ch.p2.eval(0.0)) > 1e-3
+    blocks = build_blocks(DIFF, NetworkParams(2, 1.05, 0.3, delay=1.7), 0.4)
+    assert abs(blocks.fix.eval(0.0)) < 1e-14
+    assert abs(blocks.standard.eval(0.0)) > 1e-3
 
 
 def test_two_node_only():
-    with pytest.raises(UnsupportedKindError):
-        char_functions_n2(NetworkParams(3, 1.05, 0.3, delay=1.0), 0.0)
     with pytest.raises(UnsupportedKindError):
         determinant_n3(NetworkParams(2, 1.05, 0.3, delay=1.0), 0.0, 0.1)
 
 
 def test_linearization_shapes_and_velocity_rows():
-    a0, atau = linearization_matrices(NetworkParams(3, 1.05, 0.075, delay=9.5), 0.4)
+    a0, atau = linearization_matrices(DIFF, NetworkParams(3, 1.05, 0.075, delay=9.5), 0.4)
     assert a0.shape == (12, 12) and atau.shape == (12, 12)
     # position rows: x' = v, untouched by the delayed part
     for idx in range(6):
@@ -64,7 +64,7 @@ def test_determinant_equals_block_product(re, im, c):
     p = NetworkParams(3, 1.05, 0.075, delay=9.5)
     lam = complex(re, im)
     det = determinant_n3(p, c, lam)
-    blocks = block_product(p, c, lam)
+    blocks = block_product(DIFF, p, c, lam)
     scale = max(1.0, abs(det), abs(blocks))
     assert abs(det - blocks) / scale < 1e-8
 

@@ -20,7 +20,6 @@ from pllbif import (
     RootBranch,
     UnsupportedKindError,
     build_blocks,
-    char_functions_n2,
     constant_quasi_polynomial,
     crossing_angle,
     equilibrium,
@@ -28,6 +27,7 @@ from pllbif import (
     region_boundaries,
     releq_branches,
     releq_solve,
+    relative_hopf_scan,
     sn_scan,
     tau_candidates,
     transversality,
@@ -81,10 +81,10 @@ def test_tau_candidates_spacing():
 
 def test_tau_candidates_rejects_difference_blocks():
     # a = K mu cos(C + tau) moves with the delay, so the fixed ladder is wrong
-    ch = char_functions_n2(NetworkParams(2, 1.05, 0.3), 0.4)
-    cand = omega_candidates(*ch.p1.b_c(1.0))[0]
+    blk = build_blocks(ModelKind.PHASE_DIFFERENCE, NetworkParams(2, 1.05, 0.3), 0.4).fix
+    cand = omega_candidates(*blk.b_c(1.0))[0]
     with pytest.raises(UnsupportedKindError):
-        tau_candidates(ch.p1, cand, range(0, 3))
+        tau_candidates(blk, cand, range(0, 3))
 
 
 def test_crossing_angle_is_principal():
@@ -143,6 +143,8 @@ P21 = NetworkParams(2, 1.0, 1.0)
         (releq_branches, (P21, (0.0, math.inf))),
         (releq_branches, (P21, (-1.0, 5.0))),
         (releq_branches, (P21, (5.0, 1.0))),  # its delays would run backwards
+        (releq_branches, (P21, (5.0, 5.0))),  # every sample would sit at tau = 5
+        (relative_hopf_scan, (P21, BlockKind.FIX, (5.0, 5.0))),
         (sn_scan, (fix_block(), (0.0, math.nan))),
         (sn_scan, (fix_block(), (0.0, math.inf))),
         (sn_scan, (fix_block(), (-1.0, 5.0))),

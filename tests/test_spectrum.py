@@ -172,6 +172,22 @@ def test_census_agrees_with_rightmost_sign():
         assert (est.lam.real > 0.0) == (count > 0)
 
 
+@pytest.mark.parametrize(
+    "box",
+    [
+        CensusBox((1.0, 1.0), (-1.0, 1.0)),
+        CensusBox((0.0, math.nan), (-1.0, 1.0)),
+        CensusBox((0.0, math.inf), (-1.0, 1.0)),
+    ],
+    ids=["zero-extent", "nan-edge", "infinite-edge"],
+)
+def test_bad_census_box_is_refused(box):
+    p = NetworkParams(2, 1.05, 0.3)
+    blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS)).fix
+    with pytest.raises(InvalidParamError):
+        root_census(blk, 1.0, box)
+
+
 def test_deflated_census_counts_the_roots_of_p():
     # dividing a known root pair out of P, just left of the line, leaves the
     # count of P's roots right of the line unchanged
