@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .charfun import BlockKind, block_product, build_blocks, p_dp
-from .errors import InvalidParamError, NotPeriodicError, PllbifError
+from .errors import IndexOutOfRangeError, InvalidParamError, NotPeriodicError, PllbifError
 from .model import Branch, ModelKind, NetworkParams, equilibrium, normalize
 from .phasediff import determinant_n3, fictitious_roots
 from .phasemodel import releq_branches, releq_solve, relative_hopf_scan, zero_root_taus
@@ -487,21 +487,24 @@ def _cmd_simulate(o: argparse.Namespace) -> int:
         # parse even at amplitude 0 so a mistyped spec never passes silently
         if kind is ModelKind.PHASE_DIFFERENCE:
             raise _UsageError("node perturbations do not apply to the difference model")
-        if spec_kind == "sync":
-            direction = sync_direction(p.n_nodes)
-        elif spec_kind.startswith("pair:"):
-            try:
-                i, j = (int(v) for v in spec_kind[5:].split(","))
-            except ValueError as exc:
-                raise _UsageError("--perturb pair:i,j with 1-based node labels") from exc
-            direction = pair_difference_direction(p.n_nodes, (i, j))
-        elif spec_kind.startswith("isotypic:"):
-            m = re.fullmatch(r"isotypic:(-?\d+)(?::(real|imag))?", spec_kind)
-            if m is None:
-                raise _UsageError("--perturb isotypic:j[:imag] needs an integer j")
-            direction = isotypic_direction(p.n_nodes, int(m[1]), m[2] or "real")
-        else:
-            raise _UsageError(f"unknown --perturb {spec_kind!r}")
+        try:  # a node pair or component the network lacks is bad input too
+            if spec_kind == "sync":
+                direction = sync_direction(p.n_nodes)
+            elif spec_kind.startswith("pair:"):
+                try:
+                    i, j = (int(v) for v in spec_kind[5:].split(","))
+                except ValueError as exc:
+                    raise _UsageError("--perturb pair:i,j with 1-based node labels") from exc
+                direction = pair_difference_direction(p.n_nodes, (i, j))
+            elif spec_kind.startswith("isotypic:"):
+                m = re.fullmatch(r"isotypic:(-?\d+)(?::(real|imag))?", spec_kind)
+                if m is None:
+                    raise _UsageError("--perturb isotypic:j[:imag] needs an integer j")
+                direction = isotypic_direction(p.n_nodes, int(m[1]), m[2] or "real")
+            else:
+                raise _UsageError(f"unknown --perturb {spec_kind!r}")
+        except (InvalidParamError, IndexOutOfRangeError) as err:
+            raise _UsageError(f"--perturb {spec_kind}: {err}") from err
         history = HistorySpec.perturbed(base, direction, o.amplitude)
 
     if o.step is not None:
@@ -635,7 +638,7 @@ _COMMANDS = {
              "integer m >= 1 that keeps it at most this (default: tau / 100)"),
         _Opt("--transient", _fraction, 0.6, "fraction discarded before classifying"),
         _Opt("--classify", _YES, "yes", "estimate the period and classify the symmetry"),
-        _Opt("--tol", _num, 1e-2, "symmetry residual tolerance"),
+        _Opt("--tol", _positive, 1e-2, "symmetry residual tolerance"),
         _Opt("--omega-hat", _num, None, "frame rate of the rotating frame (default: first locked frequency)"),
         _C_CONST,
         *_OUT,

@@ -1,15 +1,15 @@
 """Periodic orbits in a Fourier basis: fitting and collocation refinement.
 
 A T-periodic candidate is stored as truncated Fourier series of the node
-positions; velocities and accelerations are exact series derivatives, and the
-transmission delay acts on the series as a pure phase shift, so the periodic
-problem closes without interpolation.  ``fit_profile`` extracts a candidate
-from a simulation segment that passes near an orbit, and ``refine_orbit``
-polishes it by damped Gauss-Newton on the collocated model residual.  The
-residual takes stacks of coefficient sets at one period, so the
-finite-difference Jacobian evaluates its coefficient columns in blocks that
-share one set of collocation tables.  A refined profile serves directly as
-an integration history, which is how a weakly unstable orbit is held long
+positions.  Positions, velocities, accelerations and delayed positions (the
+delay is a pure phase shift) all come from one cos/sin table of k w t, so the
+periodic problem closes without interpolation.  ``fit_profile`` extracts a
+candidate from a simulation segment that passes near an orbit, and
+``refine_orbit`` polishes it by damped Gauss-Newton on the collocated model
+residual.  The residual takes stacks of coefficient sets at one period, so
+the finite-difference Jacobian evaluates its coefficient columns in blocks
+that share one set of collocation tables.  A refined profile serves directly
+as an integration history, which is how a weakly unstable orbit is held long
 enough to measure its period and symmetry.
 """
 
@@ -68,27 +68,18 @@ class OrbitProfile:
 
     def positions(self, ts) -> np.ndarray:
         """Component positions at times ts, shape (len(ts), n_components)."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        k = np.arange(self.harmonics + 1)
-        ang = self.base_frequency * np.outer(ts, k)
-        return np.cos(ang) @ self.cos_coeffs.T + np.sin(ang) @ self.sin_coeffs.T
+        ck, sk, _ = _tables(self.base_frequency, ts, self.harmonics)
+        return ck @ self.cos_coeffs.T + sk @ self.sin_coeffs.T
 
     def velocities(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        w = self.base_frequency
-        k = np.arange(self.harmonics + 1)
-        ang = w * np.outer(ts, k)
-        dc = -(k * w) * np.sin(ang)
-        ds = (k * w) * np.cos(ang)
-        return dc @ self.cos_coeffs.T + ds @ self.sin_coeffs.T
+        ck, sk, kw = _tables(self.base_frequency, ts, self.harmonics)
+        return (-kw * sk) @ self.cos_coeffs.T + (kw * ck) @ self.sin_coeffs.T
 
     def state(self, t: float = 0.0) -> np.ndarray:
         """Interleaved (position, velocity) state vector; usable as a history."""
-        x = self.positions([t])[0]
-        v = self.velocities([t])[0]
-        out = np.empty(2 * x.size)
-        out[0::2] = x
-        out[1::2] = v
+        out = np.empty(2 * self.cos_coeffs.shape[0])
+        out[0::2] = self.positions(t)[0]
+        out[1::2] = self.velocities(t)[0]
         return out
 
     def residual_norm(self, samples: int = 256) -> float:
@@ -116,34 +107,40 @@ class OrbitProfile:
         return replace(self, cos_coeffs=a, sin_coeffs=b)
 
 
-def _series_positions(a, b, w, ts):
-    k = np.arange(a.shape[-1])
-    ang = w * np.outer(ts, k)
-    return np.cos(ang) @ np.swapaxes(a, -1, -2) + np.sin(ang) @ np.swapaxes(b, -1, -2)
+def _tables(w, ts, h):
+    """cos(k w t) and sin(k w t) for k = 0..h, shape (len(ts), h + 1), and k w."""
+    k = np.arange(h + 1)
+    ang = w * np.outer(np.asarray(ts, dtype=float), k)
+    return np.cos(ang), np.sin(ang), k * w
+
+
+def _rotate(a, b, ang):
+    """Cosine and sine coefficients (a, b) rotated by ang, column by column."""
+    c, s = np.cos(ang), np.sin(ang)
+    return a * c - b * s, a * s + b * c
 
 
 def _residual(kind, p, a, b, period, samples):
     """Collocated second-order residual of the model on the series, flattened.
 
-    Leading axes of ``a`` and ``b`` evaluate many coefficient sets at one
-    period: the trigonometric tables are built once, and each row equals the
-    residual of its set alone, bit for bit.
+    The ``_tables`` at the ``samples`` points t and at t - delay are built
+    once: leading axes of ``a`` and ``b`` evaluate many coefficient sets at
+    one period, and each row equals the residual of its set alone, bit for bit.
     """
     if kind not in (ModelKind.FULL_PHASE, ModelKind.PHASE_DIFFERENCE):
         raise UnsupportedKindError(
             f"{kind} has no strictly periodic orbits in these coordinates"
         )
     w = _TWO_PI / period
-    lead, n_comp = a.shape[:-2], a.shape[-2]
+    lead, n_comp, h = a.shape[:-2], a.shape[-2], a.shape[-1] - 1
     at, bt = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
     ts = (period / samples) * np.arange(samples)
-    k = np.arange(a.shape[-1])
-    ang = w * np.outer(ts, k)
-    ck, sk = np.cos(ang), np.sin(ang)
+    ck, sk, kw = _tables(w, ts, h)
     x = ck @ at + sk @ bt
-    v = (-(k * w) * sk) @ at + ((k * w) * ck) @ bt
-    acc = (-((k * w) ** 2) * ck) @ at + (-((k * w) ** 2) * sk) @ bt
-    xd = _series_positions(a, b, w, ts - p.delay)
+    v = (-kw * sk) @ at + (kw * ck) @ bt
+    acc = (-(kw**2) * ck) @ at + (-(kw**2) * sk) @ bt
+    cd, sd, _ = _tables(w, ts - p.delay, h)
+    xd = cd @ at + sd @ bt
 
     st = np.empty(lead + (samples, 2 * n_comp))
     st[..., 0::2] = x
@@ -160,8 +157,10 @@ def fit_profile(traj, window: tuple[float, float], harmonics: int = 8) -> OrbitP
     The base frequency starts from the spectral peak of the most active
     velocity component and is polished by golden-section minimization of the
     least-squares misfit; coefficients come from a linear solve at the final
-    frequency.
+    frequency.  Raises InvalidParamError for harmonics < 1 or an empty window.
     """
+    if harmonics < 1:
+        raise InvalidParamError("harmonics must be >= 1")
     t0, t1 = float(window[0]), float(window[1])
     if not t0 < t1:
         raise InvalidParamError(f"empty fit window {window}")
@@ -214,21 +213,14 @@ def fit_profile(traj, window: tuple[float, float], harmonics: int = 8) -> OrbitP
             fd = misfit(wd)
     w = 0.5 * (wa + wb)
 
-    coef = np.linalg.lstsq(design(w), xs, rcond=None)[0]
-    n_comp = xs.shape[1]
-    a = np.zeros((n_comp, harmonics + 1))
-    b = np.zeros((n_comp, harmonics + 1))
-    a[:, 0] = coef[0]
-    for k in range(1, harmonics + 1):
-        a[:, k] = coef[2 * k - 1]
-        b[:, k] = coef[2 * k]
+    coef = np.linalg.lstsq(design(w), xs, rcond=None)[0].T
+    a = np.zeros((xs.shape[1], harmonics + 1))
+    b = np.zeros_like(a)
+    a[:, 0], a[:, 1:], b[:, 1:] = coef[:, 0], coef[:, 1::2], coef[:, 2::2]
 
     # shift time origin so the fitted phases refer to the window start
-    ang = w * ts[0] * np.arange(harmonics + 1)
-    ca, sa = np.cos(ang), np.sin(ang)
-    a2 = a * ca - b * sa
-    b2 = a * sa + b * ca
-    return OrbitProfile(traj.kind, traj.params, _TWO_PI / w, a2, b2)
+    a, b = _rotate(a, b, w * ts[0] * np.arange(harmonics + 1))
+    return OrbitProfile(traj.kind, traj.params, _TWO_PI / w, a, b)
 
 
 # Coefficient columns per batched residual call in ``_Collocation.jacobian``.
@@ -322,9 +314,7 @@ def refine_orbit(
     anchor = int(np.argmax(np.hypot(a[:, 1], b[:, 1])))
     # rotate the series so the anchored sine coefficient starts at zero
     th = math.atan2(b[anchor, 1], a[anchor, 1])
-    k = np.arange(h + 1)
-    ca, sa = np.cos(k * th), np.sin(k * th)
-    a, b = a * ca + b * sa, -a * sa + b * ca
+    a, b = _rotate(a, b, -np.arange(h + 1) * th)
 
     col = _Collocation(kind, p, a.shape[0], h, m, anchor)
     u = np.concatenate([a.ravel(), b[:, 1:].ravel(), [prof.period]])

@@ -188,13 +188,15 @@ def releq_branches(
     (birth, end], plus the window start for branches alive there, by one
     vectorized bracketed solve per branch.  Branches with fewer than 2 samples
     are dropped; the rest are numbered by (birth, first Omega_hat).  Raises
-    InvalidParamError for a negative or non-finite window end, or a window
-    that does not end after it starts.
+    InvalidParamError for a negative or non-finite window end, a window that
+    does not end after it starts, or a resolution below 2.
     """
     k = normalize(params).coupling
     t0, t1 = check_delay(tau_window[0]), check_delay(tau_window[1])
     if not t1 > t0:
         raise InvalidParamError(f"delay window [{t0:g}, {t1:g}] does not end after it starts")
+    if not resolution >= 2:
+        raise InvalidParamError(f"resolution must be >= 2, got {resolution}")
     grid = np.linspace(t0, t1, int(resolution))
     kept = []
     for phi_a, phi_b, tau_a, tau_b in _pieces(k, t1):
@@ -226,7 +228,7 @@ def relative_hopf_scan(
     """Imaginary-axis crossings of a phase-model block along every locked branch.
 
     The branches are ``releq_branches(params, tau_window, resolution)``, whose
-    window checks apply.
+    window and resolution checks apply.
     """
     p = normalize(params)
     branches = releq_branches(p, tau_window, resolution)
@@ -285,54 +287,33 @@ class CurveSample:
 
 
 def equilibrium_case_curves(n: int, m_range: range, mu_grid) -> list[CurveSample]:
-    """K(mu) curves of Hopf points at delays with tau = 2 n pi (normalized time).
+    """K(mu) curves of Hopf points at tau = 2 n pi, in normalized time (so for any N).
 
-    In normalized units the curves are the same for every N, so they take no
-    network parameters.  There the locked frequency is 1, the crossing
-    frequency is omega = sqrt(2 K mu - mu^2), and the delay condition becomes
-    omega = (atan2(-omega, mu - K) + 2 m pi) / (2 n pi) for each m in
-    ``m_range``, solved for K by bisection at each value of ``mu_grid``.  The
-    odd family tau = (2n+1) pi admits no nonzero crossing frequency, so it has
-    no curves.
+    There the locked frequency is 1, and a crossing frequency omega > 0 at
+    K = (omega^2 + mu^2) / (2 mu) turns the delay condition
+    omega = (atan2(-omega, mu - K) + 2 m pi) / (2 n pi) into
+    mu = omega cot(pi (m - n omega)), which rises strictly from 0 to infinity
+    on omega in ((m - 1/2) / n, m / n).  So each m >= 1 in ``m_range`` has one
+    Hopf point per mu, found for all of ``mu_grid`` by one bracketed solve, and
+    m <= 0 has none.  The odd family tau = (2n+1) pi has no nonzero crossing
+    frequency, so no curves.  Raises InvalidParamError for n < 1 or a mu that
+    is not finite and > 0.
     """
     if int(n) < 1:
         raise InvalidParamError("the delay-family index n must be >= 1")
     n = int(n)
+    mu = np.asarray(mu_grid, dtype=float).ravel()
+    if not np.all(np.isfinite(mu) & (mu > 0.0)):
+        raise InvalidParamError("every mu must be finite and > 0")
     rows: list[CurveSample] = []
-    for m in m_range:
-        for mu in mu_grid:
-            mu = float(mu)
+    for m in (m for m in m_range if m >= 1):
 
-            def h(kk: float) -> float:
-                w = math.sqrt(max(0.0, 2.0 * kk * mu - mu * mu))
-                ang = math.atan2(-w, mu - kk) + 2.0 * m * math.pi
-                return w - ang / (2.0 * n * math.pi)
+        def g(w):
+            u = math.pi * (m - n * w)
+            c, s = np.cos(u), np.sin(u)
+            return w * c / s - mu, c / s + n * math.pi * w / (s * s)
 
-            lo = mu / 2.0
-            hi = max(mu, 1.0)
-            flo = h(lo)
-            for _ in range(80):
-                if h(hi) > 0.0:
-                    break
-                hi *= 2.0
-            else:
-                continue
-            fhi = h(hi)
-            if flo * fhi > 0.0:
-                continue
-            a, b, fa = lo, hi, flo
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                fm = h(mid)
-                if abs(fm) < 1e-12 or b - a < 1e-13 * max(1.0, mid):
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            kk = 0.5 * (a + b)
-            rows.append(
-                CurveSample(m, n, mu, kk, math.sqrt(max(0.0, 2.0 * kk * mu - mu * mu)))
-            )
+        w = _solve(g, np.full(mu.shape, (m - 0.5) / n), np.full(mu.shape, m / n))
+        kk = (w * w + mu * mu) / (2.0 * mu)
+        rows += [CurveSample(m, n, float(x), float(y), float(z)) for x, y, z in zip(mu, kk, w)]
     return rows

@@ -137,9 +137,10 @@ def pair_difference_direction(n_nodes: int, pair: tuple[int, int]) -> np.ndarray
 
 
 def isotypic_direction(n_nodes: int, j: int, part: str = "real") -> np.ndarray:
-    """Real perturbation direction from the j-th isotypic position row."""
-    row = isotypic_basis(n_nodes, j)[0]
-    vec = row.real if part == "real" else row.imag
+    """Unit direction along the "real" or "imag" part of the j-th isotypic position row."""
+    if part not in ("real", "imag"):
+        raise InvalidParamError(f"part must be 'real' or 'imag', got {part!r}")
+    vec = getattr(isotypic_basis(n_nodes, j)[0], part)
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         raise InvalidParamError(f"component {j} has no {part} part to perturb along")
@@ -460,10 +461,13 @@ def symmetry_classify(traj: Trajectory, period: float, tol: float = 1e-2) -> Sym
     Tests, over one period and most specific first: all nodes identical;
     cyclic node shift equal to a T/N time shift (either direction); pair swap
     equal to a T/2 shift; pair identical for all t.  The first relation whose
-    max-norm defect is below tol names the class.
+    max-norm defect is below tol names the class.  Raises InvalidParamError
+    unless 0 < tol < inf, since no defect lies below a tol <= 0.
     """
     if traj.kind is ModelKind.PHASE_DIFFERENCE:
         raise UnsupportedKindError("symmetry classification works on node coordinates")
+    if not 0.0 < tol < math.inf:
+        raise InvalidParamError(f"tol must be finite and > 0, got {tol}")
     T = float(period)
     if T <= 0.0:
         raise InvalidParamError("period must be positive")

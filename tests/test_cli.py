@@ -223,6 +223,11 @@ def test_resolution_below_two_is_rejected(capsys, resolution):
         (["rightmost", "--K", "1.05", "--mu", "0.3", "--tau-grid=-1:1:3"], "--tau-grid"),
         (["snmap", "--K", "1.05", "--mu", "0.3", "--tau-window=-30:-1"], "--tau-window"),
         (["releq", "--K", "1", "--tau-window=-5:2"], "--tau-window"),
+        # every symmetry defect is >= 0 and would fail a tolerance <= 0
+        (["simulate", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--t-end", "10", "--tol", "0"],
+         "--tol"),
+        (["simulate", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--t-end", "10", "--tol=-1"],
+         "--tol"),
     ],
 )
 def test_bad_number_flag_is_one_line(capsys, argv, flag):
@@ -309,6 +314,12 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
         # the locked branches depend on K alone
         (["releq", "--K", "1", "--tau-window", "0:8", "--nodes", "3"], "--nodes"),
         (["releq", "--K", "1", "--tau-window", "0:8", "--mu", "0.5"], "--mu"),
+        # a node pair or component the network lacks
+        *(
+            (["simulate", "--nodes", "2", "--K", "1.05", "--mu", "0.3", "--tau", "2",
+              "--t-end", "50", "--amplitude", "0.1", "--perturb", spec], "--perturb")
+            for spec in ("pair:1,3", "pair:1,1", "isotypic:5", "isotypic:0:imag")
+        ),
     ],
 )
 def test_bad_choice_or_unknown_flag_is_one_line(capsys, argv, needle):

@@ -21,6 +21,7 @@ from pllbif import (
     integrate,
     refine_orbit,
     normalize,
+    rhs,
     state_dim,
     symmetry_classify,
     SymmetryTag,
@@ -148,6 +149,60 @@ def test_fit_profile_window_validation(refined):
         fit_profile(traj, (5.0, 5.0))
     with pytest.raises(NotPeriodicError):
         fit_profile(traj, (0.0, 10.0), harmonics=40)  # too few samples
+
+
+@pytest.mark.parametrize("harmonics", [0, -1, -3])
+def test_fit_profile_refuses_harmonics_below_one(harmonics):
+    # refine_orbit and with_harmonics refuse them too
+    step = 0.05
+    times = np.arange(201) * step
+    states = np.zeros((len(times), 6))
+    history = HistorySpec.constant(states[0])
+    traj = Trajectory(ModelKind.FULL_PHASE, P3, times, states, np.zeros_like(states), history, step)
+    with pytest.raises(InvalidParamError):
+        fit_profile(traj, (0.0, 10.0), harmonics=harmonics)
+
+
+def series_loop(a, b, w, ts, order=0):
+    """d^order/dt^order of sum_k a_k cos(k w t) + b_k sin(k w t), one harmonic at a time."""
+    out = np.zeros((len(ts), a.shape[0]))
+    for k in range(a.shape[1]):
+        ph = k * w * ts[:, None] + order * np.pi / 2.0
+        out += (k * w) ** order * (a[:, k] * np.cos(ph) + b[:, k] * np.sin(ph))
+    return out
+
+
+def interleave(x, v):
+    out = np.empty((x.shape[0], 2 * x.shape[1]))
+    out[:, 0::2] = x
+    out[:, 1::2] = v
+    return out
+
+
+def test_series_match_a_harmonic_loop(refined):
+    ts = np.linspace(-refined.period, 2.0 * refined.period, 41)
+    w, a, b = refined.base_frequency, refined.cos_coeffs, refined.sin_coeffs
+    assert np.max(np.abs(refined.positions(ts) - series_loop(a, b, w, ts))) <= 1e-12
+    assert np.max(np.abs(refined.velocities(ts) - series_loop(a, b, w, ts, 1))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [ModelKind.FULL_PHASE, ModelKind.PHASE_DIFFERENCE])
+def test_residual_matches_a_harmonic_loop(kind):
+    # coefficients far from any orbit, so that every series enters the residual
+    p = normalize(P3)
+    n_comp, h, period, samples = state_dim(kind, 3) // 2, 6, 24.2, 56
+    rng = np.random.default_rng(7)
+    a = rng.normal(scale=0.3, size=(n_comp, h + 1))
+    b = rng.normal(scale=0.3, size=(n_comp, h + 1))
+    b[:, 0] = 0.0
+    w = 2.0 * np.pi / period
+    ts = (period / samples) * np.arange(samples)
+    now = interleave(series_loop(a, b, w, ts), series_loop(a, b, w, ts, 1))
+    then = interleave(series_loop(a, b, w, ts - p.delay), series_loop(a, b, w, ts - p.delay, 1))
+    field = np.array([rhs(kind, p, x, xd) for x, xd in zip(now, then)])
+    want = (series_loop(a, b, w, ts, 2) - field[:, 1::2]).ravel()
+    assert np.max(np.abs(want)) > 0.1
+    assert np.max(np.abs(orbit._residual(kind, p, a, b, period, samples) - want)) <= 1e-12
 
 
 def test_refine_rejects_hopeless_seed():

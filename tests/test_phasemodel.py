@@ -5,6 +5,7 @@ the fold ladder on (0, 5 pi), the symmetry-breaking Hopf points, and the
 steady-state event table.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from pllbif import (
     BlockKind,
+    InvalidParamError,
     NetworkParams,
     RootBranch,
     equilibrium_case_curves,
@@ -178,11 +180,33 @@ def test_zero_root_formula_consistency():
 
 
 def test_equilibrium_case_curves_solve_the_angle_condition():
-    rows = equilibrium_case_curves(1, range(1, 3), np.linspace(0.1, 1.5, 15))
-    assert len(rows) > 0
-    for r in rows:
-        assert r.n == 1 and r.m in (1, 2)
-        w = math.sqrt(2.0 * r.coupling * r.mu - r.mu * r.mu)
-        assert r.omega == pytest.approx(w, abs=1e-10)
-        ang = math.atan2(-w, r.mu - r.coupling) + 2.0 * r.m * math.pi
-        assert w == pytest.approx(ang / (2.0 * math.pi), abs=1e-8)
+    grids = (np.linspace(0.1, 1.5, 15), np.linspace(0.02, 4.0, 50))
+    for n, mu_grid in itertools.product((1, 2, 3), grids):
+        rows = equilibrium_case_curves(n, range(1, 5), mu_grid)
+        # one Hopf point per mu and m: mu = omega cot(pi (m - n omega)) is monotone
+        assert [(r.m, r.mu) for r in rows] == [(m, float(mu)) for m in range(1, 5) for mu in mu_grid]
+        for r in rows:
+            assert r.n == n
+            w = math.sqrt(2.0 * r.coupling * r.mu - r.mu * r.mu)
+            assert r.omega == pytest.approx(w, abs=1e-10)
+            ang = math.atan2(-w, r.mu - r.coupling) + 2.0 * r.m * math.pi
+            assert abs(w - ang / (2.0 * n * math.pi)) <= 1e-12
+
+
+def test_equilibrium_case_curves_need_m_of_at_least_one():
+    # the crossing frequency would lie in ((m - 1/2) / n, m / n), below zero
+    assert equilibrium_case_curves(1, range(-1, 1), np.linspace(0.1, 1.5, 15)) == []
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.5, math.nan, math.inf])
+def test_equilibrium_case_curves_refuse_a_bad_mu(mu):
+    with pytest.raises(InvalidParamError):
+        equilibrium_case_curves(1, range(1, 3), [0.5, mu])
+
+
+@pytest.mark.parametrize("resolution", [0, 1])
+def test_branches_need_two_grid_points(resolution):
+    with pytest.raises(InvalidParamError):
+        releq_branches(P21, (0.0, 5.0), resolution)
+    with pytest.raises(InvalidParamError):
+        relative_hopf_scan(P21, BlockKind.FIX, (0.0, 5.0), resolution)

@@ -115,6 +115,12 @@ def test_direction_helpers_are_unit_vectors():
         assert np.all(v[1::2] == 0.0)  # positions only
 
 
+def test_isotypic_direction_names_its_part():
+    # a misspelt part must not silently pick the imaginary one
+    with pytest.raises(InvalidParamError):
+        isotypic_direction(3, 1, "bogus")
+
+
 def test_trajectory_dense_output_matches_grid():
     eq = equilibrium(P2, Branch.MINUS)
     base = equilibrium_state(ModelKind.FULL_PHASE, P2, eq)
@@ -427,6 +433,14 @@ def test_classify_needs_enough_trajectory():
     traj = synthetic(3, [f, f, f], t_end=10.0)
     with pytest.raises(InvalidParamError):
         symmetry_classify(traj, T0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_classify_needs_a_positive_finite_tolerance(tol):
+    # every defect is >= 0, so a tol <= 0 would call every orbit asymmetric
+    f = lambda t: np.sin(2 * np.pi * t / T0)
+    with pytest.raises(InvalidParamError):
+        symmetry_classify(synthetic(3, [f, f, f]), T0, tol)
 
 
 def test_period_estimate_on_synthetic_signal():
