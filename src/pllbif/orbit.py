@@ -31,6 +31,11 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
+# ``refine_orbit`` accepts a result whose RMS residual is at or below this, and
+# refuses one whose every harmonic >= 1 is too: there the residual cannot tell
+# an orbit from the equilibrium, which solves the collocation at any period.
+_ORBIT_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class OrbitProfile:
@@ -157,7 +162,8 @@ def fit_profile(traj, window: tuple[float, float], harmonics: int = 8) -> OrbitP
     The base frequency starts from the spectral peak of the most active
     velocity component and is polished by golden-section minimization of the
     least-squares misfit; coefficients come from a linear solve at the final
-    frequency.  Raises InvalidParamError for harmonics < 1 or an empty window.
+    frequency.  Raises InvalidParamError for harmonics < 1 or an empty window,
+    and NotPeriodicError for too few samples or a window without motion.
     """
     if harmonics < 1:
         raise InvalidParamError("harmonics must be >= 1")
@@ -177,8 +183,8 @@ def fit_profile(traj, window: tuple[float, float], harmonics: int = 8) -> OrbitP
     spec = np.abs(np.fft.rfft(sig * np.hanning(sig.size)))
     freqs = np.fft.rfftfreq(sig.size, dt)
     kk = int(np.argmax(spec[1:])) + 1
-    if freqs[kk] <= 0.0:
-        raise NotPeriodicError("no spectral peak in the fit window")
+    if spec[kk] == 0.0:
+        raise NotPeriodicError("no motion in the fit window")
     period_guess = 1.0 / float(freqs[kk])
 
     def design(w):
@@ -299,7 +305,9 @@ def refine_orbit(
     a forward difference; the columns of the coefficients, which share one
     period, are evaluated in batches through one set of collocation tables.
     The step is damped by halving until the residual norm decreases, and the
-    iteration stops once every residual entry is below 1e-10.
+    iteration stops once every residual entry is below 1e-10.  Raises
+    NotPeriodicError if the RMS residual stalls above 1e-6, or if every
+    harmonic >= 1 ends at or below 1e-6 (the candidate fell to the equilibrium).
     """
     p = normalize(profile.params)
     kind = profile.kind
@@ -337,8 +345,11 @@ def refine_orbit(
             break  # no decrease at the smallest damping; accept what we have
     na, nb = col.unpack(u[:-1])
     out = OrbitProfile(kind, profile.params, float(u[-1]), na, nb)
-    if out.residual_norm(m) > 1e-6:
+    if out.residual_norm(m) > _ORBIT_TOL:
         raise NotPeriodicError(
             f"collocation residual stalled at {out.residual_norm(m):.2e}; candidate is not near an orbit"
         )
+    amp = float(np.max(np.hypot(na[:, 1:], nb[:, 1:])))
+    if amp <= _ORBIT_TOL:
+        raise NotPeriodicError(f"candidate fell to the equilibrium (largest harmonic {amp:.2e})")
     return out

@@ -10,6 +10,7 @@ import pytest
 
 from pllbif import orbit
 from pllbif import (
+    Branch,
     HistorySpec,
     InvalidParamError,
     ModelKind,
@@ -17,8 +18,13 @@ from pllbif import (
     NotPeriodicError,
     OrbitProfile,
     Trajectory,
+    equilibrium,
+    equilibrium_state,
     fit_profile,
     integrate,
+    isotypic_direction,
+    pair_difference_direction,
+    period_estimate,
     refine_orbit,
     normalize,
     rhs,
@@ -42,6 +48,15 @@ def seed_profile(period=24.2, harmonics=4):
     b[1, 2], b[1, 3] = 0.00778, -0.00049
     b[2, 2] = 0.00249
     return OrbitProfile(ModelKind.FULL_PHASE, P3, period, a, b)
+
+
+def pattern_seed(cos1, sin1=0.0):
+    """H = 1 seed about the equilibrium: first harmonic cos1, sin1 at the crossing frequency."""
+    eq_state = equilibrium_state(ModelKind.FULL_PHASE, P3, equilibrium(P3, Branch.MINUS))
+    a = np.zeros((3, 2))
+    b = np.zeros((3, 2))
+    a[:, 0], a[:, 1], b[:, 1] = eq_state[0::2], cos1, sin1
+    return OrbitProfile(ModelKind.FULL_PHASE, P3, 2.0 * np.pi / 0.29423, a, b)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +166,19 @@ def test_fit_profile_window_validation(refined):
         fit_profile(traj, (0.0, 10.0), harmonics=40)  # too few samples
 
 
+@pytest.mark.parametrize("resting", ["zero", "equilibrium"])
+def test_fit_profile_refuses_a_motionless_window(resting):
+    step = 0.05
+    times = np.arange(2001) * step
+    states = np.zeros((len(times), 6))
+    if resting == "equilibrium":
+        states[:] = equilibrium_state(ModelKind.FULL_PHASE, P3, equilibrium(P3, Branch.MINUS))
+    history = HistorySpec.constant(states[0])
+    traj = Trajectory(ModelKind.FULL_PHASE, P3, times, states, np.zeros_like(states), history, step)
+    with pytest.raises(NotPeriodicError):
+        fit_profile(traj, (0.0, 100.0))
+
+
 @pytest.mark.parametrize("harmonics", [0, -1, -3])
 def test_fit_profile_refuses_harmonics_below_one(harmonics):
     # refine_orbit and with_harmonics refuse them too
@@ -213,6 +241,36 @@ def test_refine_rejects_hopeless_seed():
     junk = OrbitProfile(ModelKind.FULL_PHASE, P3, 5.0, a, b)
     with pytest.raises(NotPeriodicError):
         refine_orbit(junk, max_iter=4)
+
+
+def test_refine_refuses_a_seed_that_falls_to_the_equilibrium():
+    # the equilibrium solves the collocation at any period, with residual ~1e-12
+    with pytest.raises(NotPeriodicError, match="equilibrium"):
+        refine_orbit(pattern_seed(0.05 * pair_difference_direction(3, (1, 2))[0::2]), harmonics=16)
+
+
+_RE, _IM = isotypic_direction(3, 1, "real")[0::2], isotypic_direction(3, 1, "imag")[0::2]
+
+
+@pytest.mark.parametrize(
+    "cos1, sin1, tag, pair",
+    [
+        (pair_difference_direction(3, (1, 2))[0::2], 0.0, SymmetryTag.Z2_SPATIO_TEMPORAL, (1, 2)),
+        (_RE, 0.0, SymmetryTag.Z2_SPATIAL, (2, 3)),
+        (_RE / np.sqrt(2.0), _IM / np.sqrt(2.0), SymmetryTag.ROTATING_WAVE, None),
+    ],
+    ids=["pair-swap", "spatial", "rotating"],
+)
+def test_each_c_axial_pattern_refines_to_its_orbit(cos1, sin1, tag, pair):
+    # one orbit per C-axial subgroup of the standard block's D3 action, each
+    # seeded from its pattern at the crossing frequency and held 200 units
+    prof = refine_orbit(pattern_seed(0.4 * cos1, 0.4 * sin1), harmonics=16)
+    assert prof.period == pytest.approx(REF_PERIOD, rel=1e-3)
+    traj = integrate(ModelKind.FULL_PHASE, P3, prof, 200.0, step=9.5 / 100)
+    period = period_estimate(traj, 0.3)
+    assert period == pytest.approx(prof.period, rel=1e-5)
+    cls = symmetry_classify(traj, period)
+    assert (cls.tag, cls.pair) == (tag, pair)
 
 
 @pytest.mark.parametrize(
