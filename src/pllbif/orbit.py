@@ -4,7 +4,9 @@ A T-periodic candidate is stored as truncated Fourier series of the node
 positions.  Positions, velocities, accelerations and delayed positions (the
 delay is a pure phase shift) all come from one cos/sin table of k w t, so the
 periodic problem closes without interpolation.  ``fit_profile`` extracts a
-candidate from a simulation segment that passes near an orbit, and
+candidate from a simulation segment that passes near an orbit, by variable
+projection on the same table (the coefficients enter linearly, so only the
+frequency is iterated), with time 0 at the segment's first sample;
 ``refine_orbit`` polishes it by damped Gauss-Newton on the collocated model
 residual.  The residual takes stacks of coefficient sets at one period, so
 the finite-difference Jacobian evaluates its coefficient columns in blocks
@@ -35,6 +37,9 @@ _TWO_PI = 2.0 * math.pi
 # refuses one whose every harmonic >= 1 is too: there the residual cannot tell
 # an orbit from the equilibrium, which solves the collocation at any period.
 _ORBIT_TOL = 1e-6
+
+# Most Gauss-Newton iterations ``fit_profile`` and ``refine_orbit`` make.
+_GAUSS_NEWTON_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -157,12 +162,14 @@ def _residual(kind, p, a, b, period, samples):
 
 
 def fit_profile(traj, window: tuple[float, float], harmonics: int = 8) -> OrbitProfile:
-    """Fourier candidate fitted to a trajectory segment.
+    """Fourier candidate fitted to a trajectory segment, time 0 at its first sample.
 
-    The base frequency starts from the spectral peak of the most active
-    velocity component and is polished by golden-section minimization of the
-    least-squares misfit; coefficients come from a linear solve at the final
-    frequency.  Raises InvalidParamError for harmonics < 1 or an empty window,
+    The base frequency starts at the Hann-windowed spectral peak of the most
+    active velocity component and is polished by variable projection
+    (Golub & Pereyra 1973) in Kaufman's Gauss-Newton form: at each frequency
+    the coefficients are a linear least-squares solve, and the frequency step
+    follows the derivative of the fitted series projected off the span of the
+    design.  Raises InvalidParamError for harmonics < 1 or an empty window,
     and NotPeriodicError for too few samples or a window without motion.
     """
     if harmonics < 1:
@@ -174,9 +181,10 @@ def fit_profile(traj, window: tuple[float, float], harmonics: int = 8) -> OrbitP
     if int(mask.sum()) < 8 * harmonics:
         raise NotPeriodicError("fit window holds too few samples for the requested harmonics")
     ts = traj.times[mask]
-    xs = traj.states[mask][:, 0::2]
+    seg = traj.states[mask]
+    xs = seg[:, 0::2]
 
-    vs = traj.states[mask][:, 1::2]
+    vs = seg[:, 1::2]
     col = int(np.argmax(vs.std(axis=0)))
     sig = vs[:, col] - vs[:, col].mean()
     dt = float(ts[1] - ts[0])
@@ -185,47 +193,34 @@ def fit_profile(traj, window: tuple[float, float], harmonics: int = 8) -> OrbitP
     kk = int(np.argmax(spec[1:])) + 1
     if spec[kk] == 0.0:
         raise NotPeriodicError("no motion in the fit window")
-    period_guess = 1.0 / float(freqs[kk])
+
+    s = ts - ts[0]
+    h = harmonics
+    k = np.arange(1.0, h + 1)[:, None]
 
     def design(w):
-        # columns 1, cos(w t), sin(w t), ..., cos(H w t), sin(H w t)
-        cols = [np.ones_like(ts)]
-        for k in range(1, harmonics + 1):
-            cols.append(np.cos(k * w * ts))
-            cols.append(np.sin(k * w * ts))
-        return np.column_stack(cols)
+        # columns cos(k w s) for k = 0..H, then sin(k w s) for k = 1..H
+        ck, sk, _ = _tables(w, s, h)
+        return np.hstack([ck, sk[:, 1:]])
 
-    def misfit(w):
+    # each pass solves at w and proposes a step; a step below 1e-12 w is not
+    # taken, so the coefficients always belong to the returned frequency
+    w, step = _TWO_PI * float(freqs[kk]), 0.0
+    for _ in range(_GAUSS_NEWTON_CAP):
+        w += step
         m = design(w)
-        sol = np.linalg.lstsq(m, xs, rcond=None)[0]
-        return float(np.sum((xs - m @ sol) ** 2))
+        coef = np.linalg.lstsq(m, xs, rcond=None)[0]
+        # d(fitted series)/dw, projected off the span of the design
+        g = s[:, None] * (m[:, 1 : h + 1] @ (k * coef[h + 1 :]) - m[:, h + 1 :] @ (k * coef[1 : h + 1]))
+        g -= m @ np.linalg.lstsq(m, g, rcond=None)[0]
+        step = float(np.sum(g * (xs - m @ coef)) / np.sum(g * g))
+        del m  # before the next design is built: it sets the fit's peak memory
+        if abs(step) <= 1e-12 * w:
+            break
 
-    # golden-section: period known to ~20% from the spectral peak
-    w_lo = 0.8 * _TWO_PI / period_guess
-    w_hi = 1.25 * _TWO_PI / period_guess
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    wa, wb = w_lo, w_hi
-    wc = wb - invphi * (wb - wa)
-    wd = wa + invphi * (wb - wa)
-    fc, fd = misfit(wc), misfit(wd)
-    for _ in range(80):
-        if fc < fd:
-            wb, wd, fd = wd, wc, fc
-            wc = wb - invphi * (wb - wa)
-            fc = misfit(wc)
-        else:
-            wa, wc, fc = wc, wd, fd
-            wd = wa + invphi * (wb - wa)
-            fd = misfit(wd)
-    w = 0.5 * (wa + wb)
-
-    coef = np.linalg.lstsq(design(w), xs, rcond=None)[0].T
-    a = np.zeros((xs.shape[1], harmonics + 1))
+    a = coef[: h + 1].T
     b = np.zeros_like(a)
-    a[:, 0], a[:, 1:], b[:, 1:] = coef[:, 0], coef[:, 1::2], coef[:, 2::2]
-
-    # shift time origin so the fitted phases refer to the window start
-    a, b = _rotate(a, b, w * ts[0] * np.arange(harmonics + 1))
+    b[:, 1:] = coef[h + 1 :].T
     return OrbitProfile(traj.kind, traj.params, _TWO_PI / w, a, b)
 
 
@@ -291,9 +286,7 @@ class _Collocation:
         return jac
 
 
-def refine_orbit(
-    profile: OrbitProfile, harmonics: int | None = None, max_iter: int = 30
-) -> OrbitProfile:
+def refine_orbit(profile: OrbitProfile, harmonics: int | None = None) -> OrbitProfile:
     """Gauss-Newton polish of a periodic candidate to collocation accuracy.
 
     Unknowns are every Fourier coefficient plus the period, at ``harmonics``
@@ -305,7 +298,8 @@ def refine_orbit(
     a forward difference; the columns of the coefficients, which share one
     period, are evaluated in batches through one set of collocation tables.
     The step is damped by halving until the residual norm decreases, and the
-    iteration stops once every residual entry is below 1e-10.  Raises
+    iteration stops once every residual entry is below 1e-10, or after 30
+    steps.  Raises
     NotPeriodicError if the RMS residual stalls above 1e-6, or if every
     harmonic >= 1 ends at or below 1e-6 (the candidate fell to the equilibrium).
     """
@@ -328,7 +322,7 @@ def refine_orbit(
     u = np.concatenate([a.ravel(), b[:, 1:].ravel(), [prof.period]])
     r = col.residual(u[:-1], prof.period)
     norm = float(np.linalg.norm(r))
-    for _ in range(max_iter):
+    for _ in range(_GAUSS_NEWTON_CAP):
         if float(np.max(np.abs(r))) < 1e-10:
             break
         step = np.linalg.lstsq(col.jacobian(u, r), -r, rcond=None)[0]

@@ -138,20 +138,46 @@ def test_profile_serves_as_history(refined):
     assert cls.pair == (1, 2)
 
 
-def test_fit_profile_recovers_synthetic_coefficients(refined):
+@pytest.mark.parametrize("start", [0.0, 7.0])
+def test_fit_profile_recovers_synthetic_coefficients(refined, start):
     # exact series samples, packaged as a trajectory
     step = 0.05
-    times = np.arange(int(60.0 / step) + 1) * step
+    times = np.arange(int((start + 60.0) / step) + 1) * step
     states = np.zeros((len(times), 6))
     states[:, 0::2] = refined.positions(times)
     states[:, 1::2] = refined.velocities(times)
     derivs = np.zeros_like(states)
     history = HistorySpec.constant(states[0])
     traj = Trajectory(ModelKind.FULL_PHASE, P3, times, states, derivs, history, step)
-    fit = fit_profile(traj, (0.0, 60.0), harmonics=6)
+    fit = fit_profile(traj, (start, start + 60.0), harmonics=6)
     assert fit.period == pytest.approx(REF_PERIOD, rel=2e-4)
     amp1 = np.hypot(fit.cos_coeffs[0, 1], fit.sin_coeffs[0, 1])
     assert amp1 == pytest.approx(0.261349, abs=1e-3)
+    # time 0 of the fit is the window's first sample
+    assert np.max(np.abs(fit.state(0.0) - states[times >= start][0])) < 1e-6
+
+
+def fit_misfit(traj, window, w, harmonics):
+    """Least-squares misfit of a Fourier series of frequency w over the window."""
+    mask = (traj.times >= window[0]) & (traj.times <= window[1])
+    s = traj.times[mask] - traj.times[mask][0]
+    xs = traj.states[mask][:, 0::2]
+    cols = [np.ones_like(s)]
+    for k in range(1, harmonics + 1):
+        cols += [np.cos(k * w * s), np.sin(k * w * s)]
+    m = np.column_stack(cols)
+    return float(np.sum((xs - m @ np.linalg.lstsq(m, xs, rcond=None)[0]) ** 2))
+
+
+def test_fit_of_a_simulated_segment_refines_to_the_orbit(refined):
+    traj = integrate(ModelKind.FULL_PHASE, P3, refined, 250.0, step=9.5 / 100)
+    fit = fit_profile(traj, (60.0, 250.0), 8)
+    assert refine_orbit(fit, 16).period == pytest.approx(REF_PERIOD, abs=1e-10)
+    # the fitted frequency minimizes the misfit
+    w = fit.base_frequency
+    best = fit_misfit(traj, (60.0, 250.0), w, 8)
+    for off in (-1e-7, 1e-7):
+        assert fit_misfit(traj, (60.0, 250.0), w * (1.0 + off), 8) > best
 
 
 def test_fit_profile_window_validation(refined):
@@ -238,9 +264,10 @@ def test_refine_rejects_hopeless_seed():
     a = np.zeros((3, 3))
     b = np.zeros((3, 3))
     a[:, 1] = 2.5
-    junk = OrbitProfile(ModelKind.FULL_PHASE, P3, 5.0, a, b)
-    with pytest.raises(NotPeriodicError):
-        refine_orbit(junk, max_iter=4)
+    a[0, 2] = 0.75
+    junk = OrbitProfile(ModelKind.FULL_PHASE, P3, 40.0, a, b)
+    with pytest.raises(NotPeriodicError, match="stalled"):
+        refine_orbit(junk)
 
 
 def test_refine_refuses_a_seed_that_falls_to_the_equilibrium():
