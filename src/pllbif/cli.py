@@ -44,6 +44,7 @@ from .model import Branch, ModelKind, NetworkParams, equilibrium, normalize
 from .phasediff import determinant_n3, fictitious_roots
 from .phasemodel import releq_branches, releq_solve, relative_hopf_scan, zero_root_taus
 from .simulator import (
+    _MAX_FLOATS,
     HistorySpec,
     equilibrium_state,
     integrate,
@@ -104,6 +105,17 @@ def _int(least: int | None = None):
     return parse
 
 
+def _budget(count, flag: str):
+    # the float budget of one integration bounds every grid and sample count
+    if count > _MAX_FLOATS:
+        raise _UsageError(f"{flag} asks for {count:.6g} points, more than the budget of 2^27")
+    return count
+
+
+def _count(least: int):
+    return lambda val, flag: _budget(_int(least)(val, flag), flag)
+
+
 def _positive(val, flag: str) -> float:
     v = _num(val, flag)
     if not v > 0.0:
@@ -136,7 +148,7 @@ def _grid(text, flag: str) -> np.ndarray:
     _ends(a, b, text, flag)
     if count < 2 or not b > a:
         raise _UsageError(f"{flag} needs at least 2 points and positive extent")
-    return np.linspace(a, b, count)
+    return np.linspace(a, b, _budget(count, flag))
 
 
 def _delay_grid(text, flag: str) -> np.ndarray:
@@ -338,6 +350,8 @@ def _cmd_snmap(o: argparse.Namespace) -> int:
     wm = o.omega_m
     lo, hi = o.tau_window[0] * wm, o.tau_window[1] * wm
     grid_step = o.grid_step * wm if o.grid_step is not None else None
+    if grid_step is not None:
+        _budget((hi - lo) / grid_step, "--grid-step")
     p = _network(o)
     if o.model is ModelKind.FULL_PHASE:
         blocks = build_blocks(o.model, p, equilibrium(p, o.eq))
@@ -577,7 +591,7 @@ _TAU = _Opt("--tau", _num, 0.0, "transmission delay")
 _CSV = _Opt("--out", _text, "-", "CSV output path; '-' is stdout")
 _OUT = (_CSV, _Opt("--svg", _text, None, "also write an SVG chart here"))
 _TAU_WINDOW = _Opt("--tau-window", _delay_window, _REQUIRED, "delay window start:stop")
-_RESOLUTION = _Opt("--resolution", _int(2), 2000, "locked-branch sampling")
+_RESOLUTION = _Opt("--resolution", _count(2), 2000, "locked-branch sampling")
 _C_CONST = _Opt("--c-const", _num, None, "difference-model constant (default: from the locked state)")
 
 _COMMANDS = {
@@ -622,7 +636,7 @@ _COMMANDS = {
     "phasediff-check": (_cmd_phasediff_check, "difference-model consistency checks", (
         _NODES, _K, _MU, _OMEGA_M, _TAU,
         _Opt("--seed", _int(0), 0, "seed of the sampled lambda values"),
-        _Opt("--samples", _int(1), 300, "number of sampled lambda values"),
+        _Opt("--samples", _count(1), 300, "number of sampled lambda values"),
         _Opt("--omega-index", _int(), 0, "which locked frequency, in ascending order"),
         _C_CONST, _CSV,
     )),

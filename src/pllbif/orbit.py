@@ -165,7 +165,7 @@ def fit_profile(traj, window: tuple[float, float], harmonics: int = 8) -> OrbitP
     """Fourier candidate fitted to a trajectory segment, time 0 at its first sample.
 
     The base frequency starts at the Hann-windowed spectral peak of the most
-    active velocity component and is polished by variable projection
+    active position component and is polished by variable projection
     (Golub & Pereyra 1973) in Kaufman's Gauss-Newton form: at each frequency
     the coefficients are a linear least-squares solve, and the frequency step
     follows the derivative of the fitted series projected off the span of the
@@ -184,15 +184,15 @@ def fit_profile(traj, window: tuple[float, float], harmonics: int = 8) -> OrbitP
     seg = traj.states[mask]
     xs = seg[:, 0::2]
 
-    vs = seg[:, 1::2]
-    col = int(np.argmax(vs.std(axis=0)))
-    sig = vs[:, col] - vs[:, col].mean()
-    dt = float(ts[1] - ts[0])
-    spec = np.abs(np.fft.rfft(sig * np.hanning(sig.size)))
-    freqs = np.fft.rfftfreq(sig.size, dt)
-    kk = int(np.argmax(spec[1:])) + 1
-    if spec[kk] == 0.0:
+    # exact on the velocities: positions at rest keep rounding after their mean is removed
+    if not np.ptp(seg[:, 1::2], axis=0).any():
         raise NotPeriodicError("no motion in the fit window")
+    # positions, not velocities: d/dt weights harmonic k by k and can outshine the fundamental
+    col = int(np.argmax(xs.std(axis=0)))
+    sig = xs[:, col] - xs[:, col].mean()
+    spec = np.abs(np.fft.rfft(sig * np.hanning(sig.size)))
+    freqs = np.fft.rfftfreq(sig.size, float(ts[1] - ts[0]))
+    kk = int(np.argmax(spec[1:])) + 1
 
     s = ts - ts[0]
     h = harmonics

@@ -13,11 +13,13 @@ dtau/dphi = h / Omega_hat^2; because h'(phi) = -K phi sin(phi), each interval
 [j pi, (j + 1) pi] brackets at most one of them.  Cut at the folds and at the
 poles Omega_hat = 0 (K > 1; at K = 1 they touch the zeros of h at
 phi = pi/2 + 2 pi m and are poles, not folds), the curve falls into
-tau-monotone pieces: the locked branches.  Along a branch the characteristic
-blocks have delay-dependent modal gain a(tau) = K mu cos(Omega_hat(tau) tau),
-so imaginary-axis crossings are zeros of the delay-dependent crossing map
-(sn_scan), and the symmetry-breaking block additionally admits steady-state
-(zero-root) events at Omega_hat tau = pi/2 + n pi.
+tau-monotone pieces: the locked branches.  The locked frequencies at one
+delay are read off the pieces whose delay range holds it (releq_solve).
+Along a branch the characteristic blocks have delay-dependent modal gain
+a(tau) = K mu cos(Omega_hat(tau) tau), so imaginary-axis crossings are zeros
+of the delay-dependent crossing map (sn_scan), and the symmetry-breaking
+block additionally admits steady-state (zero-root) events at
+Omega_hat tau = pi/2 + n pi.
 """
 
 from __future__ import annotations
@@ -84,35 +86,25 @@ def _phase_equation(tau, k: float):
 
 
 def releq_solve(params: NetworkParams, tau: float) -> list[float]:
-    """All locked frequencies Omega_hat in [omega_M - K, omega_M + K] at delay tau.
+    """All locked frequencies Omega_hat at delay tau, ascending, from the phase curve.
 
-    The residual Omega_hat + K sin(Omega_hat tau) - 1 is monotone between its
-    critical points Omega_hat tau = +-acos(-1/(K tau)) + 2 pi m, so each root
-    has its own bracket; residuals end below 1e-12.  Raises InvalidParamError
+    Each tau-monotone piece of tau(phi) (module docstring) whose delay range
+    holds tau contributes its phase phi with tau(phi) = tau, all found by one
+    bracketed solve, and Omega_hat = 1 - K sin(phi) is polished by one Newton
+    step on the locked residual Omega_hat + K sin(Omega_hat tau) - 1; residuals
+    end below 1e-12.  At a fold delay the two pieces that meet there both
+    hold tau, so the double root is listed twice.  Raises InvalidParamError
     for a negative or non-finite delay.
     """
-    p = normalize(params)
-    k = p.coupling
+    k = normalize(params).coupling
     tau = check_delay(tau)
-    if tau == 0.0:
-        return [1.0]
-    edges = [1.0 - k, 1.0 + k]
-    if k * tau > 1.0:
-        c = math.acos(-1.0 / (k * tau))
-        m = _TWO_PI * np.arange(
-            math.floor(((1.0 - k) * tau - c) / _TWO_PI), math.ceil(((1.0 + k) * tau + c) / _TWO_PI) + 1
-        )
-        crit = np.concatenate([(m + c) / tau, (m - c) / tau])
-        edges += list(crit[(crit > 1.0 - k) & (crit < 1.0 + k)])
-    e = np.sort(edges)
-
-    def g(x):
-        return x + k * np.sin(x * tau) - 1.0, 1.0 + k * tau * np.cos(x * tau)
-
-    ge = g(e)[0]
-    bracket = ge[:-1] * ge[1:] < 0.0
-    roots = np.concatenate([_solve(g, e[:-1][bracket], e[1:][bracket]), e[ge == 0.0]])
-    return [float(r) for r in np.sort(roots)]
+    pieces = [(a, b) for a, b, ta, tb in _pieces(k, tau) if min(ta, tb) <= tau <= max(ta, tb)]
+    phi = _solve(_phase_equation(tau, k), *np.array(pieces).T)
+    oh = 1.0 - k * np.sin(phi)
+    slope = 1.0 + k * tau * np.cos(oh * tau)
+    live = slope != 0.0  # an exact fold: the residual has no slope to follow
+    oh[live] -= (oh[live] + k * np.sin(oh[live] * tau) - 1.0) / slope[live]
+    return [float(r) for r in np.sort(oh)]
 
 
 @dataclass

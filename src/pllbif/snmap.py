@@ -7,7 +7,10 @@ w tau modulo 2 pi.  Writing theta for the principal crossing angle, the
 candidate delays are tau_n = (theta + 2 pi n)/w and crossings are zeros of
 the map S_n(tau) = tau - tau_n(tau).  For delay-independent coefficients the
 zeros are explicit; for delay-dependent ones (phase model along a
-rotating-wave branch) they are found by a grid scan plus bisection.
+rotating-wave branch) they are found by a grid scan plus bisection.  The scan
+follows u(tau) = (tau w - theta)/2 pi, the number of turns w tau makes past
+theta: S_n = 2 pi (u - n)/w vanishes where u passes n, so one pass over the
+grid brackets the zeros of every winding n >= 0.
 
 The transversality value delta = d Re(lambda)/d tau > 0 means a root pair
 moves rightward through the axis as the delay grows.
@@ -195,8 +198,11 @@ def _b_c(r0, r1, s0):
     return r1 * r1 - 2.0 * r0, r0 * r0 - s0 * s0
 
 
-def _scan_arrays(p: QuasiPolynomial, taus: np.ndarray):
-    """Vectorized (w, theta) per root branch along a tau grid; NaN where absent."""
+def _turns(p: QuasiPolynomial, taus: np.ndarray):
+    """u(tau) = (tau w - theta)/2 pi per root branch along a tau grid; NaN where w is absent.
+
+    S_n = 2 pi (u - n)/w, so S_n changes sign where u passes the integer n.
+    """
     r0, r1, s0 = (np.broadcast_to(v, taus.shape) for v in p.at(taus))
     b, c = _b_c(r0, r1, s0)
     disc = b * b - 4.0 * c
@@ -205,13 +211,10 @@ def _scan_arrays(p: QuasiPolynomial, taus: np.ndarray):
     out = {}
     for tag, sgn in ((RootBranch.PLUS, 1.0), (RootBranch.MINUS, -1.0)):
         w2 = (-b + sgn * sq) / 2.0
-        w = np.sqrt(np.where(w2 > 0.0, w2, np.nan))
-        valid = np.isfinite(w) & (np.abs(s0) > 0.0)
-        rr = r0 - w * w
-        ri = r1 * w
-        theta = np.arctan2(s0 * ri, -s0 * rr)
+        w = np.sqrt(np.where((w2 > 0.0) & (np.abs(s0) > 0.0), w2, np.nan))
+        theta = np.arctan2(s0 * (r1 * w), -s0 * (r0 - w * w))
         theta = np.where(theta <= -math.pi, theta + _TWO_PI, theta)
-        out[tag] = (np.where(valid, w, np.nan), theta)
+        out[tag] = (taus * w - theta) / _TWO_PI
     return out
 
 
@@ -236,13 +239,16 @@ def sn_scan(
     """Zeros of S_n over a delay window for delay-dependent (or constant) blocks.
 
     The window is sampled on a uniform grid (default step: 1e-3 of the window)
-    for both root branches w+ and w-, sign changes of S_n are bisected to
+    for both root branches w+ and w-.  With u(tau) = (tau w - theta)/2 pi,
+    S_n = 2 pi (u - n)/w, so the cells whose two u values enclose the integer
+    n bracket the sign changes of S_n: one sweep over the cells finds them
+    for every winding at once, and u >= -1/2 (tau >= 0, theta <= pi) leaves
+    only n >= 0.  The brackets are bisected in (n, cell) order to
     |S_n| <= 1e-9, and candidates where the bisection homes onto a branch-cut
     jump of theta (where S_n changes sign without vanishing) are discarded.
-    All windings n that can reach the window are enumerated.  A window that
-    ends at or before its start holds no crossings; a negative or non-finite
-    window end, or a grid step that is not finite and positive, raises
-    InvalidParamError.
+    A window that ends at or before its start holds no crossings; a negative
+    or non-finite window end, or a grid step that is not finite and positive,
+    raises InvalidParamError.
     """
     t0, t1 = check_delay(tau_window[0]), check_delay(tau_window[1])
     if grid_step is not None and not 0.0 < grid_step < math.inf:
@@ -254,33 +260,25 @@ def sn_scan(
     npts = max(3, int(math.ceil((t1 - t0) / grid_step)) + 1)
     taus = np.linspace(t0, t1, npts)
     found: dict[tuple[str, float], CrossingCandidate] = {}
-    for tag, (w, theta) in _scan_arrays(p, taus).items():
-        if not np.any(np.isfinite(w)):
-            continue
-        w_max = np.nanmax(w)
-        n_hi = int(math.ceil(w_max * t1 / _TWO_PI)) + 1
-        for n in range(-2, n_hi + 1):
-            sn = taus - (theta + _TWO_PI * n) / w
-            finite = np.isfinite(sn)
-            sign_change = (
-                finite[:-1]
-                & finite[1:]
-                & (np.sign(sn[:-1]) * np.sign(sn[1:]) <= 0.0)
-                & ((sn[:-1] != 0.0) | (sn[1:] != 0.0))
-            )
-            for i in np.nonzero(sign_change)[0]:
-                hit = _bisect_sn(p, taus[i], taus[i + 1], tag, n)
-                if hit is None:
-                    continue
-                tau_star, w_star = hit
-                if not (t0 - 1e-12 <= tau_star <= t1 + 1e-12) or tau_star < 0.0:
-                    continue
-                key = (tag.value, round(tau_star, 7))
-                if key in found:
-                    continue
-                cand = OmegaCandidate(w_star, tag)
-                delta, sgn = transversality(p, w_star, tau_star)
-                found[key] = CrossingCandidate(cand, tau_star, n, delta, sgn)
+    for tag, u in _turns(p, taus).items():
+        # the integers n that u passes on each cell: S_n changes sign there
+        lo = np.ceil(np.minimum(u[:-1], u[1:]))
+        hi = np.floor(np.maximum(u[:-1], u[1:]))
+        cells = np.nonzero((hi >= lo) & (u[:-1] != u[1:]))[0]
+        brackets = sorted((n, i) for i in cells for n in range(int(lo[i]), int(hi[i]) + 1))
+        for n, i in brackets:
+            hit = _bisect_sn(p, taus[i], taus[i + 1], tag, n)
+            if hit is None:
+                continue
+            tau_star, w_star = hit
+            if not (t0 - 1e-12 <= tau_star <= t1 + 1e-12) or tau_star < 0.0:
+                continue
+            key = (tag.value, round(tau_star, 7))
+            if key in found:
+                continue
+            cand = OmegaCandidate(w_star, tag)
+            delta, sgn = transversality(p, w_star, tau_star)
+            found[key] = CrossingCandidate(cand, tau_star, n, delta, sgn)
     return sorted(found.values(), key=lambda c: c.tau_star)
 
 

@@ -336,16 +336,6 @@ def rightmost_sweep(p: QuasiPolynomial, tau_grid) -> list[SweepRow]:
 # Argument-principle counts
 
 
-class _CensusState:
-    __slots__ = ("evals", "capped", "max_evals", "known")
-
-    def __init__(self, evals: int, max_evals: int, known: tuple[complex, ...]) -> None:
-        self.evals = evals
-        self.capped = False
-        self.max_evals = max_evals
-        self.known = known
-
-
 def _deflate(z, f, known: tuple[complex, ...]):
     """f / prod(z - k) over the known roots k, for a point or an array of z."""
     for k in known:
@@ -353,45 +343,22 @@ def _deflate(z, f, known: tuple[complex, ...]):
     return f
 
 
-def _census_eval(r0, r1, s0, tau, z, state: _CensusState) -> complex:
-    state.evals += 1
-    if state.evals > state.max_evals:
-        raise NoConvergenceError("census evaluation budget exhausted")
-    f, fp, _ = p_dp(r0, r1, s0, tau, z)
-    if abs(f) <= 1e-8 * max(abs(fp), 1e-3):
-        raise BoundaryRootError(f"root within ~1e-8 of census contour near {z}")
-    return _deflate(z, f, state.known)
-
-
-def _edge_arg(r0, r1, s0, tau, z0, z1, f0, f1, depth, state) -> float:
-    dphi = cmath.phase(f1 / f0)
-    if abs(dphi) < math.pi / 4.0 or depth >= 48:
-        if depth >= 48:
-            state.capped = True
-        return dphi
-    zm = 0.5 * (z0 + z1)
-    fm = _census_eval(r0, r1, s0, tau, zm, state)
-    return _edge_arg(r0, r1, s0, tau, z0, zm, f0, fm, depth + 1, state) + _edge_arg(
-        r0, r1, s0, tau, zm, z1, fm, f1, depth + 1, state
-    )
-
-
 def _phase_change(r0, r1, s0, tau, starts, ends, nseg, known, max_evals) -> float:
     """Phase change of P/prod(z - k) along the segments starts[i] -> ends[i], summed.
 
     Each segment is cut into ``nseg`` pieces, and all of their end points are
     evaluated in one vectorized sweep.  A piece whose phase step is below
-    pi/4 counts as it is; the others are bisected by ``_edge_arg``.  Raises
-    NoConvergenceError if the initial samples alone exceed ``max_evals`` (before
-    any is evaluated) or if bisection does, OverflowError if P is not finite
-    on the samples, and BoundaryRootError if a sample lies within ~1e-8 of a
+    pi/4 counts as it is.  The others are halved depth first, left half
+    first, each halving evaluating one midpoint, until every part's step is
+    below pi/4 or 48 halvings deep.  Raises NoConvergenceError if the
+    initial samples alone exceed ``max_evals`` (before any is evaluated) or
+    if the midpoints do, OverflowError if P is not finite on the samples,
+    and BoundaryRootError if a sample or midpoint lies within ~1e-8 of a
     root of P.
     """
-    state = _CensusState(len(starts) * (nseg + 1), max_evals, known)
-    if state.evals > max_evals:
-        raise NoConvergenceError(
-            f"census needs {state.evals} initial samples, budget is {max_evals}"
-        )
+    evals = len(starts) * (nseg + 1)
+    if evals > max_evals:
+        raise NoConvergenceError(f"census needs {evals} initial samples, budget is {max_evals}")
     z0 = np.array(starts, dtype=complex)[:, None]
     z1 = np.array(ends, dtype=complex)[:, None]
     # np.linspace(0, 1, nseg + 1) to the bit, without its call overhead
@@ -411,12 +378,30 @@ def _phase_change(r0, r1, s0, tau, starts, ends, nseg, known, max_evals) -> floa
     steps = np.angle(g[:, 1:] / g[:, :-1])
     big = np.abs(steps) >= math.pi / 4.0
     total = float(steps[~big].sum())
-    for e, j in zip(*np.nonzero(big)):
-        total += _edge_arg(
-            r0, r1, s0, tau,
-            complex(z[e, j]), complex(z[e, j + 1]), complex(g[e, j]), complex(g[e, j + 1]),
-            0, state,
-        )
+    # (z_a, z_b, g_a, g_b, depth) of the parts still to count; the right
+    # halves wait here while the left half is walked in place
+    todo = [
+        (complex(z[e, j]), complex(z[e, j + 1]), complex(g[e, j]), complex(g[e, j + 1]), 0)
+        for e, j in zip(*np.nonzero(big))
+    ][::-1]
+    while todo:
+        za, zb, ga, gb, depth = todo.pop()
+        dphi = cmath.phase(gb / ga)
+        while abs(dphi) >= math.pi / 4.0 and depth < 48:
+            evals += 1
+            if evals > max_evals:
+                raise NoConvergenceError("census evaluation budget exhausted")
+            zm = 0.5 * (za + zb)
+            fm, fpm, _ = p_dp(r0, r1, s0, tau, zm)
+            if abs(fm) <= 1e-8 * max(abs(fpm), 1e-3):
+                raise BoundaryRootError(f"root within ~1e-8 of census contour near {zm}")
+            for k in known:
+                fm = fm / (zm - k)
+            depth += 1
+            todo.append((zm, zb, fm, gb, depth))
+            zb, gb = zm, fm
+            dphi = cmath.phase(gb / ga)
+        total += dphi
     return total
 
 

@@ -228,6 +228,19 @@ def test_resolution_below_two_is_rejected(capsys, resolution):
          "--tol"),
         (["simulate", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--t-end", "10", "--tol=-1"],
          "--tol"),
+        # counts past the float budget of one run (numpy would refuse these
+        # before allocating; smaller absurd counts would really allocate)
+        (["curves", "--K", "1.05", "--mu-grid", "0.05:0.45:1000000000000000"], "--mu-grid"),
+        (["rightmost", "--K", "1.05", "--mu", "0.3", "--tau-grid", "0:25:1000000000000000"],
+         "--tau-grid"),
+        (["releq", "--K", "1", "--tau-window", "0:8", "--resolution", "1000000000000000"],
+         "--resolution"),
+        (["snmap", "--K", "1.05", "--mu", "0.3", "--tau-window", "0:25", "--model", "phase",
+          "--resolution", "1000000000000000"], "--resolution"),
+        (["phasediff-check", "--K", "1.05", "--mu", "0.3", "--tau", "2",
+          "--samples", "1000000000000000"], "--samples"),
+        (["snmap", "--K", "1.05", "--mu", "0.3", "--tau-window", "0:25", "--grid-step", "1e-15"],
+         "--grid-step"),
     ],
 )
 def test_bad_number_flag_is_one_line(capsys, argv, flag):
@@ -389,6 +402,24 @@ def test_readme_outputs_script_keeps_streams_code_and_files(tmp_path):
     assert files["exit_code"] == "0\n"
     assert files["stdout"] == "zero-roots: 7 events, first at tau = 2.61799\n"
     assert files["z.csv"].startswith("# n_nodes = 2\n")
+
+
+def test_readme_outputs_script_strips_verify_timings():
+    strip = load_readme_outputs().strip_timings
+    text = (
+        "[PASS]  1 crossing delays: crossings 6.3402(+); 2 ms (0.00s)\n"
+        "[PASS]  2 boundary: mu_max = 0.421126 (want 0.4211 +- 0.0005) (0.00s)\n"
+        "[PASS]  4 orbit: T = 24.1895, residual 5.15e-08; 0.8 s (0.83s)\n"
+        "[PASS] 12 integrator: order 3.96; drift 0.0e+00 (12.06s)\n"
+        "12/12 criteria passed\n"
+    )
+    assert strip(text) == (
+        "[PASS]  1 crossing delays: crossings 6.3402(+)\n"
+        "[PASS]  2 boundary: mu_max = 0.421126 (want 0.4211 +- 0.0005)\n"
+        "[PASS]  4 orbit: T = 24.1895, residual 5.15e-08\n"
+        "[PASS] 12 integrator: order 3.96; drift 0.0e+00\n"
+        "12/12 criteria passed\n"
+    )
 
 
 def test_every_option_is_read():

@@ -157,6 +157,28 @@ def test_fit_profile_recovers_synthetic_coefficients(refined, start):
     assert np.max(np.abs(fit.state(0.0) - states[times >= start][0])) < 1e-6
 
 
+def test_fit_profile_takes_the_fundamental_when_a_harmonic_leads_the_velocity():
+    # the second harmonic is the smaller one in position but, weighted by k,
+    # the larger one in velocity: a velocity spectrum would start at T/2
+    a = np.zeros((3, 3))
+    b = np.zeros((3, 3))
+    a[:, 0] = -0.87
+    a[:, 1] = 0.3, -0.3, 0.0
+    a[:, 2] = 0.2, 0.2, -0.1
+    b[:, 2] = 0.05, -0.05, 0.0
+    series = OrbitProfile(ModelKind.FULL_PHASE, P3, REF_PERIOD, a, b)
+    step = 0.05
+    times = np.arange(2001) * step
+    states = np.zeros((len(times), 6))
+    states[:, 0::2] = series.positions(times)
+    states[:, 1::2] = series.velocities(times)
+    history = HistorySpec.constant(states[0])
+    traj = Trajectory(ModelKind.FULL_PHASE, P3, times, states, np.zeros_like(states), history, step)
+    fit = fit_profile(traj, (0.0, 100.0), harmonics=4)
+    assert fit.period == pytest.approx(REF_PERIOD, rel=1e-12)
+    assert np.max(np.abs(fit.positions(times) - states[:, 0::2])) < 1e-10
+
+
 def fit_misfit(traj, window, w, harmonics):
     """Least-squares misfit of a Fourier series of frequency w over the window."""
     mask = (traj.times >= window[0]) & (traj.times <= window[1])

@@ -98,9 +98,29 @@ def test_births_are_folds_of_the_locked_relation(k):
         assert abs(locked_residual(om, tau, k)) <= 1e-9
 
 
+def sign_change_count(k, tau):
+    """Roots of Omega + K sin(Omega tau) - 1 on [1 - K, 1 + K], counted without solving.
+
+    The residual is monotone between its critical points
+    Omega tau = +-acos(-1/(K tau)) + 2 pi m, so each sign change of its values
+    at 1 - K, the critical points and 1 + K is one root.
+    """
+    edges = [1.0 - k, 1.0 + k]
+    if k * tau > 1.0:
+        c = math.acos(-1.0 / (k * tau))
+        turns = 2.0 * math.pi * np.arange(math.floor((1.0 - k) * tau / (2.0 * math.pi)) - 1,
+                                          (1.0 + k) * tau / (2.0 * math.pi) + 2)
+        crit = np.concatenate([(turns + c) / tau, (turns - c) / tau])
+        edges += list(crit[(crit > 1.0 - k) & (crit < 1.0 + k)])
+    e = np.sort(edges)
+    g = e + k * np.sin(e * tau) - 1.0
+    return int(np.sum(g[:-1] * g[1:] < 0.0))
+
+
 def test_branches_alive_at_a_delay_match_the_root_count():
-    # branches bracket roots between folds of tau(phi), releq_solve between
-    # critical points in Omega_hat: two independent counts of the same roots
+    # branches and releq_solve both cut the phase curve at its folds; the sign
+    # changes of the residual between its critical points count the same roots
+    # independently
     rng = np.random.default_rng(3)
     for k in rng.uniform(0.3, 2.0, 20):
         p = NetworkParams(2, float(k), 1.0)
@@ -109,7 +129,19 @@ def test_branches_alive_at_a_delay_match_the_root_count():
             np.abs(om + k * np.sin(om * taus) - 1.0) <= 1e-9
             for om in (b.omega_hat(taus) for b in releq_branches(p, (0.0, 16.0)))
         )
-        assert list(alive) == [len(releq_solve(p, t)) for t in taus], k
+        counts = [sign_change_count(k, t) for t in taus]
+        assert list(alive) == counts, k
+        assert [len(releq_solve(p, t)) for t in taus] == counts, k
+
+
+def test_releq_solve_counts_the_double_root_at_a_fold():
+    # at a fold delay the two pieces born there meet: their double root counts twice
+    for tau, count in zip(FOLDS, (3, 5, 7, 9, 11)):
+        sols = releq_solve(P21, tau)
+        assert len(sols) == count
+        assert min(b - a for a, b in zip(sols, sols[1:])) < 1e-6
+        for om in sols:
+            assert abs(locked_residual(om, tau)) <= 1e-12
 
 
 def test_branch_samples_satisfy_locked_relation():

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pllbif import (
@@ -127,6 +127,42 @@ def test_scan_on_subwindow_and_ordering():
     # a window that ends at or before its start holds no crossings
     assert sn_scan(fix_block(), (10.0, 10.0)) == []
     assert sn_scan(fix_block(), (20.0, 10.0)) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    r0=st.floats(min_value=-3.0, max_value=3.0),
+    r1=st.floats(min_value=0.01, max_value=3.0),
+    s0=st.floats(min_value=-3.0, max_value=3.0).filter(lambda v: abs(v) > 1e-3),
+    start=st.floats(min_value=0.0, max_value=30.0),
+    length=st.floats(min_value=0.1, max_value=30.0),
+)
+def test_scan_of_a_constant_block_finds_the_closed_form_ladder(r0, r1, s0, start, length):
+    # with constant coefficients S_n has the explicit zeros tau_n = (theta + 2 pi n)/w
+    b, c = r1 * r1 - 2.0 * r0, r0 * r0 - s0 * s0
+    assume(abs(b * b - 4.0 * c) > 1e-3)
+    p = constant_quasi_polynomial(r0, r1, s0, 0.0)
+    end = start + length
+
+    def inside(tau):
+        return start + 1e-9 < tau < end - 1e-9
+
+    def by_rung(crossings):
+        return {(x.omega_candidate.root_branch, x.winding): x for x in crossings if inside(x.tau_star)}
+
+    rungs = by_rung(
+        x
+        for cand in omega_candidates(b, c)
+        for x in tau_candidates(p, cand, range(0, int(cand.omega * end / (2.0 * math.pi)) + 2))
+    )
+    scan = sn_scan(p, (start, end))
+    found = by_rung(scan)
+    assert len(found) == sum(inside(x.tau_star) for x in scan)  # no rung found twice
+    assert found.keys() == rungs.keys()
+    for key, got in found.items():
+        assert got.tau_star == pytest.approx(rungs[key].tau_star, rel=1e-12)
+        assert got.omega == pytest.approx(rungs[key].omega, rel=1e-12)
+        assert got.delta_sign == rungs[key].delta_sign
 
 
 P21 = NetworkParams(2, 1.0, 1.0)

@@ -9,13 +9,15 @@ to this script (``\\`` continuations joined, ``pllbif verify`` skipped) and
 runs each one with this checkout's ``src`` on the path, in its own directory
 ``OUTDIR/<k>-<command>/``.  That directory then holds ``stdout``, ``stderr``,
 ``exit_code`` and every file the command wrote there (``curves.svg``,
-``sim.csv``).  Captured from two checkouts, the outputs compare with one
-``diff -r``.
+``sim.csv``).  ``pllbif verify`` runs last, in ``OUTDIR/verify/``, and its
+``stdout`` keeps the 12 criterion lines without their timings.  Captured from
+two checkouts, the outputs compare with one ``diff -r``.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -50,6 +52,11 @@ def capture(argv: list[str], workdir: Path) -> int:
     return run.returncode
 
 
+def strip_timings(text: str) -> str:
+    """``verify`` output without its timings: a trailing `` (0.12s)``, ``; 2 ms`` or ``; 0.8 s``."""
+    return re.sub(r"(; [0-9.]+ m?s)?( \([0-9.]+s\))?$", "", text, flags=re.MULTILINE)
+
+
 def main(args: list[str]) -> int:
     if len(args) != 1:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
@@ -59,6 +66,10 @@ def main(args: list[str]) -> int:
     for k, argv in enumerate(readme_commands(), start=1):
         code = capture(argv, out / f"{k}-{argv[0]}")
         print(f"{k}-{argv[0]}: exit {code}")
+    code = capture(["verify"], out / "verify")
+    stdout = out / "verify" / "stdout"
+    stdout.write_text(strip_timings(stdout.read_text(encoding="utf-8")), encoding="utf-8")
+    print(f"verify: exit {code}")
     return 0
 
 
