@@ -8,7 +8,18 @@ imaginary axis (Hopf and steady-state bifurcations), certifies rightmost
 roots and unstable-root counts, follows the locked states of the reduced
 phase formulations, and integrates all model variants directly to validate
 the predicted orbits and their spatio-temporal symmetry.
+
+Importing the package pins OpenBLAS and OpenMP to one thread unless the
+caller has set ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` (or numpy is
+already loaded): its solves are small, and a second BLAS thread gains
+nothing on them and can stall the first one in a process for about a second.
 """
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
 
 from .charfun import (
     BlockKind,

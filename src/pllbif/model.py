@@ -258,7 +258,7 @@ def _compile_parts(
 ) -> tuple[
     Callable[[np.ndarray], np.ndarray],
     Callable[[np.ndarray, np.ndarray], np.ndarray],
-    Callable[[list, list], list] | None,
+    Callable[[float, float, float], float] | None,
 ]:
     """The field of one formulation split as ``(delayed_input, local, local_floats)``.
 
@@ -267,9 +267,10 @@ def _compile_parts(
     it alone.  ``local(state, inp)`` maps the current state and that factor
     to the derivative, so ``local(state, delayed_input(delayed))`` is the field
     ``f(state, delayed)``.  Both take leading axes and check nothing;
-    ``compile_rhs`` documents the binding.  ``local_floats`` is ``local`` on
-    one state and one input row given as lists of floats, equal to it bit for
-    bit; it exists for FULL_PHASE only and is None otherwise.  Like
+    ``compile_rhs`` documents the binding.  ``local_floats(x, v, d)`` is the
+    velocity entry of ``local`` for one node, from its position, velocity and
+    input as Python floats, equal to it bit for bit (the position entry is v
+    itself); it exists for FULL_PHASE only and is None otherwise.  Like
     ``math.cos``, it raises ValueError on an infinite position, where
     ``local`` returns NaN.
     """
@@ -312,12 +313,9 @@ def _compile_parts(
 
         cos = math.cos
 
-        def local_floats(state, inp):
-            # _full_coupling and the line that uses it in ``local``, per node
-            out = []
-            for x, v, d in zip(state[0::2], state[1::2], inp):
-                out += (v, drive - mu * v + gain * (2.0 * cos(x) * d))
-            return out
+        def local_floats(x, v, d):
+            # _full_coupling and the line that uses it in ``local``, for one node
+            return drive - mu * v + gain * (2.0 * cos(x) * d)
 
     elif kind is ModelKind.PHASE:
         drive = 0.0

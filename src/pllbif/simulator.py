@@ -47,11 +47,12 @@ __all__ = [
 ]
 
 _BOUND = 1e8
-# FULL_PHASE states of at most this many coordinates step on Python floats.
-# CPU time per step at tau = 9.5, step tau/100, on a 2-CPU Xeon: 17.5 us on
-# floats against 51.5 on arrays at N = 3, 48 against 53 at N = 16, a tie at
-# N = 18, and 58 against 52 at N = 24.
-_FLOAT_DIM = 32
+# FULL_PHASE states of at most this many coordinates step node by node on
+# Python floats.  CPU time per step at tau = 9.5, step tau/100, on a 2-CPU
+# Xeon (least of 15 alternating runs): 3.7 us on floats against 28.7 on
+# arrays at N = 3, 18.1 against 29.6 at N = 16, 29.9 against 31.3 at N = 26,
+# a tie at N = 28, 35.9 against 30.5 at N = 32 and 70.6 against 32.6 at N = 64.
+_FLOAT_DIM = 52
 _MAX_FLOATS = 2**27  # floats one integration may keep: 1 GiB of float64
 
 
@@ -227,9 +228,10 @@ def integrate(
     start as the first stage (first same as last).
 
     The m steps of an interval run on arrays, or, for FULL_PHASE with
-    tau > 0 and at most ``_FLOAT_DIM`` state coordinates, on lists of Python
-    floats, where numpy's per-call overhead would cost more than the
-    arithmetic.  Both do the same operations in the same order and return
+    tau > 0 and at most ``_FLOAT_DIM`` state coordinates, node by node on
+    Python floats, where numpy's per-call overhead would cost more than the
+    arithmetic: with the interval's delayed input fixed, each node is its own
+    planar system.  Both do the same operations in the same order and return
     the same numbers bit for bit.
 
     A step whose new state is not finite or exceeds 1e8 in magnitude raises
@@ -328,33 +330,52 @@ def _advance_arrays(f, states, derivs, times, h, start, stop, inputs):
 
 
 def _advance_floats(f, states, derivs, times, h, start, stop, inputs):
-    """``_advance_arrays`` on lists of Python floats, with f taking and returning lists.
+    """``_advance_arrays`` for FULL_PHASE, one node at a time on Python floats.
 
-    The same operations in the same order, so the same numbers bit for bit;
-    the rows are written to states and derivs once, at the end.
+    With the interval's delayed inputs fixed, node i is the planar system
+    x' = v, v' = f(x, v, d_i): its steps run as one scalar loop, with the
+    operations of the whole-state step in the same order, so the same numbers
+    bit for bit (a position derivative is the velocity itself).  The rows
+    are written to states and derivs once, at the end.  A node stops at its
+    first step that leaves bounds, later nodes run only up to the earliest
+    such step, and that step's end time is the one raised.
     """
     h2, h6 = 0.5 * h, h / 6.0
-    rows = iter(inputs.tolist())
-    y = states[start].tolist()
-    d = derivs[start].tolist()
-    ys, ds = [], []
-    for k in range(start, stop):
-        dh, d1 = next(rows), next(rows)
-        try:
-            k2 = f([a + h2 * b for a, b in zip(y, d)], dh)
-            k3 = f([a + h2 * b for a, b in zip(y, k2)], dh)
-            k4 = f([a + h * b for a, b in zip(y, k3)], d1)
-        except ValueError:  # math.cos of an infinite position, where np.cos gives NaN
-            raise _left_bounds(times[k + 1]) from None
-        y = [a + h6 * (b + 2.0 * (c + e) + g) for a, b, c, e, g in zip(y, d, k2, k3, k4)]
-        # not max(): over a list holding NaN its result depends on the order
-        if not all(abs(v) <= _BOUND for v in y):
-            raise _left_bounds(times[k + 1])
-        d = f(y, d1)
-        ys.append(y)
-        ds.append(d)
-    states[start + 1 : stop + 1] = ys
-    derivs[start + 1 : stop + 1] = ds
+    first = states[start].tolist()
+    accs = derivs[start, 1::2].tolist()
+    end = stop  # the earliest step that left bounds, stop while none has
+    xs, vs, acs = [], [], []
+    for x, v, a, row in zip(first[0::2], first[1::2], accs, inputs.T.tolist()):
+        px, pv, pa = [], [], []
+        for k, dh, d1 in zip(range(start, end), row[0::2], row[1::2]):
+            try:
+                v2 = v + h2 * a
+                a2 = f(x + h2 * v, v2, dh)
+                v3 = v + h2 * a2
+                a3 = f(x + h2 * v2, v3, dh)
+                v4 = v + h * a3
+                a4 = f(x + h * v3, v4, d1)
+            except ValueError:  # math.cos of an infinite position, where np.cos gives NaN
+                end = k
+                break
+            x = x + h6 * (v + 2.0 * (v2 + v3) + v4)
+            v = v + h6 * (a + 2.0 * (a2 + a3) + a4)
+            if not (abs(x) <= _BOUND and abs(v) <= _BOUND):  # a NaN fails too
+                end = k
+                break
+            a = f(x, v, d1)
+            px.append(x)
+            pv.append(v)
+            pa.append(a)
+        xs.append(px)
+        vs.append(pv)
+        acs.append(pa)
+    if end < stop:
+        raise _left_bounds(times[end + 1])
+    rows = slice(start + 1, stop + 1)
+    states[rows, 0::2] = np.array(xs).T
+    states[rows, 1::2] = derivs[rows, 0::2] = np.array(vs).T
+    derivs[rows, 1::2] = np.array(acs).T
 
 
 def _ceil(x: float) -> int:

@@ -310,6 +310,19 @@ def test_nan_history_is_stopped_at_the_first_step():
         integrate(ModelKind.FULL_PHASE, P2, hist, 5.0, step=0.25)
 
 
+@pytest.mark.parametrize("near, far", [(2, 0), (0, 2)], ids=["last-node-first", "first-node-first"])
+def test_nodes_leaving_bounds_out_of_order_stop_at_the_earliest_step(near, far):
+    # the node 3 below 1e8 leaves in the step to t = 0.5 and the one 11 below
+    # in the step to t = 1.25; the error names t = 0.5 whichever comes first
+    # in node order
+    base = np.zeros(6)
+    base[2 * near], base[2 * far] = 1e8 - 3.0, 1e8 - 11.0
+    base[2 * near + 1] = base[2 * far + 1] = 10.0
+    p = NetworkParams(3, 1.05, 0.3, delay=2.0)
+    with pytest.raises(NonFiniteError, match=r"^trajectory left bounds near t = 0\.5$"):
+        integrate(ModelKind.FULL_PHASE, p, HistorySpec.constant(base), 5.0, step=0.25)
+
+
 class _InfiniteAt:
     """A constant history with one coordinate infinite at the single time t_bad."""
 
