@@ -8,11 +8,11 @@ candidate from a simulation segment that passes near an orbit, by variable
 projection on the same table (the coefficients enter linearly, so only the
 frequency is iterated), with time 0 at the segment's first sample;
 ``refine_orbit`` polishes it by damped Gauss-Newton on the collocated model
-residual.  The residual takes stacks of coefficient sets at one period, so
-the finite-difference Jacobian evaluates its coefficient columns in blocks
-that share one set of collocation tables.  A refined profile serves directly
-as an integration history, which is how a weakly unstable orbit is held long
-enough to measure its period and symmetry.
+residual.  The collocated state is linear in the coefficients, so the
+Jacobian is the field's partials at the samples times the same tables, by
+the chain rule, as in DDE-BIFTOOL (Engelborghs, Luzyanina & Roose 2002).
+A refined profile serves directly as an integration history, which is how a
+weakly unstable orbit is held long enough to measure its period and symmetry.
 """
 
 from __future__ import annotations
@@ -130,35 +130,35 @@ def _rotate(a, b, ang):
     return a * c - b * s, a * s + b * c
 
 
-def _residual(kind, p, a, b, period, samples):
-    """Collocated second-order residual of the model on the series, flattened.
+def _collocate(p, a, b, period, samples):
+    """The series (a, b) at ``samples`` points t of one period.
 
-    The ``_tables`` at the ``samples`` points t and at t - delay are built
-    once: leading axes of ``a`` and ``b`` evaluate many coefficient sets at
-    one period, and each row equals the residual of its set alone, bit for bit.
+    Returns the ``_tables`` at t and at t - delay as (ck, sk, kw, cd, sd), the
+    interleaved state, the delayed state (velocity part zero: the field reads
+    only delayed positions) and the accelerations, shape (samples, n_comp).
     """
+    w = _TWO_PI / period
+    n_comp, h = a.shape[0], a.shape[1] - 1
+    ts = (period / samples) * np.arange(samples)
+    ck, sk, kw = _tables(w, ts, h)
+    cd, sd, _ = _tables(w, ts - p.delay, h)
+    st = np.empty((samples, 2 * n_comp))
+    st[:, 0::2] = ck @ a.T + sk @ b.T
+    st[:, 1::2] = (-kw * sk) @ a.T + (kw * ck) @ b.T
+    de = np.zeros((samples, 2 * n_comp))
+    de[:, 0::2] = cd @ a.T + sd @ b.T
+    acc = (-(kw**2) * ck) @ a.T + (-(kw**2) * sk) @ b.T
+    return (ck, sk, kw, cd, sd), st, de, acc
+
+
+def _residual(kind, p, a, b, period, samples):
+    """Collocated second-order residual of the model on the series, flattened."""
     if kind not in (ModelKind.FULL_PHASE, ModelKind.PHASE_DIFFERENCE):
         raise UnsupportedKindError(
             f"{kind} has no strictly periodic orbits in these coordinates"
         )
-    w = _TWO_PI / period
-    lead, n_comp, h = a.shape[:-2], a.shape[-2], a.shape[-1] - 1
-    at, bt = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
-    ts = (period / samples) * np.arange(samples)
-    ck, sk, kw = _tables(w, ts, h)
-    x = ck @ at + sk @ bt
-    v = (-kw * sk) @ at + (kw * ck) @ bt
-    acc = (-(kw**2) * ck) @ at + (-(kw**2) * sk) @ bt
-    cd, sd, _ = _tables(w, ts - p.delay, h)
-    xd = cd @ at + sd @ bt
-
-    st = np.empty(lead + (samples, 2 * n_comp))
-    st[..., 0::2] = x
-    st[..., 1::2] = v
-    de = np.zeros(lead + (samples, 2 * n_comp))  # velocity part unused by the field
-    de[..., 0::2] = xd
-    r = acc - compile_rhs(kind, p)(st, de)[..., 1::2]
-    return r.reshape(lead + (samples * n_comp,))
+    _, st, de, acc = _collocate(p, a, b, period, samples)
+    return (acc - compile_rhs(kind, p)(st, de)[:, 1::2]).ravel()
 
 
 def fit_profile(traj, window: tuple[float, float], harmonics: int = 8) -> OrbitProfile:
@@ -224,14 +224,6 @@ def fit_profile(traj, window: tuple[float, float], harmonics: int = 8) -> OrbitP
     return OrbitProfile(traj.kind, traj.params, _TWO_PI / w, a, b)
 
 
-# Coefficient columns per batched residual call in ``_Collocation.jacobian``.
-# On the orbit workload's refine (3 components, H = 16: 99 such columns; one
-# BLAS thread, 2-vCPU Xeon) blocks of 8 to 24 columns all take 100 to 120 ms,
-# against 330 ms column by column, and raise peak RSS by at most 0.6 MiB.
-# All 99 columns in one call are no faster and raise it by 4.5 MiB.
-_JAC_BLOCK = 16
-
-
 @dataclass(frozen=True)
 class _Collocation:
     """The Gauss-Newton system of ``refine_orbit``.
@@ -251,38 +243,71 @@ class _Collocation:
     anchor: int
 
     def unpack(self, c):
-        """Cosine and sine arrays of coefficient vectors c = u[..., :-1]."""
+        """Cosine and sine arrays of the coefficient vector c = u[:-1]."""
         n, h = self.n_comp, self.harmonics
-        lead = c.shape[:-1]
-        a = c[..., : n * (h + 1)].reshape(lead + (n, h + 1))
-        b = np.zeros(lead + (n, h + 1))
-        b[..., 1:] = c[..., n * (h + 1) :].reshape(lead + (n, h))
+        a = c[: n * (h + 1)].reshape(n, h + 1)
+        b = np.zeros((n, h + 1))
+        b[:, 1:] = c[n * (h + 1) :].reshape(n, h)
         return a, b
 
     def residual(self, c, period):
-        """Residual of coefficient vectors c at one period; leading axes carry over."""
+        """Residual of the coefficient vector c at one period."""
         if period <= 0.0:
-            return np.full(c.shape[:-1] + (self.n_comp * self.samples + 1,), 1e6)
+            return np.full(self.n_comp * self.samples + 1, 1e6)
         a, b = self.unpack(c)
         r = _residual(self.kind, self.params, a, b, period, self.samples)
-        return np.concatenate([r, b[..., self.anchor, 1:2]], axis=-1)
+        return np.append(r, b[self.anchor, 1])
 
     def jacobian(self, u, r):
-        """Forward-difference Jacobian at u, whose residual is r.
+        """Jacobian at u, whose residual is r, by the chain rule through the tables.
 
-        Column j steps u[j] alone by 1e-7 max(1, |u[j]|).  The coefficient
-        columns share the period, so each block of them is one batched
-        residual; the period column is one more call.
+        The collocated state is linear in the coefficients: coefficient k of
+        component l adds its column of the position, velocity, acceleration
+        and delayed-position tables to component l.  So the residual row of
+        component i at sample s has the derivative
+
+            acc[s, k] delta_il - F_x[s, i, l] pos[s, k]
+                - F_v[s, i, l] vel[s, k] - F_d[s, i, l] del[s, k],
+
+        where F_* are the field's velocity-entry partials at the collocated
+        state.  These are forward differences with step 1e-7 max(1, |value|),
+        every component's position, velocity and delayed position stepped in
+        one batched field call, so one code path serves every kind.  The period
+        column is a forward difference of the whole residual, and the anchor
+        row is exact.
         """
-        du = 1e-7 * np.maximum(1.0, np.abs(u))
-        c, period = u[:-1], float(u[-1])
+        n, h, m = self.n_comp, self.harmonics, self.samples
+        period = float(u[-1])
+        a, b = self.unpack(u[:-1])
+        (ck, sk, kw, cd, sd), st, de, _ = _collocate(self.params, a, b, period, m)
+
+        # batch 0 is the collocated state; batch 1 + q*n + l steps entry q
+        # (position, velocity, delayed position) of component l
+        values = np.concatenate([st[:, 0::2], st[:, 1::2], de[:, 0::2]], axis=1).T
+        du = 1e-7 * np.maximum(1.0, np.abs(values))  # (3n, m)
+        sts = np.repeat(st[None], 3 * n + 1, axis=0)
+        des = np.repeat(de[None], 3 * n + 1, axis=0)
+        comp = np.arange(n)
+        sts[1 + comp, :, 2 * comp] += du[:n]
+        sts[1 + n + comp, :, 2 * comp + 1] += du[n : 2 * n]
+        des[1 + 2 * n + comp, :, 2 * comp] += du[2 * n :]
+        f = compile_rhs(self.kind, self.params)(sts, des)[..., 1::2]
+        # minus the partials, as neg[s, i, l, q]
+        neg = ((f[0] - f[1:]) / du[..., None]).reshape(3, n, m, n).transpose(2, 3, 1, 0)
+
         jac = np.empty((r.size, u.size))
-        for j0 in range(0, c.size, _JAC_BLOCK):
-            cols = np.arange(j0, min(j0 + _JAC_BLOCK, c.size))
-            up = np.tile(c, (cols.size, 1))
-            up[np.arange(cols.size), cols] += du[cols]
-            jac[:, cols] = ((self.residual(up, period) - r) / du[cols, None]).T
-        jac[:, -1] = (self.residual(c, period + du[-1]) - r) / du[-1]
+        nc = n * (h + 1)
+        cos_tabs = (-(kw**2) * ck, ck, -kw * sk, cd)
+        sin_tabs = (-(kw[1:] ** 2) * sk[:, 1:], sk[:, 1:], kw[1:] * ck[:, 1:], sd[:, 1:])
+        for cols, (acc, *tabs) in ((slice(0, nc), cos_tabs), (slice(nc, -1), sin_tabs)):
+            blk = jac[:-1, cols].reshape(m, n, n, -1)  # a view: [s, i, l, k]
+            # blk[s, i, l] = neg[s, i, l] @ tab[s], the tables stacked as tab[s, q, k]
+            np.matmul(neg[..., None, :], np.stack(tabs, axis=1)[:, None, None], out=blk[..., None, :])
+            blk[:, comp, comp] += acc[:, None, :]
+        jac[-1, :] = 0.0
+        jac[-1, nc + self.anchor * h] = 1.0
+        dt = 1e-7 * max(1.0, period)
+        jac[:, -1] = (self.residual(u[:-1], period + dt) - r) / dt
         return jac
 
 
@@ -294,14 +319,16 @@ def refine_orbit(profile: OrbitProfile, harmonics: int | None = None) -> OrbitPr
     8 (H + 1) points per period, more than four times the 2 H + 1
     coefficients of each component.  One anchor row pins the sine
     coefficient of the first harmonic of the component with the strongest
-    first harmonic, removing the time-shift null direction.  The Jacobian is
-    a forward difference; the columns of the coefficients, which share one
-    period, are evaluated in batches through one set of collocation tables.
-    The step is damped by halving until the residual norm decreases, and the
-    iteration stops once every residual entry is below 1e-10, or after 30
-    steps.  Raises
-    NotPeriodicError if the RMS residual stalls above 1e-6, or if every
-    harmonic >= 1 ends at or below 1e-6 (the candidate fell to the equilibrium).
+    first harmonic, removing the time-shift null direction.  The Jacobian's
+    coefficient columns come by the chain rule through the collocation
+    tables (see ``_Collocation.jacobian``) and its period column by a forward
+    difference.  Each step solves the normal equations; it is damped by
+    halving until the residual norm decreases.  The iteration stops once every
+    residual entry is below 1e-10, after 30 steps, when no damping decreases
+    the norm, or when the normal equations are singular.  Raises
+    NotPeriodicError, naming the stop and the step count, if the RMS residual
+    stalls above 1e-6, or if every harmonic >= 1 ends at or below 1e-6 (the
+    candidate fell to the equilibrium).
     """
     p = normalize(profile.params)
     kind = profile.kind
@@ -322,10 +349,17 @@ def refine_orbit(profile: OrbitProfile, harmonics: int | None = None) -> OrbitPr
     u = np.concatenate([a.ravel(), b[:, 1:].ravel(), [prof.period]])
     r = col.residual(u[:-1], prof.period)
     norm = float(np.linalg.norm(r))
+    stop, taken = f"the {_GAUSS_NEWTON_CAP}-step cap", 0
     for _ in range(_GAUSS_NEWTON_CAP):
         if float(np.max(np.abs(r))) < 1e-10:
             break
-        step = np.linalg.lstsq(col.jacobian(u, r), -r, rcond=None)[0]
+        jac = col.jacobian(u, r)
+        try:
+            step = np.linalg.solve(jac.T @ jac, -(jac.T @ r))
+        except np.linalg.LinAlgError:
+            stop = "a singular system"
+            break
+        del jac  # before the next one is built: two at once would set the peak memory
         scale = 1.0
         for _ in range(8):
             cand = u + scale * step
@@ -333,15 +367,18 @@ def refine_orbit(profile: OrbitProfile, harmonics: int | None = None) -> OrbitPr
             nc = float(np.linalg.norm(rc))
             if nc < norm:
                 u, r, norm = cand, rc, nc
+                taken += 1
                 break
             scale *= 0.5
         else:
-            break  # no decrease at the smallest damping; accept what we have
+            stop = "no decrease at the smallest damping"
+            break
     na, nb = col.unpack(u[:-1])
     out = OrbitProfile(kind, profile.params, float(u[-1]), na, nb)
     if out.residual_norm(m) > _ORBIT_TOL:
         raise NotPeriodicError(
-            f"collocation residual stalled at {out.residual_norm(m):.2e}; candidate is not near an orbit"
+            f"collocation residual stalled at {out.residual_norm(m):.2e} after {taken} steps,"
+            f" stopped by {stop}; candidate is not near an orbit"
         )
     amp = float(np.max(np.hypot(na[:, 1:], nb[:, 1:])))
     if amp <= _ORBIT_TOL:

@@ -5,6 +5,8 @@ its refined period; the refinement is seeded from a handful of dominant
 coefficients, so the test exercises the whole Gauss-Newton path.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,16 @@ def test_refine_refuses_a_seed_that_falls_to_the_equilibrium():
         refine_orbit(pattern_seed(0.05 * pair_difference_direction(3, (1, 2))[0::2]), harmonics=16)
 
 
+@pytest.mark.parametrize("harmonics", [1, 16])
+def test_refine_stops_on_a_singular_system(harmonics):
+    # no harmonic at all: the residual does not move with the period, whose
+    # Jacobian column is exactly zero, so the normal equations are singular
+    flat = pattern_seed(0.0)
+    seed = replace(flat, period=21.35, cos_coeffs=flat.cos_coeffs + [[0.01, 0.0]])
+    with pytest.raises(NotPeriodicError, match="stalled .* after 0 steps, stopped by a singular system"):
+        refine_orbit(seed, harmonics=harmonics)
+
+
 _RE, _IM = isotypic_direction(3, 1, "real")[0::2], isotypic_direction(3, 1, "imag")[0::2]
 
 
@@ -322,28 +334,8 @@ def test_each_c_axial_pattern_refines_to_its_orbit(cos1, sin1, tag, pair):
     assert (cls.tag, cls.pair) == (tag, pair)
 
 
-@pytest.mark.parametrize(
-    "kind, nodes",
-    [(ModelKind.FULL_PHASE, 3), (ModelKind.PHASE_DIFFERENCE, 2), (ModelKind.PHASE_DIFFERENCE, 3)],
-    ids=["full-3", "difference-2", "difference-3"],
-)
-def test_batched_residual_rows_equal_single_sets(kind, nodes):
-    # leading axes share the collocation tables; each row must still be the
-    # residual of its coefficient set alone, bit for bit
-    p = normalize(NetworkParams(nodes, 1.05, 0.075, delay=9.5))
-    n_comp, h = state_dim(kind, nodes) // 2, 6
-    rng = np.random.default_rng(nodes)
-    a = rng.normal(scale=0.3, size=(2, 3, n_comp, h + 1))
-    b = rng.normal(scale=0.3, size=(2, 3, n_comp, h + 1))
-    b[..., 0] = 0.0
-    rows = orbit._residual(kind, p, a, b, 24.2, 8 * (h + 1))
-    assert rows.shape == (2, 3, 8 * (h + 1) * n_comp)
-    for i in np.ndindex(2, 3):
-        assert np.array_equal(rows[i], orbit._residual(kind, p, a[i], b[i], 24.2, 8 * (h + 1))), i
-
-
 def loop_jacobian(col, u, r):
-    """The forward difference one column at a time, the reference for the batched one."""
+    """The forward difference of the whole residual, one column at a time."""
     jac = np.empty((r.size, u.size))
     for j in range(u.size):
         du = 1e-7 * max(1.0, abs(u[j]))
@@ -353,16 +345,50 @@ def loop_jacobian(col, u, r):
     return jac
 
 
+def assert_jacobian_near_the_loop(col, u):
+    # Both Jacobians are forward differences; their period columns are the
+    # same difference.  A coefficient column moves one component's position
+    # and delayed position by table entries of size <= 1 (velocities and
+    # accelerations enter linearly), and every second partial of the field's
+    # velocity entries in positions and delayed positions is at most 2 K mu
+    # in size (K mu / (n - 1) per coupling term, n - 1 terms).  With steps
+    # du <= 1e-7 max(1, X), X the largest coefficient or collocated position:
+    # - the loop differences r along its column, where |d2r| <= (1 + 1)^2 2 K mu,
+    #   so its truncation error is at most du/2 8 K mu = 4 K mu du;
+    # - the chain rule differences the field in the position and the delayed
+    #   position, at most du/2 2 K mu each: 2 K mu du in all.
+    # Rounding adds at most 2 * 10 eps / 1e-7 to each of the four differences
+    # (every entry is a sum of terms below 10 in size).
+    p = col.params
+    a, b = col.unpack(u[:-1])
+    _, st, de, _ = orbit._collocate(p, a, b, float(u[-1]), col.samples)
+    x = max(1.0, np.max(np.abs(u[:-1])), np.max(np.abs(st[:, 0::2])), np.max(np.abs(de)))
+    k_mu = p.coupling * p.filter_gain
+    tol = 6.0 * k_mu * 1e-7 * x + 4.0 * 2.0 * 10.0 * np.finfo(float).eps / 1e-7
+    r = col.residual(u[:-1], float(u[-1]))
+    jac, loop = col.jacobian(u, r), loop_jacobian(col, u, r)
+    assert np.max(np.abs(jac - loop)) <= tol
+    assert np.array_equal(jac[:, -1], loop[:, -1])
+
+
 @pytest.mark.parametrize("turns", [0, 1])
 @pytest.mark.parametrize("harmonics", [10, 16])
 def test_jacobian_matches_a_column_loop(harmonics, turns):
-    # 63 and 99 coefficient columns: both end on a partial block.  One more
-    # turn of every mean phase is the same orbit, with coefficients above 1
-    # whose columns take larger steps than their neighbours.
+    # One more turn of every mean phase is the same orbit, with coefficients
+    # above 1 whose columns take larger steps than their neighbours.
     prof = seed_profile().with_harmonics(harmonics)
     a, b = prof.cos_coeffs.copy(), prof.sin_coeffs
     a[:, 0] += 2.0 * np.pi * turns
     col = orbit._Collocation(prof.kind, normalize(P3), 3, harmonics, 8 * (harmonics + 1), 0)
-    u = np.concatenate([a.ravel(), b[:, 1:].ravel(), [prof.period]])
-    r = col.residual(u[:-1], prof.period)
-    assert np.array_equal(col.jacobian(u, r), loop_jacobian(col, u, r))
+    assert_jacobian_near_the_loop(col, np.concatenate([a.ravel(), b[:, 1:].ravel(), [prof.period]]))
+
+
+@pytest.mark.parametrize("nodes", [2, 3])
+def test_difference_jacobian_matches_a_column_loop(nodes):
+    # coefficients far from any orbit, so that every partial enters
+    kind, h = ModelKind.PHASE_DIFFERENCE, 6
+    n_comp = state_dim(kind, nodes) // 2
+    rng = np.random.default_rng(nodes)
+    u = np.append(rng.normal(scale=0.3, size=n_comp * (2 * h + 1)), 24.2)
+    p = normalize(NetworkParams(nodes, 1.05, 0.075, delay=9.5))
+    assert_jacobian_near_the_loop(orbit._Collocation(kind, p, n_comp, h, 8 * (h + 1), 1), u)
