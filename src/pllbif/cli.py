@@ -30,6 +30,7 @@ Exit codes: 0 success, 1 domain error (no equilibrium, no convergence, ...),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -254,26 +255,39 @@ def _meta(p: NetworkParams, command: str, *extra: tuple) -> list[tuple]:
     ]
 
 
+def _spec(kind: type) -> str:
+    """The %-format of a value of type ``kind``: bools and ints as integers, floats to 17 digits."""
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    if issubclass(kind, (float, np.floating)):
+        return "%.17g"
+    return "%s"
+
+
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    return str(v)
+    return _spec(type(v)) % (v,)
 
 
 def _emit(o: argparse.Namespace, meta: list[tuple], header: list[str], rows, summary: str, chart=None) -> None:
-    """Write the SVG chart ``(series, title, xlabel, ylabel)`` if --svg is set, then the CSV."""
+    """Write the SVG chart ``(series, title, xlabel, ylabel)`` if --svg is set, then the CSV.
+
+    Each row is written by one %-format, built once per tuple of value types
+    from ``_spec``, the rule ``_fmt`` applies to one value.
+    """
     if chart is not None and o.svg is not None:
         series, title, xlabel, ylabel = chart
         with open(o.svg, "w", encoding="utf-8") as fh:
             fh.write(line_chart(series, title=title, xlabel=xlabel, ylabel=ylabel))
     lines = [f"# {k} = {_fmt(v)}" for k, v in meta]
     lines.append(",".join(header))
+    formats: dict[tuple, str] = {}
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(map(_spec, kinds))
+        lines.append(fmt % row)
     text = "\n".join(lines) + "\n"
     if o.out == "-":
         sys.stdout.write(text)
@@ -684,7 +698,9 @@ def _help(opt: _Opt) -> str:
     return opt.help if opt.default is None else f"{opt.help} (default: {opt.default})"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process."""
     ap = _Parser(
         prog="pllbif",
         description="Bifurcation analysis of delay-coupled oscillator networks",

@@ -153,11 +153,16 @@ def _collocate(p, a, b, period, samples):
 
 def _residual(kind, p, a, b, period, samples):
     """Collocated second-order residual of the model on the series, flattened."""
+    return _field_residual(kind, p, _collocate(p, a, b, period, samples))
+
+
+def _field_residual(kind, p, coll):
+    """The residual of ``_residual`` from the ``_collocate`` output ``coll``."""
     if kind not in (ModelKind.FULL_PHASE, ModelKind.PHASE_DIFFERENCE):
         raise UnsupportedKindError(
             f"{kind} has no strictly periodic orbits in these coordinates"
         )
-    _, st, de, acc = _collocate(p, a, b, period, samples)
+    _, st, de, acc = coll
     return (acc - compile_rhs(kind, p)(st, de)[:, 1::2]).ravel()
 
 
@@ -250,16 +255,26 @@ class _Collocation:
         b[:, 1:] = c[n * (h + 1) :].reshape(n, h)
         return a, b
 
+    def evaluate(self, c, period):
+        """Residual of the coefficient vector c at one period, and its ``_collocate`` output.
+
+        The collocation is None for a period <= 0, whose residual is a flat 1e6.
+        """
+        if period <= 0.0:
+            return np.full(self.n_comp * self.samples + 1, 1e6), None
+        a, b = self.unpack(c)
+        coll = _collocate(self.params, a, b, period, self.samples)
+        return np.append(_field_residual(self.kind, self.params, coll), b[self.anchor, 1]), coll
+
     def residual(self, c, period):
         """Residual of the coefficient vector c at one period."""
-        if period <= 0.0:
-            return np.full(self.n_comp * self.samples + 1, 1e6)
-        a, b = self.unpack(c)
-        r = _residual(self.kind, self.params, a, b, period, self.samples)
-        return np.append(r, b[self.anchor, 1])
+        return self.evaluate(c, period)[0]
 
-    def jacobian(self, u, r):
+    def jacobian(self, u, r, coll=None):
         """Jacobian at u, whose residual is r, by the chain rule through the tables.
+
+        ``coll`` is the ``evaluate`` output that came with r; without it, u is
+        collocated again.
 
         The collocated state is linear in the coefficients: coefficient k of
         component l adds its column of the position, velocity, acceleration
@@ -278,8 +293,9 @@ class _Collocation:
         """
         n, h, m = self.n_comp, self.harmonics, self.samples
         period = float(u[-1])
-        a, b = self.unpack(u[:-1])
-        (ck, sk, kw, cd, sd), st, de, _ = _collocate(self.params, a, b, period, m)
+        if coll is None:
+            coll = _collocate(self.params, *self.unpack(u[:-1]), period, m)
+        (ck, sk, kw, cd, sd), st, de, _ = coll
 
         # batch 0 is the collocated state; batch 1 + q*n + l steps entry q
         # (position, velocity, delayed position) of component l
@@ -347,13 +363,13 @@ def refine_orbit(profile: OrbitProfile, harmonics: int | None = None) -> OrbitPr
 
     col = _Collocation(kind, p, a.shape[0], h, m, anchor)
     u = np.concatenate([a.ravel(), b[:, 1:].ravel(), [prof.period]])
-    r = col.residual(u[:-1], prof.period)
+    r, coll = col.evaluate(u[:-1], prof.period)
     norm = float(np.linalg.norm(r))
     stop, taken = f"the {_GAUSS_NEWTON_CAP}-step cap", 0
     for _ in range(_GAUSS_NEWTON_CAP):
         if float(np.max(np.abs(r))) < 1e-10:
             break
-        jac = col.jacobian(u, r)
+        jac = col.jacobian(u, r, coll)
         try:
             step = np.linalg.solve(jac.T @ jac, -(jac.T @ r))
         except np.linalg.LinAlgError:
@@ -363,10 +379,10 @@ def refine_orbit(profile: OrbitProfile, harmonics: int | None = None) -> OrbitPr
         scale = 1.0
         for _ in range(8):
             cand = u + scale * step
-            rc = col.residual(cand[:-1], float(cand[-1]))
+            rc, cc = col.evaluate(cand[:-1], float(cand[-1]))
             nc = float(np.linalg.norm(rc))
             if nc < norm:
-                u, r, norm = cand, rc, nc
+                u, r, coll, norm = cand, rc, cc, nc
                 taken += 1
                 break
             scale *= 0.5

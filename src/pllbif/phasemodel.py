@@ -80,6 +80,36 @@ def _solve(f, a, b, x0=None) -> np.ndarray:
     return x
 
 
+def _solve_one(f, a: float, b: float, x0: float) -> float:
+    """``_solve`` for one bracket on floats: the same steps in the same order.
+
+    f(x) may return numpy scalars (numpy's sin and cos keep the result equal
+    to ``_solve``'s to the bit); they are read as floats, so a zero
+    derivative gives the bisection step with no division.
+    """
+    fa = float(f(a)[0])
+    sign = (fa > 0.0) - (fa < 0.0)
+    tol = 4e-16 * max(abs(a), abs(b), 1.0)
+    x = min(max(x0, a), b)
+    step = b - a
+    for _ in range(100):
+        fx, dfx = (float(v) for v in f(x))
+        if fx * sign > 0.0:
+            a = x
+        else:
+            b = x
+        d = fx / dfx if dfx else math.inf
+        newton = x - d
+        if abs(d) <= 0.5 * abs(step) and a <= newton <= b:
+            step = newton - x
+        else:
+            step = 0.5 * (a + b) - x
+        x = x + step
+        if not abs(step) > tol:
+            break
+    return x
+
+
 def _phase_equation(tau, k: float):
     """phi -> phi - tau Omega_hat(phi) and its derivative: zero where tau(phi) = tau."""
     return lambda x: (x - tau * (1.0 - k * np.sin(x)), 1.0 + tau * k * np.cos(x))
@@ -127,13 +157,17 @@ class RelEqBranch:
         """Omega_hat at tau: bracketed Newton on tau(phi) = tau over the phase piece.
 
         Outside the branch's delay range no locked solution lies on it, and
-        the value returned is that at an end of the phase piece.
+        the value returned is that at an end of the phase piece.  A single
+        delay takes ``_solve_one``, which gives the array path's value to
+        the bit without its per-call array work.
         """
         t = np.asarray(tau, dtype=float)
         guess = np.interp(t, self.taus, self.omegas * self.taus)
-        phi = _solve(_phase_equation(t, self.coupling), *self.phase_piece, guess)
-        oh = 1.0 - self.coupling * np.sin(phi)
-        return oh if oh.ndim else float(oh)
+        equation = _phase_equation(t, self.coupling)
+        if t.ndim:
+            return 1.0 - self.coupling * np.sin(_solve(equation, *self.phase_piece, guess))
+        phi = _solve_one(equation, *self.phase_piece, float(guess))
+        return float(1.0 - self.coupling * np.sin(phi))
 
 
 def _pieces(k: float, t1: float):

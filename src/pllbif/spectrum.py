@@ -21,7 +21,9 @@ enough that e^{-lambda tau} turns by at most pi/4 on each (so a whole turn
 never hides inside one segment), all evaluated in one vectorized sweep, and
 bisect only the segments whose phase step is pi/4 or more.  Certification
 divides the polished root and its conjugate out of P, so the line 1e-6 to
-their right sees a smooth phase and needs no deep bisection.
+their right sees a smooth phase and needs no deep bisection.  A line count
+samples nothing when a closed form in the polynomial part shows that no
+root can lie right of the line (``_excluded``).
 """
 
 from __future__ import annotations
@@ -259,9 +261,10 @@ def rightmost_root(
     the half-plane count along the line Re = Re lambda + 1e-6 is 0 (a line
     nearer lambda would meet the count's 1e-8 boundary-root test).  So of two
     root pairs whose real parts differ by less than 1e-6, either may be
-    returned: a warm start on the lower one certifies.  A count that
-    overflows, meets a root on its line or runs out of evaluations certifies
-    nothing.
+    returned: a warm start on the lower one certifies.  The count's
+    closed-form exclusion runs first, and a 0 from it is a certificate like
+    a sampled 0.  A count that overflows, meets a root on its line or runs
+    out of evaluations certifies nothing.
     """
     t = _delay(p, tau)
     r0, r1, s0 = _pcoeffs(p, t)
@@ -359,30 +362,44 @@ def _phase_change(r0, r1, s0, tau, starts, ends, nseg, known, max_evals) -> floa
     evals = len(starts) * (nseg + 1)
     if evals > max_evals:
         raise NoConvergenceError(f"census needs {evals} initial samples, budget is {max_evals}")
-    z0 = np.array(starts, dtype=complex)[:, None]
-    z1 = np.array(ends, dtype=complex)[:, None]
     # np.linspace(0, 1, nseg + 1) to the bit, without its call overhead
     t = np.arange(nseg + 1) * (1.0 / nseg)
     t[-1] = 1.0
-    z = z0 + (z1 - z0) * t
+    if len(starts) == 1:
+        z = starts[0] + (ends[0] - starts[0]) * t
+    else:
+        z0 = np.array(starts, dtype=complex)[:, None]
+        z = z0 + (np.array(ends, dtype=complex)[:, None] - z0) * t
+    # |P'| <= 2 |z| + |r1| + tau |s0| e^{-tau Re z} on the segments, so no
+    # sample can be near a root while every |P| exceeds twice 1e-8 times that
+    points = [*starts, *ends]
+    reach = max(map(abs, points))
+    low = min(v.real for v in points)
     with np.errstate(all="ignore"):
         f, fp, _ = p_dp(r0, r1, s0, tau, z, exp=np.exp)
+        fp_cap = 2.0 * reach + abs(r1) + tau * abs(s0) * np.exp(-low * tau)
     if not np.isfinite(f).all():
         raise OverflowError("e^{-lambda tau} overflows on the census contour")
-    near = np.abs(f) <= 1e-8 * np.maximum(np.abs(fp), 1e-3)
-    if near.any():
-        raise BoundaryRootError(
-            f"root within ~1e-8 of census contour near {complex(z[near][0])}"
-        )
+    af = np.abs(f)
+    if not af.min() > 2e-8 * max(fp_cap, 1e-3):
+        near = af <= 1e-8 * np.maximum(np.abs(fp), 1e-3)
+        if near.any():
+            raise BoundaryRootError(
+                f"root within ~1e-8 of census contour near {complex(z[near][0])}"
+            )
     g = _deflate(z, f, known)
-    steps = np.angle(g[:, 1:] / g[:, :-1])
+    q = g[..., 1:] / g[..., :-1]
+    steps = np.arctan2(q.imag, q.real)  # np.angle, without its call overhead
     big = np.abs(steps) >= math.pi / 4.0
+    if not big.any():
+        return float(steps.sum())
     total = float(steps[~big].sum())
     # (z_a, z_b, g_a, g_b, depth) of the parts still to count; the right
     # halves wait here while the left half is walked in place
+    z, g = z.reshape(-1, nseg + 1), g.reshape(-1, nseg + 1)
     todo = [
         (complex(z[e, j]), complex(z[e, j + 1]), complex(g[e, j]), complex(g[e, j + 1]), 0)
-        for e, j in zip(*np.nonzero(big))
+        for e, j in zip(*np.nonzero(big.reshape(-1, nseg)))
     ][::-1]
     while todo:
         za, zb, ga, gb, depth = todo.pop()
@@ -417,11 +434,47 @@ def _segments(tau: float, span: float) -> int:
     return max(32, math.ceil(4.0 * tau * span / math.pi))
 
 
+def _excluded(r0, r1, s0, tau, shift) -> bool:
+    """True if P provably has no root with Re >= shift, from |p| alone (p = z^2 + r1 z + r0).
+
+    A root z of P has |p(z)| = |s0| e^{-tau Re z}, which is at most
+    B = |s0| e^{-shift tau} when Re z >= shift.  With c = a^2 + r1 a + r0 and
+    d = 2 a + r1 (a = shift), p(a + w) = w^2 + d w + c has both roots left of
+    the line exactly when c > 0 and d > 0; then |p| is smallest on the line,
+    where |p(a + i omega)|^2 = u^2 + (d^2 - 2c) u + c^2 (u = omega^2).  Its
+    minimum is c^2 if d^2 >= 2c and c^2 - (2c - d^2)^2 / 4 = d^2 (c - d^2/4)
+    otherwise.  The test passes when its square root, the least |p| on the
+    line, exceeds B by the margin 1e-12 + 1e-14 S/c, S = |a + r1||a| + |r0|:
+    rounding moves c by a few ulps of S, which may cancel in it, and so moves
+    that least |p| by about 4e-16 S/c relatively; the margin is over 20 times
+    that.  An exp that overflows, a NaN, a root of p at or right of the line
+    or a least |p| within the margin gives False: undecided, not a root.
+    This is the delay-independent stability bound (Stepan, *Retarded
+    Dynamical Systems*, 1989; Hale & Verduyn Lunel, *Introduction to
+    Functional Differential Equations*, 1993).
+    """
+    a = shift
+    c = (a + r1) * a + r0
+    d = 2.0 * a + r1
+    if not (c > 0.0 and d > 0.0):
+        return False
+    try:
+        bound = abs(s0) * math.exp(-a * tau)
+    except OverflowError:
+        return False
+    low = c if d * d >= 2.0 * c else d * math.sqrt(c - 0.25 * d * d)
+    margin = 1e-12 + 1e-14 * (abs(a + r1) * abs(a) + abs(r0)) / c
+    return low > bound * (1.0 + margin)
+
+
 def _count(r0, r1, s0, tau, shift, known=(), max_evals=500_000) -> int:
     """Number of roots of P with Re > shift, from the phase of P/prod(z - k) along Re = shift.
 
-    The known roots k must lie left of the line, and must be closed under
-    conjugation, so that the deflated G = P/prod(z - k) is real at omega = 0.
+    ``_excluded`` runs first: when |p| alone keeps every root left of the
+    line, the count is 0 without a sample, and that 0 is a certificate like
+    any other.  Otherwise the line is sampled.  The known roots k must lie
+    left of the line, and must be closed under conjugation, so that the
+    deflated G = P/prod(z - k) is real at omega = 0.
     The argument principle on the half-plane right of the line, with P's
     conjugate symmetry, gives N = (2 - len(known))/2 - Delta/pi, Delta being
     the phase change of G along shift + i omega for omega from 0 to infinity.
@@ -430,6 +483,8 @@ def _count(r0, r1, s0, tau, shift, known=(), max_evals=500_000) -> int:
     shift + i omega - k, in the right half-plane, runs to pi/2: that tail is
     closed in closed form, and only [0, W] is sampled.
     """
+    if _excluded(r0, r1, s0, tau, shift):
+        return 0
     a = shift
     top = math.sqrt(abs((a + r1) * a + r0) + abs(s0) * math.exp(-a * tau)) + 1.0
     end = complex(a, top)
@@ -450,7 +505,11 @@ def _delay(p: QuasiPolynomial, tau: float | None) -> float:
 def unstable_count(p: QuasiPolynomial, tau: float | None = None, shift: float = 0.0) -> int:
     """Number of roots of P (with multiplicity) with Re lambda > ``shift``.
 
-    The Mikhailov / Stepan count: the phase of P is followed up the line
+    A closed-form exclusion runs first: when |lambda^2 + r1 lambda + r0|
+    provably exceeds |s0| e^{-shift tau} on the whole half-plane
+    Re lambda >= shift, no root lies there, and the 0 it returns is a
+    certificate (``_excluded``).  Otherwise, the Mikhailov / Stepan count:
+    the phase of P is followed up the line
     Re lambda = shift from Im lambda = 0 to a bound W beyond which Re P < 0,
     in max(32, ceil(4 tau W / pi)) segments sampled in one vectorized sweep,
     and the rest of the line is closed in closed form.  Raises

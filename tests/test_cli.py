@@ -8,9 +8,10 @@ import re
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from pllbif import ModelKind, cli
+from pllbif import BlockKind, ModelKind, cli
 from pllbif.cli import main
 from pllbif.errors import NotPeriodicError
 
@@ -420,6 +421,24 @@ def test_readme_outputs_script_strips_verify_timings():
         "[PASS] 12 integrator: order 3.96; drift 0.0e+00\n"
         "12/12 criteria passed\n"
     )
+
+
+def test_csv_rows_are_written_as_each_value_formats_alone(tmp_path):
+    # one %-format per row must write what formatting each value alone writes
+    values = [
+        (True, "1"), (np.True_, "True"), (False, "0"), (3, "3"), (np.int64(-7), "-7"),
+        (np.uint8(255), "255"), (0.1, "0.10000000000000001"), (np.float64(1 / 3), "0.33333333333333331"),
+        (np.float32(0.1), "0.10000000149011612"), (math.nan, "nan"), (math.inf, "inf"),
+        (-math.inf, "-inf"), (-0.0, "-0"), (5e-324, "4.9406564584124654e-324"),
+        ("a b", "a b"), (BlockKind.FIX, "BlockKind.FIX"),
+    ]
+    assert [cli._fmt(v) for v, _ in values] == [text for _, text in values]
+    rows = [[v for v, _ in values], [v for v, _ in values[::-1]], [1.5, 2, "x"], [2.5, 3, "y"], []]
+    out = tmp_path / "rows.csv"
+    cli._emit(SimpleNamespace(svg=None, out=str(out)), [("K", 1.05), ("n", 3)], ["h"], rows, "done")
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[:3] == ["# K = 1.05", "# n = 3", "h"]
+    assert lines[3:] == [",".join(cli._fmt(v) for v in row) for row in rows]
 
 
 def test_every_option_is_read():

@@ -371,6 +371,17 @@ def assert_jacobian_near_the_loop(col, u):
     assert np.array_equal(jac[:, -1], loop[:, -1])
 
 
+def test_the_kept_collocation_gives_the_recollocated_jacobian():
+    # refine_orbit passes the collocation of the accepted iterate's residual
+    # to the Jacobian instead of collocating that iterate again
+    prof = seed_profile().with_harmonics(10)
+    col = orbit._Collocation(prof.kind, normalize(P3), 3, 10, 88, 0)
+    u = np.concatenate([prof.cos_coeffs.ravel(), prof.sin_coeffs[:, 1:].ravel(), [prof.period]])
+    r, coll = col.evaluate(u[:-1], float(u[-1]))
+    assert np.array_equal(r, col.residual(u[:-1], float(u[-1])))
+    assert np.array_equal(col.jacobian(u, r, coll), col.jacobian(u, r))
+
+
 @pytest.mark.parametrize("turns", [0, 1])
 @pytest.mark.parametrize("harmonics", [10, 16])
 def test_jacobian_matches_a_column_loop(harmonics, turns):

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pllbif import (
     BlockKind,
@@ -168,6 +170,28 @@ def test_relative_hopf_scan_frozen():
 
 # ---------------------------------------------------------------------------
 # steady-state events of the symmetry-breaking block
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.floats(0.1, 3.0),
+    t0=st.floats(0.0, 10.0),
+    span=st.floats(0.5, 12.0),
+    inner=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    beyond=st.floats(1e-9, 2.0),
+)
+def test_scalar_omega_hat_is_the_array_value_to_the_bit(k, t0, span, inner, beyond):
+    # a single delay takes the float path; inside a branch, at its ends and
+    # beyond them it must return the array path's element, bit for bit
+    for br in releq_branches(NetworkParams(3, k, 0.5), (t0, t0 + span), 64):
+        lo, hi = float(br.taus[0]), float(br.taus[-1])
+        taus = np.array([lo, hi, lo - beyond, hi + beyond, *(lo + u * (hi - lo) for u in inner)])
+        arr = br.omega_hat(taus)
+        for tau, want in zip(taus, arr):
+            got = br.omega_hat(np.asarray(tau))
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes(), (k, br.branch_id, tau)
+            assert br.omega_hat(float(tau)) == got
 
 
 def test_zero_root_unit_coupling():

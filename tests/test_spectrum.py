@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pllbif import spectrum
+from pllbif.charfun import p_dp
 from pllbif import (
     BoundaryRootError,
     BranchDomainError,
@@ -240,8 +241,8 @@ def test_overflow_leaves_a_root_uncertified():
     assert spectrum._certify_rightmost(tau, complex(-0.01, 0.4), *blk.at(tau)) is False
 
 
-def dense_winding(blk, tau, box, known=()):
-    """Winding number of P around the box from a dense, unwrapped phase.
+def dense_samples(blk, tau, box, known=()):
+    """Points z densely sampled once around the box, and P(z) there.
 
     Each step moves lambda by at most 1/(64 (tau + 1)), so e^{-lambda tau}
     turns by less than 1/64 rad between samples.  The ``known`` roots are
@@ -258,7 +259,12 @@ def dense_winding(blk, tau, box, known=()):
     f = blk.eval(z, tau)
     for k in known:
         f = f / (z - k)
-    phase = np.unwrap(np.angle(f))
+    return z, f
+
+
+def dense_winding(blk, tau, box, known=()):
+    """Winding number of P around the box from the unwrapped phase of ``dense_samples``."""
+    phase = np.unwrap(np.angle(dense_samples(blk, tau, box, known)[1]))
     return (phase[-1] - phase[0]) / (2.0 * math.pi)
 
 
@@ -429,6 +435,89 @@ def test_a_real_root_with_a_stray_imaginary_part_is_divided_out_once(monkeypatch
     assert 0.0 < abs(est.lam.imag) <= 1e-12
     assert est.certified
     assert seen == [(complex(est.lam.real),)]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    c=st.floats(-0.5, 4.0),
+    d=st.floats(-1.0, 4.0),
+    ratio=st.floats(-1.05, 1.05),
+    tau=st.floats(0.0, 20.0),
+    shift=st.floats(-0.5, 1.0),
+)
+def test_an_excluded_half_plane_holds_no_root(c, d, ratio, tau, shift):
+    # p(shift + w) = w^2 + d w + c, whose roots lie left of the line only
+    # for c, d > 0, and |s0| e^{-shift tau} is |ratio| times min |p| on the
+    # line.  Every draw the exclusion passes is checked against a dense
+    # winding of the box that holds every root right of the line.  A root
+    # within a few sample steps of the box can turn the phase by 2 pi between
+    # two samples, unseen; such a draw, with |P / P'| (about the distance to
+    # the nearest root) below 4 steps at some sample, is beyond that
+    # reference's resolution and is not judged
+    r1 = d - 2.0 * shift
+    r0 = c - (shift + r1) * shift
+    low = abs(c) if d * d >= 2.0 * c else abs(d) * math.sqrt(c - d * d / 4.0)
+    s0 = ratio * low * math.exp(shift * tau)
+    assume(spectrum._excluded(r0, r1, s0, tau, shift))
+    blk = constant_quasi_polynomial(r0, r1, s0, delay=tau)
+    box = box_right_of(blk, tau, shift)
+    z, f = dense_samples(blk, tau, box)
+    fp = p_dp(r0, r1, s0, tau, z, exp=np.exp)[1]
+    with np.errstate(divide="ignore", over="ignore"):
+        assume(np.min(np.abs(f / fp)) > 4.0 * np.max(np.abs(np.diff(z))))
+    assert round(dense_winding(blk, tau, box), 2) == 0.0
+    assert spectrum._count(r0, r1, s0, tau, shift) == 0
+
+
+def test_a_root_on_or_right_of_the_line_is_not_excluded():
+    # P(lambda0) = 0 at lambda0 = a + i omega0, solved for real r0 and s0;
+    # then |p(lambda0)| = |s0| e^{-a tau} exactly: the exclusion's bound
+    # itself, met on the line
+    a, w0, r1, tau = 0.05, 0.8, 0.4, 6.0
+    lam0 = complex(a, w0)
+    q, e = lam0 * lam0 + r1 * lam0, cmath.exp(-lam0 * tau)
+    s0 = -q.imag / e.imag
+    r0 = -q.real - s0 * e.real
+    assert abs(q + r0 + s0 * e) <= 1e-15
+    assert (a + r1) * a + r0 > 0.0 and 2.0 * a + r1 > 0.0  # p's roots are left of the line
+    assert not spectrum._excluded(r0, r1, s0, tau, a)
+    with pytest.raises(BoundaryRootError):
+        spectrum._count(r0, r1, s0, tau, a)
+    # a real root on the line: |p(a)| = c is the bound
+    s0 = 0.3
+    r0 = -(a + r1) * a - s0 * math.exp(-a * tau)
+    assert not spectrum._excluded(r0, r1, s0, tau, a)
+    with pytest.raises(BoundaryRootError):
+        spectrum._count(r0, r1, s0, tau, a)
+    # p(a + w) = (w - 1/2)^2: |p| >= 1/4 on the line, above the bound
+    # 0.1 e^{-a tau}, but p's double root a + 1/2 lies right of it
+    r1 = -1.0 - 2.0 * a
+    r0 = 0.25 - (a + r1) * a
+    assert not spectrum._excluded(r0, r1, 0.1, tau, a)
+    assert spectrum._count(r0, r1, 0.1, tau, a) == 2
+
+
+def test_the_exclusion_certifies_a_delay_independent_block(monkeypatch):
+    # min |p(i omega)| = 1.539 exceeds |s0| = 0.382: no delay destabilizes
+    # this block, and sn_scan finds no crossing up to tau = 25
+    p = NetworkParams(2, 1.5, 1.0)
+    blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS)).fix
+    assert sn_scan(blk, (0.0, 25.0)) == []
+    sampled = []
+    phase_change = spectrum._phase_change
+    monkeypatch.setattr(spectrum, "_phase_change", lambda *args: sampled.append(args) or phase_change(*args))
+    for tau in (0.5, 3.0, 9.5, 25.0):
+        assert spectrum._excluded(*blk.at(tau), tau, 0.0)
+        assert unstable_count(blk, tau) == 0
+        assert round(dense_winding(blk, tau, upper_bound_box(blk, tau))) == 0
+    assert sampled == []
+    # the README rightmost block at tau = 9.5: its certification line, 1e-6
+    # right of the rightmost root, is counted
+    p = NetworkParams(2, 1.05, 0.3)
+    fix = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS)).fix
+    est = rightmost_root(fix, 9.5)
+    assert est.certified and sampled
+    assert not spectrum._excluded(*fix.at(9.5), 9.5, est.lam.real + 1e-6)
 
 
 def _tally_at_zero_plus(blk):

@@ -3,6 +3,7 @@
 Usage::
 
     python3 tools/readme_outputs.py OUTDIR
+    python3 tools/readme_outputs.py --digests
 
 Reads the ``pllbif`` command lines from the ``sh`` blocks of the README next
 to this script (``\\`` continuations joined, ``pllbif verify`` skipped) and
@@ -12,18 +13,29 @@ runs each one with this checkout's ``src`` on the path, in its own directory
 ``sim.csv``).  ``pllbif verify`` runs last, in ``OUTDIR/verify/``, and its
 ``stdout`` keeps the 12 criterion lines without their timings.  Captured from
 two checkouts, the outputs compare with one ``diff -r``.
+
+``--digests`` runs the same commands in-process instead and writes the
+SHA-256 digest of every ``stdout`` and written file to
+``tests/readme_outputs.sha256``, in ``sha256sum`` format with the paths of
+an OUTDIR capture: ``sha256sum -c`` run in OUTDIR checks a capture against
+it, and ``tests/test_outputs.py`` checks the in-process outputs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = ROOT / "tests" / "readme_outputs.sha256"
 
 
 def readme_commands(readme: Path = ROOT / "README.md") -> list[list[str]]:
@@ -57,10 +69,45 @@ def strip_timings(text: str) -> str:
     return re.sub(r"(; [0-9.]+ m?s)?( \([0-9.]+s\))?$", "", text, flags=re.MULTILINE)
 
 
+def output_digests() -> dict[str, str]:
+    """SHA-256 of every README output, by its path in an OUTDIR capture.
+
+    Each command runs in-process through ``pllbif.cli.main``, in its own
+    empty working directory; ``verify``'s stdout has its timings stripped.
+    """
+    from pllbif import cli
+
+    runs = [(f"{k}-{argv[0]}", argv) for k, argv in enumerate(readme_commands(), start=1)]
+    digests = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in [*runs, ("verify", ["verify"])]:
+            workdir = Path(tmp) / name
+            workdir.mkdir()
+            out = io.StringIO()
+            os.chdir(workdir)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    cli.main(argv)
+            finally:
+                os.chdir(cwd)
+            text = strip_timings(out.getvalue()) if name == "verify" else out.getvalue()
+            digests[f"{name}/stdout"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for path in sorted(workdir.iterdir()):
+                digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
 def main(args: list[str]) -> int:
+    if args == ["--digests"]:
+        sys.path.insert(0, str(ROOT / "src"))
+        lines = "".join(f"{digest}  {path}\n" for path, digest in output_digests().items())
+        DIGESTS.write_text(lines, encoding="utf-8")
+        print(f"wrote {DIGESTS}")
+        return 0
     if len(args) != 1:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: readme_outputs.py OUTDIR", file=sys.stderr)
+        print("usage: readme_outputs.py OUTDIR | --digests", file=sys.stderr)
         return 2
     out = Path(args[0])
     for k, argv in enumerate(readme_commands(), start=1):
