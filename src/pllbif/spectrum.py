@@ -10,20 +10,15 @@ it.  A caller's warm start (the root at a nearby delay) is polished and
 certified first; the Lambert W seeds are formed and polished only when that
 count cannot certify it.
 
-``unstable_count`` counts the roots right of a vertical line Re = a by the
-argument principle on that half-plane (the Mikhailov / Stepan count; Stepan,
-*Retarded Dynamical Systems*, 1989, Thm 2.19).  P has real coefficients, so
-the phase of P is followed only along a + i omega for omega in [0, W];
-beyond W the real part of P is negative and the remaining phase change has a
-closed form.  ``root_census`` counts the roots in a rectangle by the winding
-of P along its four edges.  Both sample their contour in segments short
-enough that e^{-lambda tau} turns by at most pi/4 on each (so a whole turn
-never hides inside one segment), all evaluated in one vectorized sweep, and
-bisect only the segments whose phase step is pi/4 or more.  Certification
-divides the polished root and its conjugate out of P, so the line 1e-6 to
-their right sees a smooth phase and needs no deep bisection.  A line count
-samples nothing when a closed form in the polynomial part shows that no
-root can lie right of the line (``_excluded``).
+``unstable_count`` counts the roots right of a vertical line Re = a in
+closed form, by the crossing tally (Cooke & van den Driessche, *Funkcialaj
+Ekvacioj* 29, 1986; Hale & Verduyn Lunel, *Introduction to Functional
+Differential Equations*, 1993): with P shifted to the line and frozen, the
+delay-free quadratic's count plus two, signed, for each crossing of
+``snmap``'s ladders below tau.  ``root_census`` counts the roots in a
+rectangle by the winding of P along its edges, sampled in one vectorized
+sweep so densely that e^{-lambda tau} turns by at most pi/4 per segment, and
+bisects only the segments whose phase step is larger.
 """
 
 from __future__ import annotations
@@ -42,6 +37,7 @@ from .errors import (
     NoConvergenceError,
 )
 from .model import check_delay
+from .snmap import _TWO_PI, RootBranch, _angle, omega_candidates
 
 __all__ = [
     "SpectrumEstimate",
@@ -258,13 +254,12 @@ def rightmost_root(
     seed converges, and InvalidParamError for a non-finite or negative delay.
 
     ``certified`` guarantees that no root of P has Re > Re lambda + 1e-6:
-    the half-plane count along the line Re = Re lambda + 1e-6 is 0 (a line
-    nearer lambda would meet the count's 1e-8 boundary-root test).  So of two
-    root pairs whose real parts differ by less than 1e-6, either may be
-    returned: a warm start on the lower one certifies.  The count's
-    closed-form exclusion runs first, and a 0 from it is a certificate like
-    a sampled 0.  A count that overflows, meets a root on its line or runs
-    out of evaluations certifies nothing.
+    the half-plane count (``unstable_count``'s crossing tally) right of the
+    line Re = Re lambda + 1e-6 is 0; a line nearer lambda would meet the
+    count's 1e-8 boundary-root test.  So of two root pairs whose real parts
+    differ by less than 1e-6, either may be returned: a warm start on the
+    lower one certifies.  A count that overflows, meets a root on its line or
+    cannot be resolved certifies nothing.
     """
     t = _delay(p, tau)
     r0, r1, s0 = _pcoeffs(p, t)
@@ -303,15 +298,9 @@ def rightmost_root(
 
 
 def _certify_rightmost(tau: float, lam: complex, r0: float, r1: float, s0: float) -> bool:
-    # No root right of the line 1e-6 right of lam, counted with lam and its
-    # conjugate divided out of P: their factors would turn the phase by about
-    # pi within 1e-6 of Im lam, while the quotient stays smooth there.  A real
-    # root is divided out once: it is its own conjugate.  Newton can leave a
-    # real root a stray imaginary part (1e-45 has been seen); one at rounding
-    # level still marks a single real factor.
-    known = (complex(lam.real),) if abs(lam.imag) <= 1e-12 else (lam, lam.conjugate())
+    # no root right of the line 1e-6 right of lam
     try:
-        return _count(r0, r1, s0, tau, lam.real + 1e-6, known) == 0
+        return _count(r0, r1, s0, tau, lam.real + 1e-6) == 0
     except (BoundaryRootError, NoConvergenceError, OverflowError):
         return False
 
@@ -336,18 +325,11 @@ def rightmost_sweep(p: QuasiPolynomial, tau_grid) -> list[SweepRow]:
 
 
 # ---------------------------------------------------------------------------
-# Argument-principle counts
+# Half-plane and rectangle counts
 
 
-def _deflate(z, f, known: tuple[complex, ...]):
-    """f / prod(z - k) over the known roots k, for a point or an array of z."""
-    for k in known:
-        f = f / (z - k)
-    return f
-
-
-def _phase_change(r0, r1, s0, tau, starts, ends, nseg, known, max_evals) -> float:
-    """Phase change of P/prod(z - k) along the segments starts[i] -> ends[i], summed.
+def _phase_change(r0, r1, s0, tau, starts, ends, nseg, max_evals) -> float:
+    """Phase change of P along the segments starts[i] -> ends[i], summed.
 
     Each segment is cut into ``nseg`` pieces, and all of their end points are
     evaluated in one vectorized sweep.  A piece whose phase step is below
@@ -365,11 +347,8 @@ def _phase_change(r0, r1, s0, tau, starts, ends, nseg, known, max_evals) -> floa
     # np.linspace(0, 1, nseg + 1) to the bit, without its call overhead
     t = np.arange(nseg + 1) * (1.0 / nseg)
     t[-1] = 1.0
-    if len(starts) == 1:
-        z = starts[0] + (ends[0] - starts[0]) * t
-    else:
-        z0 = np.array(starts, dtype=complex)[:, None]
-        z = z0 + (np.array(ends, dtype=complex)[:, None] - z0) * t
+    z0 = np.array(starts, dtype=complex)[:, None]
+    z = z0 + (np.array(ends, dtype=complex)[:, None] - z0) * t
     # |P'| <= 2 |z| + |r1| + tau |s0| e^{-tau Re z} on the segments, so no
     # sample can be near a root while every |P| exceeds twice 1e-8 times that
     points = [*starts, *ends]
@@ -387,39 +366,41 @@ def _phase_change(r0, r1, s0, tau, starts, ends, nseg, known, max_evals) -> floa
             raise BoundaryRootError(
                 f"root within ~1e-8 of census contour near {complex(z[near][0])}"
             )
-    g = _deflate(z, f, known)
-    q = g[..., 1:] / g[..., :-1]
+    q = f[:, 1:] / f[:, :-1]
     steps = np.arctan2(q.imag, q.real)  # np.angle, without its call overhead
     big = np.abs(steps) >= math.pi / 4.0
     if not big.any():
         return float(steps.sum())
     total = float(steps[~big].sum())
-    # (z_a, z_b, g_a, g_b, depth) of the parts still to count; the right
+    # (z_a, z_b, f_a, f_b, depth) of the parts still to count; the right
     # halves wait here while the left half is walked in place
-    z, g = z.reshape(-1, nseg + 1), g.reshape(-1, nseg + 1)
     todo = [
-        (complex(z[e, j]), complex(z[e, j + 1]), complex(g[e, j]), complex(g[e, j + 1]), 0)
-        for e, j in zip(*np.nonzero(big.reshape(-1, nseg)))
+        (complex(z[e, j]), complex(z[e, j + 1]), complex(f[e, j]), complex(f[e, j + 1]), 0)
+        for e, j in zip(*np.nonzero(big))
     ][::-1]
     while todo:
-        za, zb, ga, gb, depth = todo.pop()
-        dphi = cmath.phase(gb / ga)
+        za, zb, fa, fb, depth = todo.pop()
+        dphi = cmath.phase(fb / fa)
         while abs(dphi) >= math.pi / 4.0 and depth < 48:
             evals += 1
             if evals > max_evals:
                 raise NoConvergenceError("census evaluation budget exhausted")
             zm = 0.5 * (za + zb)
-            fm, fpm, _ = p_dp(r0, r1, s0, tau, zm)
-            if abs(fm) <= 1e-8 * max(abs(fpm), 1e-3):
-                raise BoundaryRootError(f"root within ~1e-8 of census contour near {zm}")
-            for k in known:
-                fm = fm / (zm - k)
+            fm = _off_root(r0, r1, s0, tau, zm)
             depth += 1
-            todo.append((zm, zb, fm, gb, depth))
-            zb, gb = zm, fm
-            dphi = cmath.phase(gb / ga)
+            todo.append((zm, zb, fm, fb, depth))
+            zb, fb = zm, fm
+            dphi = cmath.phase(fb / fa)
         total += dphi
     return total
+
+
+def _off_root(r0, r1, s0, tau, lam: complex) -> complex:
+    """P(lambda); raises BoundaryRootError if lambda lies within ~1e-8 of a root (|P| <= 1e-8 |P'|)."""
+    f, fp, _ = p_dp(r0, r1, s0, tau, lam)
+    if abs(f) <= 1e-8 * max(abs(fp), 1e-3):
+        raise BoundaryRootError(f"root within ~1e-8 of the contour near {lam}")
+    return f
 
 
 def _nearest_int(x: float, what: str) -> int:
@@ -434,67 +415,86 @@ def _segments(tau: float, span: float) -> int:
     return max(32, math.ceil(4.0 * tau * span / math.pi))
 
 
-def _excluded(r0, r1, s0, tau, shift) -> bool:
-    """True if P provably has no root with Re >= shift, from |p| alone (p = z^2 + r1 z + r0).
+_EPS = 2.0**-52
 
-    A root z of P has |p(z)| = |s0| e^{-tau Re z}, which is at most
-    B = |s0| e^{-shift tau} when Re z >= shift.  With c = a^2 + r1 a + r0 and
-    d = 2 a + r1 (a = shift), p(a + w) = w^2 + d w + c has both roots left of
-    the line exactly when c > 0 and d > 0; then |p| is smallest on the line,
-    where |p(a + i omega)|^2 = u^2 + (d^2 - 2c) u + c^2 (u = omega^2).  Its
-    minimum is c^2 if d^2 >= 2c and c^2 - (2c - d^2)^2 / 4 = d^2 (c - d^2/4)
-    otherwise.  The test passes when its square root, the least |p| on the
-    line, exceeds B by the margin 1e-12 + 1e-14 S/c, S = |a + r1||a| + |r0|:
-    rounding moves c by a few ulps of S, which may cancel in it, and so moves
-    that least |p| by about 4e-16 S/c relatively; the margin is over 20 times
-    that.  An exp that overflows, a NaN, a root of p at or right of the line
-    or a least |p| within the margin gives False: undecided, not a root.
-    This is the delay-independent stability bound (Stepan, *Retarded
-    Dynamical Systems*, 1989; Hale & Verduyn Lunel, *Introduction to
-    Functional Differential Equations*, 1993).
+
+def _count(r0, r1, s0, tau, shift) -> int:
+    """Number of roots of P with Re > shift, from the crossing tally.
+
+    With lambda = a + z (a = shift), P = z^2 + q1 z + q0 + s e^{-z tau}, where
+    q1 = r1 + 2 a, q0 = a^2 + r1 a + r0 and s = s0 e^{-a tau}.  Freeze those
+    and let a delay sigma run from 0 to tau.  At sigma = 0+ the roots with
+    Re z > 0 are those of z^2 + q1 z + q0 + s (a pair on the axis, when
+    q1 = 0, leaves it with dz/dsigma = s/2).  Later roots enter from
+    Re z = -inf and cross the axis only at z = i w, w > 0 a root of
+    F = w^4 + b w^2 + c (b = q1^2 - 2 q0, c = q0^2 - s^2), at the delays
+    (theta + 2 pi n)/w (snmap's ``omega_candidates`` and crossing angle),
+    rightward on F's PLUS root and leftward on its MINUS root: 2 roots times
+    max(0, ceil(u) - [theta <= 0]) crossings below tau, u = (w tau - theta)/2 pi.
+
+    Raises OverflowError if e^{-a tau} overflows.  Raises BoundaryRootError
+    if |P| <= 1e-8 |P'| (the census's rule) at lambda = a, at a + i w, or
+    where the crossing nearest tau meets the line: a root within ~1e-8 of the
+    line lies near one of those, since at long delays pairs move mostly along
+    it.  Raises NoConvergenceError when rounding, carried from q0, q1, s, b
+    and c into w, theta and u by first-order bounds, can move u across an
+    integer or q0 + s across 0.  When u is off by 1/2 or more, or b or c
+    overflows (a delay too long to resolve), it raises before P is tested
+    near that crossing, where the test would be noise.
     """
     a = shift
-    c = (a + r1) * a + r0
-    d = 2.0 * a + r1
-    if not (c > 0.0 and d > 0.0):
-        return False
-    try:
-        bound = abs(s0) * math.exp(-a * tau)
-    except OverflowError:
-        return False
-    low = c if d * d >= 2.0 * c else d * math.sqrt(c - 0.25 * d * d)
-    margin = 1e-12 + 1e-14 * (abs(a + r1) * abs(a) + abs(r0)) / c
-    return low > bound * (1.0 + margin)
-
-
-def _count(r0, r1, s0, tau, shift, known=(), max_evals=500_000) -> int:
-    """Number of roots of P with Re > shift, from the phase of P/prod(z - k) along Re = shift.
-
-    ``_excluded`` runs first: when |p| alone keeps every root left of the
-    line, the count is 0 without a sample, and that 0 is a certificate like
-    any other.  Otherwise the line is sampled.  The known roots k must lie
-    left of the line, and must be closed under conjugation, so that the
-    deflated G = P/prod(z - k) is real at omega = 0.
-    The argument principle on the half-plane right of the line, with P's
-    conjugate symmetry, gives N = (2 - len(known))/2 - Delta/pi, Delta being
-    the phase change of G along shift + i omega for omega from 0 to infinity.
-    Beyond W = sqrt(|a^2 + r1 a + r0| + |s0| e^{-a tau}) + 1 (a = shift),
-    Re P < -1, so arg P runs to pi inside (pi/2, 3 pi/2), and each factor
-    shift + i omega - k, in the right half-plane, runs to pi/2: that tail is
-    closed in closed form, and only [0, W] is sampled.
-    """
-    if _excluded(r0, r1, s0, tau, shift):
-        return 0
-    a = shift
-    top = math.sqrt(abs((a + r1) * a + r0) + abs(s0) * math.exp(-a * tau)) + 1.0
-    end = complex(a, top)
-    total = _phase_change(
-        r0, r1, s0, tau, [complex(a)], [end], _segments(tau, top), known, max_evals
-    )
-    f_end = p_dp(r0, r1, s0, tau, end)[0]
-    total -= cmath.phase(-f_end)
-    total -= sum(math.pi / 2.0 - cmath.phase(end - k) for k in known)
-    return _nearest_int((2 - len(known)) / 2.0 - total / math.pi, "half-plane count")
+    s = s0 * math.exp(-a * tau)
+    q1 = r1 + 2.0 * a
+    q0 = (a + r1) * a + r0
+    b = q1 * q1 - 2.0 * q0
+    c = q0 * q0 - s * s
+    if not (math.isfinite(b) and math.isfinite(c)):
+        raise NoConvergenceError(f"crossing frequencies overflow at shift {a}, delay {tau}")
+    # rounding bounds: q1, q0 and s are off by rel times m1, m0 and |s|
+    # (e^{-a tau} carries eps |a tau| from its argument), b and c by db, dc
+    rel = _EPS * (8.0 + abs(a * tau))
+    m1, m0, abs_s = abs(r1) + 2.0 * abs(a), abs(a + r1) * abs(a) + abs(r0), abs(s)
+    db, dc = 4.0 * rel * (m1 * m1 + m0), 3.0 * rel * (m0 * m0 + s * s)
+    n = 0
+    for cand in omega_candidates(b, c):
+        w = cand.omega
+        if s == 0.0:  # F(w) = |p(i w)|^2: a root of p on the line, not a crossing
+            _off_root(r0, r1, s0, tau, complex(a, w))
+            continue
+        theta = _angle(q0, q1, s, w)
+        # |F| <= g at w with exact b, c bounds |x - x*| (x = w^2, x* the root of
+        # x^2 + b x + c) by 2 g/|2x + b| while that is well inside the roots'
+        # separation, and by sqrt(g) always
+        x = w * w
+        g = abs((x + b) * x + c) + 4.0 * _EPS * (x * x + abs(b * x) + abs(c)) + db * x + dc
+        h = abs(2.0 * x + b) - db
+        dx = 2.0 * g / h if h > 0.0 and h * h >= 36.0 * g else math.sqrt(g)
+        dw = min(dx / w, math.sqrt(dx))
+        # theta = arg(-s (q0 - w^2) + i s q1 w), whose modulus s |p(i w)| is s^2 here
+        dtheta = (rel * (8.0 * abs_s + w * m1 + m0 + x) + (m1 + 2.0 * w) * dw) / abs_s
+        u = (w * tau - theta) / _TWO_PI
+        err = (tau * dw + dtheta + 4.0 * _EPS * (w * tau + abs(theta))) / math.pi
+        if not err < 0.5:
+            raise NoConvergenceError(f"crossing turn count {u} is not resolvable at delay {tau}")
+        _off_root(r0, r1, s0, tau, complex(a, w))
+        # the pair that crossed nearest tau lies nearest the line, where the
+        # phase w tau - theta(w) meets 2 pi round(u); theta' = -q1 (q0 + w^2)/s^2
+        slope = tau + q1 * (q0 + x) / s / s
+        if slope != 0.0:
+            _off_root(r0, r1, s0, tau, complex(a, w + _TWO_PI * (round(u) - u) / slope))
+        if abs(u - round(u)) <= err:
+            raise NoConvergenceError(f"crossing turn count {u} is within rounding of an integer")
+        crossings = max(0, math.ceil(u) - (theta <= 0.0))
+        n += 2 * crossings if cand.root_branch is RootBranch.PLUS else -2 * crossings
+    _off_root(r0, r1, s0, tau, complex(a))
+    k0 = q0 + s
+    if abs(k0) <= 2.0 * rel * (m0 + abs_s):
+        raise NoConvergenceError(f"the sign of P(shift) = {k0} is not resolvable")
+    if k0 < 0.0:
+        return n + 1
+    if q1 == 0.0:
+        return n + (2 if s > 0.0 else 0)
+    return n + (2 if q1 < 0.0 else 0)
 
 
 def _delay(p: QuasiPolynomial, tau: float | None) -> float:
@@ -505,18 +505,16 @@ def _delay(p: QuasiPolynomial, tau: float | None) -> float:
 def unstable_count(p: QuasiPolynomial, tau: float | None = None, shift: float = 0.0) -> int:
     """Number of roots of P (with multiplicity) with Re lambda > ``shift``.
 
-    A closed-form exclusion runs first: when |lambda^2 + r1 lambda + r0|
-    provably exceeds |s0| e^{-shift tau} on the whole half-plane
-    Re lambda >= shift, no root lies there, and the 0 it returns is a
-    certificate (``_excluded``).  Otherwise, the Mikhailov / Stepan count:
-    the phase of P is followed up the line
-    Re lambda = shift from Im lambda = 0 to a bound W beyond which Re P < 0,
-    in max(32, ceil(4 tau W / pi)) segments sampled in one vectorized sweep,
-    and the rest of the line is closed in closed form.  Raises
-    InvalidParamError for a non-finite or negative delay or a non-finite
-    shift, BoundaryRootError if a root lies within ~1e-8 of the line,
-    NoConvergenceError past 500,000 evaluations or if the count is not close
-    to an integer, and OverflowError if e^{-shift tau} overflows.
+    Counted in closed form by the crossing tally (``_count``; Cooke & van den
+    Driessche, 1986): the coefficients at ``tau`` (a delay-dependent block as
+    it stands there) are shifted to the line and frozen, and the count is the
+    delay-free quadratic's plus two, signed, for each imaginary-axis crossing
+    of that quasi-polynomial below ``tau``.  Nothing is sampled, so the cost
+    does not grow with the delay.  Raises InvalidParamError for a non-finite
+    or negative delay or a non-finite shift, BoundaryRootError if a root lies
+    within ~1e-8 of the line, OverflowError if e^{-shift tau} overflows, and
+    NoConvergenceError when rounding can decide the count (a crossing within
+    rounding of tau, or a delay too long for the crossings to be resolved).
     """
     t = _delay(p, tau)
     a = float(shift)
@@ -544,8 +542,8 @@ def root_census(
     contour the box is dilated slightly and the census retried (up to 6
     times) before BoundaryRootError propagates.  Raises InvalidParamError for
     a non-finite or negative delay, and for a box with a non-finite edge or
-    without positive extent.  For a half-plane, ``unstable_count``
-    needs one line instead of four edges.
+    without positive extent.  A half-plane is counted in closed form by
+    ``unstable_count``.
     """
     t = check_delay(tau)
     r0, r1, s0 = _pcoeffs(p, t)
@@ -561,7 +559,7 @@ def root_census(
         nseg = _segments(t, max(hi.real - lo.real, hi.imag - lo.imag))
         try:
             total = _phase_change(
-                r0, r1, s0, t, corners, corners[1:] + corners[:1], nseg, (), max_evals
+                r0, r1, s0, t, corners, corners[1:] + corners[:1], nseg, max_evals
             )
         except BoundaryRootError as err:
             last = err

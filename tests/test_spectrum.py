@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pllbif import spectrum
 from pllbif.charfun import p_dp
+from pllbif.snmap import omega_candidates
 from pllbif import (
     BoundaryRootError,
     BranchDomainError,
@@ -190,16 +191,15 @@ def test_bad_census_box_is_refused(box):
 
 
 def test_deflated_census_counts_the_roots_of_p():
-    # dividing a known root pair out of P, just left of the line, leaves the
-    # count of P's roots right of the line unchanged
+    # a root pair just left of the line leaves the count of P's roots right
+    # of the line unchanged
     p = NetworkParams(2, 1.05, 0.3)
     eq = equilibrium(p, Branch.MINUS)
     blk = build_blocks(ModelKind.FULL_PHASE, p, eq).fix
     lam = rightmost_root(blk, 8.67).lam
-    known = (lam, lam.conjugate())
     coeffs = blk.at(8.67)
     shift = lam.real + 1e-6
-    assert spectrum._count(*coeffs, 8.67, shift, known=known) == 0
+    assert spectrum._count(*coeffs, 8.67, shift) == 0
     assert unstable_count(blk, 8.67, shift) == 0
     assert unstable_count(blk, 8.67, shift=1e-6) == 2
     assert root_census(blk, 8.67, CensusBox((1e-6, 2.0), (-5.0, 5.0))) == 2
@@ -288,8 +288,6 @@ def test_census_counts_windings_of_a_long_delay():
     # too small a budget for the delay-scaled samples fails, never samples coarser
     with pytest.raises(NoConvergenceError):
         root_census(blk, 19.35, box, max_evals=500)
-    with pytest.raises(NoConvergenceError):
-        spectrum._count(*blk.at(19.35), 19.35, 1e-6, max_evals=100)
 
 
 def _random_block(rng):
@@ -413,28 +411,44 @@ def test_certification_count_matches_a_dense_winding():
         edge = lam.real + 1e-6
         want = dense_winding(blk, tau, box_right_of(blk, tau, edge), known)
         assert want == pytest.approx(round(want), abs=0.01)
-        assert spectrum._count(*blk.at(tau), tau, edge, known) == round(want), (case, tau)
+        assert spectrum._count(*blk.at(tau), tau, edge) == round(want), (case, tau)
 
 
-def test_a_real_root_with_a_stray_imaginary_part_is_divided_out_once(monkeypatch):
-    # Newton leaves this real rightmost root an imaginary part of 1.4e-45; the
-    # certificate divides one real factor out of P, not the root twice, which
-    # would leave a pole 1e-6 left of the line
+def test_a_real_root_with_a_stray_imaginary_part_is_divided_out_once():
+    # Newton leaves this real rightmost root an imaginary part of 1.4e-45; it
+    # is still certified rightmost
     p = NetworkParams(3, 2.5335381299377913, 0.10164487036274605)
     blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.PLUS)).fix
     tau = 13.073149859066262
-    seen = []
-    count = spectrum._count
-
-    def spy(r0, r1, s0, t, shift, known=()):
-        seen.append(known)
-        return count(r0, r1, s0, t, shift, known)
-
-    monkeypatch.setattr(spectrum, "_count", spy)
     est = rightmost_root(blk, tau)
     assert 0.0 < abs(est.lam.imag) <= 1e-12
     assert est.certified
-    assert seen == [(complex(est.lam.real),)]
+
+
+def excluded(r0, r1, s0, tau, shift) -> bool:
+    """True if |p| alone (p = z^2 + r1 z + r0) keeps every root of P left of Re = shift.
+
+    A root z of P has |p(z)| = |s0| e^{-tau Re z}, at most B = |s0| e^{-shift tau}
+    when Re z >= shift.  With c = a^2 + r1 a + r0 and d = 2 a + r1 (a = shift),
+    p(a + w) = w^2 + d w + c has both roots left of the line exactly when
+    c > 0 and d > 0; then |p| is smallest on the line, where its least value
+    is c if d^2 >= 2c and d sqrt(c - d^2/4) otherwise.  It must exceed B by
+    a margin over 20 times the rounding of c.  This is the delay-independent
+    stability bound (Stepan, *Retarded Dynamical Systems*, 1989), the rule
+    that draws the cases of the exclusion tests below.
+    """
+    a = shift
+    c = (a + r1) * a + r0
+    d = 2.0 * a + r1
+    if not (c > 0.0 and d > 0.0):
+        return False
+    try:
+        bound = abs(s0) * math.exp(-a * tau)
+    except OverflowError:
+        return False
+    low = c if d * d >= 2.0 * c else d * math.sqrt(c - 0.25 * d * d)
+    margin = 1e-12 + 1e-14 * (abs(a + r1) * abs(a) + abs(r0)) / c
+    return low > bound * (1.0 + margin)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -449,22 +463,23 @@ def test_an_excluded_half_plane_holds_no_root(c, d, ratio, tau, shift):
     # p(shift + w) = w^2 + d w + c, whose roots lie left of the line only
     # for c, d > 0, and |s0| e^{-shift tau} is |ratio| times min |p| on the
     # line.  Every draw the exclusion passes is checked against a dense
-    # winding of the box that holds every root right of the line.  A root
-    # within a few sample steps of the box can turn the phase by 2 pi between
-    # two samples, unseen; such a draw, with |P / P'| (about the distance to
-    # the nearest root) below 4 steps at some sample, is beyond that
-    # reference's resolution and is not judged
+    # winding of the box that holds every root right of the line, and the
+    # crossing tally must count 0 there too.  A root within a few sample
+    # steps of the box can turn the phase by 2 pi between two samples,
+    # unseen; such a draw, with |P| / |P'| (about the distance to the nearest
+    # root) below 4 steps at some sample, is beyond that reference's
+    # resolution and is not judged
     r1 = d - 2.0 * shift
     r0 = c - (shift + r1) * shift
     low = abs(c) if d * d >= 2.0 * c else abs(d) * math.sqrt(c - d * d / 4.0)
     s0 = ratio * low * math.exp(shift * tau)
-    assume(spectrum._excluded(r0, r1, s0, tau, shift))
+    assume(excluded(r0, r1, s0, tau, shift))
     blk = constant_quasi_polynomial(r0, r1, s0, delay=tau)
     box = box_right_of(blk, tau, shift)
     z, f = dense_samples(blk, tau, box)
     fp = p_dp(r0, r1, s0, tau, z, exp=np.exp)[1]
     with np.errstate(divide="ignore", over="ignore"):
-        assume(np.min(np.abs(f / fp)) > 4.0 * np.max(np.abs(np.diff(z))))
+        assume(np.min(np.abs(f) / np.abs(fp)) > 4.0 * np.max(np.abs(np.diff(z))))
     assert round(dense_winding(blk, tau, box), 2) == 0.0
     assert spectrum._count(r0, r1, s0, tau, shift) == 0
 
@@ -480,21 +495,23 @@ def test_a_root_on_or_right_of_the_line_is_not_excluded():
     r0 = -q.real - s0 * e.real
     assert abs(q + r0 + s0 * e) <= 1e-15
     assert (a + r1) * a + r0 > 0.0 and 2.0 * a + r1 > 0.0  # p's roots are left of the line
-    assert not spectrum._excluded(r0, r1, s0, tau, a)
+    assert not excluded(r0, r1, s0, tau, a)
     with pytest.raises(BoundaryRootError):
         spectrum._count(r0, r1, s0, tau, a)
     # a real root on the line: |p(a)| = c is the bound
     s0 = 0.3
     r0 = -(a + r1) * a - s0 * math.exp(-a * tau)
-    assert not spectrum._excluded(r0, r1, s0, tau, a)
+    assert not excluded(r0, r1, s0, tau, a)
     with pytest.raises(BoundaryRootError):
         spectrum._count(r0, r1, s0, tau, a)
     # p(a + w) = (w - 1/2)^2: |p| >= 1/4 on the line, above the bound
     # 0.1 e^{-a tau}, but p's double root a + 1/2 lies right of it
     r1 = -1.0 - 2.0 * a
     r0 = 0.25 - (a + r1) * a
-    assert not spectrum._excluded(r0, r1, 0.1, tau, a)
+    assert not excluded(r0, r1, 0.1, tau, a)
     assert spectrum._count(r0, r1, 0.1, tau, a) == 2
+    blk = constant_quasi_polynomial(r0, r1, 0.1, delay=tau)
+    assert round(dense_winding(blk, tau, box_right_of(blk, tau, a)), 2) == 2.0
 
 
 def test_the_exclusion_certifies_a_delay_independent_block(monkeypatch):
@@ -507,17 +524,18 @@ def test_the_exclusion_certifies_a_delay_independent_block(monkeypatch):
     phase_change = spectrum._phase_change
     monkeypatch.setattr(spectrum, "_phase_change", lambda *args: sampled.append(args) or phase_change(*args))
     for tau in (0.5, 3.0, 9.5, 25.0):
-        assert spectrum._excluded(*blk.at(tau), tau, 0.0)
+        assert excluded(*blk.at(tau), tau, 0.0)
         assert unstable_count(blk, tau) == 0
         assert round(dense_winding(blk, tau, upper_bound_box(blk, tau))) == 0
     assert sampled == []
     # the README rightmost block at tau = 9.5: its certification line, 1e-6
-    # right of the rightmost root, is counted
+    # right of the rightmost root, is not excluded, and is counted without
+    # sampling too
     p = NetworkParams(2, 1.05, 0.3)
     fix = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS)).fix
     est = rightmost_root(fix, 9.5)
-    assert est.certified and sampled
-    assert not spectrum._excluded(*fix.at(9.5), 9.5, est.lam.real + 1e-6)
+    assert est.certified and sampled == []
+    assert not excluded(*fix.at(9.5), 9.5, est.lam.real + 1e-6)
 
 
 def _tally_at_zero_plus(blk):
@@ -558,14 +576,13 @@ def test_a_pair_that_just_crossed_is_counted_at_zero_only():
 
 
 def test_unstable_count_of_a_real_rightmost_root():
-    # lambda^2 + lambda - 2 + 0.1 e^{-lambda} has one real root near 0.97,
-    # which certification divides out as a single factor
+    # lambda^2 + lambda - 2 + 0.1 e^{-lambda} has one real root near 0.97
     blk = constant_quasi_polynomial(-2.0, 1.0, 0.1, delay=1.0)
     est = rightmost_root(blk)
     assert est.lam.imag == 0.0 and 0.9 < est.lam.real < 1.0
     assert est.certified
     r0, r1, s0 = blk.at(1.0)
-    assert spectrum._count(r0, r1, s0, 1.0, est.lam.real + 1e-6, (est.lam,)) == 0
+    assert spectrum._count(r0, r1, s0, 1.0, est.lam.real + 1e-6) == 0
     assert unstable_count(blk, shift=est.lam.real - 1e-3) == 1
     assert unstable_count(blk, shift=est.lam.real + 1e-3) == 0
 
@@ -582,6 +599,102 @@ def test_unstable_count_refuses_a_root_on_its_line():
     assert lam.imag > 0.1
     with pytest.raises(BoundaryRootError):
         unstable_count(fix, 8.67, shift=lam.real)
+
+
+def test_a_root_near_the_line_at_a_short_delay_is_refused():
+    # the rightmost pair lies 1e-9 right of the line.  At this short delay
+    # theta turns faster with w than w tau does, so the point where the
+    # latest crossing meets the line misses the pair; the root test at the
+    # crossing frequency w itself finds it
+    blk = constant_quasi_polynomial(
+        0.2607920820733611, 0.788757167127649, 2.3855703890589206, delay=0.05617287805772253
+    )
+    lam = rightmost_root(blk).lam
+    assert lam.imag > 0.1
+    with pytest.raises(BoundaryRootError):
+        unstable_count(blk, shift=lam.real - 1e-9)
+
+
+def test_a_delay_free_block_is_counted_from_its_quadratic():
+    # s0 = 0: P = lambda^2 + r1 lambda + r0 has no crossings.  With r1 = 0 its
+    # roots +-i sit on the axis, where F's double root w = 1 finds them
+    on_axis = constant_quasi_polynomial(1.0, 0.0, 0.0, delay=1.0)
+    with pytest.raises(BoundaryRootError):
+        unstable_count(on_axis)
+    damped = constant_quasi_polynomial(1.0, 0.5, 0.0, delay=1.0)  # roots -1/4 +- 0.97i
+    assert [unstable_count(damped, shift=a) for a in (0.0, -0.5)] == [0, 2]
+
+
+def census_right_of(blk, tau, edge):
+    """``root_census`` of every root with Re > edge, or None where that census cannot judge.
+
+    The census dilates its box when a root sits on an edge, so a root within
+    about 1e-5 of the line may be counted on either side: the counts with the
+    left edge 1e-5 to either side must agree.  A box whose initial samples
+    exceed 25,000 per census is beyond this test's budget.
+    """
+    counts = []
+    for left in (edge - 1e-5, edge + 1e-5):
+        box = box_right_of(blk, tau, left)
+        span = max(box.re_interval[1] - left, box.im_interval[1] - box.im_interval[0])
+        if 4 * (spectrum._segments(tau, span) + 1) > 25_000:
+            return None
+        counts.append(root_census(blk, tau, box))
+    return counts[0] if counts[0] == counts[1] else None
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tau=st.floats(0.0, 100.0, exclude_min=True),
+    kind=st.sampled_from(["zero", "1e-6", "uniform", "-r1/2"]),
+    u=st.floats(-0.2, 0.2),
+)
+def test_the_crossing_tally_matches_the_census(seed, tau, kind, u):
+    # the census samples P around a box; the tally reads only the crossing
+    # ladders, so they share no code but the evaluator.  shift = -r1/2 makes
+    # the shifted damping 0: the tau = 0 pair starts on the line
+    blk, case = _random_block(np.random.default_rng(seed))
+    shift = {"zero": 0.0, "1e-6": 1e-6, "uniform": u, "-r1/2": -blk.r1 / 2.0}[kind]
+    want = census_right_of(blk, tau, shift)
+    assume(want is not None)
+    assert unstable_count(blk, tau, shift) == want, (case, tau, shift)
+
+
+def test_the_crossing_tally_counts_the_readme_block_at_long_delays():
+    # pllbif rightmost's block; e^{-lambda tau} turns about 1e4 rad per unit
+    # of Im lambda at the longest delay the census is asked for
+    p = NetworkParams(2, 1.05, 0.3)
+    blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS)).fix
+    for tau, want in ((2e3, 122), (5e3, 304), (1e4, 606)):
+        assert unstable_count(blk, tau) == want
+        assert root_census(blk, tau, box_right_of(blk, tau, 0.0)) == want
+    # at tau = 1e6 every root has Re lambda < 1e-6 (about 0.157/tau at most),
+    # and the count right of 1e-6 comes back without sampling the line
+    assert unstable_count(blk, 1e6, shift=1e-6) == 0
+    # on the axis itself pairs lie closer than 1e-8: the one Newton finds
+    # from the crossing frequency is a boundary root
+    r0, r1, s0 = blk.at(1e6)
+    w = max(c.omega for c in omega_candidates(*blk.b_c(1e6)))
+    lam = 1j * w
+    for _ in range(40):
+        f, fp, _ = p_dp(r0, r1, s0, 1e6, lam)
+        lam -= f / fp
+    assert abs(p_dp(r0, r1, s0, 1e6, lam)[0]) < 1e-10 and abs(lam.real) < 1e-8
+    with pytest.raises(BoundaryRootError):
+        unstable_count(blk, 1e6)
+
+
+def test_a_delay_too_long_to_resolve_is_refused():
+    # w tau is about 7e16 here: its rounding alone exceeds a turn, so no
+    # crossing can be placed before or after tau, and no count is guessed.
+    # Left of the axis at tau = 400, s0 e^{400} is finite but its square,
+    # and so every crossing frequency, overflows
+    p = NetworkParams(2, 1.05, 0.3)
+    blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS)).fix
+    for tau, shift in ((1e17, 0.0), (400.0, -1.0)):
+        with pytest.raises(NoConvergenceError):
+            unstable_count(blk, tau, shift)
 
 
 @pytest.mark.parametrize("tau", [-1.0, -1e-300, math.nan, math.inf, -math.inf])

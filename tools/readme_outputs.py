@@ -15,10 +15,11 @@ runs each one with this checkout's ``src`` on the path, in its own directory
 two checkouts, the outputs compare with one ``diff -r``.
 
 ``--digests`` runs the same commands in-process instead and writes the
-SHA-256 digest of every ``stdout`` and written file to
-``tests/readme_outputs.sha256``, in ``sha256sum`` format with the paths of
-an OUTDIR capture: ``sha256sum -c`` run in OUTDIR checks a capture against
-it, and ``tests/test_outputs.py`` checks the in-process outputs.
+SHA-256 digest of every ``stdout``, ``stderr``, ``exit_code`` and written
+file to ``tests/readme_outputs.sha256``, in ``sha256sum`` format with the
+paths of an OUTDIR capture: ``sha256sum -c`` run in OUTDIR checks a whole
+capture against it, and ``tests/test_outputs.py`` checks the in-process
+outputs.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ def output_digests() -> dict[str, str]:
 
     Each command runs in-process through ``pllbif.cli.main``, in its own
     empty working directory; ``verify``'s stdout has its timings stripped.
+    The exit code is hashed as an OUTDIR capture writes it, ``"0\\n"``.
     """
     from pllbif import cli
 
@@ -84,15 +86,17 @@ def output_digests() -> dict[str, str]:
         for name, argv in [*runs, ("verify", ["verify"])]:
             workdir = Path(tmp) / name
             workdir.mkdir()
-            out = io.StringIO()
+            out, err = io.StringIO(), io.StringIO()
             os.chdir(workdir)
             try:
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    cli.main(argv)
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
             finally:
                 os.chdir(cwd)
             text = strip_timings(out.getvalue()) if name == "verify" else out.getvalue()
-            digests[f"{name}/stdout"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            streams = {"stdout": text, "stderr": err.getvalue(), "exit_code": f"{code}\n"}
+            for stream, value in streams.items():
+                digests[f"{name}/{stream}"] = hashlib.sha256(value.encode("utf-8")).hexdigest()
             for path in sorted(workdir.iterdir()):
                 digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
