@@ -180,6 +180,7 @@ def _irange(text, flag: str) -> range:
         raise _UsageError(f"{flag} expects n or lo:hi, got {text!r}") from exc
     if not r:
         raise _UsageError(f"{flag} needs lo <= hi, got {text!r}")
+    _budget(r.stop - r.start, flag)  # len(r) overflows past sys.maxsize
     return r
 
 

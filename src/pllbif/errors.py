@@ -40,7 +40,10 @@ class NoConvergenceError(PllbifError):
 
 
 class BoundaryRootError(PllbifError):
-    """A characteristic root sits (numerically) on the census contour."""
+    """A characteristic root sits (numerically) on a counting contour.
+
+    The contour is a ``root_census`` box's edge or an ``unstable_count`` line.
+    """
 
 
 class IndexOutOfRangeError(PllbifError, IndexError):

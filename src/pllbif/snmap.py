@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_REFINE_TOL = 1e-9  # |S_n| a bisected zero must reach; larger means a theta jump
 
 
 class RootBranch(enum.Enum):
@@ -243,9 +242,10 @@ def sn_scan(
     S_n = 2 pi (u - n)/w, so the cells whose two u values enclose the integer
     n bracket the sign changes of S_n: one sweep over the cells finds them
     for every winding at once, and u >= -1/2 (tau >= 0, theta <= pi) leaves
-    only n >= 0.  The brackets are bisected in (n, cell) order to
-    |S_n| <= 1e-9, and candidates where the bisection homes onto a branch-cut
-    jump of theta (where S_n changes sign without vanishing) are discarded.
+    only n >= 0.  The brackets are bisected in (n, cell) order down to
+    rounding, and a bracket whose ends still differ by half a theta jump
+    (pi/w in S_n) is discarded: there the bisection homed onto a branch-cut
+    jump of theta, where S_n changes sign without vanishing.
     A window that ends at or before its start holds no crossings; a negative
     or non-finite window end, or a grid step that is not finite and positive,
     raises InvalidParamError.
@@ -308,8 +308,10 @@ def _bisect_sn(p, ta, tb, tag, n):
             ta, ga = tm, gm
     tm = 0.5 * (ta + tb)
     fm = _sn_value(p, tm, tag, n)
-    if fm is None or abs(fm[0]) > _REFINE_TOL:
-        return None  # theta branch-cut jump, not a zero
+    # a 2 pi jump of theta moves S_n by 2 pi/w: ends half a jump apart
+    # straddle the branch cut, not a zero
+    if fm is None or (fm[0] != 0.0 and abs(ga - gb) * fm[1] >= math.pi):
+        return None
     return tm, fm[1]
 
 

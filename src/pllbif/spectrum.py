@@ -18,7 +18,8 @@ delay-free quadratic's count plus two, signed, for each crossing of
 ``snmap``'s ladders below tau.  ``root_census`` counts the roots in a
 rectangle by the winding of P along its edges, sampled in one vectorized
 sweep so densely that e^{-lambda tau} turns by at most pi/4 per segment, and
-bisects only the segments whose phase step is larger.
+bisects only the segments whose phase step is larger, within a fixed budget
+of 500,000 evaluations of P.
 """
 
 from __future__ import annotations
@@ -328,91 +329,12 @@ def rightmost_sweep(p: QuasiPolynomial, tau_grid) -> list[SweepRow]:
 # Half-plane and rectangle counts
 
 
-def _phase_change(r0, r1, s0, tau, starts, ends, nseg, max_evals) -> float:
-    """Phase change of P along the segments starts[i] -> ends[i], summed.
-
-    Each segment is cut into ``nseg`` pieces, and all of their end points are
-    evaluated in one vectorized sweep.  A piece whose phase step is below
-    pi/4 counts as it is.  The others are halved depth first, left half
-    first, each halving evaluating one midpoint, until every part's step is
-    below pi/4 or 48 halvings deep.  Raises NoConvergenceError if the
-    initial samples alone exceed ``max_evals`` (before any is evaluated) or
-    if the midpoints do, OverflowError if P is not finite on the samples,
-    and BoundaryRootError if a sample or midpoint lies within ~1e-8 of a
-    root of P.
-    """
-    evals = len(starts) * (nseg + 1)
-    if evals > max_evals:
-        raise NoConvergenceError(f"census needs {evals} initial samples, budget is {max_evals}")
-    # np.linspace(0, 1, nseg + 1) to the bit, without its call overhead
-    t = np.arange(nseg + 1) * (1.0 / nseg)
-    t[-1] = 1.0
-    z0 = np.array(starts, dtype=complex)[:, None]
-    z = z0 + (np.array(ends, dtype=complex)[:, None] - z0) * t
-    # |P'| <= 2 |z| + |r1| + tau |s0| e^{-tau Re z} on the segments, so no
-    # sample can be near a root while every |P| exceeds twice 1e-8 times that
-    points = [*starts, *ends]
-    reach = max(map(abs, points))
-    low = min(v.real for v in points)
-    with np.errstate(all="ignore"):
-        f, fp, _ = p_dp(r0, r1, s0, tau, z, exp=np.exp)
-        fp_cap = 2.0 * reach + abs(r1) + tau * abs(s0) * np.exp(-low * tau)
-    if not np.isfinite(f).all():
-        raise OverflowError("e^{-lambda tau} overflows on the census contour")
-    af = np.abs(f)
-    if not af.min() > 2e-8 * max(fp_cap, 1e-3):
-        near = af <= 1e-8 * np.maximum(np.abs(fp), 1e-3)
-        if near.any():
-            raise BoundaryRootError(
-                f"root within ~1e-8 of census contour near {complex(z[near][0])}"
-            )
-    q = f[:, 1:] / f[:, :-1]
-    steps = np.arctan2(q.imag, q.real)  # np.angle, without its call overhead
-    big = np.abs(steps) >= math.pi / 4.0
-    if not big.any():
-        return float(steps.sum())
-    total = float(steps[~big].sum())
-    # (z_a, z_b, f_a, f_b, depth) of the parts still to count; the right
-    # halves wait here while the left half is walked in place
-    todo = [
-        (complex(z[e, j]), complex(z[e, j + 1]), complex(f[e, j]), complex(f[e, j + 1]), 0)
-        for e, j in zip(*np.nonzero(big))
-    ][::-1]
-    while todo:
-        za, zb, fa, fb, depth = todo.pop()
-        dphi = cmath.phase(fb / fa)
-        while abs(dphi) >= math.pi / 4.0 and depth < 48:
-            evals += 1
-            if evals > max_evals:
-                raise NoConvergenceError("census evaluation budget exhausted")
-            zm = 0.5 * (za + zb)
-            fm = _off_root(r0, r1, s0, tau, zm)
-            depth += 1
-            todo.append((zm, zb, fm, fb, depth))
-            zb, fb = zm, fm
-            dphi = cmath.phase(fb / fa)
-        total += dphi
-    return total
-
-
 def _off_root(r0, r1, s0, tau, lam: complex) -> complex:
     """P(lambda); raises BoundaryRootError if lambda lies within ~1e-8 of a root (|P| <= 1e-8 |P'|)."""
     f, fp, _ = p_dp(r0, r1, s0, tau, lam)
     if abs(f) <= 1e-8 * max(abs(fp), 1e-3):
         raise BoundaryRootError(f"root within ~1e-8 of the contour near {lam}")
     return f
-
-
-def _nearest_int(x: float, what: str) -> int:
-    n = round(x)
-    if abs(x - n) > 0.05:
-        raise NoConvergenceError(f"{what} {x} is not close to an integer")
-    return int(n)
-
-
-def _segments(tau: float, span: float) -> int:
-    # e^{-lambda tau} turns by tau |d lambda|: at most pi/4 per initial segment
-    return max(32, math.ceil(4.0 * tau * span / math.pi))
 
 
 _EPS = 2.0**-52
@@ -523,27 +445,28 @@ def unstable_count(p: QuasiPolynomial, tau: float | None = None, shift: float = 
     return _count(*_pcoeffs(p, t), t, a)
 
 
-def root_census(
-    p: QuasiPolynomial,
-    tau: float,
-    box: CensusBox,
-    max_evals: int = 500_000,
-) -> int:
+_BUDGET = 500_000  # evaluations of P one census may spend
+
+
+def root_census(p: QuasiPolynomial, tau: float, box: CensusBox) -> int:
     """Number of roots of P (with multiplicity) at delay ``tau`` inside ``box``.
 
     Tracks the winding of P along the boundary.  Each edge starts as
     max(32, ceil(4 tau span / pi)) segments, span being the box's longer side,
     so that e^{-lambda tau} turns by at most pi/4 on each; all of those
     samples are evaluated in one vectorized sweep.  Only a segment whose
-    phase increment is pi/4 or more is refined, by bisection until every
-    piece's increment is below pi/4.  Raises NoConvergenceError if the
-    initial samples alone exceed ``max_evals``, if refinement does, or if the
-    winding is not close to an integer.  If a root sits numerically on the
-    contour the box is dilated slightly and the census retried (up to 6
-    times) before BoundaryRootError propagates.  Raises InvalidParamError for
-    a non-finite or negative delay, and for a box with a non-finite edge or
-    without positive extent.  A half-plane is counted in closed form by
-    ``unstable_count``.
+    phase step is pi/4 or more is refined: it is halved depth first, left
+    half first, each halving evaluating one midpoint, until every part's
+    step is below pi/4 or 48 halvings deep.  Raises NoConvergenceError if
+    the initial samples alone exceed the budget of 500,000 evaluations of P
+    (before any is evaluated), if the midpoints do, or if the winding is not
+    close to an integer, and OverflowError if P is not finite on the
+    samples.  If a sample or midpoint lies within ~1e-8 of a root
+    (|P| <= 1e-8 |P'|) the box is dilated slightly and the census retried
+    (up to 6 times) before BoundaryRootError propagates.  Raises
+    InvalidParamError for a non-finite or negative delay, and for a box with
+    a non-finite edge or without positive extent.  A half-plane is counted
+    in closed form by ``unstable_count``.
     """
     t = check_delay(tau)
     r0, r1, s0 = _pcoeffs(p, t)
@@ -555,14 +478,51 @@ def root_census(
     for attempt in range(6):
         pad = attempt * (1e-6 + 1e-6 * size) * (1.3**attempt)
         lo, hi = complex(re0 - pad, im0 - pad), complex(re1 + pad, im1 + pad)
-        corners = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
-        nseg = _segments(t, max(hi.real - lo.real, hi.imag - lo.imag))
+        # e^{-lambda tau} turns by tau |d lambda|: at most pi/4 per initial segment
+        nseg = max(32, math.ceil(4.0 * t * max(hi.real - lo.real, hi.imag - lo.imag) / math.pi))
+        evals = 4 * (nseg + 1)
+        if evals > _BUDGET:
+            raise NoConvergenceError(f"census needs {evals} initial samples, budget is {_BUDGET}")
+        z0 = np.array([lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)])[:, None]
+        z = z0 + (z0[[1, 2, 3, 0]] - z0) * np.linspace(0.0, 1.0, nseg + 1)  # corner to next
+        with np.errstate(all="ignore"):
+            f, fp, _ = p_dp(r0, r1, s0, t, z, exp=np.exp)
+        if not np.isfinite(f).all():
+            raise OverflowError("e^{-lambda tau} overflows on the census contour")
+        near = np.abs(f) <= 1e-8 * np.maximum(np.abs(fp), 1e-3)
+        if near.any():
+            where = complex(z[near][0])
+            last = BoundaryRootError(f"root within ~1e-8 of census contour near {where}")
+            continue
+        steps = np.angle(f[:, 1:] / f[:, :-1])
+        big = np.abs(steps) >= math.pi / 4.0
+        total = float(steps[~big].sum())
+        # (z_a, z_b, f_a, f_b, depth) of the parts still to count; the right
+        # halves wait here while the left half is walked in place
+        todo = [
+            (complex(z[e, j]), complex(z[e, j + 1]), complex(f[e, j]), complex(f[e, j + 1]), 0)
+            for e, j in zip(*np.nonzero(big))
+        ][::-1]
         try:
-            total = _phase_change(
-                r0, r1, s0, t, corners, corners[1:] + corners[:1], nseg, max_evals
-            )
+            while todo:
+                za, zb, fa, fb, depth = todo.pop()
+                dphi = cmath.phase(fb / fa)
+                while abs(dphi) >= math.pi / 4.0 and depth < 48:
+                    evals += 1
+                    if evals > _BUDGET:
+                        raise NoConvergenceError("census evaluation budget exhausted")
+                    zm = 0.5 * (za + zb)
+                    fm = _off_root(r0, r1, s0, t, zm)
+                    depth += 1
+                    todo.append((zm, zb, fm, fb, depth))
+                    zb, fb = zm, fm
+                    dphi = cmath.phase(fb / fa)
+                total += dphi
         except BoundaryRootError as err:
             last = err
             continue
-        return _nearest_int(total / (2.0 * math.pi), "census winding")
+        winding = total / (2.0 * math.pi)
+        if abs(winding - round(winding)) > 0.05:
+            raise NoConvergenceError(f"census winding {winding} is not close to an integer")
+        return round(winding)
     raise last

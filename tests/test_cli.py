@@ -242,6 +242,9 @@ def test_resolution_below_two_is_rejected(capsys, resolution):
           "--samples", "1000000000000000"], "--samples"),
         (["snmap", "--K", "1.05", "--mu", "0.3", "--tau-window", "0:25", "--grid-step", "1e-15"],
          "--grid-step"),
+        (["curves", "--K", "1.05", "--mu-grid", "0.05:0.45:3", "--n", "0:1000000000000000"],
+         "--n"),
+        (["zero-roots", "--K", "0.8", "--mu", "0.5", "--n", "0:1000000000000000"], "--n"),
     ],
 )
 def test_bad_number_flag_is_one_line(capsys, argv, flag):

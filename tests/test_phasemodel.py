@@ -5,6 +5,7 @@ the fold ladder on (0, 5 pi), the symmetry-breaking Hopf points, and the
 steady-state event table.
 """
 
+import cmath
 import itertools
 import math
 
@@ -166,6 +167,32 @@ def test_relative_hopf_scan_frozen():
     assert first.crossing.delta_sign == 1
     assert second.branch_id == 4
     assert second.crossing.tau_star == pytest.approx(6.374805516855766, abs=1e-8)
+
+
+def test_steep_crossings_are_not_taken_for_theta_jumps():
+    # pllbif snmap --model phase --nodes 2 --K 2.991282145584547
+    #   --mu 1.881400919447218 --block standard --tau-window 0:25.604701871564412
+    # two n = 0 crossings at w ~ 0.13, where S_n is so steep that bisection
+    # down to rounding still leaves |S_n| ~ 1e-9; a theta jump would leave the
+    # bracket's ends 2 pi/w ~ 50 apart
+    p = NetworkParams(2, 2.991282145584547, 1.881400919447218)
+    window = (0.0, 25.604701871564412)
+    scan = relative_hopf_scan(p, BlockKind.STANDARD, window)
+    assert len(scan) == 229
+    branches = {b.branch_id: b for b in releq_branches(p, window)}
+    for branch_id, near in ((42, 22.59413), (44, 24.22996)):
+        [c] = [
+            pc.crossing for pc in scan
+            if pc.branch_id == branch_id and abs(pc.crossing.tau_star - near) < 1e-5
+        ]
+        assert c.winding == 0
+        # the standard block along the branch, written out: with
+        # a = K mu cos(Omega tau), P = lambda^2 + mu lambda + a + a e^{-lambda tau}/(N - 1)
+        tau = c.tau_star
+        a = p.coupling * p.filter_gain * math.cos(branches[branch_id].omega_hat(tau) * tau)
+        lam = 1j * c.omega
+        res = (lam + p.filter_gain) * lam + a + a * cmath.exp(-lam * tau) / (p.n_nodes - 1)
+        assert abs(res) <= 1e-9 * (abs(lam) ** 2 + p.filter_gain * abs(lam) + 2.0 * abs(a))
 
 
 # ---------------------------------------------------------------------------

@@ -285,9 +285,10 @@ def test_census_counts_windings_of_a_long_delay():
     assert root_census(blk, 19.35, box) == 17
     assert round(dense_winding(blk, 19.35, box)) == 17
     assert unstable_count(blk, 19.35, shift=1e-6) == 17
-    # too small a budget for the delay-scaled samples fails, never samples coarser
-    with pytest.raises(NoConvergenceError):
-        root_census(blk, 19.35, box, max_evals=500)
+    # at tau = 2e4 the delay-scaled samples exceed the budget of 500,000
+    # evaluations: the census fails before sampling, never samples coarser
+    with pytest.raises(NoConvergenceError, match="initial samples"):
+        root_census(blk, 2e4, box)
 
 
 def _random_block(rng):
@@ -521,8 +522,8 @@ def test_the_exclusion_certifies_a_delay_independent_block(monkeypatch):
     blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS)).fix
     assert sn_scan(blk, (0.0, 25.0)) == []
     sampled = []
-    phase_change = spectrum._phase_change
-    monkeypatch.setattr(spectrum, "_phase_change", lambda *args: sampled.append(args) or phase_change(*args))
+    census = spectrum.root_census
+    monkeypatch.setattr(spectrum, "root_census", lambda *args: sampled.append(args) or census(*args))
     for tau in (0.5, 3.0, 9.5, 25.0):
         assert excluded(*blk.at(tau), tau, 0.0)
         assert unstable_count(blk, tau) == 0
@@ -637,7 +638,7 @@ def census_right_of(blk, tau, edge):
     for left in (edge - 1e-5, edge + 1e-5):
         box = box_right_of(blk, tau, left)
         span = max(box.re_interval[1] - left, box.im_interval[1] - box.im_interval[0])
-        if 4 * (spectrum._segments(tau, span) + 1) > 25_000:
+        if 4 * (max(32, math.ceil(4.0 * tau * span / math.pi)) + 1) > 25_000:
             return None
         counts.append(root_census(blk, tau, box))
     return counts[0] if counts[0] == counts[1] else None
