@@ -24,7 +24,9 @@ units and are rescaled by omega_m at this boundary, so configurations that
 differ only by the free-running frequency produce identical output.
 
 Exit codes: 0 success, 1 domain error (no equilibrium, no convergence, ...),
-2 usage or I/O error.
+2 usage or I/O error, a parameter outside its domain included (an
+InvalidParamError, such as a delay window whose grids would pass the 2^27
+float budget).
 """
 
 from __future__ import annotations
@@ -41,11 +43,10 @@ import numpy as np
 
 from .charfun import BlockKind, block_product, build_blocks, p_dp
 from .errors import IndexOutOfRangeError, InvalidParamError, NotPeriodicError, PllbifError
-from .model import Branch, ModelKind, NetworkParams, equilibrium, normalize
+from .model import _MAX_FLOATS, Branch, ModelKind, NetworkParams, equilibrium, normalize
 from .phasediff import determinant_n3, fictitious_roots
 from .phasemodel import releq_branches, releq_solve, relative_hopf_scan, zero_root_taus
 from .simulator import (
-    _MAX_FLOATS,
     HistorySpec,
     equilibrium_state,
     integrate,
@@ -232,11 +233,8 @@ class _Opt(NamedTuple):
 
 
 def _params(*args) -> NetworkParams:
-    """The normalized ``NetworkParams(*args)``; invalid parameters are a usage error."""
-    try:
-        return normalize(NetworkParams(*args))
-    except InvalidParamError as err:
-        raise _UsageError(str(err)) from err
+    """The normalized ``NetworkParams(*args)``."""
+    return normalize(NetworkParams(*args))
 
 
 def _network(o: argparse.Namespace, tau: float = 0.0) -> NetworkParams:
@@ -364,17 +362,14 @@ def _cmd_rightmost(o: argparse.Namespace) -> int:
 def _cmd_snmap(o: argparse.Namespace) -> int:
     wm = o.omega_m
     lo, hi = o.tau_window[0] * wm, o.tau_window[1] * wm
-    grid_step = o.grid_step * wm if o.grid_step is not None else None
-    if grid_step is not None:
-        _budget((hi - lo) / grid_step, "--grid-step")
     p = _network(o)
     if o.model is ModelKind.FULL_PHASE:
         blocks = build_blocks(o.model, p, equilibrium(p, o.eq))
         blk = blocks.fix if o.block is BlockKind.FIX else blocks.standard
-        crossings = sn_scan(blk, (lo, hi), grid_step=grid_step)
+        crossings = sn_scan(blk, (lo, hi))
         ids, meta = None, _meta(p, "snmap", ("block", o.block.value), ("eq", o.eq.value))
     else:
-        scan = relative_hopf_scan(p, o.block, (lo, hi), resolution=o.resolution, grid_step=grid_step)
+        scan = relative_hopf_scan(p, o.block, (lo, hi))
         crossings = [pc.crossing for pc in scan]
         ids, meta = [pc.branch_id for pc in scan], _meta(p, "snmap", ("block", o.block.value))
     header = ["tau", "omega", "root", "n", "delta", "delta_sign"]
@@ -543,10 +538,7 @@ def _cmd_simulate(o: argparse.Namespace) -> int:
     else:
         raise _UsageError("--step is required when tau = 0")
 
-    try:
-        traj = integrate(kind, p, history, t_end, step, omega=omega)
-    except InvalidParamError as err:  # the step count exceeds the memory budget
-        raise _UsageError(str(err)) from err
+    traj = integrate(kind, p, history, t_end, step, omega=omega)
     half = traj.states.shape[1] // 2
     header = ["t", *(f"x{k}_{i}" for i in range(1, half + 1) for k in (1, 2))]
     rows = [[t, *row] for t, row in zip(traj.times, traj.states)]
@@ -606,7 +598,6 @@ _TAU = _Opt("--tau", _num, 0.0, "transmission delay")
 _CSV = _Opt("--out", _text, "-", "CSV output path; '-' is stdout")
 _OUT = (_CSV, _Opt("--svg", _text, None, "also write an SVG chart here"))
 _TAU_WINDOW = _Opt("--tau-window", _delay_window, _REQUIRED, "delay window start:stop")
-_RESOLUTION = _Opt("--resolution", _count(2), 2000, "locked-branch sampling")
 _C_CONST = _Opt("--c-const", _num, None, "difference-model constant (default: from the locked state)")
 
 _COMMANDS = {
@@ -636,12 +627,12 @@ _COMMANDS = {
         _Opt("--block", _BLOCK, "fix", "characteristic block"),
         _Opt("--eq", _EQ, "minus", "equilibrium branch (full-phase model)"),
         _TAU_WINDOW,
-        _Opt("--grid-step", _positive, None, "delay step of the crossing-map scan"),
-        _RESOLUTION._replace(help="locked-branch sampling (phase model)"),
         *_OUT,
     )),
     "releq": (_cmd_releq, "locked-frequency branches over a delay window", (
-        _K, _OMEGA_M, _TAU_WINDOW, _RESOLUTION, *_OUT,
+        _K, _OMEGA_M, _TAU_WINDOW,
+        _Opt("--resolution", _count(2), 2000, "locked-branch sampling"),
+        *_OUT,
     )),
     "zero-roots": (_cmd_zero_roots, "steady-state bifurcation delays of the phase model", (
         _NODES, _K, _MU._replace(default=1.0), _OMEGA_M,
@@ -751,6 +742,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, json.JSONDecodeError) as err:
         print(f"io error: {err}", file=sys.stderr)
+        return 2
+    except InvalidParamError as err:  # a parameter outside its domain, or past the budget
+        print(f"usage error: {err}", file=sys.stderr)
         return 2
     except PllbifError as err:
         print(f"error: {err}", file=sys.stderr)

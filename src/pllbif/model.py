@@ -130,6 +130,9 @@ class NetworkParams:
         check_delay(self.delay)
 
 
+_MAX_FLOATS = 2**27  # floats one run may keep: 1 GiB of float64
+
+
 def check_delay(tau) -> float:
     """``tau`` as a float; InvalidParamError unless it is finite and >= 0.
 

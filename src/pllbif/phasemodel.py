@@ -31,7 +31,7 @@ import numpy as np
 
 from .charfun import BlockKind, build_blocks
 from .errors import InvalidParamError
-from .model import ModelKind, NetworkParams, check_delay, normalize
+from .model import _MAX_FLOATS, ModelKind, NetworkParams, check_delay, normalize
 from .snmap import CrossingCandidate, sn_scan
 
 __all__ = [
@@ -175,12 +175,19 @@ def _pieces(k: float, t1: float):
 
     Cuts are the folds, the poles, phi = 0 and the ends of the scanned phase
     range, which lie beyond the reach of t1: tau >= phi / (1 + K) for phi > 0
-    and tau >= |phi| / (K - 1) for phi < 0.
+    and tau >= |phi| / (K - 1) for phi < 0.  A range of more than 2^27
+    intervals [j pi, (j + 1) pi] raises InvalidParamError before anything is
+    allocated.
     """
 
     def h(x):
         return 1.0 - k * np.sin(x) + k * x * np.cos(x), -k * x * np.sin(x)
 
+    span = ((1.0 + k) + max(k - 1.0, 0.0)) * t1 / math.pi
+    if not span <= _MAX_FLOATS:  # inf too: the product overflowed
+        raise InvalidParamError(
+            f"delays up to {t1:g} cross {span:.6g} phase intervals, more than the budget of 2^27"
+        )
     j_lo = math.floor(-(k - 1.0) * t1 / math.pi) - 1 if k > 1.0 else 0
     a = math.pi * np.arange(j_lo, math.ceil((1.0 + k) * t1 / math.pi) + 1)
     b = a + math.pi
@@ -248,16 +255,15 @@ def relative_hopf_scan(
     params: NetworkParams,
     block: BlockKind,
     tau_window: tuple[float, float],
-    resolution: int = 2000,
-    grid_step: float | None = None,
 ) -> list[PhaseCrossing]:
     """Imaginary-axis crossings of a phase-model block along every locked branch.
 
-    The branches are ``releq_branches(params, tau_window, resolution)``, whose
-    window and resolution checks apply.
+    The branches are ``releq_branches(params, tau_window)``, whose window
+    checks apply; each is scanned by ``sn_scan`` over its sampled delay range,
+    births and deaths of the crossing frequency inside a cell included.
     """
     p = normalize(params)
-    branches = releq_branches(p, tau_window, resolution)
+    branches = releq_branches(p, tau_window)
     out: list[PhaseCrossing] = []
     for br in branches:
         blocks = build_blocks(ModelKind.PHASE, p, br)
@@ -266,7 +272,7 @@ def relative_hopf_scan(
         hi = float(br.taus[-1])
         if hi <= lo:
             continue
-        for cand in sn_scan(blk, (lo, hi), grid_step=grid_step):
+        for cand in sn_scan(blk, (lo, hi)):
             out.append(PhaseCrossing(br.branch_id, cand))
     out.sort(key=lambda c: c.crossing.tau_star)
     return out

@@ -30,7 +30,15 @@ from .errors import (
     NotPeriodicError,
     UnsupportedKindError,
 )
-from .model import Equilibrium, ModelKind, NetworkParams, _compile_parts, normalize, state_dim
+from .model import (
+    _MAX_FLOATS,
+    Equilibrium,
+    ModelKind,
+    NetworkParams,
+    _compile_parts,
+    normalize,
+    state_dim,
+)
 
 __all__ = [
     "HistorySpec",
@@ -53,7 +61,6 @@ _BOUND = 1e8
 # arrays at N = 3, 18.1 against 29.6 at N = 16, 29.9 against 31.3 at N = 26,
 # a tie at N = 28, 35.9 against 30.5 at N = 32 and 70.6 against 32.6 at N = 64.
 _FLOAT_DIM = 52
-_MAX_FLOATS = 2**27  # floats one integration may keep: 1 GiB of float64
 
 
 def equilibrium_state(kind: ModelKind, params: NetworkParams, point) -> np.ndarray:

@@ -32,7 +32,15 @@ from .errors import (
     NoEquilibriumError,
     UnsupportedKindError,
 )
-from .model import Branch, ModelKind, NetworkParams, check_delay, equilibrium, normalize
+from .model import (
+    _MAX_FLOATS,
+    Branch,
+    ModelKind,
+    NetworkParams,
+    check_delay,
+    equilibrium,
+    normalize,
+)
 
 __all__ = [
     "RootBranch",
@@ -230,15 +238,44 @@ def _sn_value(p: QuasiPolynomial, tau: float, tag: RootBranch, n: int):
     return tau - (_angle(r0, r1, s0, w) + _TWO_PI * n) / w, w
 
 
-def sn_scan(
-    p: QuasiPolynomial,
-    tau_window: tuple[float, float],
-    grid_step: float | None = None,
-) -> list[CrossingCandidate]:
+def _existence_edges(p: QuasiPolynomial, taus: np.ndarray, u: np.ndarray, tag: RootBranch):
+    """``taus`` and ``u`` with the last live delay of each cell where w is born or dies.
+
+    A cell whose u is NaN at exactly one end holds the edge of w's existence;
+    bisecting on whether ``_sn_value`` exists there, down to 1e-9 max(1, |tau|),
+    gives the live delay nearest the edge, and its u closes the cell's live
+    part, so a crossing between the edge and the grid point gets a bracket.
+    """
+    dead = np.isnan(u)
+    cells = np.nonzero(dead[:-1] != dead[1:])[0]
+    at, edge_taus, edge_u = [], [], []
+    for i in cells:
+        live, gone = (taus[i], taus[i + 1]) if dead[i + 1] else (taus[i + 1], taus[i])
+        last = None
+        while abs(gone - live) > 1e-9 * max(1.0, abs(live)):
+            mid = 0.5 * (live + gone)
+            hit = _sn_value(p, mid, tag, 0)
+            if hit is None:
+                gone = mid
+            else:
+                live, last = mid, hit
+        if last is not None:
+            at.append(i + 1)
+            edge_taus.append(live)
+            edge_u.append(last[0] * last[1] / _TWO_PI)  # u = S_0 w / 2 pi
+    if not at:
+        return taus, u
+    return np.insert(taus, at, edge_taus), np.insert(u, at, edge_u)
+
+
+def sn_scan(p: QuasiPolynomial, tau_window: tuple[float, float]) -> list[CrossingCandidate]:
     """Zeros of S_n over a delay window for delay-dependent (or constant) blocks.
 
-    The window is sampled on a uniform grid (default step: 1e-3 of the window)
-    for both root branches w+ and w-.  With u(tau) = (tau w - theta)/2 pi,
+    The window is sampled at 1001 evenly spaced delays for both root branches
+    w+ and w-.  Where a branch's w is born or dies inside a cell, the cell is
+    bisected on the existence of w and the last live delay joins that
+    branch's samples (``_existence_edges``), so a zero between the edge and
+    the grid gets a bracket too.  With u(tau) = (tau w - theta)/2 pi,
     S_n = 2 pi (u - n)/w, so the cells whose two u values enclose the integer
     n bracket the sign changes of S_n: one sweep over the cells finds them
     for every winding at once, and u >= -1/2 (tau >= 0, theta <= pi) leaves
@@ -247,24 +284,26 @@ def sn_scan(
     (pi/w in S_n) is discarded: there the bisection homed onto a branch-cut
     jump of theta, where S_n changes sign without vanishing.
     A window that ends at or before its start holds no crossings; a negative
-    or non-finite window end, or a grid step that is not finite and positive,
-    raises InvalidParamError.
+    or non-finite window end, or more brackets than the 2^27 budget, raises
+    InvalidParamError.
     """
     t0, t1 = check_delay(tau_window[0]), check_delay(tau_window[1])
-    if grid_step is not None and not 0.0 < grid_step < math.inf:
-        raise InvalidParamError(f"grid_step must be finite and > 0, got {grid_step}")
     if not t1 > t0:
         return []
-    if grid_step is None:
-        grid_step = (t1 - t0) * 1e-3
-    npts = max(3, int(math.ceil((t1 - t0) / grid_step)) + 1)
-    taus = np.linspace(t0, t1, npts)
+    grid = np.linspace(t0, t1, 1001)
     found: dict[tuple[str, float], CrossingCandidate] = {}
-    for tag, u in _turns(p, taus).items():
+    for tag, u in _turns(p, grid).items():
+        taus, u = _existence_edges(p, grid, u, tag)
         # the integers n that u passes on each cell: S_n changes sign there
         lo = np.ceil(np.minimum(u[:-1], u[1:]))
         hi = np.floor(np.maximum(u[:-1], u[1:]))
         cells = np.nonzero((hi >= lo) & (u[:-1] != u[1:]))[0]
+        count = float(np.sum(hi[cells] - lo[cells] + 1.0))
+        if not count <= _MAX_FLOATS:  # NaN too: u overflowed
+            raise InvalidParamError(
+                f"the delay window [{t0:g}, {t1:g}] holds {count:.6g} brackets, "
+                "more than the budget of 2^27"
+            )
         brackets = sorted((n, i) for i in cells for n in range(int(lo[i]), int(hi[i]) + 1))
         for n, i in brackets:
             hit = _bisect_sn(p, taus[i], taus[i + 1], tag, n)

@@ -195,6 +195,40 @@ def test_steep_crossings_are_not_taken_for_theta_jumps():
         assert abs(res) <= 1e-9 * (abs(lam) ** 2 + p.filter_gain * abs(lam) + 2.0 * abs(a))
 
 
+@pytest.mark.parametrize(
+    "nodes, k, mu, end, root, n, near",
+    [
+        # pllbif snmap --model phase --nodes 3 --K 2.568455806327652
+        #   --mu 0.26919119591052904 --block standard --tau-window 0:18.90581270887223
+        (3, 2.568455806327652, 0.26919119591052904, 18.90581270887223, "plus", 0, 3.750406),
+        (4, 2.6876295392495817, 0.2578944980159561, 20.28615237807057, "plus", 0, 2.319088),
+        (3, 2.8468859642095388, 0.5467195919853003, 22.234701848717954, "plus", 0, 1.846687),
+        (3, 2.6039017440840597, 0.16111538259446734, 12.248140908953838, "minus", 0, 6.735976),
+        (4, 2.6783457865239377, 0.0695177418939642, 17.155258835824455, "plus", 0, 8.335649),
+        (3, 2.567845776329596, 0.32304042330701754, 17.307940584724264, "minus", 1, 14.020894),
+    ],
+)
+def test_crossings_in_the_cell_where_their_frequency_is_born(nodes, k, mu, end, root, n, near):
+    # w exists on only part of the grid cell that holds the crossing, so u is
+    # NaN at one of the cell's ends: the scan must bisect for the edge of w's
+    # existence to bracket it
+    p = NetworkParams(nodes, k, mu)
+    window = (0.0, end)
+    branches = {b.branch_id: b for b in releq_branches(p, window)}
+    [pc] = [
+        pc for pc in relative_hopf_scan(p, BlockKind.STANDARD, window)
+        if abs(pc.crossing.tau_star - near) < 1e-6
+    ]
+    c = pc.crossing
+    assert (c.omega_candidate.root_branch.value, c.winding) == (root, n)
+    # the standard block along the branch, written out as above
+    tau = c.tau_star
+    a = k * mu * math.cos(branches[pc.branch_id].omega_hat(tau) * tau)
+    lam = 1j * c.omega
+    res = (lam + mu) * lam + a + a * cmath.exp(-lam * tau) / (nodes - 1)
+    assert abs(res) <= 1e-9 * (abs(lam) ** 2 + mu * abs(lam) + 2.0 * abs(a))
+
+
 # ---------------------------------------------------------------------------
 # steady-state events of the symmetry-breaking block
 
@@ -291,5 +325,3 @@ def test_equilibrium_case_curves_refuse_a_bad_mu(mu):
 def test_branches_need_two_grid_points(resolution):
     with pytest.raises(InvalidParamError):
         releq_branches(P21, (0.0, 5.0), resolution)
-    with pytest.raises(InvalidParamError):
-        relative_hopf_scan(P21, BlockKind.FIX, (0.0, 5.0), resolution)

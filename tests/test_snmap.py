@@ -184,11 +184,6 @@ P21 = NetworkParams(2, 1.0, 1.0)
         (sn_scan, (fix_block(), (0.0, math.nan))),
         (sn_scan, (fix_block(), (0.0, math.inf))),
         (sn_scan, (fix_block(), (-1.0, 5.0))),
-        # the third argument is the grid step
-        (sn_scan, (fix_block(), (0.0, 25.0), math.nan)),
-        (sn_scan, (fix_block(), (0.0, 25.0), math.inf)),
-        (sn_scan, (fix_block(), (0.0, 25.0), 0.0)),
-        (sn_scan, (fix_block(), (0.0, 25.0), -0.1)),
     ],
     ids=lambda v: v.__name__ if callable(v) else "-".join(map(str, v[1:])),
 )
