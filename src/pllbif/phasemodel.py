@@ -17,9 +17,10 @@ tau-monotone pieces: the locked branches.  The locked frequencies at one
 delay are read off the pieces whose delay range holds it (releq_solve).
 Along a branch the characteristic blocks have delay-dependent modal gain
 a(tau) = K mu cos(Omega_hat(tau) tau), so imaginary-axis crossings are zeros
-of the delay-dependent crossing map (sn_scan), and the symmetry-breaking
-block additionally admits steady-state (zero-root) events at
-Omega_hat tau = pi/2 + n pi.
+of the delay-dependent crossing map; relative_hopf_scan finds them in the
+branch's phase, where a = K mu cos(phi) and tau(phi) need no solve.  The
+symmetry-breaking block additionally admits steady-state (zero-root) events
+at Omega_hat tau = pi/2 + n pi.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfun import BlockKind, build_blocks
+from .charfun import BlockKind, blocks_from_gain, build_blocks
 from .errors import InvalidParamError
 from .model import _MAX_FLOATS, ModelKind, NetworkParams, check_delay, normalize
-from .snmap import CrossingCandidate, sn_scan
+from .snmap import CrossingCandidate, _scan
 
 __all__ = [
     "RelEqBranch",
@@ -209,22 +210,18 @@ def _pieces(k: float, t1: float):
     return zip(phi[:-1][valid], phi[1:][valid], tau[:-1][valid], tau[1:][valid])
 
 
-def releq_branches(
-    params: NetworkParams, tau_window: tuple[float, float], resolution: int = 2000
-) -> list[RelEqBranch]:
-    """Locked-frequency branches over a delay window, from the exact phase curve.
+_RESOLUTION = 2000  # releq_branches' grid, whose branch ids relative_hopf_scan shares
 
-    Each tau-monotone piece of tau(phi) = phi / (1 - K sin phi) (module
-    docstring) is one branch.  Its birth is the piece's lower delay end, a
-    fold or tau = 0, or the window start when it is alive there; it is
-    sampled on the ``resolution``-point grid over the window at the points in
-    (birth, end], plus the window start for branches alive there, by one
-    vectorized bracketed solve per branch.  Branches with fewer than 2 samples
-    are dropped; the rest are numbered by (birth, first Omega_hat).  Raises
-    InvalidParamError for a negative or non-finite window end, a window that
-    does not end after it starts, or a resolution below 2.
+
+def _branch_grids(k: float, tau_window: tuple[float, float], resolution: int):
+    """(birth, grid delays, phase piece) of each locked branch, unordered.
+
+    Each tau-monotone piece of tau(phi) is one branch.  Its birth is the
+    piece's lower delay end, or the window start when it is alive there; its
+    grid delays are the points of the ``resolution``-point grid over the
+    window in (birth, end], plus the window start for branches alive there.
+    Pieces with fewer than 2 grid delays are dropped.
     """
-    k = normalize(params).coupling
     t0, t1 = check_delay(tau_window[0]), check_delay(tau_window[1])
     if not t1 > t0:
         raise InvalidParamError(f"delay window [{t0:g}, {t1:g}] does not end after it starts")
@@ -234,10 +231,34 @@ def releq_branches(
     kept = []
     for phi_a, phi_b, tau_a, tau_b in _pieces(k, t1):
         lo, hi = min(tau_a, tau_b), max(tau_a, tau_b)
-        taus = grid[(grid <= hi) & ((grid > lo) | (lo == t0))]
-        if len(taus) >= 2:
-            phi = _solve(_phase_equation(taus, k), phi_a, phi_b)
-            kept.append((float(max(lo, t0)), taus, 1.0 - k * np.sin(phi), (float(phi_a), float(phi_b))))
+        first = 0 if lo == t0 else int(np.searchsorted(grid, lo, side="right"))
+        stop = int(np.searchsorted(grid, hi, side="right"))
+        if stop - first >= 2:
+            kept.append((float(max(lo, t0)), grid[first:stop], (float(phi_a), float(phi_b))))
+    return kept
+
+
+def releq_branches(
+    params: NetworkParams, tau_window: tuple[float, float], resolution: int = _RESOLUTION
+) -> list[RelEqBranch]:
+    """Locked-frequency branches over a delay window, from the exact phase curve.
+
+    Each tau-monotone piece of tau(phi) = phi / (1 - K sin phi) (module
+    docstring) is one branch.  Its birth is the piece's lower delay end, a
+    fold or tau = 0, or the window start when it is alive there; it is
+    sampled on the ``resolution``-point grid over the window at the points in
+    (birth, end], plus the window start for branches alive there, by one
+    vectorized bracketed solve per branch.  Branches with fewer than 2 samples
+    are dropped; the rest are numbered by (birth, first Omega_hat), as
+    ``relative_hopf_scan`` numbers them.  Raises InvalidParamError for a
+    negative or non-finite window end, a window that does not end after it
+    starts, or a resolution below 2.
+    """
+    k = normalize(params).coupling
+    kept = []
+    for birth, taus, piece in _branch_grids(k, tau_window, resolution):
+        phi = _solve(_phase_equation(taus, k), *piece)
+        kept.append((birth, taus, 1.0 - k * np.sin(phi), piece))
     kept.sort(key=lambda br: (br[0], br[2][0]))
     return [
         RelEqBranch(i, birth, taus, omegas, k, piece)
@@ -258,22 +279,45 @@ def relative_hopf_scan(
 ) -> list[PhaseCrossing]:
     """Imaginary-axis crossings of a phase-model block along every locked branch.
 
-    The branches are ``releq_branches(params, tau_window)``, whose window
-    checks apply; each is scanned by ``sn_scan`` over its sampled delay range,
-    births and deaths of the crossing frequency inside a cell included.
+    The branches and their ids are ``releq_branches(params, tau_window)``'s,
+    whose window checks apply, but only the phases at each branch's first
+    and last grid delay are solved for.  A branch is scanned in its own phase
+    phi = Omega_hat tau, where the crossing map is explicit:
+    tau(phi) = phi / (1 - K sin phi) and the modal gain a = K mu cos(phi),
+    so the scan of ``sn_scan`` (1001 points between the two end phases,
+    births and deaths of the crossing frequency inside a cell included)
+    evaluates S_n with no solve.  Each crossing is reported at its delay
+    tau(phi*), with ``transversality`` there.
     """
     p = normalize(params)
-    branches = releq_branches(p, tau_window)
+    k, mu = p.coupling, p.filter_gain
+    grids = _branch_grids(k, tau_window, _RESOLUTION)
+    if not grids:
+        return []
+    ends = np.array([(taus[0], taus[-1]) for _, taus, _ in grids])
+    pieces = np.array([piece for _, _, piece in grids])
+    # one solve for every branch's two ends; each element takes the steps that
+    # releq_branches' solve takes at that delay, so both sort the branches alike
+    phi = _solve(_phase_equation(ends, k), pieces[:, :1], pieces[:, 1:])
+    omegas = 1.0 - k * np.sin(phi)
+    order = sorted(range(len(grids)), key=lambda i: (grids[i][0], omegas[i, 0]))
+    phase_blocks = blocks_from_gain(p, lambda x: k * mu * np.cos(x))
+    phase_blk = phase_blocks.fix if block is BlockKind.FIX else phase_blocks.standard
+
+    def at(x):
+        return (*phase_blk.at(x), x / (1.0 - k * np.sin(x)))
+
     out: list[PhaseCrossing] = []
-    for br in branches:
+    for branch_id, i in enumerate(order):
+        birth, _, piece = grids[i]
+        if ends[i, 1] <= ends[i, 0]:
+            continue
+        br = RelEqBranch(branch_id, birth, ends[i], omegas[i], k, piece)
         blocks = build_blocks(ModelKind.PHASE, p, br)
         blk = blocks.fix if block is BlockKind.FIX else blocks.standard
-        lo = float(br.taus[0])
-        hi = float(br.taus[-1])
-        if hi <= lo:
-            continue
-        for cand in sn_scan(blk, (lo, hi)):
-            out.append(PhaseCrossing(br.branch_id, cand))
+        lo, hi = sorted(phi[i])
+        for cand in _scan(blk, at, (float(lo), float(hi))):
+            out.append(PhaseCrossing(branch_id, cand))
     out.sort(key=lambda c: c.crossing.tau_star)
     return out
 

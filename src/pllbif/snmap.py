@@ -6,11 +6,15 @@ b = r1^2 - 2 r0 and c = r0^2 - s0^2, plus a phase condition that pins
 w tau modulo 2 pi.  Writing theta for the principal crossing angle, the
 candidate delays are tau_n = (theta + 2 pi n)/w and crossings are zeros of
 the map S_n(tau) = tau - tau_n(tau).  For delay-independent coefficients the
-zeros are explicit; for delay-dependent ones (phase model along a
-rotating-wave branch) they are found by a grid scan plus bisection.  The scan
-follows u(tau) = (tau w - theta)/2 pi, the number of turns w tau makes past
-theta: S_n = 2 pi (u - n)/w vanishes where u passes n, so one pass over the
-grid brackets the zeros of every winding n >= 0.
+zeros are explicit, and ``sn_scan`` returns the ladders in closed form.  For
+delay-dependent ones they are found by a grid scan plus bisection in a
+parameter s that moves the delay monotonically: the delay itself, or, along
+a rotating-wave branch of the phase model, the branch's phase
+phi = Omega_hat tau, in which the coefficients and the delay are explicit
+(``phasemodel.relative_hopf_scan``).  The scan follows
+u = (tau w - theta)/2 pi, the number of turns w tau makes past theta:
+S_n = 2 pi (u - n)/w vanishes where u passes n, so one pass over the grid
+brackets the zeros of every winding n >= 0.
 
 The transversality value delta = d Re(lambda)/d tau > 0 means a root pair
 moves rightward through the axis as the delay grows.
@@ -33,7 +37,6 @@ from .errors import (
     UnsupportedKindError,
 )
 from .model import (
-    _MAX_FLOATS,
     Branch,
     ModelKind,
     NetworkParams,
@@ -147,6 +150,19 @@ def crossing_angle(p: QuasiPolynomial, omega: float, tau: float | None = None) -
     return _angle(r0, r1, s0, omega)
 
 
+def _transversality_terms(p: QuasiPolynomial, omega: float, tau: float):
+    """(A C + B D, C^2 + D^2, (|A| + |B|)(|C| + |D|)) of ``transversality`` at lambda = i w."""
+    r0, r1, s0 = (float(v) for v in p.at(tau))
+    dr0, ds0 = (0.0, 0.0) if p.dcoeffs is None else (float(v) for v in p.dcoeffs(tau))
+    iw = 1j * omega
+    e = np.exp(-iw * tau)
+    num = e * (iw * s0 - ds0) - dr0
+    den = (2.0 * iw + r1) + e * (-tau * s0)
+    a, bb = num.real, num.imag
+    cc, d = den.real, den.imag
+    return a * cc + bb * d, cc * cc + d * d, (abs(a) + abs(bb)) * (abs(cc) + abs(d))
+
+
 def transversality(
     p: QuasiPolynomial, omega: float, tau_star: float
 ) -> tuple[float, int]:
@@ -157,23 +173,31 @@ def transversality(
     delay-dependent blocks) and C + iD the lambda-derivative.  Raises
     DegenerateCrossingError when the value vanishes (e.g. a double w root).
     """
-    t = float(tau_star)
-    r0, r1, s0 = (float(v) for v in p.at(t))
-    dr0, ds0 = (0.0, 0.0) if p.dcoeffs is None else (float(v) for v in p.dcoeffs(t))
-    iw = 1j * omega
-    e = np.exp(-iw * t)
-    num = e * (iw * s0 - ds0) - dr0
-    den = (2.0 * iw + r1) + e * (-t * s0)
-    a, bb = num.real, num.imag
-    cc, d = den.real, den.imag
-    norm = cc * cc + d * d
-    dot = a * cc + bb * d
-    if norm == 0.0 or abs(dot) <= 1e-12 * (abs(a) + abs(bb)) * (abs(cc) + abs(d)):
+    dot, norm, scale = _transversality_terms(p, omega, float(tau_star))
+    if norm == 0.0 or abs(dot) <= 1e-12 * scale:
         raise DegenerateCrossingError(
             f"transversality degenerate at omega={omega}, tau={tau_star}"
         )
     val = dot / norm
     return val, (1 if val > 0.0 else -1)
+
+
+def _rungs(p: QuasiPolynomial, cand: OmegaCandidate, n_range: range):
+    """(sign delta, [(n, tau_n)]): the rungs tau_n = (theta + 2 pi n)/w >= 0 of a delay-independent block.
+
+    On such a block sign delta = sign F'(w), F'(w) = 4 w^3 + 2 b w: +1 on the
+    PLUS root and -1 on the MINUS root (Cooke & van den Driessche, 1986), the
+    same for every rung.  Where rungs exist and F'(w) vanishes to rounding
+    (a double root b^2 = 4c) the crossing is tangential, and
+    DegenerateCrossingError is raised.
+    """
+    w = cand.omega
+    theta = crossing_angle(p, w)
+    rungs = [(n, tau) for n in n_range if (tau := (theta + _TWO_PI * n) / w) >= 0.0]
+    b = _b_c(*(float(v) for v in p.at(None)))[0]
+    if rungs and abs(4.0 * w**3 + 2.0 * b * w) <= 1e-12 * (4.0 * w**3 + 2.0 * abs(b) * w):
+        raise DegenerateCrossingError(f"double crossing frequency omega={w}")
+    return (1 if cand.root_branch is RootBranch.PLUS else -1), rungs
 
 
 def tau_candidates(
@@ -182,20 +206,19 @@ def tau_candidates(
     """Nonnegative crossing delays tau_n = (theta + 2 pi n)/w for n in n_range, ascending.
 
     Requires delay-independent coefficients (theta does not move with tau);
-    the delay-dependent case goes through sn_scan.
+    the delay-dependent case goes through sn_scan.  The sign of delta is the
+    root branch's (``bifurcation_curves`` takes the same), and a double
+    crossing frequency raises DegenerateCrossingError.
     """
     if p.tau_dependent:
         raise UnsupportedKindError(
             "tau_candidates needs delay-independent coefficients; use sn_scan"
         )
-    theta = crossing_angle(p, cand.omega)
+    sign, rungs = _rungs(p, cand, n_range)
     out = []
-    for n in n_range:
-        tau_n = (theta + _TWO_PI * n) / cand.omega
-        if tau_n < 0.0:
-            continue
-        delta, sign = transversality(p, cand.omega, tau_n)
-        out.append(CrossingCandidate(cand, tau_n, n, delta, sign))
+    for n, tau_n in rungs:
+        dot, norm, _ = _transversality_terms(p, cand.omega, tau_n)
+        out.append(CrossingCandidate(cand, tau_n, n, dot / norm, sign))
     out.sort(key=lambda c: c.tau_star)
     return out
 
@@ -205,12 +228,13 @@ def _b_c(r0, r1, s0):
     return r1 * r1 - 2.0 * r0, r0 * r0 - s0 * s0
 
 
-def _turns(p: QuasiPolynomial, taus: np.ndarray):
-    """u(tau) = (tau w - theta)/2 pi per root branch along a tau grid; NaN where w is absent.
+def _turns(at, grid: np.ndarray):
+    """u = (tau w - theta)/2 pi per root branch along a grid of the scan parameter; NaN where w is absent.
 
+    ``at(s)`` maps the scan parameter to the snapshot and delay (r0, r1, s0, tau).
     S_n = 2 pi (u - n)/w, so S_n changes sign where u passes the integer n.
     """
-    r0, r1, s0 = (np.broadcast_to(v, taus.shape) for v in p.at(taus))
+    r0, r1, s0, taus = (np.broadcast_to(v, grid.shape) for v in at(grid))
     b, c = _b_c(r0, r1, s0)
     disc = b * b - 4.0 * c
     ok = disc >= 0.0
@@ -225,9 +249,9 @@ def _turns(p: QuasiPolynomial, taus: np.ndarray):
     return out
 
 
-def _sn_value(p: QuasiPolynomial, tau: float, tag: RootBranch, n: int):
-    """S_n(tau) = tau - (theta + 2 pi n)/w at a single tau; (value, w) or None."""
-    r0, r1, s0 = (float(v) for v in p.at(tau))
+def _sn_value(at, s: float, tag: RootBranch, n: int):
+    """S_n = tau - (theta + 2 pi n)/w at one scan parameter s; (value, w, tau) or None."""
+    r0, r1, s0, tau = (float(v) for v in at(s))
     roots = _stable_quadratic_roots(*_b_c(r0, r1, s0))
     if roots is None or s0 == 0.0:
         return None
@@ -235,123 +259,181 @@ def _sn_value(p: QuasiPolynomial, tau: float, tag: RootBranch, n: int):
     if w2 <= 0.0:
         return None
     w = math.sqrt(w2)
-    return tau - (_angle(r0, r1, s0, w) + _TWO_PI * n) / w, w
+    return tau - (_angle(r0, r1, s0, w) + _TWO_PI * n) / w, w, tau
 
 
-def _existence_edges(p: QuasiPolynomial, taus: np.ndarray, u: np.ndarray, tag: RootBranch):
-    """``taus`` and ``u`` with the last live delay of each cell where w is born or dies.
+def _existence_edges(at, grid: np.ndarray, u: np.ndarray, tag: RootBranch):
+    """``grid`` and ``u`` with the last live parameter of each cell where w is born or dies.
 
     A cell whose u is NaN at exactly one end holds the edge of w's existence;
-    bisecting on whether ``_sn_value`` exists there, down to 1e-9 max(1, |tau|),
-    gives the live delay nearest the edge, and its u closes the cell's live
-    part, so a crossing between the edge and the grid point gets a bracket.
+    bisecting on whether ``_sn_value`` exists there, down to 1e-9 max(1, |s|),
+    gives the live parameter nearest the edge, and its u closes the cell's
+    live part, so a crossing between the edge and the grid point gets a bracket.
     """
     dead = np.isnan(u)
     cells = np.nonzero(dead[:-1] != dead[1:])[0]
-    at, edge_taus, edge_u = [], [], []
+    at_cells, edge_s, edge_u = [], [], []
     for i in cells:
-        live, gone = (taus[i], taus[i + 1]) if dead[i + 1] else (taus[i + 1], taus[i])
+        live, gone = (grid[i], grid[i + 1]) if dead[i + 1] else (grid[i + 1], grid[i])
         last = None
         while abs(gone - live) > 1e-9 * max(1.0, abs(live)):
             mid = 0.5 * (live + gone)
-            hit = _sn_value(p, mid, tag, 0)
+            hit = _sn_value(at, mid, tag, 0)
             if hit is None:
                 gone = mid
             else:
                 live, last = mid, hit
         if last is not None:
-            at.append(i + 1)
-            edge_taus.append(live)
+            at_cells.append(i + 1)
+            edge_s.append(live)
             edge_u.append(last[0] * last[1] / _TWO_PI)  # u = S_0 w / 2 pi
-    if not at:
-        return taus, u
-    return np.insert(taus, at, edge_taus), np.insert(u, at, edge_u)
+    if not at_cells:
+        return grid, u
+    return np.insert(grid, at_cells, edge_s), np.insert(u, at_cells, edge_u)
+
+
+# a crossing is a Python object of about 240 B that takes about 8 us to
+# build (one transversality evaluation), and a scan bracket becomes at most
+# one: 2^20 of them cost about 250 MiB and 8 s
+_MAX_CROSSINGS = 2**20
+
+
+def _ladder(p: QuasiPolynomial, t0: float, t1: float) -> list[CrossingCandidate]:
+    """The rungs tau_n = (theta + 2 pi n)/w in [t0, t1] of a delay-independent block.
+
+    Rung n lies in the window iff u(t0) <= n <= u(t1), u(tau) = (tau w - theta)/2 pi,
+    so the crossings are counted before any is built; ``tau_candidates``
+    builds them over that n range widened by one rung each way, and the
+    window keeps the rungs that rounding leaves inside it.
+    """
+    r0, r1, s0 = (float(v) for v in p.at(t0))
+    if s0 == 0.0:
+        return []
+    rungs = []
+    for cand in omega_candidates(*_b_c(r0, r1, s0)):
+        theta = _angle(r0, r1, s0, cand.omega)
+        rungs.append((cand, *((cand.omega * t - theta) / _TWO_PI for t in (t0, t1))))
+    # u(t0) >= -1/2 (t0 >= 0, theta <= pi), so every n counted is >= 0
+    count = sum(
+        max(0, math.floor(u1) - math.ceil(u0) + 1) if math.isfinite(u1) else math.inf
+        for _, u0, u1 in rungs
+    )
+    if count > _MAX_CROSSINGS:
+        raise InvalidParamError(
+            f"the delay window [{t0:g}, {t1:g}] holds {count:.6g} crossings, "
+            "more than the budget of 2^20"
+        )
+    out = [
+        cross
+        for cand, u0, u1 in rungs
+        for cross in tau_candidates(p, cand, range(max(0, math.ceil(u0) - 1), math.floor(u1) + 2))
+        if t0 <= cross.tau_star <= t1
+    ]
+    out.sort(key=lambda c: c.tau_star)
+    return out
+
+
+def _scan(p: QuasiPolynomial, at, window: tuple[float, float]) -> list[CrossingCandidate]:
+    """Zeros of S_n over a window of a scan parameter s that moves the delay monotonically.
+
+    ``at(s)`` gives (r0, r1, s0, tau) for a float or an array; crossings are
+    reported at their delay, with ``transversality`` of ``p`` there.
+    """
+    s_lo, s_hi = window
+    grid = np.linspace(s_lo, s_hi, 1001)
+    found: dict[tuple[str, float], CrossingCandidate] = {}
+    for tag, u in _turns(at, grid).items():
+        ss, u = _existence_edges(at, grid, u, tag)
+        # the integers n that u passes on each cell: S_n changes sign there
+        lo = np.ceil(np.minimum(u[:-1], u[1:]))
+        hi = np.floor(np.maximum(u[:-1], u[1:]))
+        cells = np.nonzero((hi >= lo) & (u[:-1] != u[1:]))[0]
+        count = float(np.sum(hi[cells] - lo[cells] + 1.0))
+        if not count <= _MAX_CROSSINGS:  # NaN too: u overflowed
+            t_lo, t_hi = (float(at(s)[3]) for s in window)
+            raise InvalidParamError(
+                f"the delay window [{t_lo:g}, {t_hi:g}] holds {count:.6g} crossing brackets, "
+                "more than the budget of 2^20"
+            )
+        brackets = sorted((n, i) for i in cells for n in range(int(lo[i]), int(hi[i]) + 1))
+        for n, i in brackets:
+            hit = _bisect_sn(at, ss[i], ss[i + 1], tag, n)
+            if hit is None:
+                continue
+            w_star, tau_star = hit
+            key = (tag.value, round(tau_star, 7))
+            if key in found:
+                continue
+            delta, sgn = transversality(p, w_star, tau_star)
+            found[key] = CrossingCandidate(OmegaCandidate(w_star, tag), tau_star, n, delta, sgn)
+    return sorted(found.values(), key=lambda c: c.tau_star)
 
 
 def sn_scan(p: QuasiPolynomial, tau_window: tuple[float, float]) -> list[CrossingCandidate]:
-    """Zeros of S_n over a delay window for delay-dependent (or constant) blocks.
+    """Zeros of S_n over a delay window, for constant or delay-dependent blocks.
 
-    The window is sampled at 1001 evenly spaced delays for both root branches
-    w+ and w-.  Where a branch's w is born or dies inside a cell, the cell is
-    bisected on the existence of w and the last live delay joins that
-    branch's samples (``_existence_edges``), so a zero between the edge and
-    the grid gets a bracket too.  With u(tau) = (tau w - theta)/2 pi,
+    A delay-independent block's zeros are the ladders tau_n = (theta + 2 pi n)/w
+    of its crossing frequencies, taken in closed form (``tau_candidates``
+    over the windings the window holds); they are counted before any is
+    built, and more than the budget of 2^20 crossings raises
+    InvalidParamError.
+
+    A delay-dependent block is sampled at 1001 evenly spaced delays for both
+    root branches w+ and w-.  Where a branch's w is born or dies inside a
+    cell, the cell is bisected on the existence of w and the last live delay
+    joins that branch's samples (``_existence_edges``), so a zero between the
+    edge and the grid gets a bracket too.  With u(tau) = (tau w - theta)/2 pi,
     S_n = 2 pi (u - n)/w, so the cells whose two u values enclose the integer
     n bracket the sign changes of S_n: one sweep over the cells finds them
     for every winding at once, and u >= -1/2 (tau >= 0, theta <= pi) leaves
     only n >= 0.  The brackets are bisected in (n, cell) order down to
     rounding, and a bracket whose ends still differ by half a theta jump
     (pi/w in S_n) is discarded: there the bisection homed onto a branch-cut
-    jump of theta, where S_n changes sign without vanishing.
+    jump of theta, where S_n changes sign without vanishing.  More brackets
+    than the budget of 2^20 crossings raise InvalidParamError.
+
     A window that ends at or before its start holds no crossings; a negative
-    or non-finite window end, or more brackets than the 2^27 budget, raises
-    InvalidParamError.
+    or non-finite window end raises InvalidParamError.
     """
     t0, t1 = check_delay(tau_window[0]), check_delay(tau_window[1])
     if not t1 > t0:
         return []
-    grid = np.linspace(t0, t1, 1001)
-    found: dict[tuple[str, float], CrossingCandidate] = {}
-    for tag, u in _turns(p, grid).items():
-        taus, u = _existence_edges(p, grid, u, tag)
-        # the integers n that u passes on each cell: S_n changes sign there
-        lo = np.ceil(np.minimum(u[:-1], u[1:]))
-        hi = np.floor(np.maximum(u[:-1], u[1:]))
-        cells = np.nonzero((hi >= lo) & (u[:-1] != u[1:]))[0]
-        count = float(np.sum(hi[cells] - lo[cells] + 1.0))
-        if not count <= _MAX_FLOATS:  # NaN too: u overflowed
-            raise InvalidParamError(
-                f"the delay window [{t0:g}, {t1:g}] holds {count:.6g} brackets, "
-                "more than the budget of 2^27"
-            )
-        brackets = sorted((n, i) for i in cells for n in range(int(lo[i]), int(hi[i]) + 1))
-        for n, i in brackets:
-            hit = _bisect_sn(p, taus[i], taus[i + 1], tag, n)
-            if hit is None:
-                continue
-            tau_star, w_star = hit
-            if not (t0 - 1e-12 <= tau_star <= t1 + 1e-12) or tau_star < 0.0:
-                continue
-            key = (tag.value, round(tau_star, 7))
-            if key in found:
-                continue
-            cand = OmegaCandidate(w_star, tag)
-            delta, sgn = transversality(p, w_star, tau_star)
-            found[key] = CrossingCandidate(cand, tau_star, n, delta, sgn)
-    return sorted(found.values(), key=lambda c: c.tau_star)
+    if not p.tau_dependent:
+        return _ladder(p, t0, t1)
+    return _scan(p, lambda tau: (*p.at(tau), tau), (t0, t1))
 
 
-def _bisect_sn(p, ta, tb, tag, n):
-    fa = _sn_value(p, ta, tag, n)
-    fb = _sn_value(p, tb, tag, n)
+def _bisect_sn(at, sa, sb, tag, n):
+    """(w, tau) at the zero of S_n bracketed by scan parameters sa < sb, or None."""
+    fa = _sn_value(at, sa, tag, n)
+    fb = _sn_value(at, sb, tag, n)
     if fa is None or fb is None:
         return None
     ga, gb = fa[0], fb[0]
     if ga == 0.0:
-        return ta, fa[1]
+        return fa[1:]
     if gb == 0.0:
-        return tb, fb[1]
+        return fb[1:]
     if ga * gb > 0.0:
         return None
     for _ in range(200):
-        tm = 0.5 * (ta + tb)
-        fm = _sn_value(p, tm, tag, n)
+        sm = 0.5 * (sa + sb)
+        fm = _sn_value(at, sm, tag, n)
         if fm is None:
             return None
         gm = fm[0]
-        if gm == 0.0 or (tb - ta) < 1e-14 * max(1.0, abs(tm)):
+        if gm == 0.0 or (sb - sa) < 1e-14 * max(1.0, abs(sm)):
             break
         if ga * gm < 0.0:
-            tb, gb = tm, gm
+            sb, gb = sm, gm
         else:
-            ta, ga = tm, gm
-    tm = 0.5 * (ta + tb)
-    fm = _sn_value(p, tm, tag, n)
+            sa, ga = sm, gm
+    fm = _sn_value(at, 0.5 * (sa + sb), tag, n)
     # a 2 pi jump of theta moves S_n by 2 pi/w: ends half a jump apart
     # straddle the branch cut, not a zero
     if fm is None or (fm[0] != 0.0 and abs(ga - gb) * fm[1] >= math.pi):
         return None
-    return tm, fm[1]
+    return fm[1:]
 
 
 @dataclass(frozen=True)
@@ -418,7 +500,12 @@ def bifurcation_curves(
     """Crossing-delay curves of the full-phase model over a mu or K sweep.
 
     Sweep values where no equilibrium or no crossing frequency exists simply
-    contribute no rows.  Rows are sorted by (sweep value, tau).
+    contribute no rows.  Rows are sorted by (sweep value, tau).  The blocks
+    are delay-independent: a row is a rung of ``tau_candidates``, and its
+    delta sign is the root branch's, sign F'(w) (+1 on the PLUS root, -1 on
+    the MINUS root; Cooke & van den Driessche, 1986).  A double crossing
+    frequency b^2 = 4c with rungs in n_range raises DegenerateCrossingError,
+    as ``tau_candidates`` does.
     """
     if sweep_param not in ("mu", "K"):
         raise UnsupportedKindError(f"unknown sweep parameter {sweep_param!r}")
@@ -435,18 +522,11 @@ def bifurcation_curves(
         blk = blocks.fix if block is BlockKind.FIX else blocks.standard
         b, c = (float(x) for x in blk.b_c(0.0))
         for cand in omega_candidates(b, c):
-            for cross in tau_candidates(blk, cand, n_range):
-                if tau_max is not None and cross.tau_star > tau_max:
-                    continue
-                rows.append(
-                    CurveRow(
-                        v,
-                        cross.winding,
-                        cand.root_branch,
-                        cross.omega,
-                        cross.tau_star,
-                        cross.delta_sign,
-                    )
-                )
+            sign, rungs = _rungs(blk, cand, n_range)
+            rows.extend(
+                CurveRow(v, n, cand.root_branch, cand.omega, tau_n, sign)
+                for n, tau_n in rungs
+                if tau_max is None or tau_n <= tau_max
+            )
     rows.sort(key=lambda r: (r.sweep_value, r.tau_star))
     return rows

@@ -248,6 +248,9 @@ def test_resolution_below_two_is_rejected(capsys, resolution):
         (["phasediff-check", "--K", "1.05", "--mu", "0.3", "--tau", "1e300"], "budget"),
         (["simulate", "--model", "phase-rotating-frame", "--K", "1.05", "--mu", "0.3",
           "--tau", "1e300", "--t-end", "1"], "budget"),
+        # the constant blocks' crossings are counted in closed form before any is built
+        (["snmap", "--K", "1.05", "--mu", "0.3", "--tau-window", "0:1e9"], "budget"),
+        (["snmap", "--K", "1.05", "--mu", "0.3", "--tau-window", "0:1e8"], "budget"),
     ],
 )
 def test_bad_number_flag_is_one_line(capsys, argv, flag):

@@ -17,12 +17,15 @@ from hypothesis import strategies as st
 from pllbif import (
     BlockKind,
     InvalidParamError,
+    ModelKind,
     NetworkParams,
     RootBranch,
+    build_blocks,
     equilibrium_case_curves,
     relative_hopf_scan,
     releq_branches,
     releq_solve,
+    sn_scan,
     zero_root_taus,
 )
 
@@ -227,6 +230,54 @@ def test_crossings_in_the_cell_where_their_frequency_is_born(nodes, k, mu, end, 
     lam = 1j * c.omega
     res = (lam + mu) * lam + a + a * cmath.exp(-lam * tau) / (nodes - 1)
     assert abs(res) <= 1e-9 * (abs(lam) ** 2 + mu * abs(lam) + 2.0 * abs(a))
+
+
+@pytest.mark.parametrize("block", list(BlockKind))
+def test_delay_scan_of_a_branch_block_finds_the_phase_scan_crossings(block):
+    # sn_scan of the block along a branch (Omega_hat solved at every delay it
+    # evaluates) and relative_hopf_scan's scan in the branch's phase agree
+    p = NetworkParams(2, 2.0, 0.5)
+    window = (0.0, 12.0)
+    by_phase = relative_hopf_scan(p, block, window)
+    found = 0
+    for br in releq_branches(p, window):
+        blocks = build_blocks(ModelKind.PHASE, p, br)
+        blk = blocks.fix if block is BlockKind.FIX else blocks.standard
+        by_delay = sn_scan(blk, (float(br.taus[0]), float(br.taus[-1])))
+        mine = [pc.crossing for pc in by_phase if pc.branch_id == br.branch_id]
+        assert [(c.omega_candidate.root_branch, c.winding, c.delta_sign) for c in by_delay] == [
+            (c.omega_candidate.root_branch, c.winding, c.delta_sign) for c in mine
+        ]
+        for a, b in zip(by_delay, mine):
+            assert a.tau_star == pytest.approx(b.tau_star, rel=1e-11)
+            assert a.omega == pytest.approx(b.omega, rel=1e-9)
+        found += len(mine)
+    assert found == len(by_phase) == (15 if block is BlockKind.FIX else 20)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nodes=st.integers(2, 5),
+    k=st.floats(0.3, 3.0),
+    mu=st.floats(0.05, 2.0),
+    end=st.floats(1.0, 20.0),
+    block=st.sampled_from(BlockKind),
+)
+def test_phase_crossings_lie_on_the_axis_of_their_named_branch(nodes, k, mu, end, block):
+    # each crossing, found in its branch's phase, is a root i w of the block
+    # written out at the locked frequency of the releq_branches branch its id names
+    p = NetworkParams(nodes, k, mu)
+    window = (0.0, end)
+    branches = releq_branches(p, window)
+    for pc in relative_hopf_scan(p, block, window):
+        br, c = branches[pc.branch_id], pc.crossing
+        tau = c.tau_star
+        assert br.taus[0] - 1e-9 <= tau <= br.taus[-1] + 1e-9
+        a = k * mu * math.cos(br.omega_hat(tau) * tau)
+        s = -a if block is BlockKind.FIX else a / (nodes - 1)
+        lam = 1j * c.omega
+        res = (lam + mu) * lam + a + s * cmath.exp(-lam * tau)
+        assert abs(res) <= 1e-9 * (abs(lam) ** 2 + mu * abs(lam) + 2.0 * abs(a))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from pllbif import (
     NetworkParams,
     RootBranch,
     UnsupportedKindError,
+    bifurcation_curves,
     build_blocks,
     constant_quasi_polynomial,
     crossing_angle,
@@ -32,6 +33,7 @@ from pllbif import (
     tau_candidates,
     transversality,
 )
+from pllbif.snmap import _scan
 
 
 def fix_block(n=2, k=1.05, mu=0.3):
@@ -138,31 +140,20 @@ def test_scan_on_subwindow_and_ordering():
     length=st.floats(min_value=0.1, max_value=30.0),
 )
 def test_scan_of_a_constant_block_finds_the_closed_form_ladder(r0, r1, s0, start, length):
-    # with constant coefficients S_n has the explicit zeros tau_n = (theta + 2 pi n)/w
+    # with constant coefficients S_n has the explicit zeros tau_n = (theta + 2 pi n)/w,
+    # and the scan returns exactly the rungs of tau_candidates inside the window
     b, c = r1 * r1 - 2.0 * r0, r0 * r0 - s0 * s0
     assume(abs(b * b - 4.0 * c) > 1e-3)
     p = constant_quasi_polynomial(r0, r1, s0, 0.0)
     end = start + length
-
-    def inside(tau):
-        return start + 1e-9 < tau < end - 1e-9
-
-    def by_rung(crossings):
-        return {(x.omega_candidate.root_branch, x.winding): x for x in crossings if inside(x.tau_star)}
-
-    rungs = by_rung(
+    rungs = [
         x
         for cand in omega_candidates(b, c)
         for x in tau_candidates(p, cand, range(0, int(cand.omega * end / (2.0 * math.pi)) + 2))
-    )
+        if start <= x.tau_star <= end
+    ]
     scan = sn_scan(p, (start, end))
-    found = by_rung(scan)
-    assert len(found) == sum(inside(x.tau_star) for x in scan)  # no rung found twice
-    assert found.keys() == rungs.keys()
-    for key, got in found.items():
-        assert got.tau_star == pytest.approx(rungs[key].tau_star, rel=1e-12)
-        assert got.omega == pytest.approx(rungs[key].omega, rel=1e-12)
-        assert got.delta_sign == rungs[key].delta_sign
+    assert scan == sorted(rungs, key=lambda x: x.tau_star)
 
 
 P21 = NetworkParams(2, 1.0, 1.0)
@@ -192,6 +183,15 @@ def test_bad_delays_are_refused(func, args):
         func(*args)
 
 
+def test_scan_budget_names_the_delay_window():
+    # a scan in another parameter than the delay (the branch phase of the phase
+    # model) refuses too many brackets with the delays its window spans
+    r0, r1, s0 = 0.5, 1.0, 2.0
+    p = constant_quasi_polynomial(r0, r1, s0, 0.0)
+    with pytest.raises(InvalidParamError, match=r"delay window \[0, 2e\+07\] holds .* 2\^20"):
+        _scan(p, lambda s: (r0, r1, s0, 2.0 * s), (0.0, 1e7))
+
+
 def test_transversality_sign_law():
     """Plus-root crossings destabilize, minus-root crossings restabilize."""
     blk = fix_block()
@@ -210,6 +210,40 @@ def test_degenerate_double_root_raises():
     tau = theta / w if theta > 0 else (theta + 2.0 * math.pi) / w
     with pytest.raises(DegenerateCrossingError):
         transversality(q, w, tau)
+
+
+def test_curves_refuse_a_double_crossing_frequency():
+    # N = 3, K = 1, mu next to 2 - sqrt(3): the standard block's b^2 - 4c rounds to
+    # exactly 0, so w+ = w-, F'(w) = 0 and the crossing is tangential
+    mu = 0.26794919243112264
+    p = NetworkParams(3, 1.0, mu)
+    blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.PLUS)).standard
+    b, c = blk.b_c()
+    assert b * b - 4.0 * c == 0.0
+    plus, minus = omega_candidates(b, c)
+    assert plus.omega == minus.omega
+    with pytest.raises(DegenerateCrossingError):
+        tau_candidates(blk, plus, range(0, 3))
+    with pytest.raises(DegenerateCrossingError):
+        bifurcation_curves(p, BlockKind.STANDARD, Branch.PLUS, "mu", [mu], range(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nodes=st.integers(2, 6),
+    k=st.floats(1.0, 3.0),
+    block=st.sampled_from(BlockKind),
+    branch=st.sampled_from(Branch),
+    mus=st.lists(st.floats(0.01, 4.0), min_size=1, max_size=8),
+)
+def test_curve_signs_are_the_transversality_signs(nodes, k, block, branch, mus):
+    # on a constant block sign delta = sign F'(w): +1 on the PLUS root, -1 on MINUS
+    p = NetworkParams(nodes, k, 1.0)
+    for row in bifurcation_curves(p, block, branch, "mu", mus, range(0, 4)):
+        q = NetworkParams(nodes, k, row.sweep_value)
+        blocks = build_blocks(ModelKind.FULL_PHASE, q, equilibrium(q, branch))
+        blk = blocks.fix if block is BlockKind.FIX else blocks.standard
+        assert transversality(blk, row.omega, row.tau_star)[1] == row.delta_sign
 
 
 def test_vanishing_delay_coefficient_raises():

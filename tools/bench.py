@@ -1,0 +1,160 @@
+"""Benchmark a change against its parent: paired ``perfbench/run.py`` runs in two checkouts.
+
+Usage::
+
+    python3 tools/bench.py PARENT_ROOT CHANGE_ROOT --workload analysis --seeds 11:22 \\
+        --out BENCH_<pr>.json [--workload orbit ...] [--trace-seeds 31:32]
+
+For every workload and every seed in ``--seeds`` (both ends included) it runs
+``python3 perfbench/run.py --workload W --seed S --seconds X --trace 0`` once
+in each checkout, one process at a time, with X the ``run_seconds`` of the
+change's BENCHMARK.json.  The pairs alternate ABBA: the
+first pair runs the parent first, the next the change first, and so on, so
+each side runs second equally often.  Both sides get the same environment:
+this process's, with ``PYTHONDONTWRITEBYTECODE=1``, so no run leaves byte
+code behind for a later one.  A checkout's own ``__pycache__`` is still read,
+so give the tool two fresh checkouts (``git clone`` or ``git archive``).
+``--trace-seeds`` adds pairs at ``--trace 1`` for the per-layer metrics.
+
+The output file has the layout of ``BENCH_20.json``: ``change``, ``parent``,
+``machine``, ``command``, ``method``, ``claim``, ``summary`` (the ``--trace 0``
+pairs), ``traced`` (the ``--trace 1`` pairs) and ``runs``, one record per
+run with the last output line of ``run.py`` under ``result``.  ``change``
+and ``claim`` are left empty, to be written after reading the summary.  Each
+summary entry gives, per workload and metric, both sides' median, quartiles
+(numpy's linear interpolation) and run count, the number of pairs the change
+won (strictly better, in the metric's direction from the change's
+BENCHMARK.json) and the per-seed values [parent, change].
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+SIDES = ("parent", "change")
+
+
+def _seeds(text: str) -> list[int]:
+    first, _, last = text.partition(":")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def _revision(root: str) -> str:
+    proc = subprocess.run(
+        ["git", "-C", root, "rev-parse", "--short", "HEAD"], capture_output=True, text=True, check=False
+    )
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float, trace: int, env: dict) -> dict:
+    """The JSON result line of one ``perfbench/run.py`` run in the checkout ``root``."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def _stats(values: list[float]) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3), "n": len(values)}
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per workload and metric: both sides' statistics, pairs the change won, per-seed values.
+
+    ``runs`` holds records with ``side``, ``workload``, ``seed`` and
+    ``result.metrics``; a pair is the parent and change run of one
+    (workload, seed).  ``better`` maps a metric name to "lower" or "higher".
+    """
+    paired: dict[str, dict[str, dict[int, list]]] = {}
+    for run in runs:
+        for name, metric in run["result"]["metrics"].items():
+            seeds = paired.setdefault(run["workload"], {}).setdefault(name, {})
+            seeds.setdefault(run["seed"], [None, None])[SIDES.index(run["side"])] = metric["value"]
+    summary: dict = {}
+    for workload, metrics in paired.items():
+        for name, seeds in metrics.items():
+            pairs = {s: v for s, v in sorted(seeds.items()) if None not in v}
+            sign = -1.0 if better[name] == "lower" else 1.0
+            summary.setdefault(workload, {})[name] = {
+                "parent": _stats([p for p, _ in pairs.values()]),
+                "change": _stats([c for _, c in pairs.values()]),
+                "change_wins": sum(sign * (c - p) > 0.0 for p, c in pairs.values()),
+                "pairs": len(pairs),
+                "per_seed": {str(s): v for s, v in pairs.items()},
+            }
+    return summary
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_root")
+    ap.add_argument("change_root")
+    ap.add_argument("--workload", action="append", required=True, choices=("orbit", "network", "analysis"))
+    ap.add_argument("--seeds", required=True, help="A:B, both ends included")
+    ap.add_argument("--trace-seeds", default=None, help="A:B, pairs at --trace 1")
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+
+    roots = {"parent": os.path.abspath(args.parent_root), "change": os.path.abspath(args.change_root)}
+    with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    seconds = float(spec["run_seconds"])
+    sets = [("main", 0, _seeds(args.seeds))]
+    if args.trace_seeds:
+        sets.append(("traced", 1, _seeds(args.trace_seeds)))
+
+    runs: list[dict] = []
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    pair = 0
+    for name, trace, seeds in sets:
+        for workload in args.workload:
+            for seed in seeds:
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                pair += 1
+                for side in order:
+                    result = run_once(roots[side], workload, seed, seconds, trace, env)
+                    runs.append({
+                        "set": name, "side": side, "workload": workload, "seed": seed,
+                        "trace": trace, "ran_first": side == order[0], "result": result,
+                    })
+                    wall = result["metrics"].get("wall_s", {}).get("value")
+                    print(f"{name} {workload} seed={seed} {side}: "
+                          + (f"wall_s {wall:.4f}" if wall is not None else "traced"), flush=True)
+
+    out = {
+        "change": "",
+        "parent": _revision(roots["parent"]),
+        "machine": {"cpu_count": os.cpu_count(), "python": sys.version.split()[0], "numpy": np.__version__},
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace T; "
+                   "each run's last output line is stored under result",
+        "method": "tools/bench.py: parent and change checkouts, one run at a time, pairs in ABBA order "
+                  "(ran_first), the same environment on both sides with PYTHONDONTWRITEBYTECODE=1. "
+                  f"Set main at --trace 0 on seeds {args.seeds}"
+                  + (f"; set traced at --trace 1 on seeds {args.trace_seeds}" if args.trace_seeds else "")
+                  + ". Quartiles are numpy linear-interpolation percentiles.",
+        "claim": "",
+        "summary": summarize([r for r in runs if r["set"] == "main"], better),
+        "traced": summarize([r for r in runs if r["set"] == "traced"], better),
+        "runs": runs,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(out, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
