@@ -18,22 +18,24 @@ delay are read off the pieces whose delay range holds it (releq_solve).
 Along a branch the characteristic blocks have delay-dependent modal gain
 a(tau) = K mu cos(Omega_hat(tau) tau), so imaginary-axis crossings are zeros
 of the delay-dependent crossing map; relative_hopf_scan finds them in the
-branch's phase, where a = K mu cos(phi) and tau(phi) need no solve.  The
+branch's phase, where a = K mu cos(phi), tau(phi) and the rate
+da/dtau = -K mu sin(phi) Omega_hat / (1 + tau K cos(phi)) need no solve.  The
 symmetry-breaking block additionally admits steady-state (zero-root) events
 at Omega_hat tau = pi/2 + n pi.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charfun import BlockKind, blocks_from_gain, build_blocks
+from .charfun import BlockKind, blocks_from_gain
 from .errors import InvalidParamError
-from .model import _MAX_FLOATS, ModelKind, NetworkParams, check_delay, normalize
-from .snmap import CrossingCandidate, _scan
+from .model import _MAX_FLOATS, NetworkParams, check_delay, normalize
+from .snmap import _MAX_CROSSINGS, CrossingCandidate, _scan
 
 __all__ = [
     "RelEqBranch",
@@ -78,36 +80,6 @@ def _solve(f, a, b, x0=None) -> np.ndarray:
             live = np.abs(step) > tol
             if not live.any():
                 break
-    return x
-
-
-def _solve_one(f, a: float, b: float, x0: float) -> float:
-    """``_solve`` for one bracket on floats: the same steps in the same order.
-
-    f(x) may return numpy scalars (numpy's sin and cos keep the result equal
-    to ``_solve``'s to the bit); they are read as floats, so a zero
-    derivative gives the bisection step with no division.
-    """
-    fa = float(f(a)[0])
-    sign = (fa > 0.0) - (fa < 0.0)
-    tol = 4e-16 * max(abs(a), abs(b), 1.0)
-    x = min(max(x0, a), b)
-    step = b - a
-    for _ in range(100):
-        fx, dfx = (float(v) for v in f(x))
-        if fx * sign > 0.0:
-            a = x
-        else:
-            b = x
-        d = fx / dfx if dfx else math.inf
-        newton = x - d
-        if abs(d) <= 0.5 * abs(step) and a <= newton <= b:
-            step = newton - x
-        else:
-            step = 0.5 * (a + b) - x
-        x = x + step
-        if not abs(step) > tol:
-            break
     return x
 
 
@@ -159,16 +131,13 @@ class RelEqBranch:
 
         Outside the branch's delay range no locked solution lies on it, and
         the value returned is that at an end of the phase piece.  A single
-        delay takes ``_solve_one``, which gives the array path's value to
-        the bit without its per-call array work.
+        delay gives a float, the array path's element to the bit.
         """
         t = np.asarray(tau, dtype=float)
         guess = np.interp(t, self.taus, self.omegas * self.taus)
-        equation = _phase_equation(t, self.coupling)
-        if t.ndim:
-            return 1.0 - self.coupling * np.sin(_solve(equation, *self.phase_piece, guess))
-        phi = _solve_one(equation, *self.phase_piece, float(guess))
-        return float(1.0 - self.coupling * np.sin(phi))
+        phi = _solve(_phase_equation(t, self.coupling), *self.phase_piece, guess)
+        oh = 1.0 - self.coupling * np.sin(phi)
+        return oh if t.ndim else float(oh)
 
 
 def _pieces(k: float, t1: float):
@@ -283,11 +252,14 @@ def relative_hopf_scan(
     whose window checks apply, but only the phases at each branch's first
     and last grid delay are solved for.  A branch is scanned in its own phase
     phi = Omega_hat tau, where the crossing map is explicit:
-    tau(phi) = phi / (1 - K sin phi) and the modal gain a = K mu cos(phi),
-    so the scan of ``sn_scan`` (1001 points between the two end phases,
-    births and deaths of the crossing frequency inside a cell included)
-    evaluates S_n with no solve.  Each crossing is reported at its delay
-    tau(phi*), with ``transversality`` there.
+    tau(phi) = phi / (1 - K sin phi), the modal gain a = K mu cos(phi) and
+    its rate along the branch da/dtau = -K mu sin(phi) Omega_hat / (1 + tau
+    K cos(phi)) (``build_blocks``' along a branch), so the scan of ``sn_scan``
+    (1001 points between the two end phases, births and deaths of the
+    crossing frequency inside a cell included) evaluates S_n with no solve.
+    Each crossing is reported at its delay tau(phi*), with delta from the
+    block at phi*.  The brackets of all branches share one budget of 2^20,
+    counted before any is bisected; past it InvalidParamError is raised.
     """
     p = normalize(params)
     k, mu = p.coupling, p.filter_gain
@@ -301,23 +273,25 @@ def relative_hopf_scan(
     phi = _solve(_phase_equation(ends, k), pieces[:, :1], pieces[:, 1:])
     omegas = 1.0 - k * np.sin(phi)
     order = sorted(range(len(grids)), key=lambda i: (grids[i][0], omegas[i, 0]))
-    phase_blocks = blocks_from_gain(p, lambda x: k * mu * np.cos(x))
-    phase_blk = phase_blocks.fix if block is BlockKind.FIX else phase_blocks.standard
+
+    def rate(x):
+        # da/dtau along the branch: build_blocks' da_of, written in the phase
+        oh = 1.0 - k * np.sin(x)
+        return -k * mu * np.sin(x) * oh / (1.0 + x / oh * k * np.cos(x))
+
+    blocks = blocks_from_gain(p, lambda x: k * mu * np.cos(x), rate)
+    blk = blocks.fix if block is BlockKind.FIX else blocks.standard
 
     def at(x):
-        return (*phase_blk.at(x), x / (1.0 - k * np.sin(x)))
+        return (*blk.at(x), x / (1.0 - k * np.sin(x)), *blk.dcoeffs(x))
 
-    out: list[PhaseCrossing] = []
-    for branch_id, i in enumerate(order):
-        birth, _, piece = grids[i]
-        if ends[i, 1] <= ends[i, 0]:
-            continue
-        br = RelEqBranch(branch_id, birth, ends[i], omegas[i], k, piece)
-        blocks = build_blocks(ModelKind.PHASE, p, br)
-        blk = blocks.fix if block is BlockKind.FIX else blocks.standard
-        lo, hi = sorted(phi[i])
-        for cand in _scan(blk, at, (float(lo), float(hi))):
-            out.append(PhaseCrossing(branch_id, cand))
+    live = [(branch_id, i) for branch_id, i in enumerate(order) if ends[i, 1] > ends[i, 0]]
+    windows = [tuple(sorted(float(v) for v in phi[i])) for _, i in live]
+    out = [
+        PhaseCrossing(branch_id, cand)
+        for (branch_id, _), cands in zip(live, _scan(at, windows))
+        for cand in cands
+    ]
     out.sort(key=lambda c: c.crossing.tau_star)
     return out
 
@@ -335,21 +309,32 @@ def zero_root_taus(params: NetworkParams, n_range: range) -> list[ZeroRootEvent]
 
     For each n in ``n_range``, only entries with positive denominator
     1 + (-1)^{n+1} K and nonnegative tau qualify; delta0 is the steady-state
-    crossing speed scale (-1)^n (K N/(N-1)) (1 + (-1)^{n+1} K).
+    crossing speed scale (-1)^n (K N/(N-1)) (1 + (-1)^{n+1} K).  Whether n
+    qualifies depends on its sign and parity only, so the events are counted
+    before any is built, and more than the budget of 2^20 raise
+    InvalidParamError.
     """
     p = normalize(params)
     k, n_nodes = p.coupling, p.n_nodes
+    up = n_range if n_range.step > 0 else n_range[::-1]
+    # tau >= 0 iff n >= 0, and the denominator takes the sign of n's parity
+    nonneg = up[bisect.bisect_left(up, 0) :]
+    parities = [nonneg] if nonneg.step % 2 == 0 else [nonneg[::2], nonneg[1::2]]
+    kept = [ns for ns in parities if ns and 1.0 + (-1.0) ** (ns[0] + 1) * k > 0.0]
+    count = sum(len(ns) for ns in kept)
+    if count > _MAX_CROSSINGS:
+        raise InvalidParamError(
+            f"n in [{n_range[0]}, {n_range[-1]}] gives {count} zero-root events, "
+            "more than the budget of 2^20"
+        )
     events = []
-    for n in n_range:
+    for n in (n for ns in kept for n in ns):
         denom = 1.0 + (-1.0) ** (n + 1) * k
-        if denom <= 0.0:
-            continue
         tau_star = (math.pi / 2.0 + n * math.pi) / denom
-        if tau_star < 0.0:
-            continue
         delta0 = (-1.0) ** n * (k * n_nodes / (n_nodes - 1)) * denom
         events.append(ZeroRootEvent(tau_star, n, delta0, denom))
-    events.sort(key=lambda ev: ev.tau_star)
+    # ties keep n_range's order
+    events.sort(key=lambda ev: (ev.tau_star, ev.n if up is n_range else -ev.n))
     return events
 
 

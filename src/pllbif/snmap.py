@@ -17,11 +17,15 @@ S_n = 2 pi (u - n)/w vanishes where u passes n, so one pass over the grid
 brackets the zeros of every winding n >= 0.
 
 The transversality value delta = d Re(lambda)/d tau > 0 means a root pair
-moves rightward through the axis as the delay grows.
+moves rightward through the axis as the delay grows.  It needs the
+coefficients' delay derivatives too, so the scan's map gives those with the
+coefficients, and delta is read from the snapshot at the scan parameter
+where the crossing was found.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -150,10 +154,19 @@ def crossing_angle(p: QuasiPolynomial, omega: float, tau: float | None = None) -
     return _angle(r0, r1, s0, omega)
 
 
-def _transversality_terms(p: QuasiPolynomial, omega: float, tau: float):
-    """(A C + B D, C^2 + D^2, (|A| + |B|)(|C| + |D|)) of ``transversality`` at lambda = i w."""
-    r0, r1, s0 = (float(v) for v in p.at(tau))
-    dr0, ds0 = (0.0, 0.0) if p.dcoeffs is None else (float(v) for v in p.dcoeffs(tau))
+def _snapshot(p: QuasiPolynomial, tau: float):
+    """The snapshot (r0, r1, s0, tau, dr0, ds0) of ``p`` at a delay, as floats, in ``_scan``'s order."""
+    r0, r1, s0 = p.at(tau)
+    dr0, ds0 = (0.0, 0.0) if p.dcoeffs is None else p.dcoeffs(tau)
+    return float(r0), float(r1), float(s0), float(tau), float(dr0), float(ds0)
+
+
+def _transversality_terms(snap, omega: float):
+    """(A C + B D, C^2 + D^2, (|A| + |B|)(|C| + |D|)) of ``transversality`` at lambda = i w.
+
+    ``snap`` is the snapshot (r0, r1, s0, tau, dr0, ds0) at the crossing.
+    """
+    r0, r1, s0, tau, dr0, ds0 = snap
     iw = 1j * omega
     e = np.exp(-iw * tau)
     num = e * (iw * s0 - ds0) - dr0
@@ -161,6 +174,17 @@ def _transversality_terms(p: QuasiPolynomial, omega: float, tau: float):
     a, bb = num.real, num.imag
     cc, d = den.real, den.imag
     return a * cc + bb * d, cc * cc + d * d, (abs(a) + abs(bb)) * (abs(cc) + abs(d))
+
+
+def _delta(snap, omega: float) -> tuple[float, int]:
+    """(delta, sign delta) from the snapshot at a crossing; DegenerateCrossingError where it vanishes."""
+    dot, norm, scale = _transversality_terms(snap, omega)
+    if norm == 0.0 or abs(dot) <= 1e-12 * scale:
+        raise DegenerateCrossingError(
+            f"transversality degenerate at omega={omega}, tau={snap[3]}"
+        )
+    val = dot / norm
+    return val, (1 if val > 0.0 else -1)
 
 
 def transversality(
@@ -173,31 +197,33 @@ def transversality(
     delay-dependent blocks) and C + iD the lambda-derivative.  Raises
     DegenerateCrossingError when the value vanishes (e.g. a double w root).
     """
-    dot, norm, scale = _transversality_terms(p, omega, float(tau_star))
-    if norm == 0.0 or abs(dot) <= 1e-12 * scale:
-        raise DegenerateCrossingError(
-            f"transversality degenerate at omega={omega}, tau={tau_star}"
-        )
-    val = dot / norm
-    return val, (1 if val > 0.0 else -1)
+    return _delta(_snapshot(p, float(tau_star)), omega)
 
 
-def _rungs(p: QuasiPolynomial, cand: OmegaCandidate, n_range: range):
-    """(sign delta, [(n, tau_n)]): the rungs tau_n = (theta + 2 pi n)/w >= 0 of a delay-independent block.
+def _rungs(p: QuasiPolynomial, cand: OmegaCandidate, n_range: range, tau_max: float = math.inf):
+    """(sign delta, windings, tau_n): the n in n_range whose rungs tau_n = (theta + 2 pi n)/w lie in [0, tau_max].
 
-    On such a block sign delta = sign F'(w), F'(w) = 4 w^3 + 2 b w: +1 on the
-    PLUS root and -1 on the MINUS root (Cooke & van den Driessche, 1986), the
-    same for every rung.  Where rungs exist and F'(w) vanishes to rounding
-    (a double root b^2 = 4c) the crossing is tangential, and
-    DegenerateCrossingError is raised.
+    tau_n rises with n, so the windings are a slice of the range, in its
+    order, found by bisection and counted before any rung is built.  On a
+    delay-independent block sign delta = sign F'(w), F'(w) = 4 w^3 + 2 b w:
+    +1 on the PLUS root and -1 on the MINUS root (Cooke & van den Driessche,
+    1986), the same for every rung.  Where rungs tau_n >= 0 exist and F'(w)
+    vanishes to rounding (a double root b^2 = 4c) the crossing is
+    tangential, and DegenerateCrossingError is raised.
     """
     w = cand.omega
     theta = crossing_angle(p, w)
-    rungs = [(n, tau) for n in n_range if (tau := (theta + _TWO_PI * n) / w) >= 0.0]
+
+    def tau_n(n):
+        return (theta + _TWO_PI * n) / w
+
+    up = n_range if n_range.step > 0 else n_range[::-1]
+    first = bisect.bisect_left(up, 0.0, key=tau_n)
     b = _b_c(*(float(v) for v in p.at(None)))[0]
-    if rungs and abs(4.0 * w**3 + 2.0 * b * w) <= 1e-12 * (4.0 * w**3 + 2.0 * abs(b) * w):
+    if first < len(up) and abs(4.0 * w**3 + 2.0 * b * w) <= 1e-12 * (4.0 * w**3 + 2.0 * abs(b) * w):
         raise DegenerateCrossingError(f"double crossing frequency omega={w}")
-    return (1 if cand.root_branch is RootBranch.PLUS else -1), rungs
+    ns = up[first : bisect.bisect_right(up, tau_max, key=tau_n)]
+    return (1 if cand.root_branch is RootBranch.PLUS else -1), (ns if up is n_range else ns[::-1]), tau_n
 
 
 def tau_candidates(
@@ -214,11 +240,12 @@ def tau_candidates(
         raise UnsupportedKindError(
             "tau_candidates needs delay-independent coefficients; use sn_scan"
         )
-    sign, rungs = _rungs(p, cand, n_range)
+    sign, ns, tau_n = _rungs(p, cand, n_range)
     out = []
-    for n, tau_n in rungs:
-        dot, norm, _ = _transversality_terms(p, cand.omega, tau_n)
-        out.append(CrossingCandidate(cand, tau_n, n, dot / norm, sign))
+    for n in ns:
+        tau = tau_n(n)
+        dot, norm, _ = _transversality_terms(_snapshot(p, tau), cand.omega)
+        out.append(CrossingCandidate(cand, tau, n, dot / norm, sign))
     out.sort(key=lambda c: c.tau_star)
     return out
 
@@ -231,10 +258,10 @@ def _b_c(r0, r1, s0):
 def _turns(at, grid: np.ndarray):
     """u = (tau w - theta)/2 pi per root branch along a grid of the scan parameter; NaN where w is absent.
 
-    ``at(s)`` maps the scan parameter to the snapshot and delay (r0, r1, s0, tau).
+    ``at(s)`` maps the scan parameter to the snapshot (r0, r1, s0, tau, dr0, ds0).
     S_n = 2 pi (u - n)/w, so S_n changes sign where u passes the integer n.
     """
-    r0, r1, s0, taus = (np.broadcast_to(v, grid.shape) for v in at(grid))
+    r0, r1, s0, taus = (np.broadcast_to(v, grid.shape) for v in at(grid)[:4])
     b, c = _b_c(r0, r1, s0)
     disc = b * b - 4.0 * c
     ok = disc >= 0.0
@@ -251,7 +278,7 @@ def _turns(at, grid: np.ndarray):
 
 def _sn_value(at, s: float, tag: RootBranch, n: int):
     """S_n = tau - (theta + 2 pi n)/w at one scan parameter s; (value, w, tau) or None."""
-    r0, r1, s0, tau = (float(v) for v in at(s))
+    r0, r1, s0, tau = (float(v) for v in at(s)[:4])
     roots = _stable_quadratic_roots(*_b_c(r0, r1, s0))
     if roots is None or s0 == 0.0:
         return None
@@ -333,40 +360,53 @@ def _ladder(p: QuasiPolynomial, t0: float, t1: float) -> list[CrossingCandidate]
     return out
 
 
-def _scan(p: QuasiPolynomial, at, window: tuple[float, float]) -> list[CrossingCandidate]:
-    """Zeros of S_n over a window of a scan parameter s that moves the delay monotonically.
+def _scan(at, windows) -> list[list[CrossingCandidate]]:
+    """Zeros of S_n over windows of a scan parameter s that moves the delay monotonically.
 
-    ``at(s)`` gives (r0, r1, s0, tau) for a float or an array; crossings are
-    reported at their delay, with ``transversality`` of ``p`` there.
+    ``at(s)`` gives the snapshot (r0, r1, s0, tau, dr0, ds0) for a float or an
+    array: the coefficients, the delay and the coefficients' delay
+    derivatives.  The brackets of every window and root branch are counted
+    before any is bisected, and more than the budget of 2^20 raise
+    InvalidParamError naming the delays the windows span.  A crossing is
+    reported at its delay, with delta from the snapshot at the scan
+    parameter where it was found; one list per window.
     """
-    s_lo, s_hi = window
-    grid = np.linspace(s_lo, s_hi, 1001)
-    found: dict[tuple[str, float], CrossingCandidate] = {}
-    for tag, u in _turns(at, grid).items():
-        ss, u = _existence_edges(at, grid, u, tag)
-        # the integers n that u passes on each cell: S_n changes sign there
-        lo = np.ceil(np.minimum(u[:-1], u[1:]))
-        hi = np.floor(np.maximum(u[:-1], u[1:]))
-        cells = np.nonzero((hi >= lo) & (u[:-1] != u[1:]))[0]
-        count = float(np.sum(hi[cells] - lo[cells] + 1.0))
-        if not count <= _MAX_CROSSINGS:  # NaN too: u overflowed
-            t_lo, t_hi = (float(at(s)[3]) for s in window)
-            raise InvalidParamError(
-                f"the delay window [{t_lo:g}, {t_hi:g}] holds {count:.6g} crossing brackets, "
-                "more than the budget of 2^20"
-            )
-        brackets = sorted((n, i) for i in cells for n in range(int(lo[i]), int(hi[i]) + 1))
-        for n, i in brackets:
-            hit = _bisect_sn(at, ss[i], ss[i + 1], tag, n)
-            if hit is None:
-                continue
-            w_star, tau_star = hit
-            key = (tag.value, round(tau_star, 7))
-            if key in found:
-                continue
-            delta, sgn = transversality(p, w_star, tau_star)
-            found[key] = CrossingCandidate(OmegaCandidate(w_star, tag), tau_star, n, delta, sgn)
-    return sorted(found.values(), key=lambda c: c.tau_star)
+    swept, count = [], 0.0
+    for window in windows:
+        grid = np.linspace(*window, 1001)
+        sweeps = []
+        for tag, u in _turns(at, grid).items():
+            ss, u = _existence_edges(at, grid, u, tag)
+            # the integers n that u passes on each cell: S_n changes sign there
+            lo = np.ceil(np.minimum(u[:-1], u[1:]))
+            hi = np.floor(np.maximum(u[:-1], u[1:]))
+            cells = np.nonzero((hi >= lo) & (u[:-1] != u[1:]))[0]
+            count += float(np.sum(hi[cells] - lo[cells] + 1.0))
+            if not count <= _MAX_CROSSINGS:  # NaN too: u overflowed
+                taus = at(np.array(windows, dtype=float))[3]
+                raise InvalidParamError(
+                    f"the delay window [{np.min(taus):g}, {np.max(taus):g}] holds at least "
+                    f"{count:.6g} crossing brackets, more than the budget of 2^20"
+                )
+            sweeps.append((tag, ss[cells], ss[cells + 1], lo[cells], hi[cells]))
+        swept.append(sweeps)
+    out = []
+    for sweeps in swept:
+        found: dict[tuple[str, float], CrossingCandidate] = {}
+        for tag, sa, sb, lo, hi in sweeps:
+            brackets = sorted((n, i) for i in range(len(sa)) for n in range(int(lo[i]), int(hi[i]) + 1))
+            for n, i in brackets:
+                hit = _bisect_sn(at, sa[i], sb[i], tag, n)
+                if hit is None:
+                    continue
+                s_star, w_star, tau_star = hit
+                key = (tag.value, round(tau_star, 7))
+                if key in found:
+                    continue
+                delta, sgn = _delta(tuple(float(v) for v in at(s_star)), w_star)
+                found[key] = CrossingCandidate(OmegaCandidate(w_star, tag), tau_star, n, delta, sgn)
+        out.append(sorted(found.values(), key=lambda c: c.tau_star))
+    return out
 
 
 def sn_scan(p: QuasiPolynomial, tau_window: tuple[float, float]) -> list[CrossingCandidate]:
@@ -400,20 +440,20 @@ def sn_scan(p: QuasiPolynomial, tau_window: tuple[float, float]) -> list[Crossin
         return []
     if not p.tau_dependent:
         return _ladder(p, t0, t1)
-    return _scan(p, lambda tau: (*p.at(tau), tau), (t0, t1))
+    return _scan(lambda tau: (*p.at(tau), tau, *p.dcoeffs(tau)), [(t0, t1)])[0]
 
 
 def _bisect_sn(at, sa, sb, tag, n):
-    """(w, tau) at the zero of S_n bracketed by scan parameters sa < sb, or None."""
+    """(s, w, tau) at the zero of S_n bracketed by scan parameters sa < sb, or None."""
     fa = _sn_value(at, sa, tag, n)
     fb = _sn_value(at, sb, tag, n)
     if fa is None or fb is None:
         return None
     ga, gb = fa[0], fb[0]
     if ga == 0.0:
-        return fa[1:]
+        return sa, *fa[1:]
     if gb == 0.0:
-        return fb[1:]
+        return sb, *fb[1:]
     if ga * gb > 0.0:
         return None
     for _ in range(200):
@@ -428,12 +468,13 @@ def _bisect_sn(at, sa, sb, tag, n):
             sb, gb = sm, gm
         else:
             sa, ga = sm, gm
-    fm = _sn_value(at, 0.5 * (sa + sb), tag, n)
+    sm = 0.5 * (sa + sb)
+    fm = _sn_value(at, sm, tag, n)
     # a 2 pi jump of theta moves S_n by 2 pi/w: ends half a jump apart
     # straddle the branch cut, not a zero
     if fm is None or (fm[0] != 0.0 and abs(ga - gb) * fm[1] >= math.pi):
         return None
-    return fm[1:]
+    return sm, *fm[1:]
 
 
 @dataclass(frozen=True)
@@ -505,12 +546,13 @@ def bifurcation_curves(
     delta sign is the root branch's, sign F'(w) (+1 on the PLUS root, -1 on
     the MINUS root; Cooke & van den Driessche, 1986).  A double crossing
     frequency b^2 = 4c with rungs in n_range raises DegenerateCrossingError,
-    as ``tau_candidates`` does.
+    as ``tau_candidates`` does.  The rows are counted before any is built,
+    and more than the budget of 2^20 raise InvalidParamError.
     """
     if sweep_param not in ("mu", "K"):
         raise UnsupportedKindError(f"unknown sweep parameter {sweep_param!r}")
     p = normalize(params)
-    rows: list[CurveRow] = []
+    ladders, count = [], 0
     for v in sweep_values:
         v = float(v)
         q = replace(p, filter_gain=v) if sweep_param == "mu" else replace(p, coupling=v)
@@ -522,11 +564,18 @@ def bifurcation_curves(
         blk = blocks.fix if block is BlockKind.FIX else blocks.standard
         b, c = (float(x) for x in blk.b_c(0.0))
         for cand in omega_candidates(b, c):
-            sign, rungs = _rungs(blk, cand, n_range)
-            rows.extend(
-                CurveRow(v, n, cand.root_branch, cand.omega, tau_n, sign)
-                for n, tau_n in rungs
-                if tau_max is None or tau_n <= tau_max
-            )
+            sign, ns, tau_n = _rungs(blk, cand, n_range, math.inf if tau_max is None else tau_max)
+            count += len(ns)
+            if count > _MAX_CROSSINGS:
+                raise InvalidParamError(
+                    f"n in [{n_range[0]}, {n_range[-1]}] gives at least {count} curve rows, "
+                    "more than the budget of 2^20"
+                )
+            ladders.append((v, cand, sign, ns, tau_n))
+    rows = [
+        CurveRow(v, n, cand.root_branch, cand.omega, tau_n(n), sign)
+        for v, cand, sign, ns, tau_n in ladders
+        for n in ns
+    ]
     rows.sort(key=lambda r: (r.sweep_value, r.tau_star))
     return rows

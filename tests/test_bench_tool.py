@@ -1,6 +1,7 @@
 """The summary arithmetic of ``tools/bench.py`` on a synthetic list of runs (no timing)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,43 @@ def test_seed_ranges_include_both_ends():
     bench = load_bench()
     assert bench._seeds("11:14") == [11, 12, 13, 14]
     assert bench._seeds("7") == [7]
+
+
+def test_compare_prints_the_summary_and_the_first_versus_second_gap(tmp_path, capsys):
+    bench = load_bench()
+    runs = []
+    # ABBA: the parent runs first in pairs 1 and 4, the change in pairs 2 and 3
+    for seed, first, values in ((1, "parent", (1.0, 1.5)), (2, "change", (2.0, 2.2)),
+                                (3, "change", (4.0, 3.0)), (4, "parent", (1.0, 1.1))):
+        second = "change" if first == "parent" else "parent"
+        for side, wall in zip((first, second), values):
+            record = run(side, seed, wall, 1.0)
+            record.update(trace=0, ran_first=side == first)
+            runs.append(record)
+    traced = run("parent", 9, 100.0, 1.0)
+    traced.update(trace=1, ran_first=True)  # not part of the gap
+    gaps = bench.order_gaps(runs)
+    # second / first - 1: +50%, +10%, -25%, +10%
+    assert gaps["analysis"]["wall_s"] == pytest.approx({"median": 0.1, "second_higher": 3, "pairs": 4})
+    assert gaps["analysis"]["ok_ratio"] == {"median": 0.0, "second_higher": 0, "pairs": 4}
+    data = {
+        "parent": "abc1234", "change": "", "runs": runs + [traced],
+        "summary": bench.summarize(runs, {"wall_s": "lower", "ok_ratio": "higher"}),
+    }
+    path = tmp_path / "BENCH_0.json"
+    path.write_text(json.dumps(data))
+    assert bench.main(["--compare", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{path}: parent abc1234, change ?"
+    # parent walls 1, 2.2, 3, 1; change walls 1.5, 2, 4, 1.1
+    assert lines[1] == "analysis wall_s: parent 1.6 [1, 2.4] -> change 1.75 [1.4, 2.5], change won 1 of 4"
+    assert lines[2] == "analysis ok_ratio: parent 1 [1, 1] -> change 1 [1, 1], change won 0 of 4"
+    assert lines[3] == "analysis wall_s: second / first - 1 median +10.00%, second higher in 3 of 4"
+    assert lines[4] == "analysis ok_ratio: second / first - 1 median +0.00%, second higher in 0 of 4"
+    assert len(lines) == 5
+
+
+def test_a_run_needs_both_checkouts_unless_it_compares(capsys):
+    with pytest.raises(SystemExit):
+        load_bench().main(["parent_only"])
+    assert "--compare FILE" in capsys.readouterr().err

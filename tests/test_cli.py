@@ -251,6 +251,11 @@ def test_resolution_below_two_is_rejected(capsys, resolution):
         # the constant blocks' crossings are counted in closed form before any is built
         (["snmap", "--K", "1.05", "--mu", "0.3", "--tau-window", "0:1e9"], "budget"),
         (["snmap", "--K", "1.05", "--mu", "0.3", "--tau-window", "0:1e8"], "budget"),
+        # one bracket budget for all the branches of a phase-model scan
+        (["snmap", "--model", "phase", "--K", "1", "--mu", "1", "--tau-window", "0:1e4"], "budget"),
+        # curve rows and zero-root events are counted before any is built
+        (["curves", "--K", "1.05", "--mu-grid", "0.05:0.45:41", "--n", "0:20000"], "budget"),
+        (["zero-roots", "--K", "1", "--mu", "0.5", "--n", "0:100000000"], "budget"),
     ],
 )
 def test_bad_number_flag_is_one_line(capsys, argv, flag):

@@ -19,6 +19,7 @@ from pllbif import (
     InvalidParamError,
     ModelKind,
     NetworkParams,
+    RelEqBranch,
     RootBranch,
     build_blocks,
     equilibrium_case_curves,
@@ -251,8 +252,22 @@ def test_delay_scan_of_a_branch_block_finds_the_phase_scan_crossings(block):
         for a, b in zip(by_delay, mine):
             assert a.tau_star == pytest.approx(b.tau_star, rel=1e-11)
             assert a.omega == pytest.approx(b.omega, rel=1e-9)
+            # delta from the block's delay derivatives, and from the phase
+            # scan's closed-form rate along the branch
+            assert a.delta == pytest.approx(b.delta, rel=1e-9)
         found += len(mine)
     assert found == len(by_phase) == (15 if block is BlockKind.FIX else 20)
+
+
+def test_phase_scan_solves_for_no_locked_frequency(monkeypatch):
+    # the scan reads the branch from its phase map: no delay-to-phase solve
+    def refuse(self, tau):
+        raise AssertionError("omega_hat called")
+
+    monkeypatch.setattr(RelEqBranch, "omega_hat", refuse)
+    p = NetworkParams(2, 2.0, 0.5)
+    for block, count in ((BlockKind.FIX, 15), (BlockKind.STANDARD, 20)):
+        assert len(relative_hopf_scan(p, block, (0.0, 12.0))) == count
 
 
 @settings(max_examples=25, deadline=None)
@@ -293,8 +308,8 @@ def test_phase_crossings_lie_on_the_axis_of_their_named_branch(nodes, k, mu, end
     beyond=st.floats(1e-9, 2.0),
 )
 def test_scalar_omega_hat_is_the_array_value_to_the_bit(k, t0, span, inner, beyond):
-    # a single delay takes the float path; inside a branch, at its ends and
-    # beyond them it must return the array path's element, bit for bit
+    # a single delay gives a float: inside a branch, at its ends and beyond
+    # them it must be the array path's element, bit for bit
     for br in releq_branches(NetworkParams(3, k, 0.5), (t0, t0 + span), 64):
         lo, hi = float(br.taus[0]), float(br.taus[-1])
         taus = np.array([lo, hi, lo - beyond, hi + beyond, *(lo + u * (hi - lo) for u in inner)])
@@ -337,6 +352,29 @@ def test_zero_root_table_below_unit_coupling():
     # sorted by delay, odd and even windings interleaved
     taus = [e.tau_star for e in evs]
     assert taus == sorted(taus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.1, 3.0)),
+    start=st.integers(-20, 20),
+    stop=st.integers(-20, 40),
+    step=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+)
+def test_zero_root_events_are_the_loop_over_the_range(k, start, stop, step):
+    # the events are counted by sign and parity; the loop over every n is the reference
+    n_range = range(start, stop, step)
+    want = []
+    for n in n_range:
+        denom = 1.0 + (-1.0) ** (n + 1) * k
+        if denom <= 0.0:
+            continue
+        tau = (math.pi / 2.0 + n * math.pi) / denom
+        if tau >= 0.0:
+            want.append((tau, n, (-1.0) ** n * (k * 3 / 2) * denom, denom))
+    want.sort(key=lambda e: e[0])  # stable: ties keep the range's order
+    got = zero_root_taus(NetworkParams(3, k, 0.5), n_range)
+    assert [(e.tau_star, e.n, e.delta0, e.omega_hat) for e in got] == want
 
 
 def test_zero_root_formula_consistency():

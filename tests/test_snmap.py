@@ -187,9 +187,16 @@ def test_scan_budget_names_the_delay_window():
     # a scan in another parameter than the delay (the branch phase of the phase
     # model) refuses too many brackets with the delays its window spans
     r0, r1, s0 = 0.5, 1.0, 2.0
-    p = constant_quasi_polynomial(r0, r1, s0, 0.0)
+
+    def at(s):
+        return r0, r1, s0, 2.0 * s, 0.0, 0.0
+
     with pytest.raises(InvalidParamError, match=r"delay window \[0, 2e\+07\] holds .* 2\^20"):
-        _scan(p, lambda s: (r0, r1, s0, 2.0 * s), (0.0, 1e7))
+        _scan(at, [(0.0, 1e7)])
+    # one budget per call: each window holds about 664,000 brackets, within
+    # the budget, and the two together pass it before either is bisected
+    with pytest.raises(InvalidParamError, match=r"delay window \[0, 6e\+06\] holds at least 1\.3\d*e\+06 .* 2\^20"):
+        _scan(at, [(0.0, 1.5e6), (1.5e6, 3e6)])
 
 
 def test_transversality_sign_law():
@@ -244,6 +251,37 @@ def test_curve_signs_are_the_transversality_signs(nodes, k, block, branch, mus):
         blocks = build_blocks(ModelKind.FULL_PHASE, q, equilibrium(q, branch))
         blk = blocks.fix if block is BlockKind.FIX else blocks.standard
         assert transversality(blk, row.omega, row.tau_star)[1] == row.delta_sign
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.floats(1.0, 3.0),
+    block=st.sampled_from(BlockKind),
+    mus=st.lists(st.floats(0.01, 4.0), min_size=1, max_size=4),
+    start=st.integers(-10, 10),
+    stop=st.integers(-10, 30),
+    step=st.sampled_from([-3, -1, 1, 2]),
+    tau_max=st.one_of(st.none(), st.floats(-1.0, 200.0)),
+)
+def test_curve_rows_are_the_rungs_of_the_range(k, block, mus, start, stop, step, tau_max):
+    # the rungs are counted as a slice of the range; the loop over every n is the reference
+    n_range = range(start, stop, step)
+    p = NetworkParams(3, k, 1.0)
+    want = []
+    for mu in mus:
+        q = NetworkParams(3, k, mu)
+        blocks = build_blocks(ModelKind.FULL_PHASE, q, equilibrium(q, Branch.MINUS))
+        blk = blocks.fix if block is BlockKind.FIX else blocks.standard
+        for cand in omega_candidates(*(float(x) for x in blk.b_c(0.0))):
+            theta = crossing_angle(blk, cand.omega)
+            sign = 1 if cand.root_branch is RootBranch.PLUS else -1
+            for n in n_range:
+                tau = (theta + 2.0 * math.pi * n) / cand.omega
+                if tau >= 0.0 and (tau_max is None or tau <= tau_max):
+                    want.append((mu, n, cand.root_branch, cand.omega, tau, sign))
+    want.sort(key=lambda r: (r[0], r[4]))
+    rows = bifurcation_curves(p, block, Branch.MINUS, "mu", mus, n_range, tau_max)
+    assert [(r.sweep_value, r.winding, r.root_branch, r.omega, r.tau_star, r.delta_sign) for r in rows] == want
 
 
 def test_vanishing_delay_coefficient_raises():

@@ -4,6 +4,7 @@ Usage::
 
     python3 tools/bench.py PARENT_ROOT CHANGE_ROOT --workload analysis --seeds 11:22 \\
         --out BENCH_<pr>.json [--workload orbit ...] [--trace-seeds 31:32]
+    python3 tools/bench.py --compare BENCH_<pr>.json
 
 For every workload and every seed in ``--seeds`` (both ends included) it runs
 ``python3 perfbench/run.py --workload W --seed S --seconds X --trace 0`` once
@@ -25,6 +26,12 @@ summary entry gives, per workload and metric, both sides' median, quartiles
 (numpy's linear interpolation) and run count, the number of pairs the change
 won (strictly better, in the metric's direction from the change's
 BENCHMARK.json) and the per-seed values [parent, change].
+
+``--compare FILE`` prints a file's ``summary`` one line per workload and
+metric, and then, per workload and metric, the median over the pairs of the
+``--trace 0`` set of (second run / first run - 1), whichever side ran first,
+with the number of pairs whose second run read higher: a gap that the ABBA
+order leaves in both sides' numbers alike.
 """
 
 from __future__ import annotations
@@ -70,6 +77,16 @@ def _stats(values: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "n": len(values)}
 
 
+def _paired(runs: list[dict], slot) -> dict:
+    """{workload: {metric: {seed: [a, b]}}}, each run's value at index ``slot(run)``."""
+    paired: dict[str, dict[str, dict[int, list]]] = {}
+    for run in runs:
+        for name, metric in run["result"]["metrics"].items():
+            seeds = paired.setdefault(run["workload"], {}).setdefault(name, {})
+            seeds.setdefault(run["seed"], [None, None])[slot(run)] = metric["value"]
+    return paired
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per workload and metric: both sides' statistics, pairs the change won, per-seed values.
 
@@ -77,11 +94,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     ``result.metrics``; a pair is the parent and change run of one
     (workload, seed).  ``better`` maps a metric name to "lower" or "higher".
     """
-    paired: dict[str, dict[str, dict[int, list]]] = {}
-    for run in runs:
-        for name, metric in run["result"]["metrics"].items():
-            seeds = paired.setdefault(run["workload"], {}).setdefault(name, {})
-            seeds.setdefault(run["seed"], [None, None])[SIDES.index(run["side"])] = metric["value"]
+    paired = _paired(runs, lambda run: SIDES.index(run["side"]))
     summary: dict = {}
     for workload, metrics in paired.items():
         for name, seeds in metrics.items():
@@ -97,15 +110,59 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def order_gaps(runs: list[dict]) -> dict:
+    """Per workload and metric: the median of second / first - 1 over the pairs, and how often it is > 0.
+
+    ``runs`` holds records with ``workload``, ``seed``, ``ran_first`` and
+    ``result.metrics``; a pair is the two runs of one (workload, seed).
+    """
+    gaps: dict = {}
+    for workload, metrics in _paired(runs, lambda run: 0 if run["ran_first"] else 1).items():
+        for name, seeds in metrics.items():
+            ratios = [b / a - 1.0 for a, b in seeds.values() if None not in (a, b) and a != 0.0]
+            if ratios:
+                gaps.setdefault(workload, {})[name] = {
+                    "median": float(np.median(ratios)),
+                    "second_higher": sum(r > 0.0 for r in ratios),
+                    "pairs": len(ratios),
+                }
+    return gaps
+
+
+def compare(path: str) -> None:
+    """Print the summary of a ``BENCH_*.json`` file and its first-versus-second gaps."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    print(f"{path}: parent {data.get('parent') or '?'}, change {data.get('change') or '?'}")
+    for workload, metrics in data["summary"].items():
+        for name, m in metrics.items():
+            p, c = m["parent"], m["change"]
+            print(f"{workload} {name}: parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
+                  f" -> change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}],"
+                  f" change won {m['change_wins']} of {m['pairs']}")
+    main_runs = [r for r in data["runs"] if r.get("trace", 0) == 0]
+    for workload, metrics in order_gaps(main_runs).items():
+        for name, g in metrics.items():
+            print(f"{workload} {name}: second / first - 1 median {g['median']:+.2%},"
+                  f" second higher in {g['second_higher']} of {g['pairs']}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent_root")
-    ap.add_argument("change_root")
-    ap.add_argument("--workload", action="append", required=True, choices=("orbit", "network", "analysis"))
-    ap.add_argument("--seeds", required=True, help="A:B, both ends included")
+    ap.add_argument("parent_root", nargs="?")
+    ap.add_argument("change_root", nargs="?")
+    ap.add_argument("--workload", action="append", choices=("orbit", "network", "analysis"))
+    ap.add_argument("--seeds", help="A:B, both ends included")
     ap.add_argument("--trace-seeds", default=None, help="A:B, pairs at --trace 1")
-    ap.add_argument("--out", required=True)
+    ap.add_argument("--out")
+    ap.add_argument("--compare", metavar="FILE", help="print the summary of a BENCH file and stop")
     args = ap.parse_args(argv)
+    if args.compare:
+        compare(args.compare)
+        return 0
+    missing = [name for name in ("parent_root", "change_root", "workload", "seeds", "out") if not getattr(args, name)]
+    if missing:
+        ap.error(f"missing {', '.join(missing)} (or give --compare FILE)")
 
     roots = {"parent": os.path.abspath(args.parent_root), "change": os.path.abspath(args.change_root)}
     with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
