@@ -45,7 +45,7 @@ from .charfun import BlockKind, block_product, build_blocks, p_dp
 from .errors import IndexOutOfRangeError, InvalidParamError, NotPeriodicError, PllbifError
 from .model import _MAX_FLOATS, Branch, ModelKind, NetworkParams, equilibrium, normalize
 from .phasediff import determinant_n3, fictitious_roots
-from .phasemodel import releq_branches, releq_solve, relative_hopf_scan, zero_root_taus
+from .phasemodel import _RESOLUTION, releq_branches, releq_solve, relative_hopf_scan, zero_root_taus
 from .simulator import (
     HistorySpec,
     equilibrium_state,
@@ -392,12 +392,12 @@ def _cmd_releq(o: argparse.Namespace) -> int:
     lo, hi = o.tau_window[0] * o.omega_m, o.tau_window[1] * o.omega_m
     # the locked branches depend on K alone; 2 nodes and mu = 1 fill the metadata
     p = _params(2, o.K, 1.0, o.omega_m)
-    branches = releq_branches(p, (lo, hi), o.resolution)
+    branches = releq_branches(p, (lo, hi))
     rows = [[br.branch_id, br.birth_tau, t, oh] for br in branches for t, oh in zip(br.taus, br.omegas)]
     series = [Series(list(br.taus), list(br.omegas), label=f"branch {br.branch_id}") for br in branches]
     _emit(
         o,
-        _meta(p, "releq", ("resolution", o.resolution)),
+        _meta(p, "releq", ("resolution", _RESOLUTION)),
         ["branch_id", "birth_tau", "tau", "omega_hat"],
         rows,
         f"releq: {len(branches)} branches on [{lo:g}, {hi:g}]",
@@ -631,7 +631,6 @@ _COMMANDS = {
     )),
     "releq": (_cmd_releq, "locked-frequency branches over a delay window", (
         _K, _OMEGA_M, _TAU_WINDOW,
-        _Opt("--resolution", _count(2), 2000, "locked-branch sampling"),
         *_OUT,
     )),
     "zero-roots": (_cmd_zero_roots, "steady-state bifurcation delays of the phase model", (

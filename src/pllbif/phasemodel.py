@@ -140,14 +140,18 @@ class RelEqBranch:
         return oh if t.ndim else float(oh)
 
 
+_STEP = 4096  # phase intervals whose cuts _pieces builds at a time
+
+
 def _pieces(k: float, t1: float):
     """(phi_a, phi_b, tau_a, tau_b) of the tau-monotone pieces reaching delays up to t1.
 
     Cuts are the folds, the poles, phi = 0 and the ends of the scanned phase
     range, which lie beyond the reach of t1: tau >= phi / (1 + K) for phi > 0
-    and tau >= |phi| / (K - 1) for phi < 0.  A range of more than 2^27
-    intervals [j pi, (j + 1) pi] raises InvalidParamError before anything is
-    allocated.
+    and tau >= |phi| / (K - 1) for phi < 0.  The pieces come in phase order,
+    their cuts built 4096 intervals [j pi, (j + 1) pi] at a time as they are
+    consumed, so a caller that stops early builds no more.  A range of more
+    than 2^27 intervals raises InvalidParamError before anything is built.
     """
 
     def h(x):
@@ -159,80 +163,92 @@ def _pieces(k: float, t1: float):
             f"delays up to {t1:g} cross {span:.6g} phase intervals, more than the budget of 2^27"
         )
     j_lo = math.floor(-(k - 1.0) * t1 / math.pi) - 1 if k > 1.0 else 0
-    a = math.pi * np.arange(j_lo, math.ceil((1.0 + k) * t1 / math.pi) + 1)
-    b = a + math.pi
-    sign_change = h(a)[0] * h(b)[0] < 0.0
-    phi = np.concatenate([_solve(h, a[sign_change], b[sign_change]), [a[0], 0.0, b[-1]]])
-    with np.errstate(divide="ignore"):
-        tau = phi / (1.0 - k * np.sin(phi))
-    if k > 1.0:
-        s = math.asin(1.0 / k)
-        m = _TWO_PI * np.arange(math.floor(a[0] / _TWO_PI), math.ceil(b[-1] / _TWO_PI) + 1)
-        poles = np.concatenate([m + s, m + math.pi - s])
-        poles = poles[(poles > a[0]) & (poles < b[-1])]
-        phi = np.concatenate([phi, poles])
-        tau = np.concatenate([tau, np.full(len(poles), math.inf)])
-    order = np.argsort(phi)
-    phi, tau = phi[order], tau[order]
-    mid = 0.5 * (phi[:-1] + phi[1:])
-    valid = mid * (1.0 - k * np.sin(mid)) > 0.0  # tau > 0 inside the piece
-    return zip(phi[:-1][valid], phi[1:][valid], tau[:-1][valid], tau[1:][valid])
+    j_end = math.ceil((1.0 + k) * t1 / math.pi) + 1
+    first, last = math.pi * j_lo, math.pi * (j_end - 1) + math.pi
+    prev_phi, prev_tau = np.empty(0), np.empty(0)
+    for j0 in range(j_lo, j_end, _STEP):
+        j1 = min(j0 + _STEP, j_end)
+        a = math.pi * np.arange(j0, j1)
+        b = a + math.pi
+        # this step's cuts lie in [lo, hi), the last step's in [lo, last]
+        lo, hi = a[0], math.pi * j1 if j1 < j_end else last
+        sign_change = h(a)[0] * h(b)[0] < 0.0
+        ends = [x for x in (first, 0.0) if lo <= x < hi] + ([last] if j1 == j_end else [])
+        phi = np.concatenate([_solve(h, a[sign_change], b[sign_change]), ends])
+        with np.errstate(divide="ignore"):
+            tau = phi / (1.0 - k * np.sin(phi))
+        if k > 1.0:
+            sn = math.asin(1.0 / k)
+            m = _TWO_PI * np.arange(math.floor(lo / _TWO_PI), math.ceil(hi / _TWO_PI) + 1)
+            poles = np.concatenate([m + sn, m + math.pi - sn])
+            poles = poles[(poles > first) & (poles >= lo) & (poles < hi)]
+            phi = np.concatenate([phi, poles])
+            tau = np.concatenate([tau, np.full(len(poles), math.inf)])
+        order = np.argsort(phi)
+        phi, tau = np.concatenate([prev_phi, phi[order]]), np.concatenate([prev_tau, tau[order]])
+        mid = 0.5 * (phi[:-1] + phi[1:])
+        valid = mid * (1.0 - k * np.sin(mid)) > 0.0  # tau > 0 inside the piece
+        yield from zip(phi[:-1][valid], phi[1:][valid], tau[:-1][valid], tau[1:][valid])
+        prev_phi, prev_tau = phi[-1:], tau[-1:]
 
 
-_RESOLUTION = 2000  # releq_branches' grid, whose branch ids relative_hopf_scan shares
+_RESOLUTION = 2000  # the one grid of the locked branches, whose ids releq and snmap share
 
 
-def _branch_grids(k: float, tau_window: tuple[float, float], resolution: int):
-    """(birth, grid delays, phase piece) of each locked branch, unordered.
+def _branch_grids(k: float, tau_window: tuple[float, float]):
+    """(birth, grid delays, phase piece) of each locked branch, in branch-id order.
 
     Each tau-monotone piece of tau(phi) is one branch.  Its birth is the
     piece's lower delay end, or the window start when it is alive there; its
-    grid delays are the points of the ``resolution``-point grid over the
+    grid delays are the points of the ``_RESOLUTION``-point grid over the
     window in (birth, end], plus the window start for branches alive there.
-    Pieces with fewer than 2 grid delays are dropped.
+    Pieces with fewer than 2 grid delays are dropped.  The rest are ordered
+    by (birth, lower end of the phase piece), which is (birth, first
+    Omega_hat): branches born together share their first grid delay tau,
+    where Omega_hat = phi / tau.  Over 2^20 grid delays in all raise
+    InvalidParamError before any branch is solved.
     """
     t0, t1 = check_delay(tau_window[0]), check_delay(tau_window[1])
     if not t1 > t0:
         raise InvalidParamError(f"delay window [{t0:g}, {t1:g}] does not end after it starts")
-    if not resolution >= 2:
-        raise InvalidParamError(f"resolution must be >= 2, got {resolution}")
-    grid = np.linspace(t0, t1, int(resolution))
-    kept = []
+    grid = np.linspace(t0, t1, _RESOLUTION)
+    kept, samples = [], 0
     for phi_a, phi_b, tau_a, tau_b in _pieces(k, t1):
         lo, hi = min(tau_a, tau_b), max(tau_a, tau_b)
         first = 0 if lo == t0 else int(np.searchsorted(grid, lo, side="right"))
         stop = int(np.searchsorted(grid, hi, side="right"))
         if stop - first >= 2:
+            samples += stop - first
+            if samples > _MAX_CROSSINGS:
+                raise InvalidParamError(
+                    f"delay window [{t0:g}, {t1:g}] holds more than the budget of 2^20 "
+                    "locked-branch samples"
+                )
             kept.append((float(max(lo, t0)), grid[first:stop], (float(phi_a), float(phi_b))))
+    kept.sort(key=lambda br: (br[0], br[2][0]))
     return kept
 
 
-def releq_branches(
-    params: NetworkParams, tau_window: tuple[float, float], resolution: int = _RESOLUTION
-) -> list[RelEqBranch]:
+def releq_branches(params: NetworkParams, tau_window: tuple[float, float]) -> list[RelEqBranch]:
     """Locked-frequency branches over a delay window, from the exact phase curve.
 
     Each tau-monotone piece of tau(phi) = phi / (1 - K sin phi) (module
     docstring) is one branch.  Its birth is the piece's lower delay end, a
     fold or tau = 0, or the window start when it is alive there; it is
-    sampled on the ``resolution``-point grid over the window at the points in
+    sampled on the 2000-point grid over the window at the points in
     (birth, end], plus the window start for branches alive there, by one
     vectorized bracketed solve per branch.  Branches with fewer than 2 samples
-    are dropped; the rest are numbered by (birth, first Omega_hat), as
-    ``relative_hopf_scan`` numbers them.  Raises InvalidParamError for a
-    negative or non-finite window end, a window that does not end after it
-    starts, or a resolution below 2.
+    are dropped; the rest are numbered by (birth, first Omega_hat), the order
+    ``relative_hopf_scan`` numbers them in too.  Raises InvalidParamError for
+    a negative or non-finite window end, a window that does not end after it
+    starts, or more than 2^20 samples in all.
     """
     k = normalize(params).coupling
-    kept = []
-    for birth, taus, piece in _branch_grids(k, tau_window, resolution):
+    branches = []
+    for i, (birth, taus, piece) in enumerate(_branch_grids(k, tau_window)):
         phi = _solve(_phase_equation(taus, k), *piece)
-        kept.append((birth, taus, 1.0 - k * np.sin(phi), piece))
-    kept.sort(key=lambda br: (br[0], br[2][0]))
-    return [
-        RelEqBranch(i, birth, taus, omegas, k, piece)
-        for i, (birth, taus, omegas, piece) in enumerate(kept)
-    ]
+        branches.append(RelEqBranch(i, birth, taus, 1.0 - k * np.sin(phi), k, piece))
+    return branches
 
 
 @dataclass(frozen=True)
@@ -248,9 +264,10 @@ def relative_hopf_scan(
 ) -> list[PhaseCrossing]:
     """Imaginary-axis crossings of a phase-model block along every locked branch.
 
-    The branches and their ids are ``releq_branches(params, tau_window)``'s,
-    whose window checks apply, but only the phases at each branch's first
-    and last grid delay are solved for.  A branch is scanned in its own phase
+    The branches, their ids, window checks and sample budget are
+    ``releq_branches(params, tau_window)``'s: both number one ordered list of
+    branch grids.  Only the phases at each branch's first and last grid
+    delay are solved for; they bound the branch's scan, in its own phase
     phi = Omega_hat tau, where the crossing map is explicit:
     tau(phi) = phi / (1 - K sin phi), the modal gain a = K mu cos(phi) and
     its rate along the branch da/dtau = -K mu sin(phi) Omega_hat / (1 + tau
@@ -263,16 +280,12 @@ def relative_hopf_scan(
     """
     p = normalize(params)
     k, mu = p.coupling, p.filter_gain
-    grids = _branch_grids(k, tau_window, _RESOLUTION)
+    grids = _branch_grids(k, tau_window)
     if not grids:
         return []
     ends = np.array([(taus[0], taus[-1]) for _, taus, _ in grids])
     pieces = np.array([piece for _, _, piece in grids])
-    # one solve for every branch's two ends; each element takes the steps that
-    # releq_branches' solve takes at that delay, so both sort the branches alike
     phi = _solve(_phase_equation(ends, k), pieces[:, :1], pieces[:, 1:])
-    omegas = 1.0 - k * np.sin(phi)
-    order = sorted(range(len(grids)), key=lambda i: (grids[i][0], omegas[i, 0]))
 
     def rate(x):
         # da/dtau along the branch: build_blocks' da_of, written in the phase
@@ -285,11 +298,11 @@ def relative_hopf_scan(
     def at(x):
         return (*blk.at(x), x / (1.0 - k * np.sin(x)), *blk.dcoeffs(x))
 
-    live = [(branch_id, i) for branch_id, i in enumerate(order) if ends[i, 1] > ends[i, 0]]
-    windows = [tuple(sorted(float(v) for v in phi[i])) for _, i in live]
+    live = [i for i in range(len(grids)) if ends[i, 1] > ends[i, 0]]
+    windows = [tuple(sorted(float(v) for v in phi[i])) for i in live]
     out = [
         PhaseCrossing(branch_id, cand)
-        for (branch_id, _), cands in zip(live, _scan(at, windows))
+        for branch_id, cands in zip(live, _scan(at, windows))
         for cand in cands
     ]
     out.sort(key=lambda c: c.crossing.tau_star)

@@ -92,3 +92,46 @@ def test_a_run_needs_both_checkouts_unless_it_compares(capsys):
     with pytest.raises(SystemExit):
         load_bench().main(["parent_only"])
     assert "--compare FILE" in capsys.readouterr().err
+
+
+def test_readme_commands_are_timed_after_each_pair_in_its_order(tmp_path, monkeypatch, capsys):
+    bench = load_bench()
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    calls = []
+
+    def fake_run(root, workload, seed, seconds, trace, env):
+        calls.append((Path(root).name, "run", seed))
+        return {"metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+
+    def fake_time(root, argv, env):
+        calls.append((Path(root).name, argv[0], None))
+        return 2.0 if Path(root).name == "parent" else 1.0
+
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    monkeypatch.setattr(bench, "time_command", fake_time)
+    monkeypatch.setattr(bench, "readme_commands", lambda readme: [["releq", "--K", "1"], ["zero-roots"]])
+    out = tmp_path / "BENCH_0.json"
+    argv = [str(tmp_path / "parent"), str(change), "--workload", "analysis", "--seeds", "1:2",
+            "--trace-seeds", "3", "--out", str(out)]
+    assert bench.main(argv) == 0
+    # pair 1 runs the parent first, pair 2 the change, each command as its pair;
+    # the traced pair times no README command
+    p, c = "parent", "change"
+    assert calls == [
+        (p, "run", 1), (c, "run", 1), (p, "releq", None), (c, "releq", None),
+        (p, "zero-roots", None), (c, "zero-roots", None),
+        (c, "run", 2), (p, "run", 2), (c, "releq", None), (p, "releq", None),
+        (c, "zero-roots", None), (p, "zero-roots", None),
+        (p, "run", 3), (c, "run", 3),
+    ]
+    readme = json.loads(out.read_text())["readme"]
+    assert set(readme) == {"releq --K 1", "zero-roots"}
+    wall = readme["releq --K 1"]["wall_s"]
+    assert wall["pairs"] == 2 and wall["change_wins"] == 2
+    assert wall["per_seed"] == {"1": [2.0, 1.0], "2": [2.0, 1.0]}
+    capsys.readouterr()
+    assert bench.main(["--compare", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "readme releq --K 1 wall_s: parent 2 [2, 2] -> change 1 [1, 1], change won 2 of 2" in lines

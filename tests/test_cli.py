@@ -53,14 +53,14 @@ def test_zero_roots_to_stdout(capsys):
 
 def test_outputs_are_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["releq", "--K", "1", "--tau-window", "0:8", "--resolution", "400"]
+    args = ["releq", "--K", "1", "--tau-window", "0:8"]
     assert run(args + ["--out", a]) == 0
     assert run(args + ["--out", b]) == 0
     assert read(a) == read(b)
     assert read(a).startswith("# n_nodes = 2\n")
     # a window start of -0 is the delay 0, in the summary line too
     c = tmp_path / "c.csv"
-    assert run(["releq", "--K", "1", "--tau-window=-0:8", "--resolution", "400", "--out", c]) == 0
+    assert run(["releq", "--K", "1", "--tau-window=-0:8", "--out", c]) == 0
     assert read(c) == read(a)
     assert capsys.readouterr().out.splitlines()[-1].endswith(" on [0, 8]")
 
@@ -94,10 +94,26 @@ def test_snmap_matches_frozen_crossings(tmp_path):
     assert [r[5] for r in rows] == ["1", "-1", "1", "-1", "1"]
 
 
+@pytest.mark.parametrize("block", ["fix", "standard"])
+def test_phase_crossings_name_the_releq_branch_that_holds_their_delay(tmp_path, block):
+    window = ["--tau-window", "0:15.7"]
+    r, s = tmp_path / "r.csv", tmp_path / "s.csv"
+    assert run(["releq", "--K", "1", *window, "--out", r]) == 0
+    assert run(["snmap", "--model", "phase", "--K", "1", "--mu", "1", "--block", block, *window,
+                "--out", s]) == 0
+    spans = {}
+    for row in [l.split(",") for l in read(r).splitlines() if l and not l.startswith("#")][1:]:
+        spans.setdefault(int(row[0]), []).append(float(row[2]))
+    rows = [l.split(",") for l in read(s).splitlines() if l and not l.startswith("#")][1:]
+    assert rows
+    for row in rows:
+        taus = spans[int(row[0])]
+        assert min(taus) - 1e-9 <= float(row[1]) <= max(taus) + 1e-9
+
+
 def test_svg_written_alongside_csv(tmp_path):
     out, svg = tmp_path / "r.csv", tmp_path / "r.svg"
-    assert run(["releq", "--K", "1", "--tau-window", "0:8", "--resolution", "300",
-                "--out", out, "--svg", svg]) == 0
+    assert run(["releq", "--K", "1", "--tau-window", "0:8", "--out", out, "--svg", svg]) == 0
     assert read(svg).startswith("<svg ")
     assert "</svg>" in read(svg)
 
@@ -193,17 +209,11 @@ def test_zero_free_frequency_is_rejected_not_replaced(capsys):
     assert_usage_error(capsys, ["zero-roots", "--K", "0.8", "--mu", "0.5", "--omega-m", "0"], "--omega-m")
 
 
-@pytest.mark.parametrize("resolution", ["0", "1"])
-def test_resolution_below_two_is_rejected(capsys, resolution):
-    assert_usage_error(
-        capsys, ["releq", "--K", "1", "--tau-window", "0:8", "--resolution", resolution], "--resolution"
-    )
-
-
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["releq", "--K", "1", "--tau-window", "0:8", "--resolution", "abc"], "--resolution"),
+        # a window whose locked branches hold more than 2^20 grid samples
+        (["releq", "--K", "1", "--tau-window", "0:1e4"], "budget"),
         (["zero-roots", "--K", "0.8", "--mu", "0.5", "--nodes", "2.5"], "--nodes"),
         (["phasediff-check", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--seed", "x"], "--seed"),
         (["phasediff-check", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--seed", "-1"], "--seed"),
@@ -234,9 +244,9 @@ def test_resolution_below_two_is_rejected(capsys, resolution):
         (["curves", "--K", "1.05", "--mu-grid", "0.05:0.45:1000000000000000"], "--mu-grid"),
         (["rightmost", "--K", "1.05", "--mu", "0.3", "--tau-grid", "0:25:1000000000000000"],
          "--tau-grid"),
-        (["releq", "--K", "1", "--tau-window", "0:8", "--resolution", "1000000000000000"],
-         "--resolution"),
-        # delay windows whose phase pieces or crossing brackets pass the budget
+        # delay windows whose branch samples, phase pieces or crossing brackets
+        # pass the budget; the samples are counted before any branch is solved
+        (["snmap", "--model", "phase", "--K", "1", "--mu", "1", "--tau-window", "0:1e6"], "budget"),
         (["releq", "--K", "1", "--tau-window", "0:1e300"], "budget"),
         (["phasediff-check", "--K", "1.05", "--mu", "0.3", "--tau", "2",
           "--samples", "1000000000000000"], "--samples"),
@@ -251,7 +261,8 @@ def test_resolution_below_two_is_rejected(capsys, resolution):
         # the constant blocks' crossings are counted in closed form before any is built
         (["snmap", "--K", "1.05", "--mu", "0.3", "--tau-window", "0:1e9"], "budget"),
         (["snmap", "--K", "1.05", "--mu", "0.3", "--tau-window", "0:1e8"], "budget"),
-        # one bracket budget for all the branches of a phase-model scan
+        # the branch samples of this window pass their budget before the scan's
+        # one bracket budget is reached (test_snmap checks that one)
         (["snmap", "--model", "phase", "--K", "1", "--mu", "1", "--tau-window", "0:1e4"], "budget"),
         # curve rows and zero-root events are counted before any is built
         (["curves", "--K", "1.05", "--mu-grid", "0.05:0.45:41", "--n", "0:20000"], "budget"),
@@ -344,6 +355,8 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
          "--grid-step"),
         (["snmap", "--model", "phase", "--K", "1.05", "--mu", "0.3", "--tau-window", "0:25",
           "--resolution", "300"], "--resolution"),
+        # the locked branches have one fixed grid and one numbering
+        (["releq", "--K", "1", "--tau-window", "0:8", "--resolution", "300"], "--resolution"),
     ],
 )
 def test_bad_choice_or_unknown_flag_is_one_line(capsys, argv, needle):
@@ -353,7 +366,7 @@ def test_bad_choice_or_unknown_flag_is_one_line(capsys, argv, needle):
 @pytest.mark.parametrize("key", ["k", "coupling"])
 def test_config_keys_are_flag_names(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tau-window": "0:8", "omega_m": 1, "resolution": 300}), encoding="utf-8")
+    cfg.write_text(json.dumps({"tau-window": "0:8", "omega_m": 1}), encoding="utf-8")
     assert run(["releq", "--config", cfg, "--K", "1", "--out", tmp_path / "r.csv"]) == 0
     cfg.write_text(json.dumps({key: 0.8, "mu": 0.5}), encoding="utf-8")
     assert_usage_error(capsys, ["zero-roots", "--config", cfg], repr(key))

@@ -23,6 +23,7 @@ from pllbif import (
     RootBranch,
     build_blocks,
     equilibrium_case_curves,
+    phasemodel,
     relative_hopf_scan,
     releq_branches,
     releq_solve,
@@ -149,6 +150,63 @@ def test_releq_solve_counts_the_double_root_at_a_fold():
         assert min(b - a for a, b in zip(sols, sols[1:])) < 1e-6
         for om in sols:
             assert abs(locked_residual(om, tau)) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.floats(0.3, 3.0),
+    start=st.one_of(st.just(0.0), st.floats(0.0, 15.0)),
+    span=st.floats(0.5, 15.0),
+)
+def test_branch_ids_follow_birth_then_phase(k, start, span):
+    # the one numbering of releq and snmap --model phase: by birth, and among
+    # branches born together by phase piece, which is the order of their first
+    # locked frequency, as they share their first delay and Omega_hat = phi / tau
+    brs = releq_branches(NetworkParams(2, k, 1.0), (start, start + span))
+    assert [b.branch_id for b in brs] == list(range(len(brs)))
+    keys = [(b.birth_tau, b.phase_piece[0]) for b in brs]
+    assert keys == sorted(keys)
+    for a, b in zip(brs, brs[1:]):
+        if a.birth_tau == b.birth_tau:
+            assert a.taus[0] == b.taus[0]
+            assert a.omegas[0] <= b.omegas[0]
+
+
+def test_branch_samples_are_counted_before_any_branch_is_solved(monkeypatch):
+    # K = 1 on [0, 1e6]: 636,620 phase intervals, and branches of up to 2000
+    # grid delays each; the first step of intervals already passes the budget
+    def refuse(tau, k):
+        raise AssertionError("a branch was solved")
+
+    brackets = []
+    solve = phasemodel._solve
+
+    def count(f, a, b, x0=None):
+        brackets.append(np.size(a))
+        return solve(f, a, b, x0)
+
+    monkeypatch.setattr(phasemodel, "_phase_equation", refuse)
+    monkeypatch.setattr(phasemodel, "_solve", count)
+    budget = r"delay window \[0, 1e\+06\] holds more than the budget of 2\^20"
+    with pytest.raises(InvalidParamError, match=budget):
+        releq_branches(P21, (0.0, 1e6))
+    with pytest.raises(InvalidParamError, match=budget):
+        relative_hopf_scan(P21, BlockKind.FIX, (0.0, 1e6))
+    assert 0 < sum(brackets) <= 2 * 4096  # one step of intervals per call
+    # [0, 1000] holds 637 branches and about 638,000 grid delays, within it
+    assert len(phasemodel._branch_grids(1.0, (0.0, 1000.0))) == 637
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.floats(0.05, 4.0), t1=st.floats(0.0, 300.0), step=st.integers(1, 64))
+def test_pieces_built_in_steps_are_the_pieces_built_at_once(k, t1, step):
+    # the cuts of each step of intervals, joined across the step ends, are
+    # those of one build over the whole phase range, to the bit
+    whole = np.array(list(phasemodel._pieces(k, t1)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phasemodel, "_STEP", step)
+        stepped = np.array(list(phasemodel._pieces(k, t1)))
+    assert stepped.tobytes() == whole.tobytes()
 
 
 def test_branch_samples_satisfy_locked_relation():
@@ -310,7 +368,7 @@ def test_phase_crossings_lie_on_the_axis_of_their_named_branch(nodes, k, mu, end
 def test_scalar_omega_hat_is_the_array_value_to_the_bit(k, t0, span, inner, beyond):
     # a single delay gives a float: inside a branch, at its ends and beyond
     # them it must be the array path's element, bit for bit
-    for br in releq_branches(NetworkParams(3, k, 0.5), (t0, t0 + span), 64):
+    for br in releq_branches(NetworkParams(3, k, 0.5), (t0, t0 + span)):
         lo, hi = float(br.taus[0]), float(br.taus[-1])
         taus = np.array([lo, hi, lo - beyond, hi + beyond, *(lo + u * (hi - lo) for u in inner)])
         arr = br.omega_hat(taus)
@@ -408,9 +466,3 @@ def test_equilibrium_case_curves_need_m_of_at_least_one():
 def test_equilibrium_case_curves_refuse_a_bad_mu(mu):
     with pytest.raises(InvalidParamError):
         equilibrium_case_curves(1, range(1, 3), [0.5, mu])
-
-
-@pytest.mark.parametrize("resolution", [0, 1])
-def test_branches_need_two_grid_points(resolution):
-    with pytest.raises(InvalidParamError):
-        releq_branches(P21, (0.0, 5.0), resolution)

@@ -16,19 +16,26 @@ this process's, with ``PYTHONDONTWRITEBYTECODE=1``, so no run leaves byte
 code behind for a later one.  A checkout's own ``__pycache__`` is still read,
 so give the tool two fresh checkouts (``git clone`` or ``git archive``).
 ``--trace-seeds`` adds pairs at ``--trace 1`` for the per-layer metrics.
+After each ``--trace 0`` pair, every ``pllbif`` command of the change's README
+(``tools/readme_outputs.readme_commands``) runs once in each checkout, in the
+pair's order, as ``python3 -m pllbif.cli`` with that checkout's ``src`` on
+the path, in an empty directory, and its wall time is kept.
 
 The output file has the layout of ``BENCH_20.json``: ``change``, ``parent``,
 ``machine``, ``command``, ``method``, ``claim``, ``summary`` (the ``--trace 0``
-pairs), ``traced`` (the ``--trace 1`` pairs) and ``runs``, one record per
-run with the last output line of ``run.py`` under ``result``.  ``change``
-and ``claim`` are left empty, to be written after reading the summary.  Each
+pairs), ``traced`` (the ``--trace 1`` pairs), ``readme`` (the README
+commands' ``wall_s``, one entry per command, its pairs keyed by pair number)
+and ``runs``, one record per run with the last output line of ``run.py``
+under ``result``.  ``change`` and ``claim`` are left empty, to be written
+after reading the summary.  Each
 summary entry gives, per workload and metric, both sides' median, quartiles
 (numpy's linear interpolation) and run count, the number of pairs the change
 won (strictly better, in the metric's direction from the change's
 BENCHMARK.json) and the per-seed values [parent, change].
 
 ``--compare FILE`` prints a file's ``summary`` one line per workload and
-metric, and then, per workload and metric, the median over the pairs of the
+metric and its ``readme`` one line per command, and then, per workload and
+metric, the median over the pairs of the
 ``--trace 0`` set of (second run / first run - 1), whichever side ran first,
 with the number of pairs whose second run read higher: a gap that the ABBA
 order leaves in both sides' numbers alike.
@@ -41,8 +48,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from readme_outputs import readme_commands  # noqa: E402  (tools/ is not a package)
 
 SIDES = ("parent", "change")
 
@@ -70,6 +83,21 @@ def run_once(root: str, workload: str, seed: int, seconds: float, trace: int, en
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}: {proc.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def time_command(root: str, argv: list[str], env: dict) -> float:
+    """Wall seconds of ``pllbif argv`` run from the checkout ``root`` in an empty directory."""
+    cmd = [sys.executable, "-m", "pllbif.cli", *argv]
+    with tempfile.TemporaryDirectory() as tmp:
+        start = time.perf_counter()
+        proc = subprocess.run(
+            cmd, cwd=tmp, env=dict(env, PYTHONPATH=os.path.join(root, "src")),
+            capture_output=True, text=True, check=False,
+        )
+        wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} from {root} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return wall
 
 
 def _stats(values: list[float]) -> dict:
@@ -130,16 +158,17 @@ def order_gaps(runs: list[dict]) -> dict:
 
 
 def compare(path: str) -> None:
-    """Print the summary of a ``BENCH_*.json`` file and its first-versus-second gaps."""
+    """Print the summary of a ``BENCH_*.json`` file, its README timings and its first-versus-second gaps."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     print(f"{path}: parent {data.get('parent') or '?'}, change {data.get('change') or '?'}")
-    for workload, metrics in data["summary"].items():
-        for name, m in metrics.items():
-            p, c = m["parent"], m["change"]
-            print(f"{workload} {name}: parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
-                  f" -> change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}],"
-                  f" change won {m['change_wins']} of {m['pairs']}")
+    for prefix, summary in (("", data["summary"]), ("readme ", data.get("readme", {}))):
+        for workload, metrics in summary.items():
+            for name, m in metrics.items():
+                p, c = m["parent"], m["change"]
+                print(f"{prefix}{workload} {name}: parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
+                      f" -> change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}],"
+                      f" change won {m['change_wins']} of {m['pairs']}")
     main_runs = [r for r in data["runs"] if r.get("trace", 0) == 0]
     for workload, metrics in order_gaps(main_runs).items():
         for name, g in metrics.items():
@@ -173,7 +202,9 @@ def main(argv=None) -> int:
     if args.trace_seeds:
         sets.append(("traced", 1, _seeds(args.trace_seeds)))
 
+    commands = readme_commands(Path(roots["change"], "README.md"))
     runs: list[dict] = []
+    readme_runs: list[dict] = []
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     pair = 0
     for name, trace, seeds in sets:
@@ -190,6 +221,15 @@ def main(argv=None) -> int:
                     wall = result["metrics"].get("wall_s", {}).get("value")
                     print(f"{name} {workload} seed={seed} {side}: "
                           + (f"wall_s {wall:.4f}" if wall is not None else "traced"), flush=True)
+                if trace:
+                    continue
+                for argv in commands:
+                    for side in order:
+                        wall = time_command(roots[side], argv, env)
+                        readme_runs.append({
+                            "side": side, "workload": " ".join(argv), "seed": pair,
+                            "result": {"metrics": {"wall_s": {"value": wall}}},
+                        })
 
     out = {
         "change": "",
@@ -201,10 +241,13 @@ def main(argv=None) -> int:
                   "(ran_first), the same environment on both sides with PYTHONDONTWRITEBYTECODE=1. "
                   f"Set main at --trace 0 on seeds {args.seeds}"
                   + (f"; set traced at --trace 1 on seeds {args.trace_seeds}" if args.trace_seeds else "")
-                  + ". Quartiles are numpy linear-interpolation percentiles.",
+                  + ". After each main pair, each README command (python3 -m pllbif.cli, an empty "
+                  "directory) once per side in the pair's order, under readme by pair number."
+                  " Quartiles are numpy linear-interpolation percentiles.",
         "claim": "",
         "summary": summarize([r for r in runs if r["set"] == "main"], better),
         "traced": summarize([r for r in runs if r["set"] == "traced"], better),
+        "readme": summarize(readme_runs, better),
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
