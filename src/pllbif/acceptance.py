@@ -274,8 +274,8 @@ def _crit_11():
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-2.0, 2.0))
         worst2 = max(
             worst2,
-            abs(diff.fix.eval(z) - blocks.fix.eval(z)),
-            abs(diff.standard.eval(z) - blocks.standard.eval(z)),
+            abs(diff.fix.eval(z, 1.3) - blocks.fix.eval(z, 1.3)),
+            abs(diff.standard.eval(z, 1.3) - blocks.standard.eval(z, 1.3)),
         )
     p3 = NetworkParams(3, 1.2, 0.7, delay=1.3)
     worst3 = 0.0

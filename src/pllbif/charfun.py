@@ -12,9 +12,11 @@ with r1 = mu set by the loop filter.  Only r0 and s0 can depend on the delay:
 they are constants for the full-phase model and follow the modal gain
 a(tau) = K mu cos(Omega_hat(tau) tau) along a rotating-wave branch of the
 phase model (a(tau) = K mu cos(C + tau) in the difference model).
-``QuasiPolynomial.at`` takes one snapshot (r0, r1, s0) at a delay (a scalar
-or an array); evaluation, the crossing map and the root finders all read
-their coefficients from that snapshot.
+A block holds no delay: tau is the bifurcation parameter, an argument of
+every evaluation.  ``QuasiPolynomial.at`` takes one snapshot (r0, r1, s0) at
+a delay (a scalar or an array), and ``snapshot`` the floats
+(r0, r1, s0, tau, dr0, ds0) at one delay that the crossing map and the root
+finders read.
 
 The factorization det Delta = P_fix P_std^(N-1) is checkable for every
 formulation: ``linearization_matrices`` builds (A0, Atau) from the
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -37,6 +39,7 @@ from .model import (
     Equilibrium,
     ModelKind,
     NetworkParams,
+    check_int,
     difference_pairs,
     normalize,
     state_dim,
@@ -82,47 +85,44 @@ class QuasiPolynomial:
     ``r1`` is the constant damping coefficient (mu).  ``coeffs`` maps tau (a
     scalar or an array) to (r0, s0); ``dcoeffs`` maps it to their
     tau-derivatives (dr0, ds0), and None means the coefficients do not depend
-    on the delay.  ``delay`` is the evaluation default.
+    on the delay.
     """
 
     r1: float
     coeffs: Coeffs
-    delay: float
     dcoeffs: Coeffs | None = None
-
-    def with_delay(self, tau: float) -> "QuasiPolynomial":
-        return replace(self, delay=float(tau))
 
     @property
     def tau_dependent(self) -> bool:
         return self.dcoeffs is not None
 
-    def at(self, tau: float | np.ndarray | None = None):
-        """Coefficient snapshot (r0, r1, s0) at tau (default: the stored delay)."""
-        r0, s0 = self.coeffs(self.delay if tau is None else tau)
+    def at(self, tau: float | np.ndarray):
+        """Coefficient snapshot (r0, r1, s0) at tau."""
+        r0, s0 = self.coeffs(tau)
         return r0, self.r1, s0
 
-    def eval(self, lam, tau: float | None = None):
-        """P(lambda, tau) at a point or an array of lambda values.
+    def snapshot(self, tau: float) -> tuple[float, float, float, float, float, float]:
+        """(r0, r1, s0, tau, dr0, ds0) at one delay, as Python floats.
 
-        tau defaults to the stored delay.
+        The slopes (dr0, ds0) are the coefficients' tau-derivatives, (0.0, 0.0)
+        for a delay-independent block.
         """
-        t = self.delay if tau is None else tau
-        r0, r1, s0 = self.at(t)
+        r0, r1, s0 = self.at(tau)
+        dr0, ds0 = (0.0, 0.0) if self.dcoeffs is None else self.dcoeffs(tau)
+        return float(r0), float(r1), float(s0), float(tau), float(dr0), float(ds0)
+
+    def eval(self, lam, tau: float):
+        """P(lambda, tau) at a point or an array of lambda values."""
+        r0, r1, s0 = self.at(tau)
         # a point stays a Python complex: numpy's array loops round differently
         if np.ndim(lam) == 0:
-            return p_dp(r0, r1, s0, t, complex(lam))[0]
-        return p_dp(r0, r1, s0, t, np.asarray(lam, dtype=complex), exp=np.exp)[0]
-
-    def b_c(self, tau: float | np.ndarray | None = None):
-        """Coefficients (b, c) of |R(i w)|^2 - |S|^2 = w^4 + b w^2 + c."""
-        r0, r1, s0 = self.at(tau)
-        return r1 * r1 - 2.0 * r0, r0 * r0 - s0 * s0
+            return p_dp(r0, r1, s0, tau, complex(lam))[0]
+        return p_dp(r0, r1, s0, tau, np.asarray(lam, dtype=complex), exp=np.exp)[0]
 
 
-def constant_quasi_polynomial(r0: float, r1: float, s0: float, delay: float) -> QuasiPolynomial:
+def constant_quasi_polynomial(r0: float, r1: float, s0: float) -> QuasiPolynomial:
     """Quasi-polynomial with delay-independent coefficients."""
-    return QuasiPolynomial(r1, lambda tau: (r0, s0), float(delay))
+    return QuasiPolynomial(r1, lambda tau: (r0, s0))
 
 
 @dataclass(frozen=True)
@@ -138,40 +138,29 @@ class BlockSet:
         return 1, self.n_nodes - 1
 
 
-def blocks_from_gain(
-    params: NetworkParams,
-    gain: Callable | float,
-    dgain: Callable | None = None,
-    delay: float | None = None,
-) -> BlockSet:
+def blocks_from_gain(params: NetworkParams, gain: Callable, dgain: Callable) -> BlockSet:
     """Blocks of the sin-coupled phase formulations at modal gain a.
 
     With a = K mu cos(<locked argument>), the synchronized block is
     lambda^2 + mu lambda + a - a e^{-lambda tau} and the symmetry-breaking
-    block is lambda^2 + mu lambda + a + (a/(N-1)) e^{-lambda tau}.
-    ``gain`` may be a constant or a map tau -> a(tau) with optional
-    derivative map ``dgain``.
+    block is lambda^2 + mu lambda + a + (a/(N-1)) e^{-lambda tau}.  ``gain``
+    maps tau -> a(tau) and ``dgain`` tau -> a'(tau).
     """
     p = normalize(params)
     n = p.n_nodes
-    tau0 = p.delay if delay is None else float(delay)
-    a_of = gain if callable(gain) else (lambda tau, a=float(gain): a)
 
     def block(div) -> QuasiPolynomial:
         # s0 = a/div with div = -1 (synchronized) or N - 1 (symmetry-breaking);
         # a division, since a * (1/div) rounds differently
         def coeffs(tau):
-            a = a_of(tau)
+            a = gain(tau)
             return a, a / div
 
-        dcoeffs = None
-        if dgain is not None:
+        def dcoeffs(tau):
+            da = dgain(tau)
+            return da, da / div
 
-            def dcoeffs(tau):
-                da = dgain(tau)
-                return da, da / div
-
-        return QuasiPolynomial(p.filter_gain, coeffs, tau0, dcoeffs)
+        return QuasiPolynomial(p.filter_gain, coeffs, dcoeffs)
 
     return BlockSet(block(-1.0), block(n - 1), n)
 
@@ -204,8 +193,8 @@ def build_blocks(kind: ModelKind, params: NetworkParams, point: Point) -> BlockS
         c2 = point.cos_two_phi
         q = k * mu * (1.0 - c2)
         s = k * mu * (1.0 + c2)
-        fix = constant_quasi_polynomial(q, mu, -s, p.delay)
-        std = constant_quasi_polynomial(q, mu, s / (p.n_nodes - 1), p.delay)
+        fix = constant_quasi_polynomial(q, mu, -s)
+        std = constant_quasi_polynomial(q, mu, s / (p.n_nodes - 1))
         return BlockSet(fix, std, p.n_nodes)
 
     if kind in (ModelKind.PHASE, ModelKind.PHASE_ROTATING_FRAME):
@@ -352,10 +341,10 @@ def block_product(
     blocks = build_blocks(kind, p, point)
     lam = complex(lam)
     n = p.n_nodes
-    fix = blocks.fix.eval(lam)
+    fix = blocks.fix.eval(lam, p.delay)
     if kind is ModelKind.PHASE_DIFFERENCE:
         fix = (lam * lam + p.filter_gain * lam) ** (n * (n - 2)) * fix
-    return fix * blocks.standard.eval(lam) ** (n - 1)
+    return fix * blocks.standard.eval(lam, p.delay) ** (n - 1)
 
 
 def isotypic_basis(n_nodes: int, j: int) -> np.ndarray:
@@ -366,10 +355,12 @@ def isotypic_basis(n_nodes: int, j: int) -> np.ndarray:
     lambda_kj = exp(2 pi i (k j mod N) / N) / sqrt(N), interleaved with zeros.
     j = 0 spans the synchronized (fixed) subspace; j = 1..N-1 together span the
     symmetry-breaking complement.  Stacking all j block-diagonalizes the
-    characteristic matrix.
+    characteristic matrix.  Raises IndexOutOfRangeError for j outside
+    0..N-1 and InvalidParamError for a j that is not an integer.
     """
     if not 0 <= j < n_nodes:
         raise IndexOutOfRangeError(f"component index {j} outside 0..{n_nodes - 1}")
+    j = check_int(j, "component index", 0)
     k = np.arange(n_nodes)
     lam = np.exp(2.0 * np.pi * 1j * ((k * j) % n_nodes) / n_nodes) / np.sqrt(n_nodes)
     rows = np.zeros((2, 2 * n_nodes), dtype=complex)

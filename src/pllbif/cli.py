@@ -433,7 +433,7 @@ def _mismatch(got, want, z: complex, tau: float) -> float:
     r0, r1, s0 = want.at(tau)
     value, _, delayed = p_dp(r0, r1, s0, tau, complex(z))
     scale = 1.0 + abs(z) ** 2 + r1 * abs(z) + abs(r0) + abs(delayed)
-    return abs(got.eval(z) - value) / scale
+    return abs(got.eval(z, tau) - value) / scale
 
 
 def _cmd_phasediff_check(o: argparse.Namespace) -> int:

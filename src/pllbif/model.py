@@ -145,6 +145,20 @@ def check_delay(tau) -> float:
     return t
 
 
+def check_int(value, name: str, low: int) -> int:
+    """A count or an index as an int; InvalidParamError unless it is a whole number >= ``low``.
+
+    3 and 3.0 pass; 2.5, NaN and "3" do not.
+    """
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or n < low:
+        raise InvalidParamError(f"{name} must be an integer >= {low}, got {value!r}")
+    return n
+
+
 def normalize(params: NetworkParams) -> NetworkParams:
     """Rescale time by omega_M: (K, mu, tau) -> (K/wM, mu/wM, wM tau), wM -> 1.
 

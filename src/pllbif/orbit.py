@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParamError, NotPeriodicError, UnsupportedKindError
-from .model import ModelKind, NetworkParams, compile_rhs, normalize
+from .model import ModelKind, NetworkParams, check_int, compile_rhs, normalize
 
 __all__ = [
     "OrbitProfile",
@@ -106,8 +106,7 @@ class OrbitProfile:
 
     def with_harmonics(self, harmonics: int) -> "OrbitProfile":
         """Same orbit, coefficient arrays truncated or zero-padded to ``harmonics``."""
-        if harmonics < 1:
-            raise InvalidParamError("harmonics must be >= 1")
+        harmonics = check_int(harmonics, "harmonics", 1)
         n, h0 = self.cos_coeffs.shape
         a = np.zeros((n, harmonics + 1))
         b = np.zeros((n, harmonics + 1))
@@ -174,11 +173,11 @@ def fit_profile(traj, window: tuple[float, float], harmonics: int = 8) -> OrbitP
     (Golub & Pereyra 1973) in Kaufman's Gauss-Newton form: at each frequency
     the coefficients are a linear least-squares solve, and the frequency step
     follows the derivative of the fitted series projected off the span of the
-    design.  Raises InvalidParamError for harmonics < 1 or an empty window,
-    and NotPeriodicError for too few samples or a window without motion.
+    design.  Raises InvalidParamError for harmonics that are not an integer
+    >= 1 or an empty window, and NotPeriodicError for too few samples or a
+    window without motion.
     """
-    if harmonics < 1:
-        raise InvalidParamError("harmonics must be >= 1")
+    harmonics = check_int(harmonics, "harmonics", 1)
     t0, t1 = float(window[0]), float(window[1])
     if not t0 < t1:
         raise InvalidParamError(f"empty fit window {window}")
@@ -348,10 +347,8 @@ def refine_orbit(profile: OrbitProfile, harmonics: int | None = None) -> OrbitPr
     """
     p = normalize(profile.params)
     kind = profile.kind
-    h = profile.harmonics if harmonics is None else int(harmonics)
-    if h < 1:
-        raise InvalidParamError("harmonics must be >= 1")
-    prof = profile.with_harmonics(h)
+    prof = profile.with_harmonics(profile.harmonics if harmonics is None else harmonics)
+    h = prof.harmonics
     m = 8 * (h + 1)
 
     a = prof.cos_coeffs.copy()

@@ -58,6 +58,6 @@ def fictitious_roots(params: NetworkParams, c_const: float) -> list[FictitiousRo
     for lam in (0.0, -p.filter_gain):
         if abs(determinant_n3(p, c_const, lam)) > 1e-6:
             continue
-        genuine = min(abs(blocks.fix.eval(lam)), abs(blocks.standard.eval(lam)))
+        genuine = min(abs(blocks.fix.eval(lam, p.delay)), abs(blocks.standard.eval(lam, p.delay)))
         out.append(FictitiousRoot(lam, bool(genuine >= 1e-6)))
     return out

@@ -34,7 +34,7 @@ import numpy as np
 
 from .charfun import BlockKind, blocks_from_gain
 from .errors import InvalidParamError
-from .model import _MAX_FLOATS, NetworkParams, check_delay, normalize
+from .model import _MAX_FLOATS, NetworkParams, check_delay, check_int, normalize
 from .snmap import _MAX_CROSSINGS, CrossingCandidate, _scan
 
 __all__ = [
@@ -101,8 +101,12 @@ def releq_solve(params: NetworkParams, tau: float) -> list[float]:
     """
     k = normalize(params).coupling
     tau = check_delay(tau)
-    pieces = [(a, b) for a, b, ta, tb in _pieces(k, tau) if min(ta, tb) <= tau <= max(ta, tb)]
-    phi = _solve(_phase_equation(tau, k), *np.array(pieces).T)
+    lo, hi = [], []
+    for a, b, ta, tb in _pieces(k, tau):
+        holds = (np.minimum(ta, tb) <= tau) & (tau <= np.maximum(ta, tb))
+        lo.append(a[holds])
+        hi.append(b[holds])
+    phi = _solve(_phase_equation(tau, k), np.concatenate(lo), np.concatenate(hi))
     oh = 1.0 - k * np.sin(phi)
     slope = 1.0 + k * tau * np.cos(oh * tau)
     live = slope != 0.0  # an exact fold: the residual has no slope to follow
@@ -144,14 +148,15 @@ _STEP = 4096  # phase intervals whose cuts _pieces builds at a time
 
 
 def _pieces(k: float, t1: float):
-    """(phi_a, phi_b, tau_a, tau_b) of the tau-monotone pieces reaching delays up to t1.
+    """Arrays (phi_a, phi_b, tau_a, tau_b) of the tau-monotone pieces reaching delays up to t1.
 
     Cuts are the folds, the poles, phi = 0 and the ends of the scanned phase
     range, which lie beyond the reach of t1: tau >= phi / (1 + K) for phi > 0
     and tau >= |phi| / (K - 1) for phi < 0.  The pieces come in phase order,
-    their cuts built 4096 intervals [j pi, (j + 1) pi] at a time as they are
-    consumed, so a caller that stops early builds no more.  A range of more
-    than 2^27 intervals raises InvalidParamError before anything is built.
+    one step of four arrays per 4096 intervals [j pi, (j + 1) pi], each
+    step's cuts built as it is consumed, so a caller that stops early builds
+    no more.  A range of more than 2^27 intervals raises InvalidParamError
+    before anything is built.
     """
 
     def h(x):
@@ -188,7 +193,7 @@ def _pieces(k: float, t1: float):
         phi, tau = np.concatenate([prev_phi, phi[order]]), np.concatenate([prev_tau, tau[order]])
         mid = 0.5 * (phi[:-1] + phi[1:])
         valid = mid * (1.0 - k * np.sin(mid)) > 0.0  # tau > 0 inside the piece
-        yield from zip(phi[:-1][valid], phi[1:][valid], tau[:-1][valid], tau[1:][valid])
+        yield phi[:-1][valid], phi[1:][valid], tau[:-1][valid], tau[1:][valid]
         prev_phi, prev_tau = phi[-1:], tau[-1:]
 
 
@@ -206,7 +211,8 @@ def _branch_grids(k: float, tau_window: tuple[float, float]):
     by (birth, lower end of the phase piece), which is (birth, first
     Omega_hat): branches born together share their first grid delay tau,
     where Omega_hat = phi / tau.  Over 2^20 grid delays in all raise
-    InvalidParamError before any branch is solved.
+    InvalidParamError before any branch is solved: each step of pieces is
+    counted before any of its pieces is kept.
     """
     t0, t1 = check_delay(tau_window[0]), check_delay(tau_window[1])
     if not t1 > t0:
@@ -214,17 +220,20 @@ def _branch_grids(k: float, tau_window: tuple[float, float]):
     grid = np.linspace(t0, t1, _RESOLUTION)
     kept, samples = [], 0
     for phi_a, phi_b, tau_a, tau_b in _pieces(k, t1):
-        lo, hi = min(tau_a, tau_b), max(tau_a, tau_b)
-        first = 0 if lo == t0 else int(np.searchsorted(grid, lo, side="right"))
-        stop = int(np.searchsorted(grid, hi, side="right"))
-        if stop - first >= 2:
-            samples += stop - first
-            if samples > _MAX_CROSSINGS:
-                raise InvalidParamError(
-                    f"delay window [{t0:g}, {t1:g}] holds more than the budget of 2^20 "
-                    "locked-branch samples"
-                )
-            kept.append((float(max(lo, t0)), grid[first:stop], (float(phi_a), float(phi_b))))
+        lo, hi = np.minimum(tau_a, tau_b), np.maximum(tau_a, tau_b)
+        first = np.where(lo == t0, 0, np.searchsorted(grid, lo, side="right"))
+        stop = np.searchsorted(grid, hi, side="right")
+        keep = np.nonzero(stop - first >= 2)[0]
+        samples += int(np.sum(stop[keep] - first[keep]))
+        if samples > _MAX_CROSSINGS:
+            raise InvalidParamError(
+                f"delay window [{t0:g}, {t1:g}] holds more than the budget of 2^20 "
+                "locked-branch samples"
+            )
+        kept += [
+            (max(float(lo[i]), t0), grid[first[i] : stop[i]], (float(phi_a[i]), float(phi_b[i])))
+            for i in keep
+        ]
     kept.sort(key=lambda br: (br[0], br[2][0]))
     return kept
 
@@ -370,12 +379,10 @@ def equilibrium_case_curves(n: int, m_range: range, mu_grid) -> list[CurveSample
     on omega in ((m - 1/2) / n, m / n).  So each m >= 1 in ``m_range`` has one
     Hopf point per mu, found for all of ``mu_grid`` by one bracketed solve, and
     m <= 0 has none.  The odd family tau = (2n+1) pi has no nonzero crossing
-    frequency, so no curves.  Raises InvalidParamError for n < 1 or a mu that
-    is not finite and > 0.
+    frequency, so no curves.  Raises InvalidParamError for an n that is not an
+    integer >= 1 or a mu that is not finite and > 0.
     """
-    if int(n) < 1:
-        raise InvalidParamError("the delay-family index n must be >= 1")
-    n = int(n)
+    n = check_int(n, "the delay-family index n", 1)
     mu = np.asarray(mu_grid, dtype=float).ravel()
     if not np.all(np.isfinite(mu) & (mu > 0.0)):
         raise InvalidParamError("every mu must be finite and > 0")

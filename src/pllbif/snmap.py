@@ -142,23 +142,16 @@ def _angle(r0: float, r1: float, s0: float, omega: float) -> float:
     return theta + _TWO_PI if theta <= -math.pi else theta
 
 
-def crossing_angle(p: QuasiPolynomial, omega: float, tau: float | None = None) -> float:
+def crossing_angle(p: QuasiPolynomial, omega: float, tau: float) -> float:
     """Principal angle theta in (-pi, pi] with w tau = theta (mod 2 pi) at a crossing.
 
     theta = arg(-S_I R_I - S_R R_R, R_I S_R - S_I R_R) evaluated at lambda = i w.
     Raises DegenerateSError when the delay coefficient vanishes.
     """
-    r0, r1, s0 = (float(v) for v in p.at(tau))
+    r0, r1, s0 = p.snapshot(tau)[:3]
     if s0 == 0.0:
         raise DegenerateSError("S(i w) = 0; crossing angle undefined")
     return _angle(r0, r1, s0, omega)
-
-
-def _snapshot(p: QuasiPolynomial, tau: float):
-    """The snapshot (r0, r1, s0, tau, dr0, ds0) of ``p`` at a delay, as floats, in ``_scan``'s order."""
-    r0, r1, s0 = p.at(tau)
-    dr0, ds0 = (0.0, 0.0) if p.dcoeffs is None else p.dcoeffs(tau)
-    return float(r0), float(r1), float(s0), float(tau), float(dr0), float(ds0)
 
 
 def _transversality_terms(snap, omega: float):
@@ -197,7 +190,7 @@ def transversality(
     delay-dependent blocks) and C + iD the lambda-derivative.  Raises
     DegenerateCrossingError when the value vanishes (e.g. a double w root).
     """
-    return _delta(_snapshot(p, float(tau_star)), omega)
+    return _delta(p.snapshot(tau_star), omega)
 
 
 def _rungs(p: QuasiPolynomial, cand: OmegaCandidate, n_range: range, tau_max: float = math.inf):
@@ -212,14 +205,14 @@ def _rungs(p: QuasiPolynomial, cand: OmegaCandidate, n_range: range, tau_max: fl
     tangential, and DegenerateCrossingError is raised.
     """
     w = cand.omega
-    theta = crossing_angle(p, w)
+    theta = crossing_angle(p, w, 0.0)
 
     def tau_n(n):
         return (theta + _TWO_PI * n) / w
 
     up = n_range if n_range.step > 0 else n_range[::-1]
     first = bisect.bisect_left(up, 0.0, key=tau_n)
-    b = _b_c(*(float(v) for v in p.at(None)))[0]
+    b = _b_c(*p.snapshot(0.0)[:3])[0]
     if first < len(up) and abs(4.0 * w**3 + 2.0 * b * w) <= 1e-12 * (4.0 * w**3 + 2.0 * abs(b) * w):
         raise DegenerateCrossingError(f"double crossing frequency omega={w}")
     ns = up[first : bisect.bisect_right(up, tau_max, key=tau_n)]
@@ -244,14 +237,14 @@ def tau_candidates(
     out = []
     for n in ns:
         tau = tau_n(n)
-        dot, norm, _ = _transversality_terms(_snapshot(p, tau), cand.omega)
+        dot, norm, _ = _transversality_terms(p.snapshot(tau), cand.omega)
         out.append(CrossingCandidate(cand, tau, n, dot / norm, sign))
     out.sort(key=lambda c: c.tau_star)
     return out
 
 
 def _b_c(r0, r1, s0):
-    # the quartic's coefficients from a snapshot, as QuasiPolynomial.b_c
+    """Coefficients (b, c) of |R(i w)|^2 - |S|^2 = w^4 + b w^2 + c from a snapshot."""
     return r1 * r1 - 2.0 * r0, r0 * r0 - s0 * s0
 
 
@@ -333,7 +326,7 @@ def _ladder(p: QuasiPolynomial, t0: float, t1: float) -> list[CrossingCandidate]
     builds them over that n range widened by one rung each way, and the
     window keeps the rungs that rounding leaves inside it.
     """
-    r0, r1, s0 = (float(v) for v in p.at(t0))
+    r0, r1, s0 = p.snapshot(t0)[:3]
     if s0 == 0.0:
         return []
     rungs = []
@@ -562,7 +555,7 @@ def bifurcation_curves(
             continue
         blocks = build_blocks(ModelKind.FULL_PHASE, q, eq)
         blk = blocks.fix if block is BlockKind.FIX else blocks.standard
-        b, c = (float(x) for x in blk.b_c(0.0))
+        b, c = _b_c(*blk.snapshot(0.0)[:3])
         for cand in omega_candidates(b, c):
             sign, ns, tau_n = _rungs(blk, cand, n_range, math.inf if tau_max is None else tau_max)
             count += len(ns)

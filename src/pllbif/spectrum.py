@@ -20,6 +20,9 @@ rectangle by the winding of P along its edges, sampled in one vectorized
 sweep so densely that e^{-lambda tau} turns by at most pi/4 per segment, and
 bisects only the segments whose phase step is larger, within a fixed budget
 of 500,000 evaluations of P.
+
+The root finders and counts take the delay as an argument and read the
+block's coefficients at it from one ``QuasiPolynomial.snapshot``.
 """
 
 from __future__ import annotations
@@ -186,10 +189,6 @@ def lambert_w(k: int, z: complex) -> complex:
 # Root polishing
 
 
-def _pcoeffs(p: QuasiPolynomial, tau: float) -> tuple[float, float, float]:
-    return tuple(float(v) for v in p.at(tau))
-
-
 def _polish(
     r0: float, r1: float, s0: float, tau: float, lam: complex
 ) -> tuple[complex, float] | None:
@@ -238,7 +237,7 @@ def _upper_rightmost(found: list[tuple[complex, float]]) -> tuple[complex, float
 
 def rightmost_root(
     p: QuasiPolynomial,
-    tau: float | None = None,
+    tau: float,
     extra_seeds: tuple[complex, ...] = (),
 ) -> SpectrumEstimate:
     """Root of P with the largest real part, with its census certificate.
@@ -262,8 +261,7 @@ def rightmost_root(
     lower one certifies.  A count that overflows, meets a root on its line or
     cannot be resolved certifies nothing.
     """
-    t = _delay(p, tau)
-    r0, r1, s0 = _pcoeffs(p, t)
+    r0, r1, s0, t = p.snapshot(check_delay(tau))[:4]
     if t == 0.0:
         roots = _quadratic_roots(r1, r0 + s0)
         lam = max(roots, key=lambda r: (r.real, r.imag))
@@ -332,7 +330,8 @@ def rightmost_sweep(p: QuasiPolynomial, tau_grid) -> list[SweepRow]:
 def _off_root(r0, r1, s0, tau, lam: complex) -> complex:
     """P(lambda); raises BoundaryRootError if lambda lies within ~1e-8 of a root (|P| <= 1e-8 |P'|)."""
     f, fp, _ = p_dp(r0, r1, s0, tau, lam)
-    if abs(f) <= 1e-8 * max(abs(fp), 1e-3):
+    # an overflowed P (|P| = |P'| = inf, far out along the line) is no root
+    if abs(f) <= 1e-8 * max(abs(fp), 1e-3) < math.inf:
         raise BoundaryRootError(f"root within ~1e-8 of the contour near {lam}")
     return f
 
@@ -419,12 +418,7 @@ def _count(r0, r1, s0, tau, shift) -> int:
     return n + (2 if q1 < 0.0 else 0)
 
 
-def _delay(p: QuasiPolynomial, tau: float | None) -> float:
-    # for tau < 0 the quasi-polynomial is of advanced type: no finite count
-    return check_delay(p.delay if tau is None else tau)
-
-
-def unstable_count(p: QuasiPolynomial, tau: float | None = None, shift: float = 0.0) -> int:
+def unstable_count(p: QuasiPolynomial, tau: float, shift: float = 0.0) -> int:
     """Number of roots of P (with multiplicity) with Re lambda > ``shift``.
 
     Counted in closed form by the crossing tally (``_count``; Cooke & van den
@@ -438,11 +432,12 @@ def unstable_count(p: QuasiPolynomial, tau: float | None = None, shift: float = 
     NoConvergenceError when rounding can decide the count (a crossing within
     rounding of tau, or a delay too long for the crossings to be resolved).
     """
-    t = _delay(p, tau)
+    # for tau < 0 the quasi-polynomial is of advanced type: no finite count
+    snap = p.snapshot(check_delay(tau))
     a = float(shift)
     if not math.isfinite(a):
         raise InvalidParamError(f"shift must be finite, got {a}")
-    return _count(*_pcoeffs(p, t), t, a)
+    return _count(*snap[:4], a)
 
 
 _BUDGET = 500_000  # evaluations of P one census may spend
@@ -468,8 +463,7 @@ def root_census(p: QuasiPolynomial, tau: float, box: CensusBox) -> int:
     a non-finite edge or without positive extent.  A half-plane is counted
     in closed form by ``unstable_count``.
     """
-    t = check_delay(tau)
-    r0, r1, s0 = _pcoeffs(p, t)
+    r0, r1, s0, t = p.snapshot(check_delay(tau))[:4]
     re0, re1 = (float(v) for v in box.re_interval)
     im0, im1 = (float(v) for v in box.im_interval)
     if not (all(map(math.isfinite, (re0, re1, im0, im1))) and re1 > re0 and im1 > im0):

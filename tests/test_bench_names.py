@@ -65,6 +65,26 @@ def test_workloads_call_the_package_with_its_signatures():
     assert errors == []
 
 
+def test_workloads_evaluate_blocks_with_the_eval_signature():
+    # a block's method has no ``pb.`` prefix: bind each ``blk.eval(...)`` call
+    # to ``QuasiPolynomial.eval``, with None standing in for the block
+    calls = [
+        node
+        for node in ast.walk(ast.parse(workloads_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "eval"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "blk"
+    ]
+    assert len(calls) >= 1
+    signature = inspect.signature(pllbif.QuasiPolynomial.eval)
+    errors = []
+    for node in calls:
+        try:
+            signature.bind(None, *node.args, **{k.arg: k for k in node.keywords})
+        except TypeError as err:
+            errors.append(f"line {node.lineno}: blk.eval: {err}")
+    assert errors == []
+
+
 def test_workload_cli_flags_are_options_of_their_commands():
     tree = ast.parse(workloads_text())
     [func] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_cli_commands"]

@@ -1,5 +1,8 @@
 """Characteristic blocks: evaluation, factorization, isotypic structure."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,26 +11,32 @@ from hypothesis import strategies as st
 from pllbif import (
     Branch,
     IndexOutOfRangeError,
+    InvalidParamError,
     ModelKind,
     NetworkParams,
+    QuasiPolynomial,
     block_product,
     blocks_from_gain,
     build_blocks,
     constant_quasi_polynomial,
+    crossing_angle,
     equilibrium,
     full_determinant,
     isotypic_basis,
+    isotypic_direction,
     releq_branches,
     releq_solve,
+    rightmost_root,
+    unstable_count,
 )
+from pllbif.snmap import _b_c
 
 
 def test_constant_block_eval_matches_formula():
-    q = constant_quasi_polynomial(0.7, 0.3, -0.2, delay=1.5)
+    q = constant_quasi_polynomial(0.7, 0.3, -0.2)
     lam = 0.4 + 1.1j
     want = lam * lam + 0.3 * lam + 0.7 - 0.2 * np.exp(-lam * 1.5)
-    assert q.eval(lam) == pytest.approx(want, abs=1e-15)
-    # delay override
+    assert q.eval(lam, 1.5) == pytest.approx(want, abs=1e-15)
     want2 = lam * lam + 0.3 * lam + 0.7 - 0.2 * np.exp(-lam * 2.5)
     assert q.eval(lam, 2.5) == pytest.approx(want2, abs=1e-15)
     assert not q.tau_dependent
@@ -37,29 +46,46 @@ def test_eval_many_matches_scalar():
     p = NetworkParams(2, 1.0, 1.0)
     br = releq_branches(p, (0.0, 8.0))[0]
     lams = np.array([0.1 + 0.2j, -0.3 + 1.0j, 0.0 + 0.0j])
-    for q in (
-        constant_quasi_polynomial(0.7, 0.3, -0.2, delay=1.5),
-        build_blocks(ModelKind.PHASE, p, br).standard.with_delay(3.0),
+    for q, tau in (
+        (constant_quasi_polynomial(0.7, 0.3, -0.2), 1.5),
+        (build_blocks(ModelKind.PHASE, p, br).standard, 3.0),
     ):
-        vals = q.eval(lams)
+        vals = q.eval(lams, tau)
         assert vals.shape == lams.shape
         for lam, v in zip(lams, vals):
-            assert v == pytest.approx(q.eval(lam), abs=1e-14)
+            assert v == pytest.approx(q.eval(lam, tau), abs=1e-14)
+
+
+def test_snapshot_is_the_coefficients_delay_and_slopes_as_floats():
+    # one block pair of each formulation; the phase model also along a locked branch
+    p = NetworkParams(2, 1.05, 0.3)
+    br = releq_branches(p, (0.0, 8.0))[0]
+    pairs = (
+        build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS)),
+        build_blocks(ModelKind.PHASE, p, releq_solve(p, 3.0)[0]),
+        build_blocks(ModelKind.PHASE_ROTATING_FRAME, p, br),
+        build_blocks(ModelKind.PHASE_DIFFERENCE, p, 0.4),
+    )
+    tau = 3.0
+    for blk in (q for pair in pairs for q in (pair.fix, pair.standard)):
+        slopes = blk.dcoeffs(tau) if blk.tau_dependent else (0.0, 0.0)
+        want = tuple(float(v) for v in (*blk.at(tau), tau, *slopes))
+        got = blk.snapshot(tau)
+        assert [type(v) for v in got] == [float] * 6
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_every_evaluation_names_its_delay():
+    assert "delay" not in {f.name for f in dataclasses.fields(QuasiPolynomial)}
+    for func in (QuasiPolynomial.at, QuasiPolynomial.eval, crossing_angle, rightmost_root, unstable_count):
+        assert inspect.signature(func).parameters["tau"].default is inspect.Parameter.empty, func
 
 
 def test_b_c_map():
     # b = r1^2 - 2 r0, c = r0^2 - s0^2
-    q = constant_quasi_polynomial(0.7, 0.3, -0.2, delay=1.5)
-    b, c = q.b_c(1.5)
+    b, c = _b_c(*constant_quasi_polynomial(0.7, 0.3, -0.2).at(1.5))
     assert b == pytest.approx(0.09 - 1.4)
     assert c == pytest.approx(0.49 - 0.04)
-
-
-def test_with_delay_round_trip():
-    q = constant_quasi_polynomial(0.5, 0.2, 0.1, delay=1.0)
-    q2 = q.with_delay(3.0)
-    lam = 0.2 - 0.6j
-    assert q2.eval(lam) == pytest.approx(q.eval(lam, 3.0), abs=1e-15)
 
 
 @settings(max_examples=30, deadline=None)
@@ -88,8 +114,15 @@ def test_isotypic_index_bounds():
         isotypic_basis(4, -1)
 
 
+@pytest.mark.parametrize("component", [isotypic_basis, isotypic_direction])
+def test_a_non_integer_isotypic_index_is_refused(component):
+    # j = 1.5 in the root-of-unity pattern gives [1, -1, 1]/sqrt(3), no isotypic row
+    with pytest.raises(InvalidParamError):
+        component(3, 1.5)
+
+
 def test_multiplicities():
-    blocks = blocks_from_gain(NetworkParams(6, 1.2, 0.4, delay=2.0), 0.37)
+    blocks = blocks_from_gain(NetworkParams(6, 1.2, 0.4), lambda t: 0.37, lambda t: 0.0)
     assert blocks.multiplicities == (1, 5)
 
 
@@ -124,12 +157,12 @@ def test_full_phase_determinant_factors(re, im, n):
 
 def test_blocks_from_gain_matches_manual_formula():
     n, mu, a, tau = 4, 0.4, 0.23, 1.9
-    blocks = blocks_from_gain(NetworkParams(n, 1.2, mu), a, delay=tau)
+    blocks = blocks_from_gain(NetworkParams(n, 1.2, mu), lambda t: a, lambda t: 0.0)
     lam = -0.2 + 0.8j
     efix = lam * lam + mu * lam + a - a * np.exp(-lam * tau)
     estd = lam * lam + mu * lam + a + a / (n - 1) * np.exp(-lam * tau)
-    assert blocks.fix.eval(lam) == pytest.approx(efix, abs=1e-14)
-    assert blocks.standard.eval(lam) == pytest.approx(estd, abs=1e-14)
+    assert blocks.fix.eval(lam, tau) == pytest.approx(efix, abs=1e-14)
+    assert blocks.standard.eval(lam, tau) == pytest.approx(estd, abs=1e-14)
 
 
 def test_coefficient_derivatives_by_finite_difference():

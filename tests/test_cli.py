@@ -375,7 +375,7 @@ def test_config_keys_are_flag_names(tmp_path, capsys, key):
 @pytest.mark.parametrize("nodes", [2, 3])
 def test_phasediff_check_fails_on_nan_residual(monkeypatch, capsys, nodes):
     # max() would drop the NaN and report PASS
-    nan = SimpleNamespace(eval=lambda z: math.nan)
+    nan = SimpleNamespace(eval=lambda z, tau: math.nan)
     real_blocks = cli.build_blocks
 
     def nan_difference_blocks(kind, p, point):

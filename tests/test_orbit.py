@@ -241,6 +241,27 @@ def test_fit_profile_refuses_harmonics_below_one(harmonics):
         fit_profile(traj, (0.0, 10.0), harmonics=harmonics)
 
 
+def test_fit_profile_refuses_a_non_integer_harmonic_count():
+    step = 0.05
+    times = np.arange(201) * step
+    states = np.zeros((len(times), 6))
+    history = HistorySpec.constant(states[0])
+    traj = Trajectory(ModelKind.FULL_PHASE, P3, times, states, np.zeros_like(states), history, step)
+    with pytest.raises(InvalidParamError):
+        fit_profile(traj, (0.0, 10.0), harmonics=2.5)
+
+
+def test_refine_orbit_refuses_a_non_integer_harmonic_count():
+    # int(10.5) would refine at H = 10 without saying so
+    with pytest.raises(InvalidParamError):
+        refine_orbit(seed_profile(), harmonics=10.5)
+
+
+def test_with_harmonics_refuses_a_non_integer_count():
+    with pytest.raises(InvalidParamError):
+        seed_profile().with_harmonics(3.5)
+
+
 def series_loop(a, b, w, ts, order=0):
     """d^order/dt^order of sum_k a_k cos(k w t) + b_k sin(k w t), one harmonic at a time."""
     out = np.zeros((len(ts), a.shape[0]))

@@ -27,14 +27,14 @@ def test_two_node_blocks_match_manual_formula():
     a = 1.05 * mu * np.cos(c + 1.7)  # modal gain K mu cos(C + omega_M tau)
     lam = 0.3 + 0.9j
     e = np.exp(-lam * 1.7)
-    assert blocks.fix.eval(lam) == pytest.approx(lam**2 + mu * lam + a - a * e, abs=1e-13)
-    assert blocks.standard.eval(lam) == pytest.approx(lam**2 + mu * lam + a + a * e, abs=1e-13)
+    assert blocks.fix.eval(lam, 1.7) == pytest.approx(lam**2 + mu * lam + a - a * e, abs=1e-13)
+    assert blocks.standard.eval(lam, 1.7) == pytest.approx(lam**2 + mu * lam + a + a * e, abs=1e-13)
 
 
 def test_p1_carries_the_persistent_zero_root():
     blocks = build_blocks(DIFF, NetworkParams(2, 1.05, 0.3, delay=1.7), 0.4)
-    assert abs(blocks.fix.eval(0.0)) < 1e-14
-    assert abs(blocks.standard.eval(0.0)) > 1e-3
+    assert abs(blocks.fix.eval(0.0, 1.7)) < 1e-14
+    assert abs(blocks.standard.eval(0.0, 1.7)) > 1e-3
 
 
 def test_two_node_only():

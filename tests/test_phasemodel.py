@@ -202,11 +202,14 @@ def test_branch_samples_are_counted_before_any_branch_is_solved(monkeypatch):
 def test_pieces_built_in_steps_are_the_pieces_built_at_once(k, t1, step):
     # the cuts of each step of intervals, joined across the step ends, are
     # those of one build over the whole phase range, to the bit
-    whole = np.array(list(phasemodel._pieces(k, t1)))
+    def joined():
+        return np.concatenate([np.array(arrays) for arrays in phasemodel._pieces(k, t1)], axis=1)
+
+    whole = joined()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(phasemodel, "_STEP", step)
-        stepped = np.array(list(phasemodel._pieces(k, t1)))
-    assert stepped.tobytes() == whole.tobytes()
+        stepped = joined()
+    assert stepped.shape == whole.shape and stepped.tobytes() == whole.tobytes()
 
 
 def test_branch_samples_satisfy_locked_relation():
@@ -460,6 +463,12 @@ def test_equilibrium_case_curves_solve_the_angle_condition():
 def test_equilibrium_case_curves_need_m_of_at_least_one():
     # the crossing frequency would lie in ((m - 1/2) / n, m / n), below zero
     assert equilibrium_case_curves(1, range(-1, 1), np.linspace(0.1, 1.5, 15)) == []
+
+
+def test_equilibrium_case_curves_refuse_a_non_integer_family_index():
+    # int(1.5) would give the tau = 2 pi curves for a delay family that has none
+    with pytest.raises(InvalidParamError):
+        equilibrium_case_curves(1.5, range(1, 3), [0.5])
 
 
 @pytest.mark.parametrize("mu", [0.0, -0.5, math.nan, math.inf])

@@ -33,7 +33,7 @@ from pllbif import (
     tau_candidates,
     transversality,
 )
-from pllbif.snmap import _scan
+from pllbif.snmap import _b_c, _scan
 
 
 def fix_block(n=2, k=1.05, mu=0.3):
@@ -73,7 +73,7 @@ def test_omega_candidates_counts():
 
 def test_tau_candidates_spacing():
     blk = fix_block()
-    cand = omega_candidates(*blk.b_c())[0]
+    cand = omega_candidates(*_b_c(*blk.at(0.0)))[0]
     # the principal angle is negative here, so winding 0 lands at tau < 0
     rows = tau_candidates(blk, cand, range(0, 5))
     assert [r.winding for r in rows] == [1, 2, 3, 4]
@@ -84,7 +84,7 @@ def test_tau_candidates_spacing():
 def test_tau_candidates_rejects_difference_blocks():
     # a = K mu cos(C + tau) moves with the delay, so the fixed ladder is wrong
     blk = build_blocks(ModelKind.PHASE_DIFFERENCE, NetworkParams(2, 1.05, 0.3), 0.4).fix
-    cand = omega_candidates(*blk.b_c(1.0))[0]
+    cand = omega_candidates(*_b_c(*blk.at(1.0)))[0]
     with pytest.raises(UnsupportedKindError):
         tau_candidates(blk, cand, range(0, 3))
 
@@ -144,7 +144,7 @@ def test_scan_of_a_constant_block_finds_the_closed_form_ladder(r0, r1, s0, start
     # and the scan returns exactly the rungs of tau_candidates inside the window
     b, c = r1 * r1 - 2.0 * r0, r0 * r0 - s0 * s0
     assume(abs(b * b - 4.0 * c) > 1e-3)
-    p = constant_quasi_polynomial(r0, r1, s0, 0.0)
+    p = constant_quasi_polynomial(r0, r1, s0)
     end = start + length
     rungs = [
         x
@@ -211,9 +211,9 @@ def test_transversality_sign_law():
 
 def test_degenerate_double_root_raises():
     # b^2 = 4c merges the root branches; the crossing becomes tangential
-    q = constant_quasi_polynomial(1.0, 1.0, math.sqrt(0.75), delay=1.0)
+    q = constant_quasi_polynomial(1.0, 1.0, math.sqrt(0.75))
     w = math.sqrt(0.5)
-    theta = crossing_angle(q, w)
+    theta = crossing_angle(q, w, 1.0)
     tau = theta / w if theta > 0 else (theta + 2.0 * math.pi) / w
     with pytest.raises(DegenerateCrossingError):
         transversality(q, w, tau)
@@ -225,7 +225,7 @@ def test_curves_refuse_a_double_crossing_frequency():
     mu = 0.26794919243112264
     p = NetworkParams(3, 1.0, mu)
     blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.PLUS)).standard
-    b, c = blk.b_c()
+    b, c = _b_c(*blk.at(0.0))
     assert b * b - 4.0 * c == 0.0
     plus, minus = omega_candidates(b, c)
     assert plus.omega == minus.omega
@@ -272,8 +272,8 @@ def test_curve_rows_are_the_rungs_of_the_range(k, block, mus, start, stop, step,
         q = NetworkParams(3, k, mu)
         blocks = build_blocks(ModelKind.FULL_PHASE, q, equilibrium(q, Branch.MINUS))
         blk = blocks.fix if block is BlockKind.FIX else blocks.standard
-        for cand in omega_candidates(*(float(x) for x in blk.b_c(0.0))):
-            theta = crossing_angle(blk, cand.omega)
+        for cand in omega_candidates(*_b_c(*blk.at(0.0))):
+            theta = crossing_angle(blk, cand.omega, 0.0)
             sign = 1 if cand.root_branch is RootBranch.PLUS else -1
             for n in n_range:
                 tau = (theta + 2.0 * math.pi * n) / cand.omega
@@ -285,9 +285,9 @@ def test_curve_rows_are_the_rungs_of_the_range(k, block, mus, start, stop, step,
 
 
 def test_vanishing_delay_coefficient_raises():
-    q = constant_quasi_polynomial(1.0, 1.0, 0.0, delay=1.0)
+    q = constant_quasi_polynomial(1.0, 1.0, 0.0)
     with pytest.raises(DegenerateSError):
-        crossing_angle(q, 0.7)
+        crossing_angle(q, 0.7, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,5 +313,5 @@ def test_mu_max_separates_crossing_existence():
     for p, expect in ((p_lo, True), (p_hi, False)):
         eq = equilibrium(p, Branch.MINUS)
         blk = build_blocks(ModelKind.FULL_PHASE, p, eq).fix
-        has = len(omega_candidates(*blk.b_c(1.0))) > 0
+        has = len(omega_candidates(*_b_c(*blk.at(1.0)))) > 0
         assert has is expect
