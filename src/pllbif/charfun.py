@@ -178,7 +178,8 @@ def build_blocks(kind: ModelKind, params: NetworkParams, point: Point) -> BlockS
       Omega_hat (a float held fixed as tau moves) or an object with an
       ``omega_hat(tau)`` method (a rotating-wave branch).  The modal gain
       a = K mu cos(Omega_hat tau) depends on tau either way; along a branch
-      its derivative takes Omega_hat' from the locked-frequency relation.
+      its derivative takes Omega_hat' from the locked-frequency relation,
+      and both blocks share one Omega_hat solve per delay for a and a'.
     * PHASE_DIFFERENCE (N <= 3): ``point`` is the constant pairwise difference
       C; the returned pair are the non-fictitious blocks at modal gain
       a = K mu cos(C + tau) (time normalized by omega_M).
@@ -200,14 +201,26 @@ def build_blocks(kind: ModelKind, params: NetworkParams, point: Point) -> BlockS
     if kind in (ModelKind.PHASE, ModelKind.PHASE_ROTATING_FRAME):
         if hasattr(point, "omega_hat"):
             branch = point
+            # the last delay solved and its Omega_hat: a snapshot reads the
+            # gain and then its rate at one delay, both blocks alike, and each
+            # solve is a bracketed Newton iteration
+            solved = None
+
+            def locked(tau):
+                nonlocal solved
+                t = np.asarray(tau, dtype=float)
+                key = (t.shape, t.tobytes())
+                last = solved  # read once, so a block shared by threads stays consistent
+                if last is None or last[0] != key:
+                    last = solved = (key, branch.omega_hat(t))
+                return t, last[1]
 
             def a_of(tau):
-                t = np.asarray(tau, dtype=float)
-                return k * mu * np.cos(branch.omega_hat(t) * t)
+                t, oh = locked(tau)
+                return k * mu * np.cos(oh * t)
 
             def da_of(tau):
-                t = np.asarray(tau, dtype=float)
-                oh = branch.omega_hat(t)
+                t, oh = locked(tau)
                 arg = oh * t
                 # d/dtau [cos(Omega_hat tau)] with Omega_hat' from the locked
                 # frequency relation: Omega_hat + tau Omega_hat' = Omega_hat/(1 + tau K cos).

@@ -22,7 +22,7 @@ omega_M = 1.
 The all-to-all sums cost O(N), not O(N^2).  With d_j = x_j(t - tau):
 
 * FULL_PHASE: sin(d - x) + sin(d + x) = 2 sin(d) cos(x), so
-  sum_{j != i} [...] = 2 cos(x_i) (sum_j sin(d_j) - sin(d_i)).
+  sum_{j != i} [...] = cos(x_i) * 2 (sum_j sin(d_j) - sin(d_i)).
 * PHASE and PHASE_ROTATING_FRAME, with shift s: from the order parameter
   Z = sum_j exp(i d_j) (the Kuramoto mean-field identity; Strogatz,
   Physica D 143, 2000),
@@ -31,22 +31,27 @@ The all-to-all sums cost O(N), not O(N^2).  With d_j = x_j(t - tau):
   n - 1 consecutive pairs.
 
 Each field splits in two parts.  The delayed input is the only part that
-reads x(t - tau): sum_j sin(d_j) - sin(d_i) for FULL_PHASE, Z - exp(i d_i)
-for PHASE and the rotating frame, and the delayed node sums taken at the
-second index of each pair for PHASE_DIFFERENCE.  The local field maps the
-current state and that input to the derivative.  ``compile_rhs`` binds a
-formulation and its parameters once and returns the composition of the two
-as a closure; ``rhs`` is that closure behind a shape check.  The integrator
-uses the two parts apart, so that it evaluates the delayed input once per
-delay interval instead of at every stage.
+reads x(t - tau): 2 (sum_j sin(d_j) - sin(d_i)) for FULL_PHASE,
+Z - exp(i d_i) for PHASE and the rotating frame, and the delayed node sums
+taken at the second index of each pair for PHASE_DIFFERENCE.  The
+FULL_PHASE input carries the sum's factor 2, so the local field does not
+multiply by it at every evaluation: doubling is exact, so (2 cos x) d and
+cos(x) (2 d) round the same real number and are the same double.  The local
+field maps the current state and that input to the derivative.
+``compile_rhs`` binds a formulation and its parameters once and returns the
+composition of the two as a closure; ``rhs`` is that closure behind a shape
+check.  The integrator uses the two parts apart, so that it evaluates the
+delayed input once per delay interval instead of at every stage.
 
-FULL_PHASE also has its local field on lists of Python floats, for states
-so small that numpy's per-call overhead outweighs the arithmetic.  It does
-the array form's operations in the array form's order with the same bound
-constants, and ``math.cos`` agrees with ``np.cos`` bit for bit, so both
-forms return the same numbers.  The other kinds have none: their coupling
-is a complex product, which numpy evaluates with fused multiply-adds where
-the hardware has them, so a Python version would differ in the last bit.
+FULL_PHASE also hands out its local field's bound constants
+(drive, mu, gain), so that the integrator can step states so small that
+numpy's per-call overhead outweighs the arithmetic on Python floats, with
+the field drive - mu v + gain (cos(x) d) written inline.  That is the array
+form's operations in the array form's order, and ``math.cos`` agrees with
+``np.cos`` bit for bit, so both forms return the same numbers.  The other
+kinds have no such form: their coupling is a complex product, which numpy
+evaluates with fused multiply-adds where the hardware has them, so a Python
+version would differ in the last bit.
 """
 
 from __future__ import annotations
@@ -247,9 +252,9 @@ def _check_dim(kind: ModelKind, n_nodes: int, *vecs: np.ndarray) -> int:
 
 
 def _full_input(dpos: np.ndarray) -> np.ndarray:
-    """sum_j sin(dpos_j) - sin(dpos_i) along the last axis: the delayed factor of the FULL_PHASE sum."""
+    """2 (sum_j sin(dpos_j) - sin(dpos_i)) along the last axis: the delayed factor of the FULL_PHASE sum."""
     s = np.sin(dpos)
-    return s.sum(axis=-1, keepdims=True) - s
+    return 2.0 * (s.sum(axis=-1, keepdims=True) - s)
 
 
 def _phase_input(dpos: np.ndarray) -> np.ndarray:
@@ -260,7 +265,7 @@ def _phase_input(dpos: np.ndarray) -> np.ndarray:
 
 def _full_coupling(pos: np.ndarray, inp: np.ndarray) -> np.ndarray:
     """sum_{j != i} sin(d_j - pos_i) + sin(d_j + pos_i) from its delayed factor ``inp``."""
-    return 2.0 * np.cos(pos) * inp
+    return np.cos(pos) * inp
 
 
 def _phase_coupling(pos: np.ndarray, inp: np.ndarray, shift: float) -> np.ndarray:
@@ -275,21 +280,21 @@ def _compile_parts(
 ) -> tuple[
     Callable[[np.ndarray], np.ndarray],
     Callable[[np.ndarray, np.ndarray], np.ndarray],
-    Callable[[float, float, float], float] | None,
+    tuple[float, float, float] | None,
 ]:
-    """The field of one formulation split as ``(delayed_input, local, local_floats)``.
+    """The field of one formulation split as ``(delayed_input, local, constants)``.
 
     ``delayed_input(delayed)`` is the only part that reads x(t - tau): it maps
     a delayed state to the per-row factor of the coupling sum that depends on
-    it alone.  ``local(state, inp)`` maps the current state and that factor
-    to the derivative, so ``local(state, delayed_input(delayed))`` is the field
-    ``f(state, delayed)``.  Both take leading axes and check nothing;
-    ``compile_rhs`` documents the binding.  ``local_floats(x, v, d)`` is the
-    velocity entry of ``local`` for one node, from its position, velocity and
-    input as Python floats, equal to it bit for bit (the position entry is v
-    itself); it exists for FULL_PHASE only and is None otherwise.  Like
-    ``math.cos``, it raises ValueError on an infinite position, where
-    ``local`` returns NaN.
+    it alone, for FULL_PHASE 2 (sum_j sin d_j - sin d_i).  ``local(state, inp)``
+    maps the current state and that factor to the derivative, so
+    ``local(state, delayed_input(delayed))`` is the field ``f(state, delayed)``.
+    Both take leading axes and check nothing; ``compile_rhs`` documents the
+    binding.  ``constants`` is ``(drive, mu, gain)`` for FULL_PHASE and None
+    otherwise: the velocity entry of ``local`` for one node is then
+    drive - mu v + gain (cos(x) d), from its position x, velocity v and input
+    d, and the position entry is v itself.  The integrator's float stepper
+    writes that expression inline rather than calling a closure.
     """
     p = normalize(params)
     n = p.n_nodes
@@ -322,18 +327,12 @@ def _compile_parts(
 
         return delayed_input, local, None
 
-    local_floats = None
+    constants = None
     if kind is ModelKind.FULL_PHASE:
         drive = mu
         factor = _full_input
         coupling = _full_coupling
-
-        cos = math.cos
-
-        def local_floats(x, v, d):
-            # _full_coupling and the line that uses it in ``local``, for one node
-            return drive - mu * v + gain * (2.0 * cos(x) * d)
-
+        constants = (drive, mu, gain)
     elif kind is ModelKind.PHASE:
         drive = 0.0
         factor = _phase_input
@@ -357,7 +356,7 @@ def _compile_parts(
         out[..., 1::2] = drive - mu * vel + gain * coupling(state[..., 0::2], inp)
         return out
 
-    return delayed_input, local, local_floats
+    return delayed_input, local, constants
 
 
 def compile_rhs(

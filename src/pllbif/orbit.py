@@ -78,18 +78,19 @@ class OrbitProfile:
 
     def positions(self, ts) -> np.ndarray:
         """Component positions at times ts, shape (len(ts), n_components)."""
-        ck, sk, _ = _tables(self.base_frequency, ts, self.harmonics)
-        return ck @ self.cos_coeffs.T + sk @ self.sin_coeffs.T
+        tables = _tables(self.base_frequency, ts, self.harmonics)
+        return _positions(tables, self.cos_coeffs, self.sin_coeffs)
 
     def velocities(self, ts) -> np.ndarray:
-        ck, sk, kw = _tables(self.base_frequency, ts, self.harmonics)
-        return (-kw * sk) @ self.cos_coeffs.T + (kw * ck) @ self.sin_coeffs.T
+        tables = _tables(self.base_frequency, ts, self.harmonics)
+        return _velocities(tables, self.cos_coeffs, self.sin_coeffs)
 
     def state(self, t: float = 0.0) -> np.ndarray:
         """Interleaved (position, velocity) state vector; usable as a history."""
+        tables = _tables(self.base_frequency, t, self.harmonics)
         out = np.empty(2 * self.cos_coeffs.shape[0])
-        out[0::2] = self.positions(t)[0]
-        out[1::2] = self.velocities(t)[0]
+        out[0::2] = _positions(tables, self.cos_coeffs, self.sin_coeffs)[0]
+        out[1::2] = _velocities(tables, self.cos_coeffs, self.sin_coeffs)[0]
         return out
 
     def residual_norm(self, samples: int = 256) -> float:
@@ -123,6 +124,18 @@ def _tables(w, ts, h):
     return np.cos(ang), np.sin(ang), k * w
 
 
+def _positions(tables, a, b):
+    """Positions of the series (a, b) at the times of ``tables``, one row per time."""
+    ck, sk, _ = tables
+    return ck @ a.T + sk @ b.T
+
+
+def _velocities(tables, a, b):
+    """Velocities of the series (a, b) at the times of ``tables``, one row per time."""
+    ck, sk, kw = tables
+    return (-kw * sk) @ a.T + (kw * ck) @ b.T
+
+
 def _rotate(a, b, ang):
     """Cosine and sine coefficients (a, b) rotated by ang, column by column."""
     c, s = np.cos(ang), np.sin(ang)
@@ -139,13 +152,13 @@ def _collocate(p, a, b, period, samples):
     w = _TWO_PI / period
     n_comp, h = a.shape[0], a.shape[1] - 1
     ts = (period / samples) * np.arange(samples)
-    ck, sk, kw = _tables(w, ts, h)
-    cd, sd, _ = _tables(w, ts - p.delay, h)
+    ck, sk, kw = tables = _tables(w, ts, h)
+    cd, sd, _ = delayed = _tables(w, ts - p.delay, h)
     st = np.empty((samples, 2 * n_comp))
-    st[:, 0::2] = ck @ a.T + sk @ b.T
-    st[:, 1::2] = (-kw * sk) @ a.T + (kw * ck) @ b.T
+    st[:, 0::2] = _positions(tables, a, b)
+    st[:, 1::2] = _velocities(tables, a, b)
     de = np.zeros((samples, 2 * n_comp))
-    de[:, 0::2] = cd @ a.T + sd @ b.T
+    de[:, 0::2] = _positions(delayed, a, b)
     acc = (-(kw**2) * ck) @ a.T + (-(kw**2) * sk) @ b.T
     return (ck, sk, kw, cd, sd), st, de, acc
 

@@ -57,10 +57,11 @@ __all__ = [
 _BOUND = 1e8
 # FULL_PHASE states of at most this many coordinates step node by node on
 # Python floats.  CPU time per step at tau = 9.5, step tau/100, on a 2-CPU
-# Xeon (least of 15 alternating runs): 3.7 us on floats against 28.7 on
-# arrays at N = 3, 18.1 against 29.6 at N = 16, 29.9 against 31.3 at N = 26,
-# a tie at N = 28, 35.9 against 30.5 at N = 32 and 70.6 against 32.6 at N = 64.
-_FLOAT_DIM = 52
+# Xeon (least of 15 alternating runs): 3.1 us on floats against 27.3 on
+# arrays at N = 3, 14.3 against 28.2 at N = 16, 22.6 against 29.0 at N = 26,
+# 24.9 against 29.7 at N = 28, a tie at N = 32 (28.7-30.9 against 29.8-32.3
+# in three sets), 37.7 against 32.1 at N = 36 and 58.0 against 34.4 at N = 64.
+_FLOAT_DIM = 64
 
 
 def equilibrium_state(kind: ModelKind, params: NetworkParams, point) -> np.ndarray:
@@ -238,8 +239,9 @@ def integrate(
     tau > 0 and at most ``_FLOAT_DIM`` state coordinates, node by node on
     Python floats, where numpy's per-call overhead would cost more than the
     arithmetic: with the interval's delayed input fixed, each node is its own
-    planar system.  Both do the same operations in the same order and return
-    the same numbers bit for bit.
+    planar system, and the float stepper takes the field's constants, not a
+    closure.  Both do the same operations in the same order and return the
+    same numbers bit for bit.
 
     A step whose new state is not finite or exceeds 1e8 in magnitude raises
     NonFiniteError naming its end time; a non-finite history is refused at
@@ -256,7 +258,7 @@ def integrate(
     if not 0.0 < step < math.inf:
         raise InvalidParamError(f"step must be finite and positive, got {step}")
     dim = state_dim(kind, p.n_nodes)
-    delayed_input, local, local_floats = _compile_parts(kind, p, omega)
+    delayed_input, local, constants = _compile_parts(kind, p, omega)
     tau = p.delay
     if tau > 0.0:
         m = max(1, _ceil(tau / step))
@@ -291,8 +293,8 @@ def integrate(
 
             _advance_arrays(field, states, derivs, times, h, 0, nsteps, None)
         else:
-            if local_floats is not None and dim <= _FLOAT_DIM:
-                advance, field = _advance_floats, local_floats
+            if constants is not None and dim <= _FLOAT_DIM:
+                advance, field = _advance_floats, constants
             else:
                 advance, field = _advance_arrays, local
             for k in range(0, nsteps, m):
@@ -336,17 +338,22 @@ def _advance_arrays(f, states, derivs, times, h, start, stop, inputs):
         derivs[k + 1] = f(y1, d1)
 
 
-def _advance_floats(f, states, derivs, times, h, start, stop, inputs):
+def _advance_floats(constants, states, derivs, times, h, start, stop, inputs):
     """``_advance_arrays`` for FULL_PHASE, one node at a time on Python floats.
 
     With the interval's delayed inputs fixed, node i is the planar system
-    x' = v, v' = f(x, v, d_i): its steps run as one scalar loop, with the
-    operations of the whole-state step in the same order, so the same numbers
-    bit for bit (a position derivative is the velocity itself).  The rows
-    are written to states and derivs once, at the end.  A node stops at its
-    first step that leaves bounds, later nodes run only up to the earliest
-    such step, and that step's end time is the one raised.
+    x' = v, v' = drive - mu v + gain (cos(x) d_i), with ``constants`` the
+    field's (drive, mu, gain) from ``model._compile_parts``.  Its steps run as
+    one scalar loop with that field written out at each stage, in the
+    operation order of the whole-state step, so the same numbers bit for bit
+    (a position derivative is the velocity itself).  The rows are written to
+    states and derivs once, at the end.  A node stops at its first step that
+    leaves bounds, later nodes run only up to the earliest such step, and
+    that step's end time is the one raised.
     """
+    drive, mu, gain = constants
+    cos = math.cos
+    lo, hi = -_BOUND, _BOUND
     h2, h6 = 0.5 * h, h / 6.0
     first = states[start].tolist()
     accs = derivs[start, 1::2].tolist()
@@ -357,20 +364,20 @@ def _advance_floats(f, states, derivs, times, h, start, stop, inputs):
         for k, dh, d1 in zip(range(start, end), row[0::2], row[1::2]):
             try:
                 v2 = v + h2 * a
-                a2 = f(x + h2 * v, v2, dh)
+                a2 = drive - mu * v2 + gain * (cos(x + h2 * v) * dh)
                 v3 = v + h2 * a2
-                a3 = f(x + h2 * v2, v3, dh)
+                a3 = drive - mu * v3 + gain * (cos(x + h2 * v2) * dh)
                 v4 = v + h * a3
-                a4 = f(x + h * v3, v4, d1)
+                a4 = drive - mu * v4 + gain * (cos(x + h * v3) * d1)
             except ValueError:  # math.cos of an infinite position, where np.cos gives NaN
                 end = k
                 break
             x = x + h6 * (v + 2.0 * (v2 + v3) + v4)
             v = v + h6 * (a + 2.0 * (a2 + a3) + a4)
-            if not (abs(x) <= _BOUND and abs(v) <= _BOUND):  # a NaN fails too
+            if not (lo <= x <= hi and lo <= v <= hi):  # a NaN fails too
                 end = k
                 break
-            a = f(x, v, d1)
+            a = drive - mu * v + gain * (cos(x) * d1)
             px.append(x)
             pv.append(v)
             pa.append(a)

@@ -112,6 +112,7 @@ def test_readme_commands_are_timed_after_each_pair_in_its_order(tmp_path, monkey
     monkeypatch.setattr(bench, "run_once", fake_run)
     monkeypatch.setattr(bench, "time_command", fake_time)
     monkeypatch.setattr(bench, "readme_commands", lambda readme: [["releq", "--K", "1"], ["zero-roots"]])
+    monkeypatch.setattr(bench, "verify_criteria", lambda root: [])
     out = tmp_path / "BENCH_0.json"
     argv = [str(tmp_path / "parent"), str(change), "--workload", "analysis", "--seeds", "1:2",
             "--trace-seeds", "3", "--out", str(out)]
@@ -135,3 +136,56 @@ def test_readme_commands_are_timed_after_each_pair_in_its_order(tmp_path, monkey
     assert bench.main(["--compare", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "readme releq --K 1 wall_s: parent 2 [2, 2] -> change 1 [1, 1], change won 2 of 2" in lines
+
+
+def test_each_verify_criterion_is_timed_after_each_pair_in_its_order(tmp_path, monkeypatch, capsys):
+    bench = load_bench()
+    change = tmp_path / "change"
+    (change / "src" / "pllbif").mkdir(parents=True)
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    (change / "src" / "pllbif" / "acceptance.py").write_text(
+        "def _crit_4(): pass\ndef _crit_12(): pass\n"
+        '_CRITERIA = [\n    (4, "orbit", _crit_4),\n    (12, "integrator", _crit_12),\n]\n'
+    )
+    assert bench.verify_criteria(str(change)) == [4, 12]
+    assert bench.verify_criteria(str(ROOT)) == list(range(1, 13))
+    calls = []
+
+    def fake_run(root, workload, seed, seconds, trace, env):
+        calls.append((Path(root).name, "run"))
+        return {"metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+
+    def fake_time(root, argv, env):
+        calls.append((Path(root).name, " ".join(argv)))
+        return {"parent": 3.0, "change": 2.0}[Path(root).name] if argv[-1] == "4" else 1.0
+
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    monkeypatch.setattr(bench, "time_command", fake_time)
+    monkeypatch.setattr(bench, "readme_commands", lambda readme: [["zero-roots"]])
+    out = tmp_path / "BENCH_0.json"
+    argv = [str(tmp_path / "parent"), str(change), "--workload", "orbit", "--seeds", "1:2",
+            "--trace-seeds", "3", "--out", str(out)]
+    assert bench.main(argv) == 0
+    # after the README commands, each criterion once per side in the pair's
+    # order; the traced pair times nothing
+    p, c = "parent", "change"
+    four, twelve = "verify --only 4", "verify --only 12"
+    assert calls == [
+        (p, "run"), (c, "run"), (p, "zero-roots"), (c, "zero-roots"),
+        (p, four), (c, four), (p, twelve), (c, twelve),
+        (c, "run"), (p, "run"), (c, "zero-roots"), (p, "zero-roots"),
+        (c, four), (p, four), (c, twelve), (p, twelve),
+        (p, "run"), (c, "run"),
+    ]
+    data = json.loads(out.read_text())
+    assert set(data["verify"]) == {"--only 4", "--only 12"}
+    wall = data["verify"]["--only 4"]["wall_s"]
+    assert wall["pairs"] == 2 and wall["change_wins"] == 2
+    assert wall["per_seed"] == {"1": [3.0, 2.0], "2": [3.0, 2.0]}
+    assert data["verify"]["--only 12"]["wall_s"]["change_wins"] == 0
+    assert "pllbif verify --only K" in data["method"]
+    capsys.readouterr()
+    assert bench.main(["--compare", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "verify --only 4 wall_s: parent 3 [3, 3] -> change 2 [2, 2], change won 2 of 2" in lines
+    assert "verify --only 12 wall_s: parent 1 [1, 1] -> change 1 [1, 1], change won 0 of 2" in lines

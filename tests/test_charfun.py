@@ -27,6 +27,7 @@ from pllbif import (
     releq_branches,
     releq_solve,
     rightmost_root,
+    rightmost_sweep,
     unstable_count,
 )
 from pllbif.snmap import _b_c
@@ -182,3 +183,44 @@ def test_coefficient_derivatives_by_finite_difference():
         hi, lo = blk.coeffs(tau + h), blk.coeffs(tau - h)
         for want, c_hi, c_lo in zip(d, hi, lo):
             assert float(want) == pytest.approx(float(c_hi - c_lo) / (2 * h), abs=1e-5)
+
+
+class _CountedBranch:
+    """A locked branch that records each Omega_hat solve."""
+
+    def __init__(self, branch):
+        self.branch, self.solves = branch, 0
+
+    def omega_hat(self, tau):
+        self.solves += 1
+        return self.branch.omega_hat(tau)
+
+
+def test_a_branch_block_solves_omega_hat_once_per_delay():
+    p = NetworkParams(2, 1.05, 0.3)
+    br = releq_branches(p, (0.0, 8.0))[0]
+    counted = _CountedBranch(br)
+    blocks = build_blocks(ModelKind.PHASE, p, counted)
+    taus = np.linspace(br.taus[0], br.taus[-1], 101)
+    rows = rightmost_sweep(blocks.standard, taus)
+    assert counted.solves == 101
+    # both blocks, and the gain and its rate, at one delay or one array of them
+    counted.solves = 0
+    blocks.fix.snapshot(3.0), blocks.standard.snapshot(3.0)
+    assert counted.solves == 1
+    blocks.fix.at(taus), blocks.standard.at(taus), blocks.standard.dcoeffs(taus)
+    assert counted.solves == 2
+    # the same rows as gain maps that solve at every read
+    k, mu = p.coupling, p.filter_gain
+
+    def gain(tau):
+        t = np.asarray(tau, dtype=float)
+        return k * mu * np.cos(br.omega_hat(t) * t)
+
+    def dgain(tau):
+        t = np.asarray(tau, dtype=float)
+        arg = br.omega_hat(t) * t
+        return -k * mu * np.sin(arg) * br.omega_hat(t) / (1.0 + t * k * np.cos(arg))
+
+    want = rightmost_sweep(blocks_from_gain(p, gain, dgain).standard, taus)
+    assert [repr(row) for row in rows] == [repr(row) for row in want]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pllbif import (
@@ -13,6 +13,7 @@ from pllbif import (
     ModelKind,
     NetworkParams,
     NoEquilibriumError,
+    NonFiniteError,
     UnsupportedKindError,
     compile_rhs,
     difference_pairs,
@@ -27,7 +28,7 @@ from pllbif import (
     sync_direction,
 )
 from pllbif.model import _compile_parts
-from pllbif.simulator import _FLOAT_DIM
+from pllbif.simulator import _FLOAT_DIM, _advance_arrays, _advance_floats
 
 
 def test_params_validation():
@@ -221,9 +222,14 @@ def test_rhs_matches_pairwise_oracle(kind, n):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_float_full_phase_field_equals_the_array_field(data):
-    """Bit for bit, node by node, at every network size the integrator steps on floats."""
+def test_float_stepper_equals_the_array_stepper(data):
+    """Bit for bit over one delay interval, at every network size the integrator steps on floats.
+
+    A run that leaves bounds raises the same error on both paths; the array
+    path has written the rows before it, the float path none.
+    """
     n = data.draw(st.integers(min_value=2, max_value=_FLOAT_DIM // 2))
+    m = data.draw(st.integers(min_value=1, max_value=8))
     p = NetworkParams(
         n,
         data.draw(st.floats(0.1, 10.0)),
@@ -231,14 +237,41 @@ def test_float_full_phase_field_equals_the_array_field(data):
         free_freq=data.draw(st.floats(0.5, 2.0)),
         delay=1.0,
     )
+    h = data.draw(st.floats(1e-3, 2.0))
     state = data.draw(st.lists(st.floats(-1e8, 1e8), min_size=2 * n, max_size=2 * n))
-    inp = data.draw(st.lists(st.floats(1.0 - n, n - 1.0), min_size=n, max_size=n))
-    _, local, local_floats = _compile_parts(ModelKind.FULL_PHASE, p)
-    want = local(np.array(state), np.array(inp))
-    got = [local_floats(x, v, d) for x, v, d in zip(state[0::2], state[1::2], inp)]
-    assert np.array(got).tobytes() == want[1::2].tobytes()
-    # the float loop takes each position derivative to be the velocity itself
-    assert want[0::2].tobytes() == np.array(state[1::2]).tobytes()
+    # the doubled delayed input: 2 (sum_j sin d_j - sin d_i) lies in [2 (1 - N), 2 (N - 1)]
+    span = 2.0 * (n - 1)
+    inputs = data.draw(st.lists(st.floats(-span, span), min_size=2 * m * n, max_size=2 * m * n))
+    inputs = np.array(inputs).reshape(2 * m, n)
+    _, local, constants = _compile_parts(ModelKind.FULL_PHASE, p)
+    times = h * np.arange(m + 1)
+    outcomes = []
+    for advance, field in ((_advance_arrays, local), (_advance_floats, constants)):
+        states, derivs = np.zeros((m + 1, 2 * n)), np.zeros((m + 1, 2 * n))
+        states[0] = state
+        derivs[0] = local(states[0], inputs[-1])
+        try:
+            with np.errstate(invalid="ignore"):
+                advance(field, states, derivs, times, h, 0, m, inputs)
+        except NonFiniteError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append((states.tobytes(), derivs.tobytes()))
+    assert outcomes[0] == outcomes[1]
+
+
+@given(c=st.floats(-1.0, 1.0), d=st.floats(-1e8, 1e8), gain=st.floats(0.0, 1e8))
+@example(c=5e-324, d=1.5, gain=1.0)
+@example(c=-0.75, d=2.5e-320, gain=3.0)
+@example(c=1e-310, d=-1e-310, gain=1e8)
+@example(c=0.9999999999999999, d=99999999.99999999, gain=99999999.99999999)
+@example(c=-1.0, d=-1e8, gain=1e8)
+def test_doubling_the_input_rounds_like_doubling_the_cosine(c, d, gain):
+    # the factor 2 moved from the cosine to the delayed input: doubling is
+    # exact, so both products round the same real number, subnormals included
+    before = gain * (2.0 * c * d)
+    after = gain * (c * (2.0 * d))
+    assert np.float64(before).tobytes() == np.float64(after).tobytes()
 
 
 class _ShortPast:

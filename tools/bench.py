@@ -19,31 +19,36 @@ so give the tool two fresh checkouts (``git clone`` or ``git archive``).
 After each ``--trace 0`` pair, every ``pllbif`` command of the change's README
 (``tools/readme_outputs.readme_commands``) runs once in each checkout, in the
 pair's order, as ``python3 -m pllbif.cli`` with that checkout's ``src`` on
-the path, in an empty directory, and its wall time is kept.
+the path, in an empty directory, and its wall time is kept.  Then
+``pllbif verify --only K`` runs the same way for each criterion K of the
+change's acceptance table (``verify_criteria``), once per checkout in the
+pair's order.
 
 The output file has the layout of ``BENCH_20.json``: ``change``, ``parent``,
 ``machine``, ``command``, ``method``, ``claim``, ``summary`` (the ``--trace 0``
 pairs), ``traced`` (the ``--trace 1`` pairs), ``readme`` (the README
-commands' ``wall_s``, one entry per command, its pairs keyed by pair number)
-and ``runs``, one record per run with the last output line of ``run.py``
-under ``result``.  ``change`` and ``claim`` are left empty, to be written
-after reading the summary.  Each
+commands' ``wall_s``, one entry per command, its pairs keyed by pair number),
+``verify`` (the same for each criterion, keyed ``--only K``) and ``runs``,
+one record per run with the last output line of ``run.py`` under
+``result``.  ``change`` and ``claim`` are left empty, to be written after
+reading the summary.  Each
 summary entry gives, per workload and metric, both sides' median, quartiles
 (numpy's linear interpolation) and run count, the number of pairs the change
 won (strictly better, in the metric's direction from the change's
 BENCHMARK.json) and the per-seed values [parent, change].
 
 ``--compare FILE`` prints a file's ``summary`` one line per workload and
-metric and its ``readme`` one line per command, and then, per workload and
-metric, the median over the pairs of the
-``--trace 0`` set of (second run / first run - 1), whichever side ran first,
-with the number of pairs whose second run read higher: a gap that the ABBA
-order leaves in both sides' numbers alike.
+metric, its ``readme`` one line per command and its ``verify`` one line per
+criterion, and then, per workload and metric, the median over the pairs of
+the ``--trace 0`` set of (second run / first run - 1), whichever side ran
+first, with the number of pairs whose second run read higher: a gap that the
+ABBA order leaves in both sides' numbers alike.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -98,6 +103,15 @@ def time_command(root: str, argv: list[str], env: dict) -> float:
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} from {root} exited {proc.returncode}: {proc.stderr[-2000:]}")
     return wall
+
+
+def verify_criteria(root: str) -> list[int]:
+    """The criterion numbers in ``_CRITERIA`` of the checkout's ``pllbif.acceptance``, read as a syntax tree."""
+    path = Path(root, "src", "pllbif", "acceptance.py")
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_CRITERIA"]:
+            return [entry.elts[0].value for entry in node.value.elts]
+    raise ValueError(f"{path} has no _CRITERIA table")
 
 
 def _stats(values: list[float]) -> dict:
@@ -162,7 +176,8 @@ def compare(path: str) -> None:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     print(f"{path}: parent {data.get('parent') or '?'}, change {data.get('change') or '?'}")
-    for prefix, summary in (("", data["summary"]), ("readme ", data.get("readme", {}))):
+    blocks = (("", data["summary"]), ("readme ", data.get("readme", {})), ("verify ", data.get("verify", {})))
+    for prefix, summary in blocks:
         for workload, metrics in summary.items():
             for name, m in metrics.items():
                 p, c = m["parent"], m["change"]
@@ -202,9 +217,13 @@ def main(argv=None) -> int:
     if args.trace_seeds:
         sets.append(("traced", 1, _seeds(args.trace_seeds)))
 
-    commands = readme_commands(Path(roots["change"], "README.md"))
+    # the commands timed after each --trace 0 pair, by output block and key
+    timed = {
+        "readme": {" ".join(argv): argv for argv in readme_commands(Path(roots["change"], "README.md"))},
+        "verify": {f"--only {k}": ["verify", "--only", str(k)] for k in verify_criteria(roots["change"])},
+    }
     runs: list[dict] = []
-    readme_runs: list[dict] = []
+    timed_runs: dict[str, list[dict]] = {block: [] for block in timed}
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     pair = 0
     for name, trace, seeds in sets:
@@ -223,13 +242,14 @@ def main(argv=None) -> int:
                           + (f"wall_s {wall:.4f}" if wall is not None else "traced"), flush=True)
                 if trace:
                     continue
-                for argv in commands:
-                    for side in order:
-                        wall = time_command(roots[side], argv, env)
-                        readme_runs.append({
-                            "side": side, "workload": " ".join(argv), "seed": pair,
-                            "result": {"metrics": {"wall_s": {"value": wall}}},
-                        })
+                for block, commands in timed.items():
+                    for key, argv in commands.items():
+                        for side in order:
+                            wall = time_command(roots[side], argv, env)
+                            timed_runs[block].append({
+                                "side": side, "workload": key, "seed": pair,
+                                "result": {"metrics": {"wall_s": {"value": wall}}},
+                            })
 
     out = {
         "change": "",
@@ -241,13 +261,15 @@ def main(argv=None) -> int:
                   "(ran_first), the same environment on both sides with PYTHONDONTWRITEBYTECODE=1. "
                   f"Set main at --trace 0 on seeds {args.seeds}"
                   + (f"; set traced at --trace 1 on seeds {args.trace_seeds}" if args.trace_seeds else "")
-                  + ". After each main pair, each README command (python3 -m pllbif.cli, an empty "
-                  "directory) once per side in the pair's order, under readme by pair number."
+                  + ". After each main pair, each README command and then pllbif verify --only K for "
+                  "each criterion K (python3 -m pllbif.cli, an empty directory) once per side in the "
+                  "pair's order, under readme and verify by pair number."
                   " Quartiles are numpy linear-interpolation percentiles.",
         "claim": "",
         "summary": summarize([r for r in runs if r["set"] == "main"], better),
         "traced": summarize([r for r in runs if r["set"] == "traced"], better),
-        "readme": summarize(readme_runs, better),
+        "readme": summarize(timed_runs["readme"], better),
+        "verify": summarize(timed_runs["verify"], better),
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
