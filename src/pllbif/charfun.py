@@ -10,8 +10,10 @@ whose permutation symmetry forces a block decomposition into one
 
 with r1 = mu set by the loop filter.  Only r0 and s0 can depend on the delay:
 they are constants for the full-phase model and follow the modal gain
-a(tau) = K mu cos(Omega_hat(tau) tau) along a rotating-wave branch of the
-phase model (a(tau) = K mu cos(C + tau) in the difference model).
+a(tau) = K mu cos(Omega_hat tau) at a frozen locked rate Omega_hat of the
+phase model (a(tau) = K mu cos(C + tau) in the difference model).  Along a
+locked branch, where Omega_hat moves with tau, the blocks are read in the
+branch's phase instead (``phasemodel.relative_hopf_scan``).
 A block holds no delay: tau is the bifurcation parameter, an argument of
 every evaluation.  ``QuasiPolynomial.at`` takes one snapshot (r0, r1, s0) at
 a delay (a scalar or an array), and ``snapshot`` the floats
@@ -165,7 +167,7 @@ def blocks_from_gain(params: NetworkParams, gain: Callable, dgain: Callable) -> 
     return BlockSet(block(-1.0), block(n - 1), n)
 
 
-Point = Union[Equilibrium, float, Callable[[float], float], "object"]
+Point = Union[Equilibrium, float]
 
 
 def build_blocks(kind: ModelKind, params: NetworkParams, point: Point) -> BlockSet:
@@ -175,11 +177,9 @@ def build_blocks(kind: ModelKind, params: NetworkParams, point: Point) -> BlockS
       q = K mu (1 - cos 2phi), S_fix = -K mu (1 + cos 2phi),
       S_std = +K mu (1 + cos 2phi)/(N-1), all independent of tau.
     * PHASE / PHASE_ROTATING_FRAME: ``point`` is the locked rotation rate
-      Omega_hat (a float held fixed as tau moves) or an object with an
-      ``omega_hat(tau)`` method (a rotating-wave branch).  The modal gain
-      a = K mu cos(Omega_hat tau) depends on tau either way; along a branch
-      its derivative takes Omega_hat' from the locked-frequency relation,
-      and both blocks share one Omega_hat solve per delay for a and a'.
+      Omega_hat, a float held fixed as tau moves; the modal gain
+      a = K mu cos(Omega_hat tau) depends on tau.  A locked branch, along
+      which Omega_hat moves, is read in its phase by ``relative_hopf_scan``.
     * PHASE_DIFFERENCE (N <= 3): ``point`` is the constant pairwise difference
       C; the returned pair are the non-fictitious blocks at modal gain
       a = K mu cos(C + tau) (time normalized by omega_M).
@@ -199,43 +199,15 @@ def build_blocks(kind: ModelKind, params: NetworkParams, point: Point) -> BlockS
         return BlockSet(fix, std, p.n_nodes)
 
     if kind in (ModelKind.PHASE, ModelKind.PHASE_ROTATING_FRAME):
-        if hasattr(point, "omega_hat"):
-            branch = point
-            # the last delay solved and its Omega_hat: a snapshot reads the
-            # gain and then its rate at one delay, both blocks alike, and each
-            # solve is a bracketed Newton iteration
-            solved = None
-
-            def locked(tau):
-                nonlocal solved
-                t = np.asarray(tau, dtype=float)
-                key = (t.shape, t.tobytes())
-                last = solved  # read once, so a block shared by threads stays consistent
-                if last is None or last[0] != key:
-                    last = solved = (key, branch.omega_hat(t))
-                return t, last[1]
-
-            def a_of(tau):
-                t, oh = locked(tau)
-                return k * mu * np.cos(oh * t)
-
-            def da_of(tau):
-                t, oh = locked(tau)
-                arg = oh * t
-                # d/dtau [cos(Omega_hat tau)] with Omega_hat' from the locked
-                # frequency relation: Omega_hat + tau Omega_hat' = Omega_hat/(1 + tau K cos).
-                return -k * mu * np.sin(arg) * oh / (1.0 + t * k * np.cos(arg))
-
-            return blocks_from_gain(p, a_of, da_of)
-        omega_hat = float(point)
+        oh = float(point)
 
         def a_const(tau):
             t = np.asarray(tau, dtype=float)
-            return k * mu * np.cos(omega_hat * t)
+            return k * mu * np.cos(oh * t)
 
         def da_const(tau):
             t = np.asarray(tau, dtype=float)
-            return -k * mu * np.sin(omega_hat * t) * omega_hat
+            return -k * mu * np.sin(oh * t) * oh
 
         return blocks_from_gain(p, a_const, da_const)
 
@@ -262,10 +234,11 @@ def linearization_matrices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(A0, Atau) of the first-order linearization of ``kind`` at ``point``.
 
-    ``point`` is what ``build_blocks`` takes (a locked branch is read at the
-    parameters' delay).  The matrices are assembled entry by entry from
-    partial derivatives of the right-hand side, independent of the block
-    formulas, which ``full_determinant`` against ``block_product`` checks:
+    ``point`` is what ``build_blocks`` takes (an Equilibrium, a locked rate
+    Omega_hat or a difference C), and the delay is the parameters'.  The
+    matrices are assembled entry by entry from partial derivatives of the
+    right-hand side, independent of the block formulas, which
+    ``full_determinant`` against ``block_product`` checks:
 
     * FULL_PHASE, PHASE, PHASE_ROTATING_FRAME: 2N-dimensional, one (position,
       velocity) pair per node.
@@ -303,10 +276,7 @@ def linearization_matrices(
         diag = k * mu * (-1.0 + c2)  # d(acc_i)/d(pos_i)
         off = k * mu * (1.0 + c2) / (n - 1)  # d(acc_i)/d(delayed pos_j)
     elif kind in (ModelKind.PHASE, ModelKind.PHASE_ROTATING_FRAME):
-        if hasattr(point, "omega_hat"):
-            oh = float(point.omega_hat(p.delay))
-        else:
-            oh = float(point)
+        oh = float(point)
         c = np.cos(oh * p.delay)
         diag = -k * mu * c
         off = k * mu * c / (n - 1)

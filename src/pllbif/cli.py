@@ -499,6 +499,8 @@ def _cmd_simulate(o: argparse.Namespace) -> int:
         omega = oh - p.free_freq
         base = equilibrium_state(kind, p, None)
     else:
+        if p.n_nodes > 3:
+            raise _UsageError("simulate --model phase-difference needs --nodes 2 or 3")
         c_const = o.c_const
         if c_const is None:
             c_const = (releq_solve(p, p.delay)[0] - p.free_freq) * p.delay

@@ -280,7 +280,7 @@ def relative_hopf_scan(
     phi = Omega_hat tau, where the crossing map is explicit:
     tau(phi) = phi / (1 - K sin phi), the modal gain a = K mu cos(phi) and
     its rate along the branch da/dtau = -K mu sin(phi) Omega_hat / (1 + tau
-    K cos(phi)) (``build_blocks``' along a branch), so the scan of ``sn_scan``
+    K cos(phi)), the one statement of that rate, so the scan of ``sn_scan``
     (1001 points between the two end phases, births and deaths of the
     crossing frequency inside a cell included) evaluates S_n with no solve.
     Each crossing is reported at its delay tau(phi*), with delta from the
@@ -297,7 +297,8 @@ def relative_hopf_scan(
     phi = _solve(_phase_equation(ends, k), pieces[:, :1], pieces[:, 1:])
 
     def rate(x):
-        # da/dtau along the branch: build_blocks' da_of, written in the phase
+        # da/dtau = -K mu sin(phi) dphi/dtau along the branch, where the locked
+        # relation Omega_hat = 1 - K sin(phi) gives dphi/dtau = Omega_hat/(1 + tau K cos phi)
         oh = 1.0 - k * np.sin(x)
         return -k * mu * np.sin(x) * oh / (1.0 + x / oh * k * np.cos(x))
 

@@ -1,7 +1,8 @@
-"""The summary arithmetic of ``tools/bench.py`` on a synthetic list of runs (no timing)."""
+"""The summary arithmetic and revision naming of ``tools/bench.py`` (no timing)."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -189,3 +190,27 @@ def test_each_verify_criterion_is_timed_after_each_pair_in_its_order(tmp_path, m
     lines = capsys.readouterr().out.splitlines()
     assert "verify --only 4 wall_s: parent 3 [3, 3] -> change 2 [2, 2], change won 2 of 2" in lines
     assert "verify --only 12 wall_s: parent 1 [1, 1] -> change 1 [1, 1], change won 0 of 2" in lines
+
+
+def test_the_revision_is_read_only_at_a_repository_top_level(tmp_path):
+    def git(*args, cwd=tmp_path / "repo"):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=cwd, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    (tmp_path / "repo").mkdir()
+    git("init", "-q")
+    git("commit", "-q", "--allow-empty", "-m", "first")
+    first = git("rev-parse", "--short", "HEAD")
+    git("commit", "-q", "--allow-empty", "-m", "second")
+    git("worktree", "add", "-q", "--detach", str(tmp_path / "tree"), first)
+    nested = tmp_path / "repo" / "copy"
+    nested.mkdir()
+    bench = load_bench()
+    # a worktree has its own HEAD; a plain directory in a repository or
+    # outside any has none
+    assert bench._revision(str(tmp_path / "tree")) == first
+    assert bench._revision(str(tmp_path / "repo")) == git("rev-parse", "--short", "HEAD") != first
+    assert bench._revision(str(nested)) == "unknown"
+    assert bench._revision(str(tmp_path)) == "unknown"

@@ -27,10 +27,11 @@ from pllbif import (
     releq_branches,
     releq_solve,
     rightmost_root,
-    rightmost_sweep,
     unstable_count,
 )
 from pllbif.snmap import _b_c
+
+from branch_blocks import branch_blocks
 
 
 def test_constant_block_eval_matches_formula():
@@ -49,7 +50,7 @@ def test_eval_many_matches_scalar():
     lams = np.array([0.1 + 0.2j, -0.3 + 1.0j, 0.0 + 0.0j])
     for q, tau in (
         (constant_quasi_polynomial(0.7, 0.3, -0.2), 1.5),
-        (build_blocks(ModelKind.PHASE, p, br).standard, 3.0),
+        (branch_blocks(p, br).standard, 3.0),
     ):
         vals = q.eval(lams, tau)
         assert vals.shape == lams.shape
@@ -58,13 +59,13 @@ def test_eval_many_matches_scalar():
 
 
 def test_snapshot_is_the_coefficients_delay_and_slopes_as_floats():
-    # one block pair of each formulation; the phase model also along a locked branch
+    # one block pair of each formulation, and one along a locked branch
     p = NetworkParams(2, 1.05, 0.3)
     br = releq_branches(p, (0.0, 8.0))[0]
     pairs = (
         build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.MINUS)),
         build_blocks(ModelKind.PHASE, p, releq_solve(p, 3.0)[0]),
-        build_blocks(ModelKind.PHASE_ROTATING_FRAME, p, br),
+        branch_blocks(p, br),
         build_blocks(ModelKind.PHASE_DIFFERENCE, p, 0.4),
     )
     tau = 3.0
@@ -167,12 +168,12 @@ def test_blocks_from_gain_matches_manual_formula():
 
 
 def test_coefficient_derivatives_by_finite_difference():
-    # PHASE blocks on a locked branch and PHASE_DIFFERENCE blocks carry
+    # blocks on a locked branch and PHASE_DIFFERENCE blocks carry
     # tau-dependent r0 and s0
     p = NetworkParams(2, 1.0, 1.0)
     br = releq_branches(p, (0.0, 8.0))[0]
     blocks = (
-        build_blocks(ModelKind.PHASE, p, br).standard,
+        branch_blocks(p, br).standard,
         build_blocks(ModelKind.PHASE_DIFFERENCE, p, 0.4).fix,
         build_blocks(ModelKind.PHASE_DIFFERENCE, p, 0.4).standard,
     )
@@ -183,44 +184,3 @@ def test_coefficient_derivatives_by_finite_difference():
         hi, lo = blk.coeffs(tau + h), blk.coeffs(tau - h)
         for want, c_hi, c_lo in zip(d, hi, lo):
             assert float(want) == pytest.approx(float(c_hi - c_lo) / (2 * h), abs=1e-5)
-
-
-class _CountedBranch:
-    """A locked branch that records each Omega_hat solve."""
-
-    def __init__(self, branch):
-        self.branch, self.solves = branch, 0
-
-    def omega_hat(self, tau):
-        self.solves += 1
-        return self.branch.omega_hat(tau)
-
-
-def test_a_branch_block_solves_omega_hat_once_per_delay():
-    p = NetworkParams(2, 1.05, 0.3)
-    br = releq_branches(p, (0.0, 8.0))[0]
-    counted = _CountedBranch(br)
-    blocks = build_blocks(ModelKind.PHASE, p, counted)
-    taus = np.linspace(br.taus[0], br.taus[-1], 101)
-    rows = rightmost_sweep(blocks.standard, taus)
-    assert counted.solves == 101
-    # both blocks, and the gain and its rate, at one delay or one array of them
-    counted.solves = 0
-    blocks.fix.snapshot(3.0), blocks.standard.snapshot(3.0)
-    assert counted.solves == 1
-    blocks.fix.at(taus), blocks.standard.at(taus), blocks.standard.dcoeffs(taus)
-    assert counted.solves == 2
-    # the same rows as gain maps that solve at every read
-    k, mu = p.coupling, p.filter_gain
-
-    def gain(tau):
-        t = np.asarray(tau, dtype=float)
-        return k * mu * np.cos(br.omega_hat(t) * t)
-
-    def dgain(tau):
-        t = np.asarray(tau, dtype=float)
-        arg = br.omega_hat(t) * t
-        return -k * mu * np.sin(arg) * br.omega_hat(t) / (1.0 + t * k * np.cos(arg))
-
-    want = rightmost_sweep(blocks_from_gain(p, gain, dgain).standard, taus)
-    assert [repr(row) for row in rows] == [repr(row) for row in want]

@@ -267,6 +267,9 @@ def test_zero_free_frequency_is_rejected_not_replaced(capsys):
         # curve rows and zero-root events are counted before any is built
         (["curves", "--K", "1.05", "--mu-grid", "0.05:0.45:41", "--n", "0:20000"], "budget"),
         (["zero-roots", "--K", "1", "--mu", "0.5", "--n", "0:100000000"], "budget"),
+        # the difference model closes only for 2 or 3 nodes
+        (["simulate", "--model", "phase-difference", "--nodes", "4", "--K", "1.05", "--mu", "0.3",
+          "--tau", "2", "--t-end", "10"], "--nodes"),
     ],
 )
 def test_bad_number_flag_is_one_line(capsys, argv, flag):

@@ -17,11 +17,9 @@ from hypothesis import strategies as st
 from pllbif import (
     BlockKind,
     InvalidParamError,
-    ModelKind,
     NetworkParams,
     RelEqBranch,
     RootBranch,
-    build_blocks,
     equilibrium_case_curves,
     phasemodel,
     relative_hopf_scan,
@@ -30,6 +28,8 @@ from pllbif import (
     sn_scan,
     zero_root_taus,
 )
+
+from branch_blocks import branch_blocks
 
 P21 = NetworkParams(2, 1.0, 1.0)
 
@@ -294,16 +294,17 @@ def test_crossings_in_the_cell_where_their_frequency_is_born(nodes, k, mu, end, 
     assert abs(res) <= 1e-9 * (abs(lam) ** 2 + mu * abs(lam) + 2.0 * abs(a))
 
 
-@pytest.mark.parametrize("block", list(BlockKind))
-def test_delay_scan_of_a_branch_block_finds_the_phase_scan_crossings(block):
-    # sn_scan of the block along a branch (Omega_hat solved at every delay it
-    # evaluates) and relative_hopf_scan's scan in the branch's phase agree
-    p = NetworkParams(2, 2.0, 0.5)
-    window = (0.0, 12.0)
+def _delay_scan_matches_phase_scan(p, window, block):
+    """Branch ids of relative_hopf_scan's crossings, each checked against sn_scan.
+
+    sn_scan runs on the block along each branch in the delay (Omega_hat
+    solved at every delay it evaluates), relative_hopf_scan in the branch's
+    phase with its closed-form rate; both must find the same crossings.
+    """
     by_phase = relative_hopf_scan(p, block, window)
     found = 0
     for br in releq_branches(p, window):
-        blocks = build_blocks(ModelKind.PHASE, p, br)
+        blocks = branch_blocks(p, br)
         blk = blocks.fix if block is BlockKind.FIX else blocks.standard
         by_delay = sn_scan(blk, (float(br.taus[0]), float(br.taus[-1])))
         mine = [pc.crossing for pc in by_phase if pc.branch_id == br.branch_id]
@@ -317,7 +318,26 @@ def test_delay_scan_of_a_branch_block_finds_the_phase_scan_crossings(block):
             # scan's closed-form rate along the branch
             assert a.delta == pytest.approx(b.delta, rel=1e-9)
         found += len(mine)
-    assert found == len(by_phase) == (15 if block is BlockKind.FIX else 20)
+    assert found == len(by_phase)
+    return [pc.branch_id for pc in by_phase]
+
+
+@pytest.mark.parametrize("block", list(BlockKind))
+def test_delay_scan_of_a_branch_block_finds_the_phase_scan_crossings(block):
+    ids = _delay_scan_matches_phase_scan(NetworkParams(2, 2.0, 0.5), (0.0, 12.0), block)
+    assert len(ids) == (15 if block is BlockKind.FIX else 20)
+
+
+@pytest.mark.parametrize("block", list(BlockKind))
+@pytest.mark.parametrize(
+    "nodes, k, mu, end, counts",
+    [(3, 0.8, 0.15, 15.0, (4, 4)), (5, 2.0, 0.1, 8.0, (5, 4))],
+)
+def test_the_phase_scan_rate_matches_the_delay_scan_at_more_couplings(nodes, k, mu, end, counts, block):
+    # K < 1 at N = 3 and K > 1 at N = 5, each block crossing on two or more branches
+    ids = _delay_scan_matches_phase_scan(NetworkParams(nodes, k, mu), (0.0, end), block)
+    assert len(ids) == counts[block is BlockKind.STANDARD]
+    assert len(set(ids)) >= 2
 
 
 def test_phase_scan_solves_for_no_locked_frequency(monkeypatch):

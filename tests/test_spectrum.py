@@ -102,6 +102,16 @@ def test_lambert_branch_domain():
         lambert_w(1, 0.0)
 
 
+@pytest.mark.parametrize(
+    "z", [math.nan, math.inf, -math.inf, complex(0.0, math.inf), complex(math.nan, 1.0)]
+)
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_lambert_refuses_a_non_finite_argument(k, z):
+    # no branch's domain holds it; rightmost_root skips a chain on this error
+    with pytest.raises(BranchDomainError):
+        lambert_w(k, z)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     k=st.integers(min_value=-3, max_value=3),

@@ -14,7 +14,11 @@ first pair runs the parent first, the next the change first, and so on, so
 each side runs second equally often.  Both sides get the same environment:
 this process's, with ``PYTHONDONTWRITEBYTECODE=1``, so no run leaves byte
 code behind for a later one.  A checkout's own ``__pycache__`` is still read,
-so give the tool two fresh checkouts (``git clone`` or ``git archive``).
+so give the tool two fresh checkouts with their own HEAD, best made by
+``git worktree add --detach DIR REV`` (or ``git clone``).  The output's
+``parent`` is the parent checkout's short commit, read only where that
+directory is itself a repository's top level: a ``git archive`` copy, or a
+plain directory inside another repository, reads ``unknown``.
 ``--trace-seeds`` adds pairs at ``--trace 1`` for the per-layer metrics.
 After each ``--trace 0`` pair, every ``pllbif`` command of the change's README
 (``tools/readme_outputs.readme_commands``) runs once in each checkout, in the
@@ -71,10 +75,15 @@ def _seeds(text: str) -> list[int]:
 
 
 def _revision(root: str) -> str:
+    # inside another repository, HEAD would name that repository's tree
     proc = subprocess.run(
-        ["git", "-C", root, "rev-parse", "--short", "HEAD"], capture_output=True, text=True, check=False
+        ["git", "-C", root, "rev-parse", "--show-toplevel", "--short", "HEAD"],
+        capture_output=True, text=True, check=False,
     )
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or len(lines) != 2 or not os.path.samefile(lines[0], root):
+        return "unknown"
+    return lines[1]
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float, trace: int, env: dict) -> dict:
