@@ -340,6 +340,8 @@ def _compile_parts(
     elif kind is ModelKind.PHASE_ROTATING_FRAME:
         if omega is None:
             raise UnsupportedKindError("rotating-frame evaluation needs the frame rate omega")
+        if not math.isfinite(omega):
+            raise InvalidParamError(f"frame rate omega must be finite, got {omega}")
         drive = -mu * omega
         factor = _phase_input
         coupling = partial(_phase_coupling, shift=(omega + 1.0) * p.delay)
@@ -373,7 +375,7 @@ def compile_rhs(
     It takes float arrays whose last axis has length state_dim and does not
     check them; leading axes evaluate many states at once.  The public
     ``rhs`` is this closure behind a shape check.  ``omega`` is the frame
-    rotation rate, required for PHASE_ROTATING_FRAME and ignored otherwise.
+    rotation rate, required (finite) for PHASE_ROTATING_FRAME and ignored otherwise.
 
     The closure is ``local(state, delayed_input(delayed))``: the delayed
     input is the part of the coupling sum that reads only x(t - tau), and the

@@ -285,7 +285,7 @@ def relative_hopf_scan(
     crossing frequency inside a cell included) evaluates S_n with no solve.
     Each crossing is reported at its delay tau(phi*), with delta from the
     block at phi*.  The brackets of all branches share one budget of 2^20,
-    counted before any is bisected; past it InvalidParamError is raised.
+    counted before any is halved; past it InvalidParamError is raised.
     """
     p = normalize(params)
     k, mu = p.coupling, p.filter_gain

@@ -94,7 +94,9 @@ class HistorySpec:
     """Constant history base + amplitude * direction on [-tau, 0].
 
     Any object with a ``state(t)`` method returning the state vector for
-    t <= 0 serves as a history; this is the constant-in-time one.
+    t <= 0 serves as a history; this is the constant-in-time one.  The
+    amplitude must be finite and >= 0 (InvalidParamError) and the direction
+    the base's shape (DimensionMismatchError), checked when it is built.
     """
 
     base: np.ndarray
@@ -113,17 +115,20 @@ class HistorySpec:
             float(amplitude),
         )
 
+    def __post_init__(self):
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
+            raise InvalidParamError(
+                f"perturbation amplitude must be finite and >= 0, got {self.amplitude}"
+            )
+        if self.direction is not None and np.shape(self.direction) != np.shape(self.base):
+            raise DimensionMismatchError(
+                f"direction shape {np.shape(self.direction)} != base shape {np.shape(self.base)}"
+            )
+
     def state(self, t: float = 0.0) -> np.ndarray:
-        if self.amplitude < 0.0:
-            raise InvalidParamError("perturbation amplitude must be >= 0")
         v = np.array(self.base, dtype=float)
         if self.direction is not None and self.amplitude != 0.0:
-            d = np.asarray(self.direction, dtype=float)
-            if d.shape != v.shape:
-                raise DimensionMismatchError(
-                    f"direction shape {d.shape} != base shape {v.shape}"
-                )
-            v = v + self.amplitude * d
+            v = v + self.amplitude * np.asarray(self.direction, dtype=float)
         return v
 
 

@@ -7,14 +7,14 @@ w tau modulo 2 pi.  Writing theta for the principal crossing angle, the
 candidate delays are tau_n = (theta + 2 pi n)/w and crossings are zeros of
 the map S_n(tau) = tau - tau_n(tau).  For delay-independent coefficients the
 zeros are explicit, and ``sn_scan`` returns the ladders in closed form.  For
-delay-dependent ones they are found by a grid scan plus bisection in a
+delay-dependent ones they are found by a grid scan plus halving in a
 parameter s that moves the delay monotonically: the delay itself, or, along
 a rotating-wave branch of the phase model, the branch's phase
 phi = Omega_hat tau, in which the coefficients and the delay are explicit
-(``phasemodel.relative_hopf_scan``).  The scan follows
+(``phasemodel.relative_hopf_scan``).  The scan follows, on arrays,
 u = (tau w - theta)/2 pi, the number of turns w tau makes past theta:
 S_n = 2 pi (u - n)/w vanishes where u passes n, so one pass over the grid
-brackets the zeros of every winding n >= 0.
+brackets the zeros of every winding n >= 0, and all brackets halve at once.
 
 The transversality value delta = d Re(lambda)/d tau > 0 means a root pair
 moves rightward through the axis as the delay grows.  It needs the
@@ -37,6 +37,7 @@ from .errors import (
     DegenerateCrossingError,
     DegenerateSError,
     InvalidParamError,
+    NoConvergenceError,
     NoEquilibriumError,
     UnsupportedKindError,
 )
@@ -117,8 +118,11 @@ def omega_candidates(b: float, c: float) -> list[OmegaCandidate]:
 
     Candidates exist iff b^2 - 4c >= 0 and the corresponding w^2 > 0
     (w = 0 never qualifies: zero roots are handled separately).  Each root is
-    polished by one Newton step on F.
+    polished by one Newton step on F.  Raises NoConvergenceError when b or c
+    is not finite: an overflowed coefficient hides the roots.
     """
+    if not (math.isfinite(b) and math.isfinite(c)):
+        raise NoConvergenceError(f"the crossing quartic overflows: b = {b:g}, c = {c:g}")
     roots = _stable_quadratic_roots(b, c)
     if roots is None:
         return []
@@ -248,73 +252,64 @@ def _b_c(r0, r1, s0):
     return r1 * r1 - 2.0 * r0, r0 * r0 - s0 * s0
 
 
-def _turns(at, grid: np.ndarray):
-    """u = (tau w - theta)/2 pi per root branch along a grid of the scan parameter; NaN where w is absent.
+def _turns(at, s: np.ndarray, root: np.ndarray):
+    """(u, w, tau) at scan parameters s on the root branches ``root`` (0: PLUS, 1: MINUS).
 
-    ``at(s)`` maps the scan parameter to the snapshot (r0, r1, s0, tau, dr0, ds0).
-    S_n = 2 pi (u - n)/w, so S_n changes sign where u passes the integer n.
+    ``at(s)`` maps the scan parameter to the snapshot (r0, r1, s0, tau, dr0, ds0),
+    and ``root`` broadcasts against s.  u = (tau w - theta)/2 pi, and u and w
+    are NaN where that w is absent; S_n = 2 pi (u - n)/w changes sign where u
+    passes the integer n.  Raises NoConvergenceError where b or c overflows.
     """
-    r0, r1, s0, taus = (np.broadcast_to(v, grid.shape) for v in at(grid)[:4])
-    b, c = _b_c(r0, r1, s0)
-    disc = b * b - 4.0 * c
-    ok = disc >= 0.0
-    sq = np.sqrt(np.where(ok, disc, np.nan))
-    out = {}
-    for tag, sgn in ((RootBranch.PLUS, 1.0), (RootBranch.MINUS, -1.0)):
-        w2 = (-b + sgn * sq) / 2.0
-        w = np.sqrt(np.where((w2 > 0.0) & (np.abs(s0) > 0.0), w2, np.nan))
-        theta = np.arctan2(s0 * (r1 * w), -s0 * (r0 - w * w))
-        theta = np.where(theta <= -math.pi, theta + _TWO_PI, theta)
-        out[tag] = (taus * w - theta) / _TWO_PI
-    return out
+    r0, r1, s0, tau = at(s)[:4]
+    with np.errstate(over="ignore", invalid="ignore"):
+        b, c = _b_c(r0, r1, s0)
+        if not (np.isfinite(b).all() and np.isfinite(c).all()):
+            raise NoConvergenceError(
+                f"the crossing quartic overflows at delays in [{np.min(tau):g}, {np.max(tau):g}]"
+            )
+        # _stable_quadratic_roots elementwise; omega_candidates keeps the scalar
+        # form, which numpy would slow some 40 times
+        disc = b * b - 4.0 * c
+        sq = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+        big = np.where(b <= 0.0, -b + sq, -b - sq) / 2.0
+        small = c / np.where(big != 0.0, big, np.inf)
+    w2 = np.where((root == 0) == (b <= 0.0), big, small)
+    w = np.sqrt(np.where((w2 > 0.0) & (s0 != 0.0), w2, np.nan))
+    theta = np.arctan2(s0 * (r1 * w), -s0 * (r0 - w * w))
+    theta = np.where(theta <= -math.pi, theta + _TWO_PI, theta)
+    return (tau * w - theta) / _TWO_PI, w, tau
 
 
-def _sn_value(at, s: float, tag: RootBranch, n: int):
-    """S_n = tau - (theta + 2 pi n)/w at one scan parameter s; (value, w, tau) or None."""
-    r0, r1, s0, tau = (float(v) for v in at(s)[:4])
-    roots = _stable_quadratic_roots(*_b_c(r0, r1, s0))
-    if roots is None or s0 == 0.0:
-        return None
-    w2 = roots[0] if tag is RootBranch.PLUS else roots[1]
-    if w2 <= 0.0:
-        return None
-    w = math.sqrt(w2)
-    return tau - (_angle(r0, r1, s0, w) + _TWO_PI * n) / w, w, tau
+def _halve(at, root, ends, closed, side, passes):
+    """Halve intervals of the scan parameter at once, each on u of its root branch ``root``.
 
-
-def _existence_edges(at, grid: np.ndarray, u: np.ndarray, tag: RootBranch):
-    """``grid`` and ``u`` with the last live parameter of each cell where w is born or dies.
-
-    A cell whose u is NaN at exactly one end holds the edge of w's existence;
-    bisecting on whether ``_sn_value`` exists there, down to 1e-9 max(1, |s|),
-    gives the live parameter nearest the edge, and its u closes the cell's
-    live part, so a crossing between the edge and the grid point gets a bracket.
+    ``ends`` = (a, b, ua, ub) holds the ends and u there.  A pass reads u at
+    the midpoints m of the intervals not ``closed(a, b, m)``, and ``side(u, k)``
+    (k the open intervals) moves end a to m (1) or end b (-1); any other value
+    closes the interval there.  Returns the ends and their u after at most
+    ``passes`` passes.
     """
-    dead = np.isnan(u)
-    cells = np.nonzero(dead[:-1] != dead[1:])[0]
-    at_cells, edge_s, edge_u = [], [], []
-    for i in cells:
-        live, gone = (grid[i], grid[i + 1]) if dead[i + 1] else (grid[i + 1], grid[i])
-        last = None
-        while abs(gone - live) > 1e-9 * max(1.0, abs(live)):
-            mid = 0.5 * (live + gone)
-            hit = _sn_value(at, mid, tag, 0)
-            if hit is None:
-                gone = mid
-            else:
-                live, last = mid, hit
-        if last is not None:
-            at_cells.append(i + 1)
-            edge_s.append(live)
-            edge_u.append(last[0] * last[1] / _TWO_PI)  # u = S_0 w / 2 pi
-    if not at_cells:
-        return grid, u
-    return np.insert(grid, at_cells, edge_s), np.insert(u, at_cells, edge_u)
+    a, b, ua, ub = (np.array(v, dtype=float) for v in ends)
+    k = np.arange(a.size)
+    for _ in range(passes):
+        ak, bk = a[k], b[k]
+        m = 0.5 * (ak + bk)
+        live = ~closed(ak, bk, m)
+        k, m = k[live], m[live]
+        if not k.size:
+            break
+        u = _turns(at, m, root[k])[0]
+        move = side(u, k)
+        to_a, to_b = move == 1, move == -1
+        a[k[to_a]], ua[k[to_a]] = m[to_a], u[to_a]
+        b[k[to_b]], ub[k[to_b]] = m[to_b], u[to_b]
+        k = k[to_a | to_b]
+    return a, b, ua, ub
 
 
-# a crossing is a Python object of about 240 B that takes about 8 us to
-# build (one transversality evaluation), and a scan bracket becomes at most
-# one: 2^20 of them cost about 250 MiB and 8 s
+# a scan bracket becomes at most one crossing, a Python object of about 240 B
+# that takes about 8 us to build (one transversality evaluation); with the
+# halving, 2^20 brackets cost about 15 s and 650 MiB on one Xeon core
 _MAX_CROSSINGS = 2**20
 
 
@@ -359,47 +354,77 @@ def _scan(at, windows) -> list[list[CrossingCandidate]]:
     ``at(s)`` gives the snapshot (r0, r1, s0, tau, dr0, ds0) for a float or an
     array: the coefficients, the delay and the coefficients' delay
     derivatives.  The brackets of every window and root branch are counted
-    before any is bisected, and more than the budget of 2^20 raise
+    before any is halved, and more than the budget of 2^20 raise
     InvalidParamError naming the delays the windows span.  A crossing is
     reported at its delay, with delta from the snapshot at the scan
     parameter where it was found; one list per window.
     """
-    swept, count = [], 0.0
-    for window in windows:
-        grid = np.linspace(*window, 1001)
-        sweeps = []
-        for tag, u in _turns(at, grid).items():
-            ss, u = _existence_edges(at, grid, u, tag)
-            # the integers n that u passes on each cell: S_n changes sign there
-            lo = np.ceil(np.minimum(u[:-1], u[1:]))
-            hi = np.floor(np.maximum(u[:-1], u[1:]))
-            cells = np.nonzero((hi >= lo) & (u[:-1] != u[1:]))[0]
-            count += float(np.sum(hi[cells] - lo[cells] + 1.0))
-            if not count <= _MAX_CROSSINGS:  # NaN too: u overflowed
-                taus = at(np.array(windows, dtype=float))[3]
-                raise InvalidParamError(
-                    f"the delay window [{np.min(taus):g}, {np.max(taus):g}] holds at least "
-                    f"{count:.6g} crossing brackets, more than the budget of 2^20"
-                )
-            sweeps.append((tag, ss[cells], ss[cells + 1], lo[cells], hi[cells]))
-        swept.append(sweeps)
-    out = []
-    for sweeps in swept:
-        found: dict[tuple[str, float], CrossingCandidate] = {}
-        for tag, sa, sb, lo, hi in sweeps:
-            brackets = sorted((n, i) for i in range(len(sa)) for n in range(int(lo[i]), int(hi[i]) + 1))
-            for n, i in brackets:
-                hit = _bisect_sn(at, sa[i], sb[i], tag, n)
-                if hit is None:
-                    continue
-                s_star, w_star, tau_star = hit
-                key = (tag.value, round(tau_star, 7))
-                if key in found:
-                    continue
-                delta, sgn = _delta(tuple(float(v) for v in at(s_star)), w_star)
-                found[key] = CrossingCandidate(OmegaCandidate(w_star, tag), tau_star, n, delta, sgn)
-        out.append(sorted(found.values(), key=lambda c: c.tau_star))
-    return out
+    if not windows:
+        return []
+    grid = np.array([np.linspace(*window, 1001) for window in windows])
+    u = _turns(at, grid, np.arange(2)[:, None, None])[0]
+    # the cells of every root branch (axis 0) and window (axis 1), ends a < b
+    sa, sb = (np.broadcast_to(g, u[..., 1:].shape).copy() for g in (grid[:, :-1], grid[:, 1:]))
+    ua, ub = u[..., :-1].copy(), u[..., 1:].copy()
+    # where w is born or dies inside a cell, halve it on the existence of w
+    # down to 1e-9 max(1, |s|) (1100 passes reach that from any finite cell),
+    # and the last live parameter closes the cell's live part
+    edge = np.nonzero(np.isnan(ua) != np.isnan(ub))
+    born = np.isnan(ua[edge])
+    live, gone = np.where(born, sb[edge], sa[edge]), np.where(born, sa[edge], sb[edge])
+    es, _, eu, _ = _halve(
+        at, edge[0], (live, gone, np.where(born, ub[edge], ua[edge]), np.full(live.shape, np.nan)),
+        lambda a, b, m: np.abs(b - a) <= 1e-9 * np.maximum(1.0, np.abs(a)),
+        lambda u, k: np.where(np.isnan(u), -1, 1), 1100,
+    )
+    moved = es != live
+    for cell_s, cell_u, dead in ((sa, ua, born), (sb, ub, ~born)):  # the dead end moves
+        hit = moved & dead
+        at_edge = tuple(i[hit] for i in edge)
+        cell_s[at_edge], cell_u[at_edge] = es[hit], eu[hit]
+    # the integers n that u passes on each cell: S_n changes sign there
+    lo, hi = np.ceil(np.minimum(ua, ub)), np.floor(np.maximum(ua, ub))
+    cells = np.nonzero((hi >= lo) & (ua != ub))
+    lo, counts = lo[cells], hi[cells] - lo[cells] + 1.0
+    count = float(np.sum(counts))
+    if not count <= _MAX_CROSSINGS:  # NaN too: u overflowed
+        taus = at(np.array(windows, dtype=float))[3]
+        raise InvalidParamError(
+            f"the delay window [{np.min(taus):g}, {np.max(taus):g}] holds at least "
+            f"{count:.6g} crossing brackets, more than the budget of 2^20"
+        )
+    # one bracket per cell and n, in (window, root branch, n, cell) order
+    per = counts.astype(int)
+    first = np.repeat(np.cumsum(per) - per, per)
+    cell = np.repeat(np.arange(per.size), per)
+    n = lo[cell] + (np.arange(cell.size) - first)
+    root, win, i = (c[cell] for c in cells)
+    order = np.lexsort((i, n, root, win))
+    root, win, n, cell = root[order], win[order], n[order], cell[order]
+    ends = tuple(v[cells][cell] for v in (sa, sb, ua, ub))
+    out: list[dict[tuple[str, float], CrossingCandidate]] = [{} for _ in windows]
+    tags = (RootBranch.PLUS, RootBranch.MINUS)
+    for q in range(0, n.size, 2**16):  # 2^16 brackets at a time: the halving's arrays stay small
+        sl = slice(q, q + 2**16)
+        r, nq, e = root[sl], n[sl], tuple(v[sl] for v in ends)
+        ga, gb = e[2] - nq, e[3] - nq
+        a, b, ua, ub = _halve(
+            at, r, e,
+            lambda a, b, m: b - a < 1e-14 * np.maximum(1.0, np.abs(m)),
+            lambda u, k: np.sign(u - nq[k]) * np.sign(ga[k]), 200,
+        )
+        # an end where u = n is the zero; else the last midpoint, where a NaN
+        # drops the bracket, and ends half a turn apart straddle a branch-cut
+        # jump of theta, where S_n changes sign without vanishing
+        s = np.where(ga == 0.0, e[0], np.where(gb == 0.0, e[1], 0.5 * (a + b)))
+        us, ws, taus = _turns(at, s, r)
+        keep = ~np.isnan(us) & ((us == nq) | (np.abs(ua - ub) < 0.5))
+        for j, rk, nk, sk, w, tau in zip(*(v[keep].tolist() for v in (win[sl], r, nq, s, ws, taus))):
+            key = (tags[rk].value, round(tau, 7))
+            if key not in out[j]:  # duplicates keep the first, in bracket order
+                delta, sgn = _delta(tuple(float(v) for v in at(sk)), w)
+                out[j][key] = CrossingCandidate(OmegaCandidate(w, tags[rk]), tau, int(nk), delta, sgn)
+    return [sorted(found.values(), key=lambda c: c.tau_star) for found in out]
 
 
 def sn_scan(p: QuasiPolynomial, tau_window: tuple[float, float]) -> list[CrossingCandidate]:
@@ -413,17 +438,18 @@ def sn_scan(p: QuasiPolynomial, tau_window: tuple[float, float]) -> list[Crossin
 
     A delay-dependent block is sampled at 1001 evenly spaced delays for both
     root branches w+ and w-.  Where a branch's w is born or dies inside a
-    cell, the cell is bisected on the existence of w and the last live delay
-    joins that branch's samples (``_existence_edges``), so a zero between the
-    edge and the grid gets a bracket too.  With u(tau) = (tau w - theta)/2 pi,
-    S_n = 2 pi (u - n)/w, so the cells whose two u values enclose the integer
-    n bracket the sign changes of S_n: one sweep over the cells finds them
-    for every winding at once, and u >= -1/2 (tau >= 0, theta <= pi) leaves
-    only n >= 0.  The brackets are bisected in (n, cell) order down to
-    rounding, and a bracket whose ends still differ by half a theta jump
-    (pi/w in S_n) is discarded: there the bisection homed onto a branch-cut
-    jump of theta, where S_n changes sign without vanishing.  More brackets
-    than the budget of 2^20 crossings raise InvalidParamError.
+    cell, the cell is halved on the existence of w and the last live delay
+    closes it, so a zero between the edge and the grid gets a bracket too.
+    With u(tau) = (tau w - theta)/2 pi, S_n = 2 pi (u - n)/w, so the cells
+    whose two u values enclose the integer n bracket the sign changes of S_n:
+    one sweep over the cells finds them for every winding at once, and
+    u >= -1/2 (tau >= 0, theta <= pi) leaves only n >= 0.  All brackets are
+    halved at once, on the sign of u - n, down to rounding; one where w
+    vanishes is dropped, and so is one whose ends stay half a turn apart
+    (pi/w in S_n), a branch-cut jump of theta, where S_n changes sign without
+    vanishing.  More brackets than the budget of 2^20 crossings raise
+    InvalidParamError before any is halved, and an overflowing b or c
+    raises NoConvergenceError.
 
     A window that ends at or before its start holds no crossings; a negative
     or non-finite window end raises InvalidParamError.
@@ -434,40 +460,6 @@ def sn_scan(p: QuasiPolynomial, tau_window: tuple[float, float]) -> list[Crossin
     if not p.tau_dependent:
         return _ladder(p, t0, t1)
     return _scan(lambda tau: (*p.at(tau), tau, *p.dcoeffs(tau)), [(t0, t1)])[0]
-
-
-def _bisect_sn(at, sa, sb, tag, n):
-    """(s, w, tau) at the zero of S_n bracketed by scan parameters sa < sb, or None."""
-    fa = _sn_value(at, sa, tag, n)
-    fb = _sn_value(at, sb, tag, n)
-    if fa is None or fb is None:
-        return None
-    ga, gb = fa[0], fb[0]
-    if ga == 0.0:
-        return sa, *fa[1:]
-    if gb == 0.0:
-        return sb, *fb[1:]
-    if ga * gb > 0.0:
-        return None
-    for _ in range(200):
-        sm = 0.5 * (sa + sb)
-        fm = _sn_value(at, sm, tag, n)
-        if fm is None:
-            return None
-        gm = fm[0]
-        if gm == 0.0 or (sb - sa) < 1e-14 * max(1.0, abs(sm)):
-            break
-        if ga * gm < 0.0:
-            sb, gb = sm, gm
-        else:
-            sa, ga = sm, gm
-    sm = 0.5 * (sa + sb)
-    fm = _sn_value(at, sm, tag, n)
-    # a 2 pi jump of theta moves S_n by 2 pi/w: ends half a jump apart
-    # straddle the branch cut, not a zero
-    if fm is None or (fm[0] != 0.0 and abs(ga - gb) * fm[1] >= math.pi):
-        return None
-    return sm, *fm[1:]
 
 
 @dataclass(frozen=True)

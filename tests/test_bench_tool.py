@@ -55,6 +55,19 @@ def test_seed_ranges_include_both_ends():
     assert bench._seeds("7") == [7]
 
 
+@pytest.mark.parametrize("flag, text", [("--seeds", "5:3"), ("--seeds", "a:b"), ("--seeds", "1.5"),
+                                        ("--trace-seeds", "3:1"), ("--trace-seeds", "")])
+def test_an_empty_reversed_or_non_integer_seed_range_is_refused(tmp_path, capsys, flag, text):
+    # refused before any run: the BENCH file would hold no pairs
+    argv = [str(tmp_path), str(tmp_path), "--workload", "analysis", "--out", str(tmp_path / "b.json")]
+    argv += ["--seeds", "1:2", flag, text] if flag == "--trace-seeds" else [flag, text]
+    with pytest.raises(SystemExit) as exit_:
+        load_bench().main(argv)
+    assert exit_.value.code == 2
+    assert f"seed range {text!r}" in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
+
+
 def test_compare_prints_the_summary_and_the_first_versus_second_gap(tmp_path, capsys):
     bench = load_bench()
     runs = []

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -475,6 +476,30 @@ def test_rightmost_overflow_at_huge_delays_is_one_line(capsys):
     assert run(argv) == 1
     err = capsys.readouterr().err.strip()
     assert err.splitlines() == ["error: no seed converged on the quasi-polynomial"]
+
+
+def test_a_huge_coupling_still_finds_its_crossings(capsys):
+    assert run(["snmap", "--K", "1e150", "--mu", "1", "--eq", "plus", "--tau-window", "0:1e-74"]) == 0
+    assert "2 crossings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["snmap", "--K", "1e200", "--mu", "1", "--eq", "plus", "--tau-window", "0:1e-99"],
+        ["curves", "--K", "1e200", "--mu-grid", "1:2:2", "--eq", "plus"],
+        ["snmap", "--model", "phase", "--K", "5", "--mu", "1e300", "--tau-window", "0:10"],
+    ],
+    ids=["snmap", "curves", "snmap-phase"],
+)
+def test_an_overflowing_crossing_quartic_is_one_line(capsys, argv):
+    # c = r0^2 - s0^2 (or b = r1^2 - 2 r0) overflows and would hide a real root
+    # w ~ 1e100: an error, not "0 crossings", and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the crossing quartic overflows")
 
 
 def test_simulate_beyond_the_memory_budget_is_one_line(capsys):

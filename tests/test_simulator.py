@@ -13,6 +13,7 @@ import pytest
 
 from pllbif import (
     Branch,
+    DimensionMismatchError,
     HistorySpec,
     InvalidParamError,
     ModelKind,
@@ -22,6 +23,7 @@ from pllbif import (
     OrbitProfile,
     SymmetryTag,
     Trajectory,
+    compile_rhs,
     equilibrium,
     equilibrium_state,
     integrate,
@@ -102,6 +104,28 @@ def test_history_direction_enters_linearly():
     assert np.allclose(h.state(-1.3), h.state(0.0))  # constant in time
     with pytest.raises(InvalidParamError):
         HistorySpec.perturbed(base, d, -0.1).state()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("given", ["amplitude", "integrate omega", "compile_rhs omega"])
+def test_non_finite_integrator_inputs_are_refused_when_given(given, bad):
+    # not at the first step, as a NonFiniteError, after a RuntimeWarning
+    p = NetworkParams(2, 1.05, 0.3, delay=1.0)
+    hist = HistorySpec.constant(np.zeros(4))
+    calls = {
+        "amplitude": lambda: HistorySpec.perturbed(np.zeros(4), sync_direction(2), bad),
+        "integrate omega": lambda: integrate(ModelKind.PHASE_ROTATING_FRAME, p, hist, 1.0, 0.1, omega=bad),
+        "compile_rhs omega": lambda: compile_rhs(ModelKind.PHASE_ROTATING_FRAME, p, bad),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParamError):
+            calls[given]()
+
+
+def test_a_history_direction_of_the_wrong_shape_is_refused_when_given():
+    with pytest.raises(DimensionMismatchError):
+        HistorySpec.perturbed(np.zeros(4), np.zeros(6), 0.0)
 
 
 def test_direction_helpers_are_unit_vectors():

@@ -194,9 +194,77 @@ def test_scan_budget_names_the_delay_window():
     with pytest.raises(InvalidParamError, match=r"delay window \[0, 2e\+07\] holds .* 2\^20"):
         _scan(at, [(0.0, 1e7)])
     # one budget per call: each window holds about 664,000 brackets, within
-    # the budget, and the two together pass it before either is bisected
+    # the budget, and the two together pass it before either is halved
     with pytest.raises(InvalidParamError, match=r"delay window \[0, 6e\+06\] holds at least 1\.3\d*e\+06 .* 2\^20"):
         _scan(at, [(0.0, 1.5e6), (1.5e6, 3e6)])
+
+
+def turns_by_hand(a, s0, mu, tau):
+    """(u, theta) on the plus and minus roots of lambda^2 + mu lambda + a + s0 e^{-lambda tau} at one delay.
+
+    u = (tau w - theta)/2 pi from the textbook quadratic in w^2 and the
+    principal crossing angle; None where w is absent.
+    """
+    b, c = mu * mu - 2.0 * a, a * a - s0 * s0
+    disc = b * b - 4.0 * c
+    if disc < 0.0 or s0 == 0.0:
+        return None, None
+    out = []
+    for w2 in ((-b + math.sqrt(disc)) / 2.0, (-b - math.sqrt(disc)) / 2.0):
+        if w2 <= 0.0:
+            out.append(None)
+            continue
+        w = math.sqrt(w2)
+        theta = math.atan2(s0 * mu * w, -s0 * (a - w2))
+        out.append(((tau * w - theta) / (2.0 * math.pi), theta))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    block=st.one_of(
+        st.tuples(st.just(ModelKind.PHASE), st.integers(2, 5), st.floats(0.0, 2.0)),
+        st.tuples(st.just(ModelKind.PHASE_DIFFERENCE), st.integers(2, 3), st.floats(-math.pi, math.pi)),
+    ),
+    k=st.floats(0.1, 3.0),
+    mu=st.floats(0.05, 2.0),
+    fix=st.booleans(),
+    start=st.floats(0.0, 10.0),
+    length=st.floats(0.1, 20.0),
+)
+def test_a_delay_dependent_scan_finds_every_sign_change_of_a_finer_grid(block, k, mu, fix, start, length):
+    # a frozen-rate phase block has gain a = K mu cos(Omega_hat tau), a difference
+    # block a = K mu cos(C + tau); s0 = -a (synchronized) or a/(N - 1)
+    kind, nodes, point = block
+    blocks = build_blocks(kind, NetworkParams(nodes, k, mu), point)
+    end = start + length
+    found = sn_scan(blocks.fix if fix else blocks.standard, (start, end))
+
+    def coeffs(tau):
+        a = k * mu * math.cos(point * tau if kind is ModelKind.PHASE else point + tau)
+        return a, -a if fix else a / (nodes - 1)
+
+    for cand in found:
+        a, s0 = coeffs(cand.tau_star)
+        lam = 1j * cand.omega
+        residual = abs(lam * lam + mu * lam + a + s0 * np.exp(-lam * cand.tau_star))
+        assert residual <= 1e-9 * (cand.omega**2 + mu * cand.omega + abs(a) + abs(s0))
+    # every integer n that u passes between two points of a grid ten times finer
+    # than the scan's is a crossing of the scan in that cell, unless w is absent
+    # at a cell end or the ends straddle a 2 pi jump of theta
+    taus = np.linspace(start, end, 10001).tolist()
+    turns = [turns_by_hand(*coeffs(tau), mu, tau) for tau in taus]
+    for row, root in enumerate((RootBranch.PLUS, RootBranch.MINUS)):
+        cells = zip(taus, taus[1:], (t[row] for t in turns), (t[row] for t in turns[1:]))
+        for ta, tb, ea, eb in cells:
+            if ea is None or eb is None or abs(ea[1] - eb[1]) > math.pi:
+                continue
+            for n in range(math.ceil(min(ea[0], eb[0])), math.floor(max(ea[0], eb[0])) + 1):
+                assert any(
+                    c.omega_candidate.root_branch is root and c.winding == n
+                    and ta - 1e-6 <= c.tau_star <= tb + 1e-6
+                    for c in found
+                ), (root, n, ta)
 
 
 def test_transversality_sign_law():

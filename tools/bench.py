@@ -70,8 +70,15 @@ SIDES = ("parent", "change")
 
 
 def _seeds(text: str) -> list[int]:
+    """The seeds A..B of "A:B", or the one seed of "A"; ValueError unless A <= B are integers."""
     first, _, last = text.partition(":")
-    return list(range(int(first), int(last or first) + 1))
+    try:
+        seeds = list(range(int(first), int(last or first) + 1))
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise ValueError(f"seed range {text!r} is not A:B with integers A <= B")
+    return seeds
 
 
 def _revision(root: str) -> str:
@@ -216,15 +223,18 @@ def main(argv=None) -> int:
     missing = [name for name in ("parent_root", "change_root", "workload", "seeds", "out") if not getattr(args, name)]
     if missing:
         ap.error(f"missing {', '.join(missing)} (or give --compare FILE)")
+    try:
+        sets = [("main", 0, _seeds(args.seeds))]
+        if args.trace_seeds is not None:
+            sets.append(("traced", 1, _seeds(args.trace_seeds)))
+    except ValueError as exc:
+        ap.error(str(exc))
 
     roots = {"parent": os.path.abspath(args.parent_root), "change": os.path.abspath(args.change_root)}
     with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     seconds = float(spec["run_seconds"])
-    sets = [("main", 0, _seeds(args.seeds))]
-    if args.trace_seeds:
-        sets.append(("traced", 1, _seeds(args.trace_seeds)))
 
     # the commands timed after each --trace 0 pair, by output block and key
     timed = {
