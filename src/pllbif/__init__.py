@@ -57,7 +57,6 @@ from .model import (
     difference_pairs,
     equilibria,
     equilibrium,
-    normalize,
     rhs,
     state_dim,
 )

@@ -137,12 +137,12 @@ def _crit_5():
                 tau = rng.uniform(0.0, 3.0)
                 if kind is ModelKind.FULL_PHASE:
                     k = rng.uniform(1.05, 3.0)
-                    params = NetworkParams(n, k, mu, 1.0, tau)
+                    params = NetworkParams(n, k, mu, delay=tau)
                     branch = Branch.PLUS if rng.uniform() < 0.5 else Branch.MINUS
                     point = equilibrium(params, branch)
                 else:
                     k = rng.uniform(0.3, 3.0)
-                    params = NetworkParams(n, k, mu, 1.0, tau)
+                    params = NetworkParams(n, k, mu, delay=tau)
                     point = rng.uniform(1.0 - k, 1.0 + k)
                 lam = complex(rng.uniform(-1.0, 1.0), rng.uniform(-3.0, 3.0))
                 det = full_determinant(kind, params, point, lam)

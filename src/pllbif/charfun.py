@@ -43,7 +43,6 @@ from .model import (
     NetworkParams,
     check_int,
     difference_pairs,
-    normalize,
     state_dim,
 )
 
@@ -148,8 +147,7 @@ def blocks_from_gain(params: NetworkParams, gain: Callable, dgain: Callable) -> 
     block is lambda^2 + mu lambda + a + (a/(N-1)) e^{-lambda tau}.  ``gain``
     maps tau -> a(tau) and ``dgain`` tau -> a'(tau).
     """
-    p = normalize(params)
-    n = p.n_nodes
+    n = params.n_nodes
 
     def block(div) -> QuasiPolynomial:
         # s0 = a/div with div = -1 (synchronized) or N - 1 (symmetry-breaking);
@@ -162,7 +160,7 @@ def blocks_from_gain(params: NetworkParams, gain: Callable, dgain: Callable) -> 
             da = dgain(tau)
             return da, da / div
 
-        return QuasiPolynomial(p.filter_gain, coeffs, dcoeffs)
+        return QuasiPolynomial(params.filter_gain, coeffs, dcoeffs)
 
     return BlockSet(block(-1.0), block(n - 1), n)
 
@@ -182,11 +180,10 @@ def build_blocks(kind: ModelKind, params: NetworkParams, point: Point) -> BlockS
       which Omega_hat moves, is read in its phase by ``relative_hopf_scan``.
     * PHASE_DIFFERENCE (N <= 3): ``point`` is the constant pairwise difference
       C; the returned pair are the non-fictitious blocks at modal gain
-      a = K mu cos(C + tau) (time normalized by omega_M).
+      a = K mu cos(C + tau).
     """
-    p = normalize(params)
-    mu = p.filter_gain
-    k = p.coupling
+    mu = params.filter_gain
+    k = params.coupling
 
     if kind is ModelKind.FULL_PHASE:
         if not isinstance(point, Equilibrium):
@@ -195,8 +192,8 @@ def build_blocks(kind: ModelKind, params: NetworkParams, point: Point) -> BlockS
         q = k * mu * (1.0 - c2)
         s = k * mu * (1.0 + c2)
         fix = constant_quasi_polynomial(q, mu, -s)
-        std = constant_quasi_polynomial(q, mu, s / (p.n_nodes - 1))
-        return BlockSet(fix, std, p.n_nodes)
+        std = constant_quasi_polynomial(q, mu, s / (params.n_nodes - 1))
+        return BlockSet(fix, std, params.n_nodes)
 
     if kind in (ModelKind.PHASE, ModelKind.PHASE_ROTATING_FRAME):
         oh = float(point)
@@ -209,10 +206,10 @@ def build_blocks(kind: ModelKind, params: NetworkParams, point: Point) -> BlockS
             t = np.asarray(tau, dtype=float)
             return -k * mu * np.sin(oh * t) * oh
 
-        return blocks_from_gain(p, a_const, da_const)
+        return blocks_from_gain(params, a_const, da_const)
 
     if kind is ModelKind.PHASE_DIFFERENCE:
-        if p.n_nodes > 3:
+        if params.n_nodes > 3:
             raise UnsupportedKindError(
                 "phase-difference blocks are defined for 2 or 3 nodes"
             )
@@ -224,7 +221,7 @@ def build_blocks(kind: ModelKind, params: NetworkParams, point: Point) -> BlockS
         def da_diff(tau):
             return -k * mu * np.sin(c_const + np.asarray(tau, dtype=float))
 
-        return blocks_from_gain(p, a_diff, da_diff)
+        return blocks_from_gain(params, a_diff, da_diff)
 
     raise UnsupportedKindError(str(kind))
 
@@ -245,16 +242,15 @@ def linearization_matrices(
     * PHASE_DIFFERENCE (N <= 3): 2N(N-1)-dimensional, one pair per ordered
       node pair (i, j) of ``difference_pairs``; row (i,j) couples to every
       undelayed d_(i,l) with weight -a_c and every delayed d_(j,l) with
-      weight +a_c, a_c = (K mu/(N-1)) cos(C + omega_M tau).
+      weight +a_c, a_c = (K mu/(N-1)) cos(C + tau).
     """
-    p = normalize(params)
-    n = p.n_nodes
-    mu = p.filter_gain
-    k = p.coupling
+    n = params.n_nodes
+    mu = params.filter_gain
+    k = params.coupling
 
     if kind is ModelKind.PHASE_DIFFERENCE:
         dim = state_dim(kind, n)
-        a_c = k * mu / (n - 1) * np.cos(float(point) + p.delay)
+        a_c = k * mu / (n - 1) * np.cos(float(point) + params.delay)
         pairs = difference_pairs(n)
         index = {pair: idx for idx, pair in enumerate(pairs)}
         a0 = np.zeros((dim, dim))
@@ -277,7 +273,7 @@ def linearization_matrices(
         off = k * mu * (1.0 + c2) / (n - 1)  # d(acc_i)/d(delayed pos_j)
     elif kind in (ModelKind.PHASE, ModelKind.PHASE_ROTATING_FRAME):
         oh = float(point)
-        c = np.cos(oh * p.delay)
+        c = np.cos(oh * params.delay)
         diag = -k * mu * c
         off = k * mu * c / (n - 1)
     else:
@@ -303,10 +299,9 @@ def full_determinant(
     (A0, Atau) are ``linearization_matrices(kind, params, point)``; the
     identity takes their size, 2N or, for PHASE_DIFFERENCE, 2N(N-1).
     """
-    p = normalize(params)
-    a0, atau = linearization_matrices(kind, p, point)
+    a0, atau = linearization_matrices(kind, params, point)
     lam = complex(lam)
-    m = lam * np.eye(a0.shape[0], dtype=complex) - a0 - atau * np.exp(-lam * p.delay)
+    m = lam * np.eye(a0.shape[0], dtype=complex) - a0 - atau * np.exp(-lam * params.delay)
     return complex(np.linalg.det(m))
 
 
@@ -320,14 +315,13 @@ def block_product(
     (lambda^2 + mu lambda)^(N(N-2)) of the over-parameterized coordinates
     (1 for N = 2; see ``phasediff``).
     """
-    p = normalize(params)
-    blocks = build_blocks(kind, p, point)
+    blocks = build_blocks(kind, params, point)
     lam = complex(lam)
-    n = p.n_nodes
-    fix = blocks.fix.eval(lam, p.delay)
+    n = params.n_nodes
+    fix = blocks.fix.eval(lam, params.delay)
     if kind is ModelKind.PHASE_DIFFERENCE:
-        fix = (lam * lam + p.filter_gain * lam) ** (n * (n - 2)) * fix
-    return fix * blocks.standard.eval(lam, p.delay) ** (n - 1)
+        fix = (lam * lam + params.filter_gain * lam) ** (n * (n - 2)) * fix
+    return fix * blocks.standard.eval(lam, params.delay) ** (n - 1)
 
 
 def isotypic_basis(n_nodes: int, j: int) -> np.ndarray:

@@ -19,9 +19,10 @@ error, never replaced by the default.  Numbers from flags and from the
 config pass the same checks and must be finite.  Flags are never
 abbreviated.
 
-Delays, times, and steps given on the command line are in the caller's time
-units and are rescaled by omega_m at this boundary, so configurations that
-differ only by the free-running frequency produce identical output.
+The library works in time normalized by the free-running frequency omega_m;
+here rates and frequencies (``--K``, ``--mu``, their grids, ``--omega-hat``)
+are divided by it and delays, times and steps multiplied, so configurations
+that differ only by omega_m write identical output (its metadata: omega_m = 1).
 
 Exit codes: 0 success, 1 domain error (no equilibrium, no convergence, ...),
 2 usage or I/O error, a parameter outside its domain included (an
@@ -43,7 +44,7 @@ import numpy as np
 
 from .charfun import BlockKind, block_product, build_blocks, p_dp
 from .errors import IndexOutOfRangeError, InvalidParamError, NotPeriodicError, PllbifError
-from .model import _MAX_FLOATS, Branch, ModelKind, NetworkParams, equilibrium, normalize
+from .model import _MAX_FLOATS, Branch, ModelKind, NetworkParams, equilibrium
 from .phasediff import determinant_n3, fictitious_roots
 from .phasemodel import _RESOLUTION, releq_branches, releq_solve, relative_hopf_scan, zero_root_taus
 from .simulator import (
@@ -232,14 +233,9 @@ class _Opt(NamedTuple):
 # shared pieces of the commands
 
 
-def _params(*args) -> NetworkParams:
-    """The normalized ``NetworkParams(*args)``."""
-    return normalize(NetworkParams(*args))
-
-
 def _network(o: argparse.Namespace, tau: float = 0.0) -> NetworkParams:
-    """The normalized network of the parsed options."""
-    return _params(o.nodes, o.K, o.mu, o.omega_m, tau)
+    """The network of the parsed options, in time normalized by ``--omega-m``."""
+    return NetworkParams(o.nodes, o.K / o.omega_m, o.mu / o.omega_m, delay=tau * o.omega_m)
 
 
 def _meta(p: NetworkParams, command: str, *extra: tuple) -> list[tuple]:
@@ -247,7 +243,7 @@ def _meta(p: NetworkParams, command: str, *extra: tuple) -> list[tuple]:
         ("n_nodes", p.n_nodes),
         ("K", p.coupling),
         ("mu", p.filter_gain),
-        ("omega_m", p.free_freq),
+        ("omega_m", 1.0),
         ("tau", p.delay),
         ("command", command),
         *extra,
@@ -391,7 +387,7 @@ def _cmd_snmap(o: argparse.Namespace) -> int:
 def _cmd_releq(o: argparse.Namespace) -> int:
     lo, hi = o.tau_window[0] * o.omega_m, o.tau_window[1] * o.omega_m
     # the locked branches depend on K alone; 2 nodes and mu = 1 fill the metadata
-    p = _params(2, o.K, 1.0, o.omega_m)
+    p = NetworkParams(2, o.K / o.omega_m, 1.0)
     branches = releq_branches(p, (lo, hi))
     rows = [[br.branch_id, br.birth_tau, t, oh] for br in branches for t, oh in zip(br.taus, br.omegas)]
     series = [Series(list(br.taus), list(br.omegas), label=f"branch {br.branch_id}") for br in branches]
@@ -444,7 +440,7 @@ def _cmd_phasediff_check(o: argparse.Namespace) -> int:
     if not 0 <= o.omega_index < len(locked):
         raise _UsageError(f"--omega-index {o.omega_index} outside 0..{len(locked) - 1}")
     omega_hat = locked[o.omega_index]
-    c_const = o.c_const if o.c_const is not None else (omega_hat - p.free_freq) * p.delay
+    c_const = o.c_const if o.c_const is not None else (omega_hat - 1.0) * p.delay
     rng = np.random.default_rng(o.seed)
     lam = rng.uniform(-1.5, 1.5, o.samples) + 1j * rng.uniform(-2.0, 2.0, o.samples)
 
@@ -495,15 +491,15 @@ def _cmd_simulate(o: argparse.Namespace) -> int:
     elif kind is ModelKind.PHASE:
         base = np.zeros(2 * p.n_nodes)
     elif kind is ModelKind.PHASE_ROTATING_FRAME:
-        oh = o.omega_hat if o.omega_hat is not None else releq_solve(p, p.delay)[0]
-        omega = oh - p.free_freq
+        oh = o.omega_hat / wm if o.omega_hat is not None else releq_solve(p, p.delay)[0]
+        omega = oh - 1.0
         base = equilibrium_state(kind, p, None)
     else:
         if p.n_nodes > 3:
             raise _UsageError("simulate --model phase-difference needs --nodes 2 or 3")
         c_const = o.c_const
         if c_const is None:
-            c_const = (releq_solve(p, p.delay)[0] - p.free_freq) * p.delay
+            c_const = (releq_solve(p, p.delay)[0] - 1.0) * p.delay
         base = equilibrium_state(kind, p, c_const)
 
     spec_kind = o.perturb
@@ -593,8 +589,8 @@ def _cmd_verify(o: argparse.Namespace) -> int:
 
 
 _NODES = _Opt("--nodes", _int(2), 2, "number of loops N")
-_K = _Opt("--K", _num, _REQUIRED, "coupling gain")
-_MU = _Opt("--mu", _num, _REQUIRED, "loop-filter rate")
+_K = _Opt("--K", _positive, _REQUIRED, "coupling gain")
+_MU = _Opt("--mu", _positive, _REQUIRED, "loop-filter rate")
 _OMEGA_M = _Opt("--omega-m", _positive, 1.0, "free-running frequency")
 _TAU = _Opt("--tau", _num, 0.0, "transmission delay")
 _CSV = _Opt("--out", _text, "-", "CSV output path; '-' is stdout")
@@ -660,7 +656,8 @@ _COMMANDS = {
         _Opt("--transient", _fraction, 0.6, "fraction discarded before classifying"),
         _Opt("--classify", _YES, "yes", "estimate the period and classify the symmetry"),
         _Opt("--tol", _positive, 1e-2, "symmetry residual tolerance"),
-        _Opt("--omega-hat", _num, None, "frame rate of the rotating frame (default: first locked frequency)"),
+        _Opt("--omega-hat", _num, None, "locked frequency of the rotating frame, divided by "
+             "--omega-m like --K (default: first locked frequency)"),
         _C_CONST,
         *_OUT,
     )),

@@ -12,7 +12,7 @@ class InvalidParamError(PllbifError, ValueError):
 
 
 class NoEquilibriumError(PllbifError):
-    """Phase-locked equilibria require K >= omega_M (normalized K >= 1)."""
+    """Phase-locked equilibria require K >= 1."""
 
 
 class DimensionMismatchError(PllbifError, ValueError):

@@ -4,20 +4,20 @@ A network of N identical second-order phase-locked loops with all-to-all
 delayed coupling is treated in four equivalent formulations:
 
 * ``FULL_PHASE``: node phases phi_i obey
-  phi_i'' + mu phi_i' = mu omega_M
+  phi_i'' + mu phi_i' = mu
   + (K mu / (N-1)) sum_{j != i} [sin(phi_j(t-tau) - phi_i) + sin(phi_j(t-tau) + phi_i)],
   the form whose phase-locked equilibria are constant vectors.
 * ``PHASE``: instantaneous phases theta_i with
-  theta_i'' + mu theta_i' = (K mu / (N-1)) sum_{j != i} sin(theta_j(t-tau) - theta_i - omega_M tau).
+  theta_i'' + mu theta_i' = (K mu / (N-1)) sum_{j != i} sin(theta_j(t-tau) - theta_i - tau).
 * ``PHASE_ROTATING_FRAME``: the PHASE model in a frame co-rotating at a given
   rate Omega, so synchronized rotating waves become equilibria.
 * ``PHASE_DIFFERENCE``: lexicographic pair coordinates
   d_(i,j)(t) = theta_i(t) - theta_j(t-tau), a closed system for N in {2, 3}.
 
 States interleave positions and velocities per node:
-(x_1, x_1', x_2, x_2', ...).  All analysis downstream normalizes time by the
-free-running frequency omega_M, so the canonical parameter set has
-omega_M = 1.
+(x_1, x_1', x_2, x_2', ...).  Time is in units of the inverse free-running
+frequency omega_M, so omega_M = 1 and K, mu and tau are the normalized
+K / omega_M, mu / omega_M and omega_M tau of a physical network.
 
 The all-to-all sums cost O(N), not O(N^2).  With d_j = x_j(t - tau):
 
@@ -77,7 +77,6 @@ __all__ = [
     "NetworkParams",
     "Equilibrium",
     "check_delay",
-    "normalize",
     "state_dim",
     "equilibria",
     "equilibrium",
@@ -103,18 +102,16 @@ class ModelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Physical parameters of the delay-coupled loop network.
+    """Parameters of the delay-coupled loop network, in time normalized by omega_M.
 
     Attributes
     ----------
     n_nodes : int
         Number of loops N >= 2.
     coupling : float
-        Coupling gain K > 0 (in units of omega_M after normalization).
+        Coupling gain K > 0.
     filter_gain : float
         Loop-filter rate mu > 0.
-    free_freq : float
-        Free-running frequency omega_M > 0; 1.0 once normalized.
     delay : float
         Transmission delay tau >= 0.
     """
@@ -122,13 +119,12 @@ class NetworkParams:
     n_nodes: int
     coupling: float
     filter_gain: float
-    free_freq: float = 1.0
     delay: float = 0.0
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n_nodes, (int, np.integer)) and self.n_nodes >= 2):
             raise InvalidParamError(f"n_nodes must be an integer >= 2, got {self.n_nodes}")
-        for name in ("coupling", "filter_gain", "free_freq"):
+        for name in ("coupling", "filter_gain"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise InvalidParamError(f"{name} must be finite and > 0, got {v}")
@@ -164,23 +160,6 @@ def check_int(value, name: str, low: int) -> int:
     return n
 
 
-def normalize(params: NetworkParams) -> NetworkParams:
-    """Rescale time by omega_M: (K, mu, tau) -> (K/wM, mu/wM, wM tau), wM -> 1.
-
-    Idempotent; every analysis routine calls this once at its boundary.
-    """
-    w = params.free_freq
-    if w == 1.0:
-        return params
-    return replace(
-        params,
-        coupling=params.coupling / w,
-        filter_gain=params.filter_gain / w,
-        free_freq=1.0,
-        delay=params.delay * w,
-    )
-
-
 def difference_pairs(n_nodes: int) -> list[tuple[int, int]]:
     """Ordered node pairs (i, j), i != j, lexicographic; the PHASE_DIFFERENCE layout."""
     return [(i, j) for i in range(n_nodes) for j in range(n_nodes) if i != j]
@@ -208,18 +187,15 @@ class Equilibrium:
 def equilibria(params: NetworkParams) -> list[Equilibrium]:
     """Phase-locked equilibria phi_i = phi* of the FULL_PHASE model.
 
-    The doubled angle solves sin(2 phi) = -1/K (normalized), so representatives
+    The doubled angle solves sin(2 phi) = -1/K, so representatives
     are chosen by reducing 2 phi into (-pi, pi] and halving:
     phi+ = asin(-1/K)/2, phi- = (-pi - asin(-1/K))/2.  Both lie in (-pi/2, 0]
     and coincide at K = 1 (saddle-node of equilibria).  Raises
     NoEquilibriumError for K < 1.
     """
-    p = normalize(params)
-    k = p.coupling
+    k = params.coupling
     if k < 1.0:
-        raise NoEquilibriumError(
-            f"phase-locked states need coupling >= free_freq (normalized K >= 1), got K={k}"
-        )
+        raise NoEquilibriumError(f"phase-locked states need coupling K >= 1, got K={k}")
     s = math.asin(-1.0 / k)
     root = math.sqrt(max(0.0, 1.0 - 1.0 / (k * k)))
     if k == 1.0:
@@ -296,16 +272,15 @@ def _compile_parts(
     d, and the position entry is v itself.  The integrator's float stepper
     writes that expression inline rather than calling a closure.
     """
-    p = normalize(params)
-    n = p.n_nodes
+    n = params.n_nodes
     state_dim(kind, n)  # rejects the phase-difference form beyond three nodes
-    mu = p.filter_gain
-    gain = p.coupling * mu / (n - 1)
+    mu = params.filter_gain
+    gain = params.coupling * mu / (n - 1)
 
     if kind is ModelKind.PHASE_DIFFERENCE:
         pairs = np.array(difference_pairs(n))
         first, second = pairs[:, 0], pairs[:, 1]
-        shift = p.delay  # omega_M tau with omega_M = 1
+        shift = params.delay  # omega_M tau with omega_M = 1
 
         def node_sums(d):
             # sum_l sin(d_(i,l) + shift) per node i; the lexicographic layout
@@ -336,7 +311,7 @@ def _compile_parts(
     elif kind is ModelKind.PHASE:
         drive = 0.0
         factor = _phase_input
-        coupling = partial(_phase_coupling, shift=p.delay)
+        coupling = partial(_phase_coupling, shift=params.delay)
     elif kind is ModelKind.PHASE_ROTATING_FRAME:
         if omega is None:
             raise UnsupportedKindError("rotating-frame evaluation needs the frame rate omega")
@@ -344,7 +319,7 @@ def _compile_parts(
             raise InvalidParamError(f"frame rate omega must be finite, got {omega}")
         drive = -mu * omega
         factor = _phase_input
-        coupling = partial(_phase_coupling, shift=(omega + 1.0) * p.delay)
+        coupling = partial(_phase_coupling, shift=(omega + 1.0) * params.delay)
     else:  # pragma: no cover - exhaustive enum
         raise UnsupportedKindError(str(kind))
 
@@ -368,8 +343,7 @@ def compile_rhs(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Right-hand side ``f(state, delayed)`` of one formulation, bound once.
 
-    Normalization (after which omega_M = 1 drops out of every term), the kind
-    and parameter checks, and every constant of the field (mu, the coupling
+    The kind and parameter checks, and every constant of the field (mu, the coupling
     gain, the drive, the delay shift, the pair indices) are settled here, so
     the returned closure does arithmetic only.
     It takes float arrays whose last axis has length state_dim and does not

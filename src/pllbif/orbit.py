@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParamError, NotPeriodicError, UnsupportedKindError
-from .model import ModelKind, NetworkParams, check_int, compile_rhs, normalize
+from .model import ModelKind, NetworkParams, check_int, compile_rhs
 
 __all__ = [
     "OrbitProfile",
@@ -97,7 +97,7 @@ class OrbitProfile:
         """RMS model residual over one period, a certificate of orbit quality."""
         r = _residual(
             self.kind,
-            normalize(self.params),
+            self.params,
             self.cos_coeffs,
             self.sin_coeffs,
             self.period,
@@ -253,7 +253,7 @@ class _Collocation:
     """
 
     kind: ModelKind
-    params: NetworkParams  # normalized
+    params: NetworkParams
     n_comp: int
     harmonics: int
     samples: int
@@ -358,7 +358,6 @@ def refine_orbit(profile: OrbitProfile, harmonics: int | None = None) -> OrbitPr
     stalls above 1e-6, or if every harmonic >= 1 ends at or below 1e-6 (the
     candidate fell to the equilibrium).
     """
-    p = normalize(profile.params)
     kind = profile.kind
     prof = profile.with_harmonics(profile.harmonics if harmonics is None else harmonics)
     h = prof.harmonics
@@ -371,7 +370,7 @@ def refine_orbit(profile: OrbitProfile, harmonics: int | None = None) -> OrbitPr
     th = math.atan2(b[anchor, 1], a[anchor, 1])
     a, b = _rotate(a, b, -np.arange(h + 1) * th)
 
-    col = _Collocation(kind, p, a.shape[0], h, m, anchor)
+    col = _Collocation(kind, profile.params, a.shape[0], h, m, anchor)
     u = np.concatenate([a.ravel(), b[:, 1:].ravel(), [prof.period]])
     r, coll = col.evaluate(u[:-1], prof.period)
     norm = float(np.linalg.norm(r))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .charfun import build_blocks, full_determinant
 from .errors import UnsupportedKindError
-from .model import ModelKind, NetworkParams, normalize
+from .model import ModelKind, NetworkParams
 
 __all__ = [
     "FictitiousRoot",
@@ -31,10 +31,9 @@ def determinant_n3(params: NetworkParams, c_const: float, lam: complex) -> compl
     ``full_determinant`` of PHASE_DIFFERENCE at d == c_const, for N = 3 only,
     the node count that carries the fictitious factor.
     """
-    p = normalize(params)
-    if p.n_nodes != 3:
+    if params.n_nodes != 3:
         raise UnsupportedKindError("the 12-dimensional determinant needs 3 nodes")
-    return full_determinant(ModelKind.PHASE_DIFFERENCE, p, c_const, lam)
+    return full_determinant(ModelKind.PHASE_DIFFERENCE, params, c_const, lam)
 
 
 @dataclass(frozen=True)
@@ -50,14 +49,13 @@ def fictitious_roots(params: NetworkParams, c_const: float) -> list[FictitiousRo
     genuine block does (residual >= 1e-6).  lambda = 0 is always a root of the
     synchronized block as well, so it is never flagged.
     """
-    p = normalize(params)
-    if p.n_nodes != 3:
+    if params.n_nodes != 3:
         raise UnsupportedKindError("fictitious factors arise only for 3 nodes")
-    blocks = build_blocks(ModelKind.PHASE_DIFFERENCE, p, c_const)
+    blocks = build_blocks(ModelKind.PHASE_DIFFERENCE, params, c_const)
     out: list[FictitiousRoot] = []
-    for lam in (0.0, -p.filter_gain):
-        if abs(determinant_n3(p, c_const, lam)) > 1e-6:
+    for lam in (0.0, -params.filter_gain):
+        if abs(determinant_n3(params, c_const, lam)) > 1e-6:
             continue
-        genuine = min(abs(blocks.fix.eval(lam, p.delay)), abs(blocks.standard.eval(lam, p.delay)))
+        genuine = min(abs(blocks.fix.eval(lam, params.delay)), abs(blocks.standard.eval(lam, params.delay)))
         out.append(FictitiousRoot(lam, bool(genuine >= 1e-6)))
     return out

@@ -1,9 +1,9 @@
 """Rotating-wave states of the phase formulation and their bifurcations.
 
 Synchronized solutions theta_i = Omega t + const exist when the locked
-frequency Omega_hat = Omega + omega_M satisfies
-Omega_hat + K sin(Omega_hat tau) = omega_M (omega_M = 1 once normalized).  In
-the phase phi = Omega_hat tau the relation inverts in closed form,
+frequency Omega_hat = Omega + 1 satisfies Omega_hat + K sin(Omega_hat tau) = 1
+(time normalized by omega_M).  In the phase phi = Omega_hat tau the relation
+inverts in closed form,
 
     Omega_hat(phi) = 1 - K sin(phi),    tau(phi) = phi / Omega_hat(phi),
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .charfun import BlockKind, blocks_from_gain
 from .errors import InvalidParamError
-from .model import _MAX_FLOATS, NetworkParams, check_delay, check_int, normalize
+from .model import _MAX_FLOATS, NetworkParams, check_delay, check_int
 from .snmap import _MAX_CROSSINGS, CrossingCandidate, _scan
 
 __all__ = [
@@ -99,7 +99,7 @@ def releq_solve(params: NetworkParams, tau: float) -> list[float]:
     hold tau, so the double root is listed twice.  Raises InvalidParamError
     for a negative or non-finite delay.
     """
-    k = normalize(params).coupling
+    k = params.coupling
     tau = check_delay(tau)
     lo, hi = [], []
     for a, b, ta, tb in _pieces(k, tau):
@@ -252,7 +252,7 @@ def releq_branches(params: NetworkParams, tau_window: tuple[float, float]) -> li
     a negative or non-finite window end, a window that does not end after it
     starts, or more than 2^20 samples in all.
     """
-    k = normalize(params).coupling
+    k = params.coupling
     branches = []
     for i, (birth, taus, piece) in enumerate(_branch_grids(k, tau_window)):
         phi = _solve(_phase_equation(taus, k), *piece)
@@ -287,8 +287,7 @@ def relative_hopf_scan(
     block at phi*.  The brackets of all branches share one budget of 2^20,
     counted before any is halved; past it InvalidParamError is raised.
     """
-    p = normalize(params)
-    k, mu = p.coupling, p.filter_gain
+    k, mu = params.coupling, params.filter_gain
     grids = _branch_grids(k, tau_window)
     if not grids:
         return []
@@ -302,7 +301,7 @@ def relative_hopf_scan(
         oh = 1.0 - k * np.sin(x)
         return -k * mu * np.sin(x) * oh / (1.0 + x / oh * k * np.cos(x))
 
-    blocks = blocks_from_gain(p, lambda x: k * mu * np.cos(x), rate)
+    blocks = blocks_from_gain(params, lambda x: k * mu * np.cos(x), rate)
     blk = blocks.fix if block is BlockKind.FIX else blocks.standard
 
     def at(x):
@@ -337,8 +336,7 @@ def zero_root_taus(params: NetworkParams, n_range: range) -> list[ZeroRootEvent]
     before any is built, and more than the budget of 2^20 raise
     InvalidParamError.
     """
-    p = normalize(params)
-    k, n_nodes = p.coupling, p.n_nodes
+    k, n_nodes = params.coupling, params.n_nodes
     up = n_range if n_range.step > 0 else n_range[::-1]
     # tau >= 0 iff n >= 0, and the denominator takes the sign of n's parity
     nonneg = up[bisect.bisect_left(up, 0) :]

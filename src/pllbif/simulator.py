@@ -36,7 +36,6 @@ from .model import (
     ModelKind,
     NetworkParams,
     _compile_parts,
-    normalize,
     state_dim,
 )
 
@@ -71,17 +70,16 @@ def equilibrium_state(kind: ModelKind, params: NetworkParams, point) -> np.ndarr
     frame locked at rate omega (point unused), PHASE_DIFFERENCE the pairwise
     constant C.  The drifting phase model has no equilibria in general.
     """
-    p = normalize(params)
     if kind is ModelKind.FULL_PHASE:
         if not isinstance(point, Equilibrium):
             raise InvalidParamError("full-phase equilibrium state needs an Equilibrium")
-        out = np.zeros(2 * p.n_nodes)
+        out = np.zeros(2 * params.n_nodes)
         out[0::2] = point.phi
         return out
     if kind is ModelKind.PHASE_ROTATING_FRAME:
-        return np.zeros(2 * p.n_nodes)
+        return np.zeros(2 * params.n_nodes)
     if kind is ModelKind.PHASE_DIFFERENCE:
-        out = np.zeros(state_dim(kind, p.n_nodes))
+        out = np.zeros(state_dim(kind, params.n_nodes))
         out[0::2] = float(point)
         return out
     raise UnsupportedKindError(
@@ -256,15 +254,14 @@ def integrate(
     delay.  One that would need more than 2^27 of them (1 GiB) raises
     InvalidParamError before anything is allocated.
     """
-    p = normalize(params)
     # written so that NaN fails too
     if not 0.0 < t_end < math.inf:
         raise InvalidParamError(f"t_end must be finite and positive, got {t_end}")
     if not 0.0 < step < math.inf:
         raise InvalidParamError(f"step must be finite and positive, got {step}")
-    dim = state_dim(kind, p.n_nodes)
-    delayed_input, local, constants = _compile_parts(kind, p, omega)
-    tau = p.delay
+    dim = state_dim(kind, params.n_nodes)
+    delayed_input, local, constants = _compile_parts(kind, params, omega)
+    tau = params.delay
     if tau > 0.0:
         m = max(1, _ceil(tau / step))
         h = tau / m
@@ -316,7 +313,7 @@ def integrate(
                     )
                 stop = min(k + m, nsteps)
                 advance(field, states, derivs, times, h, k, stop, delayed_input(lagged))
-    return Trajectory(kind, p, times, states, derivs, history, h)
+    return Trajectory(kind, params, times, states, derivs, history, h)
 
 
 def _advance_arrays(f, states, derivs, times, h, start, stop, inputs):

@@ -47,7 +47,6 @@ from .model import (
     NetworkParams,
     check_delay,
     equilibrium,
-    normalize,
 )
 
 __all__ = [
@@ -99,11 +98,13 @@ class CrossingCandidate:
 
 
 def _stable_quadratic_roots(b: float, c: float) -> tuple[float, float] | None:
-    """Real roots (x_plus, x_minus) of x^2 + b x + c, avoiding cancellation."""
-    disc = b * b - 4.0 * c
+    """Real roots (x_plus, x_minus) of x^2 + b x + c, avoiding cancellation and overflow."""
+    # disc / m^2, with m > 1 only where b^2 or 4c overflows
+    m = 1.0 if math.isfinite(b * b - 4.0 * c) else max(abs(b), math.sqrt(abs(c)))
+    disc = (b / m) * (b / m) - 4.0 * (c / m) / m
     if disc < 0.0:
         return None
-    sq = math.sqrt(disc)
+    sq = m * math.sqrt(disc)
     if b <= 0.0:
         x_plus = (-b + sq) / 2.0
         x_minus = c / x_plus if x_plus != 0.0 else (-b - sq) / 2.0
@@ -118,8 +119,9 @@ def omega_candidates(b: float, c: float) -> list[OmegaCandidate]:
 
     Candidates exist iff b^2 - 4c >= 0 and the corresponding w^2 > 0
     (w = 0 never qualifies: zero roots are handled separately).  Each root is
-    polished by one Newton step on F.  Raises NoConvergenceError when b or c
-    is not finite: an overflowed coefficient hides the roots.
+    polished by one Newton step on F, unless the step overflows.  Raises
+    NoConvergenceError when b or c is not finite: an overflowed coefficient
+    hides the roots.
     """
     if not (math.isfinite(b) and math.isfinite(c)):
         raise NoConvergenceError(f"the crossing quartic overflows: b = {b:g}, c = {c:g}")
@@ -132,8 +134,8 @@ def omega_candidates(b: float, c: float) -> list[OmegaCandidate]:
             continue
         w = math.sqrt(w2)
         fp = 4.0 * w * w2 + 2.0 * b * w
-        if fp != 0.0:
-            w -= (w2 * w2 + b * w2 + c) / fp
+        step = (w2 * w2 + b * w2 + c) / fp if fp != 0.0 else 0.0
+        w -= step if math.isfinite(step) else 0.0
         if w > 0.0:
             out.append(OmegaCandidate(w, tag))
     return out
@@ -271,6 +273,10 @@ def _turns(at, s: np.ndarray, root: np.ndarray):
         # form, which numpy would slow some 40 times
         disc = b * b - 4.0 * c
         sq = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+        if not np.isfinite(disc).all():  # b^2 or 4c overflows: sqrt(disc) = m sqrt(disc / m^2)
+            m = np.where(np.isfinite(disc), 1.0, np.maximum(np.abs(b), np.sqrt(np.abs(c))))
+            disc = (b / m) * (b / m) - 4.0 * (c / m) / m
+            sq = m * np.sqrt(np.where(disc >= 0.0, disc, np.nan))
         big = np.where(b <= 0.0, -b + sq, -b - sq) / 2.0
         small = c / np.where(big != 0.0, big, np.inf)
     w2 = np.where((root == 0) == (b <= 0.0), big, small)
@@ -483,9 +489,8 @@ class RegionBoundaries:
 def region_boundaries(
     params: NetworkParams, eq, block: BlockKind
 ) -> RegionBoundaries:
-    p = normalize(params)
-    k = p.coupling
-    n = p.n_nodes
+    k = params.coupling
+    n = params.n_nodes
     c2 = eq.cos_two_phi
     mu_b = 2.0 * k * (1.0 - c2)
     k_n = 0.5 * n * math.sqrt(1.0 / (n - 1))
@@ -536,11 +541,10 @@ def bifurcation_curves(
     """
     if sweep_param not in ("mu", "K"):
         raise UnsupportedKindError(f"unknown sweep parameter {sweep_param!r}")
-    p = normalize(params)
     ladders, count = [], 0
     for v in sweep_values:
         v = float(v)
-        q = replace(p, filter_gain=v) if sweep_param == "mu" else replace(p, coupling=v)
+        q = replace(params, filter_gain=v) if sweep_param == "mu" else replace(params, coupling=v)
         try:
             eq = equilibrium(q, eq_branch)
         except NoEquilibriumError:

@@ -8,13 +8,12 @@ rate for the tests that check the phase scan against a scan in the delay.
 
 import numpy as np
 
-from pllbif import BlockSet, blocks_from_gain, normalize
+from pllbif import BlockSet, blocks_from_gain
 
 
 def branch_blocks(params, branch) -> BlockSet:
     """Blocks at modal gain a(tau) = K mu cos(Omega_hat(tau) tau) along ``branch``."""
-    p = normalize(params)
-    k, mu = p.coupling, p.filter_gain
+    k, mu = params.coupling, params.filter_gain
 
     def gain(tau):
         t = np.asarray(tau, dtype=float)
@@ -28,4 +27,4 @@ def branch_blocks(params, branch) -> BlockSet:
         arg = oh * t
         return -k * mu * np.sin(arg) * oh / (1.0 + t * k * np.cos(arg))
 
-    return blocks_from_gain(p, gain, dgain)
+    return blocks_from_gain(params, gain, dgain)

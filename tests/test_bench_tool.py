@@ -125,6 +125,7 @@ def test_readme_commands_are_timed_after_each_pair_in_its_order(tmp_path, monkey
 
     monkeypatch.setattr(bench, "run_once", fake_run)
     monkeypatch.setattr(bench, "time_command", fake_time)
+    monkeypatch.setattr(bench, "time_setup", lambda root, workload, seed, seconds, env: 0.1)
     monkeypatch.setattr(bench, "readme_commands", lambda readme: [["releq", "--K", "1"], ["zero-roots"]])
     monkeypatch.setattr(bench, "verify_criteria", lambda root: [])
     out = tmp_path / "BENCH_0.json"
@@ -175,6 +176,7 @@ def test_each_verify_criterion_is_timed_after_each_pair_in_its_order(tmp_path, m
 
     monkeypatch.setattr(bench, "run_once", fake_run)
     monkeypatch.setattr(bench, "time_command", fake_time)
+    monkeypatch.setattr(bench, "time_setup", lambda root, workload, seed, seconds, env: 0.1)
     monkeypatch.setattr(bench, "readme_commands", lambda readme: [["zero-roots"]])
     out = tmp_path / "BENCH_0.json"
     argv = [str(tmp_path / "parent"), str(change), "--workload", "orbit", "--seeds", "1:2",
@@ -203,6 +205,84 @@ def test_each_verify_criterion_is_timed_after_each_pair_in_its_order(tmp_path, m
     lines = capsys.readouterr().out.splitlines()
     assert "verify --only 4 wall_s: parent 3 [3, 3] -> change 2 [2, 2], change won 2 of 2" in lines
     assert "verify --only 12 wall_s: parent 1 [1, 1] -> change 1 [1, 1], change won 0 of 2" in lines
+
+
+def test_setup_is_timed_after_each_pair_in_its_order(tmp_path, monkeypatch, capsys):
+    bench = load_bench()
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    calls = []
+    # (parent, change) per (workload, seed)
+    setups = {("orbit", 1): (0.3, 0.2), ("orbit", 2): (0.2, 0.25),
+              ("analysis", 1): (0.4, 0.3), ("analysis", 2): (0.5, 0.5)}
+
+    def fake_run(root, workload, seed, seconds, trace, env):
+        calls.append((Path(root).name, "run", workload, seed))
+        return {"metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+
+    def fake_setup(root, workload, seed, seconds, env):
+        calls.append((Path(root).name, "setup", workload, seed))
+        return setups[workload, seed][Path(root).name == "change"]
+
+    def fake_time(root, argv, env):
+        calls.append((Path(root).name, argv[0], None, None))
+        return 1.0
+
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    monkeypatch.setattr(bench, "time_setup", fake_setup)
+    monkeypatch.setattr(bench, "time_command", fake_time)
+    monkeypatch.setattr(bench, "readme_commands", lambda readme: [["zero-roots"]])
+    monkeypatch.setattr(bench, "verify_criteria", lambda root: [])
+    out = tmp_path / "BENCH_0.json"
+    argv = [str(tmp_path / "parent"), str(change), "--workload", "orbit", "--workload", "analysis",
+            "--seeds", "1:2", "--trace-seeds", "3", "--out", str(out)]
+    assert bench.main(argv) == 0
+    # right after each main pair, one set-up process per side in the pair's
+    # order, before the README commands; the traced pairs time no set-up
+    p, c = "parent", "change"
+    main_calls = [(a, b, w, s) for a, b, w, s in calls if b != "zero-roots"]
+    assert main_calls == [
+        (p, "run", "orbit", 1), (c, "run", "orbit", 1), (p, "setup", "orbit", 1), (c, "setup", "orbit", 1),
+        (c, "run", "orbit", 2), (p, "run", "orbit", 2), (c, "setup", "orbit", 2), (p, "setup", "orbit", 2),
+        (p, "run", "analysis", 1), (c, "run", "analysis", 1),
+        (p, "setup", "analysis", 1), (c, "setup", "analysis", 1),
+        (c, "run", "analysis", 2), (p, "run", "analysis", 2),
+        (c, "setup", "analysis", 2), (p, "setup", "analysis", 2),
+        (p, "run", "orbit", 3), (c, "run", "orbit", 3), (c, "run", "analysis", 3), (p, "run", "analysis", 3),
+    ]
+    assert calls[4] == (p, "zero-roots", None, None)
+    data = json.loads(out.read_text())
+    assert "--setup-only" in data["method"]
+    orbit = data["setup"]["orbit"]["setup_s"]
+    assert orbit["per_seed"] == {"1": [0.3, 0.2], "2": [0.2, 0.25]}
+    assert orbit["change_wins"] == 1 and orbit["pairs"] == 2  # lower is better
+    assert orbit["parent"] == pytest.approx({"median": 0.25, "q1": 0.225, "q3": 0.275, "n": 2})
+    analysis = data["setup"]["analysis"]["setup_s"]
+    assert analysis["change_wins"] == 1  # a tie is not a win
+    capsys.readouterr()
+    assert bench.main(["--compare", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "setup analysis setup_s: parent 0.45 [0.425, 0.475] -> change 0.4 [0.35, 0.45], change won 1 of 2" in lines
+
+
+def test_setup_runs_in_the_worker_environment_of_run_py(monkeypatch):
+    bench = load_bench()
+    seen = []
+
+    def fake_last_json(cmd, root, env):
+        seen.append((cmd, root, env))
+        return {"setup_s": 0.25}
+
+    monkeypatch.setattr(bench, "_last_json", fake_last_json)
+    assert bench.time_setup("/checkout", "network", 7, 35.0, {"PYTHONDONTWRITEBYTECODE": "1"}) == 0.25
+    ((cmd, root, env),) = seen
+    assert root == "/checkout"
+    assert cmd[1:] == ["perfbench/worker.py", "--workload", "network", "--seed", "7", "--seconds", "35.0",
+                       "--setup-only"]
+    # run.py's own table, not a copy of it
+    assert env == {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONHASHSEED": "0", **bench.PINNED}
+    assert bench.PINNED["OPENBLAS_NUM_THREADS"] == "1"
 
 
 def test_the_revision_is_read_only_at_a_repository_top_level(tmp_path):

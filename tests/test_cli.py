@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pllbif import BlockKind, ModelKind, cli
+from pllbif import BlockKind, Branch, ModelKind, NetworkParams, build_blocks, cli, equilibrium
 from pllbif.cli import main
 from pllbif.errors import NotPeriodicError
 
@@ -66,14 +66,55 @@ def test_outputs_are_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1].endswith(" on [0, 8]")
 
 
-def test_normalization_happens_at_the_boundary(tmp_path):
-    # physical parameters and their normalized image emit identical files
-    phys, norm = tmp_path / "p.csv", tmp_path / "n.csv"
-    assert run(["zero-roots", "--omega-m", "2", "--K", "1.6", "--mu", "1.0", "--n", "0:6", "--out", phys]) == 0
-    assert run(["zero-roots", "--K", "0.8", "--mu", "0.5", "--n", "0:6", "--out", norm]) == 0
-    assert read(phys) == read(norm)
-    assert float(meta_value(read(phys), "omega_m")) == 1.0
-    assert float(meta_value(read(phys), "K")) == 0.8
+RATES = {"--K", "--mu", "--mu-grid", "--k-grid", "--omega-hat"}
+TIMES = {"--tau", "--tau-window", "--tau-grid", "--tau-max", "--t-end", "--step"}
+
+
+def at_omega_m(argv, wm):
+    """``argv`` (at omega_m = 1) for free-running frequency ``wm``: rates times wm, times over wm.
+
+    A grid's last field is its count and stays.  With wm a power of 2 every
+    value scales exactly, so the CLI's rescaling returns the original floats.
+    """
+    out = [argv[0], "--omega-m", repr(wm)]
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag in RATES or flag in TIMES:
+            fields = value.split(":")
+            scaled = fields[:-1] if flag.endswith("-grid") else fields
+            factor = wm if flag in RATES else 1.0 / wm
+            value = ":".join([repr(float(v) * factor) for v in scaled] + fields[len(scaled):])
+        out += [flag, value]
+    return out
+
+
+OMEGA_M_CASES = {
+    "curves": ["curves", "--K", "1.05", "--mu-grid", "0.05:0.45:5", "--tau-max", "30"],
+    "rightmost": ["rightmost", "--K", "1.05", "--mu", "0.3", "--tau-grid", "0:6:4"],
+    "snmap": ["snmap", "--K", "1.05", "--mu", "0.3", "--tau-window", "0:25"],
+    "snmap-phase": ["snmap", "--model", "phase", "--K", "1", "--mu", "1", "--tau-window", "0:8"],
+    "releq": ["releq", "--K", "1", "--tau-window", "0:8"],
+    "zero-roots": ["zero-roots", "--K", "0.8", "--mu", "0.5", "--n", "0:6"],
+    "phasediff-check": ["phasediff-check", "--K", "1.05", "--mu", "0.3", "--tau", "2",
+                        "--samples", "20"],
+    "simulate": ["simulate", "--K", "1.05", "--mu", "0.3", "--tau", "2", "--t-end", "20",
+                 "--step", "0.25", "--perturb", "sync", "--amplitude", "0.01"],
+    "simulate-omega-hat": ["simulate", "--model", "phase-rotating-frame", "--K", "1.05",
+                           "--mu", "0.3", "--tau", "2", "--t-end", "10", "--omega-hat", "0.9",
+                           "--classify", "no"],
+}
+
+
+@pytest.mark.parametrize("argv", OMEGA_M_CASES.values(), ids=OMEGA_M_CASES.keys())
+def test_normalization_happens_at_the_boundary(tmp_path, capsys, argv):
+    # a network and its image at another free-running frequency emit identical output
+    written = []
+    for wm, args in ((1.0, argv), (2.0, at_omega_m(argv, 2.0))):
+        csv, svg = tmp_path / f"{wm}.csv", tmp_path / f"{wm}.svg"
+        chart = [] if args[0] == "phasediff-check" else ["--svg", svg]  # the one command without one
+        assert run([*args, "--out", csv, *chart]) == 0, args
+        written.append((capsys.readouterr(), read(csv), chart and read(svg)))
+    assert written[0] == written[1]
+    assert meta_value(written[1][1], "omega_m") == "1"
 
 
 def test_snmap_matches_frozen_crossings(tmp_path):
@@ -206,7 +247,7 @@ def test_zero_nodes_is_rejected_not_replaced(capsys):
     assert_usage_error(capsys, ["zero-roots", "--K", "0.8", "--mu", "0.5", "--nodes", "0"], "--nodes")
 
 
-def test_zero_free_frequency_is_rejected_not_replaced(capsys):
+def test_zero_omega_m_is_rejected_not_replaced(capsys):
     assert_usage_error(capsys, ["zero-roots", "--K", "0.8", "--mu", "0.5", "--omega-m", "0"], "--omega-m")
 
 
@@ -481,6 +522,24 @@ def test_rightmost_overflow_at_huge_delays_is_one_line(capsys):
 def test_a_huge_coupling_still_finds_its_crossings(capsys):
     assert run(["snmap", "--K", "1e150", "--mu", "1", "--eq", "plus", "--tau-window", "0:1e-74"]) == 0
     assert "2 crossings" in capsys.readouterr().err
+
+
+def test_a_huge_filter_rate_still_finds_its_crossings(tmp_path, capsys):
+    # b = r1^2 - 2 r0 is about 1e200, so b^2 overflows while the crossing
+    # frequency of the fix block, about 1.16, is an ordinary number
+    out = tmp_path / "s.csv"
+    argv = ["snmap", "--K", "1.05", "--mu", "1e100", "--eq", "plus", "--tau-window", "0:25"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", out]) == 0
+    assert "4 crossings" in capsys.readouterr().out
+    p = NetworkParams(2, 1.05, 1e100)
+    blk = build_blocks(ModelKind.FULL_PHASE, p, equilibrium(p, Branch.PLUS)).fix
+    r0, r1, s0 = blk.at(0.0)
+    for row in [l.split(",") for l in read(out).splitlines() if l and not l.startswith("#")][1:]:
+        tau, w = float(row[0]), float(row[1])
+        scale = w * w + r1 * w + abs(r0) + abs(s0)
+        assert abs(blk.eval(1j * w, tau)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize(

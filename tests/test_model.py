@@ -22,7 +22,6 @@ from pllbif import (
     equilibrium_state,
     integrate,
     isotypic_direction,
-    normalize,
     rhs,
     state_dim,
     sync_direction,
@@ -42,16 +41,6 @@ def test_params_validation():
         NetworkParams(2, 1.0, 0.5, delay=-0.1)
     with pytest.raises(InvalidParamError):
         NetworkParams(2, math.nan, 0.5)
-
-
-def test_normalize_scales_and_is_idempotent():
-    p = NetworkParams(3, 2.1, 0.15, free_freq=2.0, delay=4.75)
-    q = normalize(p)
-    assert q.free_freq == 1.0
-    assert q.coupling == pytest.approx(1.05)
-    assert q.filter_gain == pytest.approx(0.075)
-    assert q.delay == pytest.approx(9.5)
-    assert normalize(q) is q
 
 
 def test_state_dims():
@@ -111,16 +100,6 @@ def test_rhs_dimension_check():
         rhs(ModelKind.FULL_PHASE, p, np.zeros(5), np.zeros(5))
 
 
-def test_rhs_normalizes_at_the_boundary():
-    # physical parameters and their normalized image give the same field
-    phys = NetworkParams(2, 2.1, 0.6, free_freq=2.0, delay=0.85)
-    x = np.array([0.3, -0.1, -0.4, 0.2])
-    xd = np.array([0.1, 0.0, 0.2, -0.3])
-    a = rhs(ModelKind.FULL_PHASE, phys, x, xd)
-    b = rhs(ModelKind.FULL_PHASE, normalize(phys), x, xd)
-    assert np.allclose(a, b, atol=1e-15)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=5),
@@ -156,17 +135,16 @@ def test_rotating_frame_needs_omega():
 
 
 def oracle_rhs(kind, params, state, delayed, omega=None):
-    """The field written out term by term from the model equations, O(N^2)."""
-    p = normalize(params)
-    n = p.n_nodes
-    mu = p.filter_gain
-    gain = p.coupling * mu / (n - 1)
+    """The field written out term by term from the model equations (omega_M = 1), O(N^2)."""
+    n = params.n_nodes
+    mu = params.filter_gain
+    gain = params.coupling * mu / (n - 1)
     out = np.empty_like(state)
     out[0::2] = state[1::2]
     if kind is ModelKind.PHASE_DIFFERENCE:
         pairs = difference_pairs(n)
         where = {pair: idx for idx, pair in enumerate(pairs)}
-        shift = p.free_freq * p.delay
+        shift = params.delay
         for idx, (i, j) in enumerate(pairs):
             und = sum(math.sin(state[2 * where[i, l]] + shift) for l in range(n) if l != i)
             dly = sum(math.sin(delayed[2 * where[j, l]] + shift) for l in range(n) if l != j)
@@ -176,7 +154,7 @@ def oracle_rhs(kind, params, state, delayed, omega=None):
         x = state[2 * i]
         acc = -mu * state[2 * i + 1]
         if kind is ModelKind.FULL_PHASE:
-            acc += mu * p.free_freq
+            acc += mu
         if kind is ModelKind.PHASE_ROTATING_FRAME:
             acc -= mu * omega
         for j in range(n):
@@ -186,9 +164,9 @@ def oracle_rhs(kind, params, state, delayed, omega=None):
             if kind is ModelKind.FULL_PHASE:
                 acc += gain * (math.sin(d - x) + math.sin(d + x))
             elif kind is ModelKind.PHASE:
-                acc += gain * math.sin(d - x - p.free_freq * p.delay)
+                acc += gain * math.sin(d - x - params.delay)
             else:
-                acc += gain * math.sin(d - x - (omega + p.free_freq) * p.delay)
+                acc += gain * math.sin(d - x - (omega + 1.0) * params.delay)
         out[2 * i + 1] = acc
     return out
 
@@ -205,7 +183,8 @@ ORACLE_CASES = [
 )
 def test_rhs_matches_pairwise_oracle(kind, n):
     rng = np.random.default_rng(1000 + n)
-    p = NetworkParams(n, 2.6, 0.8, free_freq=1.3, delay=1.7)
+    # the normalized image of K = 2.6, mu = 0.8, tau = 1.7 at omega_M = 1.3
+    p = NetworkParams(n, 2.6 / 1.3, 0.8 / 1.3, delay=1.7 * 1.3)
     dim = state_dim(kind, n)
     omega = 0.35 if kind is ModelKind.PHASE_ROTATING_FRAME else None
     compiled = compile_rhs(kind, p, omega)
@@ -232,9 +211,8 @@ def test_float_stepper_equals_the_array_stepper(data):
     m = data.draw(st.integers(min_value=1, max_value=8))
     p = NetworkParams(
         n,
-        data.draw(st.floats(0.1, 10.0)),
-        data.draw(st.floats(0.01, 10.0)),
-        free_freq=data.draw(st.floats(0.5, 2.0)),
+        data.draw(st.floats(0.05, 20.0)),
+        data.draw(st.floats(0.005, 20.0)),
         delay=1.0,
     )
     h = data.draw(st.floats(1e-3, 2.0))

@@ -28,7 +28,6 @@ from pllbif import (
     pair_difference_direction,
     period_estimate,
     refine_orbit,
-    normalize,
     rhs,
     state_dim,
     symmetry_classify,
@@ -288,7 +287,6 @@ def test_series_match_a_harmonic_loop(refined):
 @pytest.mark.parametrize("kind", [ModelKind.FULL_PHASE, ModelKind.PHASE_DIFFERENCE])
 def test_residual_matches_a_harmonic_loop(kind):
     # coefficients far from any orbit, so that every series enters the residual
-    p = normalize(P3)
     n_comp, h, period, samples = state_dim(kind, 3) // 2, 6, 24.2, 56
     rng = np.random.default_rng(7)
     a = rng.normal(scale=0.3, size=(n_comp, h + 1))
@@ -297,11 +295,11 @@ def test_residual_matches_a_harmonic_loop(kind):
     w = 2.0 * np.pi / period
     ts = (period / samples) * np.arange(samples)
     now = interleave(series_loop(a, b, w, ts), series_loop(a, b, w, ts, 1))
-    then = interleave(series_loop(a, b, w, ts - p.delay), series_loop(a, b, w, ts - p.delay, 1))
-    field = np.array([rhs(kind, p, x, xd) for x, xd in zip(now, then)])
+    then = interleave(series_loop(a, b, w, ts - P3.delay), series_loop(a, b, w, ts - P3.delay, 1))
+    field = np.array([rhs(kind, P3, x, xd) for x, xd in zip(now, then)])
     want = (series_loop(a, b, w, ts, 2) - field[:, 1::2]).ravel()
     assert np.max(np.abs(want)) > 0.1
-    assert np.max(np.abs(orbit._residual(kind, p, a, b, period, samples) - want)) <= 1e-12
+    assert np.max(np.abs(orbit._residual(kind, P3, a, b, period, samples) - want)) <= 1e-12
 
 
 def test_refine_rejects_hopeless_seed():
@@ -396,7 +394,7 @@ def test_the_kept_collocation_gives_the_recollocated_jacobian():
     # refine_orbit passes the collocation of the accepted iterate's residual
     # to the Jacobian instead of collocating that iterate again
     prof = seed_profile().with_harmonics(10)
-    col = orbit._Collocation(prof.kind, normalize(P3), 3, 10, 88, 0)
+    col = orbit._Collocation(prof.kind, P3, 3, 10, 88, 0)
     u = np.concatenate([prof.cos_coeffs.ravel(), prof.sin_coeffs[:, 1:].ravel(), [prof.period]])
     r, coll = col.evaluate(u[:-1], float(u[-1]))
     assert np.array_equal(r, col.residual(u[:-1], float(u[-1])))
@@ -411,7 +409,7 @@ def test_jacobian_matches_a_column_loop(harmonics, turns):
     prof = seed_profile().with_harmonics(harmonics)
     a, b = prof.cos_coeffs.copy(), prof.sin_coeffs
     a[:, 0] += 2.0 * np.pi * turns
-    col = orbit._Collocation(prof.kind, normalize(P3), 3, harmonics, 8 * (harmonics + 1), 0)
+    col = orbit._Collocation(prof.kind, P3, 3, harmonics, 8 * (harmonics + 1), 0)
     assert_jacobian_near_the_loop(col, np.concatenate([a.ravel(), b[:, 1:].ravel(), [prof.period]]))
 
 
@@ -422,5 +420,5 @@ def test_difference_jacobian_matches_a_column_loop(nodes):
     n_comp = state_dim(kind, nodes) // 2
     rng = np.random.default_rng(nodes)
     u = np.append(rng.normal(scale=0.3, size=n_comp * (2 * h + 1)), 24.2)
-    p = normalize(NetworkParams(nodes, 1.05, 0.075, delay=9.5))
+    p = NetworkParams(nodes, 1.05, 0.075, delay=9.5)
     assert_jacobian_near_the_loop(orbit._Collocation(kind, p, n_comp, h, 8 * (h + 1), 1), u)

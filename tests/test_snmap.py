@@ -33,7 +33,7 @@ from pllbif import (
     tau_candidates,
     transversality,
 )
-from pllbif.snmap import _b_c, _scan
+from pllbif.snmap import _b_c, _scan, _turns
 
 
 def fix_block(n=2, k=1.05, mu=0.3):
@@ -69,6 +69,22 @@ def test_omega_candidates_counts():
     assert [c.root_branch for c in cands] == [RootBranch.PLUS, RootBranch.MINUS]
     # no real crossing frequencies
     assert omega_candidates(1.0, 1.0) == []
+
+
+def test_omega_candidates_survive_an_overflowing_discriminant():
+    # b^2 overflows while b and c are finite: w^4 - 1e200 w^2 + 1 has w = 1e100 and 1e-100
+    cands = omega_candidates(-1e200, 1.0)
+    assert [c.root_branch for c in cands] == [RootBranch.PLUS, RootBranch.MINUS]
+    assert [c.omega for c in cands] == pytest.approx([1e100, 1e-100], rel=1e-15)
+    # 4c overflows: w^4 - w^2 - 1e308 has w^2 = (1 + sqrt(1 + 4e308)) / 2, about 1e154
+    (cand,) = omega_candidates(-1.0, -1e308)
+    assert cand.omega == pytest.approx(1e77, rel=1e-15)
+    # the scan's elementwise roots agree: (r0, r1, s0) = (1, 1e100, 2) gives
+    # b = 1e200, whose square overflows, and c = -3
+    s = np.linspace(0.0, 1.0, 5)
+    (want,) = omega_candidates(*_b_c(1.0, 1e100, 2.0))
+    w = _turns(lambda x: (np.ones_like(x), 1e100, np.full_like(x, 2.0), x), s, np.zeros(5))[1]
+    assert w == pytest.approx(np.full(5, want.omega), rel=1e-15)
 
 
 def test_tau_candidates_spacing():

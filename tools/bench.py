@@ -26,13 +26,18 @@ pair's order, as ``python3 -m pllbif.cli`` with that checkout's ``src`` on
 the path, in an empty directory, and its wall time is kept.  Then
 ``pllbif verify --only K`` runs the same way for each criterion K of the
 change's acceptance table (``verify_criteria``), once per checkout in the
-pair's order.
+pair's order.  Set-up is timed on its own as well: after each ``--trace 0``
+pair, ``perfbench/worker.py --setup-only`` (import and input generation, no
+pass) runs once in each checkout, in the pair's order, with the environment
+``run.py`` gives its workers (``PYTHONHASHSEED=0`` and its ``PINNED``
+threads), and its ``setup_s`` is kept.
 
 The output file has the layout of ``BENCH_20.json``: ``change``, ``parent``,
 ``machine``, ``command``, ``method``, ``claim``, ``summary`` (the ``--trace 0``
 pairs), ``traced`` (the ``--trace 1`` pairs), ``readme`` (the README
 commands' ``wall_s``, one entry per command, its pairs keyed by pair number),
-``verify`` (the same for each criterion, keyed ``--only K``) and ``runs``,
+``verify`` (the same for each criterion, keyed ``--only K``), ``setup`` (the
+``--setup-only`` processes' ``setup_s`` per workload, keyed by seed) and ``runs``,
 one record per run with the last output line of ``run.py`` under
 ``result``.  ``change`` and ``claim`` are left empty, to be written after
 reading the summary.  Each
@@ -42,17 +47,19 @@ won (strictly better, in the metric's direction from the change's
 BENCHMARK.json) and the per-seed values [parent, change].
 
 ``--compare FILE`` prints a file's ``summary`` one line per workload and
-metric, its ``readme`` one line per command and its ``verify`` one line per
-criterion, and then, per workload and metric, the median over the pairs of
-the ``--trace 0`` set of (second run / first run - 1), whichever side ran
-first, with the number of pairs whose second run read higher: a gap that the
-ABBA order leaves in both sides' numbers alike.
+metric, its ``readme`` one line per command, its ``verify`` one line per
+criterion and its ``setup`` one line per workload, and then, per workload
+and metric, the median over the pairs of the ``--trace 0`` set of (second
+run / first run - 1), whichever side ran first, with the number of pairs
+whose second run read higher: a gap that the ABBA order leaves in both
+sides' numbers alike.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -63,8 +70,15 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, HERE)
 from readme_outputs import readme_commands  # noqa: E402  (tools/ is not a package)
+
+# perfbench/run.py's PINNED: the thread counts its workers run with
+_RUN = importlib.util.spec_from_file_location("perfbench_run", os.path.join(HERE, "..", "perfbench", "run.py"))
+_run = importlib.util.module_from_spec(_RUN)
+_RUN.loader.exec_module(_run)
+PINNED = _run.PINNED
 
 SIDES = ("parent", "change")
 
@@ -93,17 +107,31 @@ def _revision(root: str) -> str:
     return lines[1]
 
 
+def _last_json(cmd: list[str], root: str, env: dict) -> dict:
+    """The JSON last output line of ``cmd`` run in the checkout ``root``."""
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
 def run_once(root: str, workload: str, seed: int, seconds: float, trace: int, env: dict) -> dict:
     """The JSON result line of one ``perfbench/run.py`` run in the checkout ``root``."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
     ]
-    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=False)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}: {proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    return _last_json(cmd, root, env)
+
+
+def time_setup(root: str, workload: str, seed: int, seconds: float, env: dict) -> float:
+    """``setup_s`` of one ``perfbench/worker.py --setup-only`` process in ``root``, in ``run.py``'s worker environment."""
+    cmd = [
+        sys.executable, "perfbench/worker.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--setup-only",
+    ]
+    return _last_json(cmd, root, dict(env, PYTHONHASHSEED="0", **PINNED))["setup_s"]
 
 
 def time_command(root: str, argv: list[str], env: dict) -> float:
@@ -192,7 +220,7 @@ def compare(path: str) -> None:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     print(f"{path}: parent {data.get('parent') or '?'}, change {data.get('change') or '?'}")
-    blocks = (("", data["summary"]), ("readme ", data.get("readme", {})), ("verify ", data.get("verify", {})))
+    blocks = [("", data["summary"])] + [(f"{b} ", data.get(b, {})) for b in ("readme", "verify", "setup")]
     for prefix, summary in blocks:
         for workload, metrics in summary.items():
             for name, m in metrics.items():
@@ -242,7 +270,7 @@ def main(argv=None) -> int:
         "verify": {f"--only {k}": ["verify", "--only", str(k)] for k in verify_criteria(roots["change"])},
     }
     runs: list[dict] = []
-    timed_runs: dict[str, list[dict]] = {block: [] for block in timed}
+    timed_runs: dict[str, list[dict]] = {block: [] for block in (*timed, "setup")}
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     pair = 0
     for name, trace, seeds in sets:
@@ -261,6 +289,12 @@ def main(argv=None) -> int:
                           + (f"wall_s {wall:.4f}" if wall is not None else "traced"), flush=True)
                 if trace:
                     continue
+                for side in order:
+                    setup = time_setup(roots[side], workload, seed, seconds, env)
+                    timed_runs["setup"].append({
+                        "side": side, "workload": workload, "seed": seed,
+                        "result": {"metrics": {"setup_s": {"value": setup}}},
+                    })
                 for block, commands in timed.items():
                     for key, argv in commands.items():
                         for side in order:
@@ -280,7 +314,9 @@ def main(argv=None) -> int:
                   "(ran_first), the same environment on both sides with PYTHONDONTWRITEBYTECODE=1. "
                   f"Set main at --trace 0 on seeds {args.seeds}"
                   + (f"; set traced at --trace 1 on seeds {args.trace_seeds}" if args.trace_seeds else "")
-                  + ". After each main pair, each README command and then pllbif verify --only K for "
+                  + ". After each main pair, perfbench/worker.py --setup-only (run.py's worker "
+                  "environment) once per side in the pair's order, its setup_s under setup by seed; "
+                  "then each README command and then pllbif verify --only K for "
                   "each criterion K (python3 -m pllbif.cli, an empty directory) once per side in the "
                   "pair's order, under readme and verify by pair number."
                   " Quartiles are numpy linear-interpolation percentiles.",
@@ -289,6 +325,7 @@ def main(argv=None) -> int:
         "traced": summarize([r for r in runs if r["set"] == "traced"], better),
         "readme": summarize(timed_runs["readme"], better),
         "verify": summarize(timed_runs["verify"], better),
+        "setup": summarize(timed_runs["setup"], better),
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
