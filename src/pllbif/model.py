@@ -146,17 +146,18 @@ def check_delay(tau) -> float:
     return t
 
 
-def check_int(value, name: str, low: int) -> int:
+def check_int(value, name: str, low: int | None = None) -> int:
     """A count or an index as an int; InvalidParamError unless it is a whole number >= ``low``.
 
-    3 and 3.0 pass; 2.5, NaN and "3" do not.
+    3 and 3.0 pass; 2.5, NaN and "3" do not.  Without ``low`` any whole number passes.
     """
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or n != value or n < low:
-        raise InvalidParamError(f"{name} must be an integer >= {low}, got {value!r}")
+    if n is None or n != value or (low is not None and n < low):
+        bound = "" if low is None else f" >= {low}"
+        raise InvalidParamError(f"{name} must be an integer{bound}, got {value!r}")
     return n
 
 
@@ -207,7 +208,12 @@ def equilibria(params: NetworkParams) -> list[Equilibrium]:
 
 
 def equilibrium(params: NetworkParams, branch: Branch) -> Equilibrium:
-    """The equilibrium on a given branch; at K = 1 the coincident record, re-tagged."""
+    """The equilibrium on a given branch; at K = 1 the coincident record, re-tagged.
+
+    Raises InvalidParamError unless ``branch`` is a Branch.
+    """
+    if not isinstance(branch, Branch):
+        raise InvalidParamError(f"branch must be a Branch, got {branch!r}")
     eqs = equilibria(params)
     for eq in eqs:
         if eq.branch is branch:

@@ -6,7 +6,9 @@ b = r1^2 - 2 r0 and c = r0^2 - s0^2, plus a phase condition that pins
 w tau modulo 2 pi.  Writing theta for the principal crossing angle, the
 candidate delays are tau_n = (theta + 2 pi n)/w and crossings are zeros of
 the map S_n(tau) = tau - tau_n(tau).  For delay-independent coefficients the
-zeros are explicit, and ``sn_scan`` returns the ladders in closed form.  For
+zeros are explicit, and one enumerator, ``_rungs``, gives a ladder's
+windings in a delay window as a range slice: ``sn_scan``, ``tau_candidates``
+and ``bifurcation_curves`` count and build their rungs through it.  For
 delay-dependent ones they are found by a grid scan plus halving in a
 parameter s that moves the delay monotonically: the delay itself, or, along
 a rotating-wave branch of the phase model, the branch's phase
@@ -142,6 +144,9 @@ def omega_candidates(b: float, c: float) -> list[OmegaCandidate]:
 
 
 def _angle(r0: float, r1: float, s0: float, omega: float) -> float:
+    """Principal crossing angle in (-pi, pi] from (r0, r1, s0); DegenerateSError where s0 = 0."""
+    if s0 == 0.0:
+        raise DegenerateSError("S(i w) = 0; crossing angle undefined")
     # S is real and constant in lambda (S_R = s0, S_I = 0); scalar atan2 on
     # purpose, np.arctan2 can differ in the last bit
     theta = math.atan2(s0 * (r1 * omega), -s0 * (r0 - omega * omega))
@@ -152,12 +157,10 @@ def crossing_angle(p: QuasiPolynomial, omega: float, tau: float) -> float:
     """Principal angle theta in (-pi, pi] with w tau = theta (mod 2 pi) at a crossing.
 
     theta = arg(-S_I R_I - S_R R_R, R_I S_R - S_I R_R) evaluated at lambda = i w.
-    Raises DegenerateSError when the delay coefficient vanishes.
+    Raises DegenerateSError when the delay coefficient vanishes, and
+    InvalidParamError unless the delay is finite and >= 0.
     """
-    r0, r1, s0 = p.snapshot(tau)[:3]
-    if s0 == 0.0:
-        raise DegenerateSError("S(i w) = 0; crossing angle undefined")
-    return _angle(r0, r1, s0, omega)
+    return _angle(*p.snapshot(check_delay(tau))[:3], omega)
 
 
 def _transversality_terms(snap, omega: float):
@@ -194,35 +197,48 @@ def transversality(
     Computed from delta = (A C + B D)/(C^2 + D^2) where A + iB collects the
     explicit tau-derivative of P (including the derivatives of r0 and s0 for
     delay-dependent blocks) and C + iD the lambda-derivative.  Raises
-    DegenerateCrossingError when the value vanishes (e.g. a double w root).
+    DegenerateCrossingError when the value vanishes (e.g. a double w root),
+    and InvalidParamError unless tau_star is finite and >= 0.
     """
-    return _delta(p.snapshot(tau_star), omega)
+    return _delta(p.snapshot(check_delay(tau_star)), omega)
 
 
-def _rungs(p: QuasiPolynomial, cand: OmegaCandidate, n_range: range, tau_max: float = math.inf):
-    """(sign delta, windings, tau_n): the n in n_range whose rungs tau_n = (theta + 2 pi n)/w lie in [0, tau_max].
+def _rungs(snap, cand: OmegaCandidate, n_range: range, t0: float = 0.0, t1: float = math.inf):
+    """(sign delta, windings, tau_n): the n in n_range whose rungs tau_n = (theta + 2 pi n)/w lie in [t0, t1].
 
-    tau_n rises with n, so the windings are a slice of the range, in its
-    order, found by bisection and counted before any rung is built.  On a
-    delay-independent block sign delta = sign F'(w), F'(w) = 4 w^3 + 2 b w:
-    +1 on the PLUS root and -1 on the MINUS root (Cooke & van den Driessche,
-    1986), the same for every rung.  Where rungs tau_n >= 0 exist and F'(w)
-    vanishes to rounding (a double root b^2 = 4c) the crossing is
-    tangential, and DegenerateCrossingError is raised.
+    The one enumerator of a delay-independent block's ladders; ``snap`` is
+    the block's frozen (r0, r1, s0).  tau_n rises with n, so the windings
+    are a slice of the range, in its order, counted before any rung is
+    built.  sign delta = sign F'(w), F'(w) = 4 w^3 + 2 b w: +1 on the PLUS root and
+    -1 on the MINUS root (Cooke & van den Driessche, 1986), the same for
+    every rung.  Where the range holds rungs tau_n >= t0 and F'(w) vanishes
+    to rounding (a double root b^2 = 4c) the crossing is tangential, and
+    DegenerateCrossingError is raised.
     """
     w = cand.omega
-    theta = crossing_angle(p, w, 0.0)
+    theta = _angle(*snap, w)
 
     def tau_n(n):
         return (theta + _TWO_PI * n) / w
 
     up = n_range if n_range.step > 0 else n_range[::-1]
-    first = bisect.bisect_left(up, 0.0, key=tau_n)
-    b = _b_c(*p.snapshot(0.0)[:3])[0]
-    if first < len(up) and abs(4.0 * w**3 + 2.0 * b * w) <= 1e-12 * (4.0 * w**3 + 2.0 * abs(b) * w):
+    b = _b_c(*snap)[0]
+    if up and tau_n(up[-1]) >= t0 and abs(4.0 * w**3 + 2.0 * b * w) <= 1e-12 * (4.0 * w**3 + 2.0 * abs(b) * w):
         raise DegenerateCrossingError(f"double crossing frequency omega={w}")
-    ns = up[first : bisect.bisect_right(up, tau_max, key=tau_n)]
-    return (1 if cand.root_branch is RootBranch.PLUS else -1), (ns if up is n_range else ns[::-1]), tau_n
+    ns = up[bisect.bisect_left(up, t0, key=tau_n) : bisect.bisect_right(up, t1, key=tau_n)]
+    return (1 if cand.root_branch is RootBranch.PLUS else -1), (ns if n_range.step > 0 else ns[::-1]), tau_n
+
+
+def _crossings(snap, ladders) -> list[CrossingCandidate]:
+    """The crossings of ``_rungs`` ladders (cand, sign, windings, tau_n) on the block ``snap``, ascending in tau."""
+    out = []
+    for cand, sign, ns, tau_n in ladders:
+        for n in ns:
+            tau = tau_n(n)
+            dot, norm, _ = _transversality_terms((*snap, tau, 0.0, 0.0), cand.omega)
+            out.append(CrossingCandidate(cand, tau, n, dot / norm, sign))
+    out.sort(key=lambda c: c.tau_star)
+    return out
 
 
 def tau_candidates(
@@ -230,23 +246,17 @@ def tau_candidates(
 ) -> list[CrossingCandidate]:
     """Nonnegative crossing delays tau_n = (theta + 2 pi n)/w for n in n_range, ascending.
 
-    Requires delay-independent coefficients (theta does not move with tau);
-    the delay-dependent case goes through sn_scan.  The sign of delta is the
-    root branch's (``bifurcation_curves`` takes the same), and a double
-    crossing frequency raises DegenerateCrossingError.
+    Requires delay-independent coefficients (sn_scan takes the others).  The
+    rungs come from the enumerator ``sn_scan`` and ``bifurcation_curves``
+    share: the sign of delta is the root branch's, and a double crossing
+    frequency raises DegenerateCrossingError.
     """
     if p.tau_dependent:
         raise UnsupportedKindError(
             "tau_candidates needs delay-independent coefficients; use sn_scan"
         )
-    sign, ns, tau_n = _rungs(p, cand, n_range)
-    out = []
-    for n in ns:
-        tau = tau_n(n)
-        dot, norm, _ = _transversality_terms(p.snapshot(tau), cand.omega)
-        out.append(CrossingCandidate(cand, tau, n, dot / norm, sign))
-    out.sort(key=lambda c: c.tau_star)
-    return out
+    snap = p.snapshot(0.0)[:3]
+    return _crossings(snap, [(cand, *_rungs(snap, cand, n_range))])
 
 
 def _b_c(r0, r1, s0):
@@ -317,41 +327,6 @@ def _halve(at, root, ends, closed, side, passes):
 # that takes about 8 us to build (one transversality evaluation); with the
 # halving, 2^20 brackets cost about 15 s and 650 MiB on one Xeon core
 _MAX_CROSSINGS = 2**20
-
-
-def _ladder(p: QuasiPolynomial, t0: float, t1: float) -> list[CrossingCandidate]:
-    """The rungs tau_n = (theta + 2 pi n)/w in [t0, t1] of a delay-independent block.
-
-    Rung n lies in the window iff u(t0) <= n <= u(t1), u(tau) = (tau w - theta)/2 pi,
-    so the crossings are counted before any is built; ``tau_candidates``
-    builds them over that n range widened by one rung each way, and the
-    window keeps the rungs that rounding leaves inside it.
-    """
-    r0, r1, s0 = p.snapshot(t0)[:3]
-    if s0 == 0.0:
-        return []
-    rungs = []
-    for cand in omega_candidates(*_b_c(r0, r1, s0)):
-        theta = _angle(r0, r1, s0, cand.omega)
-        rungs.append((cand, *((cand.omega * t - theta) / _TWO_PI for t in (t0, t1))))
-    # u(t0) >= -1/2 (t0 >= 0, theta <= pi), so every n counted is >= 0
-    count = sum(
-        max(0, math.floor(u1) - math.ceil(u0) + 1) if math.isfinite(u1) else math.inf
-        for _, u0, u1 in rungs
-    )
-    if count > _MAX_CROSSINGS:
-        raise InvalidParamError(
-            f"the delay window [{t0:g}, {t1:g}] holds {count:.6g} crossings, "
-            "more than the budget of 2^20"
-        )
-    out = [
-        cross
-        for cand, u0, u1 in rungs
-        for cross in tau_candidates(p, cand, range(max(0, math.ceil(u0) - 1), math.floor(u1) + 2))
-        if t0 <= cross.tau_star <= t1
-    ]
-    out.sort(key=lambda c: c.tau_star)
-    return out
 
 
 def _scan(at, windows) -> list[list[CrossingCandidate]]:
@@ -437,10 +412,13 @@ def sn_scan(p: QuasiPolynomial, tau_window: tuple[float, float]) -> list[Crossin
     """Zeros of S_n over a delay window, for constant or delay-dependent blocks.
 
     A delay-independent block's zeros are the ladders tau_n = (theta + 2 pi n)/w
-    of its crossing frequencies, taken in closed form (``tau_candidates``
-    over the windings the window holds); they are counted before any is
-    built, and more than the budget of 2^20 crossings raises
-    InvalidParamError.
+    of its crossing frequencies, in closed form: the ladder enumerator that
+    ``tau_candidates`` and ``bifurcation_curves`` share gives each ladder's
+    windings n >= 0 in the window as a range slice, so they are counted
+    before any is built, and more than the budget of 2^20 crossings raises
+    InvalidParamError.  A window that reaches past winding 2^50, where
+    rounding moves a delay by a sizable part of the rung spacing, is counted
+    from its width, (t1 - t0) w/2 pi per ladder, and refused either way.
 
     A delay-dependent block is sampled at 1001 evenly spaced delays for both
     root branches w+ and w-.  Where a branch's w is born or dies inside a
@@ -464,7 +442,26 @@ def sn_scan(p: QuasiPolynomial, tau_window: tuple[float, float]) -> list[Crossin
     if not t1 > t0:
         return []
     if not p.tau_dependent:
-        return _ladder(p, t0, t1)
+        snap = p.snapshot(0.0)[:3]
+        cands = omega_candidates(*_b_c(*snap)) if snap[2] != 0.0 else []
+        far = any(not t1 * c.omega / _TWO_PI < 2.0**50 for c in cands)
+        # theta > -pi puts tau_n past t1 for n > (t1 w + pi)/2 pi, so the range stops there
+        ladders = [] if far else [
+            (c, *_rungs(snap, c, range(math.floor((t1 * c.omega + math.pi) / _TWO_PI) + 2), t0, t1))
+            for c in cands
+        ]
+        count = sum((t1 - t0) * c.omega / _TWO_PI for c in cands) if far else sum(len(r[2]) for r in ladders)
+        if count > _MAX_CROSSINGS:
+            raise InvalidParamError(
+                f"the delay window [{t0:g}, {t1:g}] holds {count:.6g} crossings, "
+                "more than the budget of 2^20"
+            )
+        if far:
+            raise InvalidParamError(
+                f"the delay window [{t0:g}, {t1:g}] reaches windings past 2^50, "
+                "too far out for doubles to space the rungs"
+            )
+        return _crossings(snap, ladders)
     return _scan(lambda tau: (*p.at(tau), tau, *p.dcoeffs(tau)), [(t0, t1)])[0]
 
 
@@ -532,7 +529,8 @@ def bifurcation_curves(
 
     Sweep values where no equilibrium or no crossing frequency exists simply
     contribute no rows.  Rows are sorted by (sweep value, tau).  The blocks
-    are delay-independent: a row is a rung of ``tau_candidates``, and its
+    are delay-independent: a row is a rung of the ladder enumerator that
+    ``tau_candidates`` and ``sn_scan`` share, in [0, tau_max], and its
     delta sign is the root branch's, sign F'(w) (+1 on the PLUS root, -1 on
     the MINUS root; Cooke & van den Driessche, 1986).  A double crossing
     frequency b^2 = 4c with rungs in n_range raises DegenerateCrossingError,
@@ -551,9 +549,9 @@ def bifurcation_curves(
             continue
         blocks = build_blocks(ModelKind.FULL_PHASE, q, eq)
         blk = blocks.fix if block is BlockKind.FIX else blocks.standard
-        b, c = _b_c(*blk.snapshot(0.0)[:3])
-        for cand in omega_candidates(b, c):
-            sign, ns, tau_n = _rungs(blk, cand, n_range, math.inf if tau_max is None else tau_max)
+        snap = blk.snapshot(0.0)[:3]
+        for cand in omega_candidates(*_b_c(*snap)):
+            sign, ns, tau_n = _rungs(snap, cand, n_range, 0.0, math.inf if tau_max is None else tau_max)
             count += len(ns)
             if count > _MAX_CROSSINGS:
                 raise InvalidParamError(

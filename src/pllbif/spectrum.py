@@ -40,7 +40,7 @@ from .errors import (
     InvalidParamError,
     NoConvergenceError,
 )
-from .model import check_delay
+from .model import check_delay, check_int
 from .snmap import _TWO_PI, RootBranch, _angle, omega_candidates
 
 __all__ = [
@@ -151,11 +151,12 @@ def lambert_w(k: int, z: complex) -> complex:
     cut, returns conj(W_{-k}(conj z)), the mirror image of the upper side;
     the iteration itself sees only upper sides.  Other inputs within 1e-14
     of -1/e on branches 0 and -1 return -1 exactly.  Raises
+    InvalidParamError unless k is a whole number (2.0 passes, 1.5 does not),
     BranchDomainError for a non-finite z (no branch holds it) and for z = 0
     on k != 0, and NoConvergenceError if the defining identity cannot be met.
     """
     z = complex(z)
-    k = int(k)
+    k = check_int(k, "branch index k")
     if not cmath.isfinite(z):
         raise BranchDomainError(f"W_k is not defined at z={z}")
     if z.real < -_EXP_NEG1 and z.imag == 0.0 and math.copysign(1.0, z.imag) < 0.0:

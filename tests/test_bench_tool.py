@@ -95,11 +95,38 @@ def test_compare_prints_the_summary_and_the_first_versus_second_gap(tmp_path, ca
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"{path}: parent abc1234, change ?"
     # parent walls 1, 2.2, 3, 1; change walls 1.5, 2, 4, 1.1
-    assert lines[1] == "analysis wall_s: parent 1.6 [1, 2.4] -> change 1.75 [1.4, 2.5], change won 1 of 4"
-    assert lines[2] == "analysis ok_ratio: parent 1 [1, 1] -> change 1 [1, 1], change won 0 of 4"
+    # change / parent - 1 per pair: +50%, -9.09%, +33.33%, +10%
+    assert lines[1] == ("analysis wall_s: parent 1.6 [1, 2.4] -> change 1.75 [1.4, 2.5], change won 1 of 4,"
+                        " change / parent - 1 median +21.67% [+5.23%, +37.50%]")
+    assert lines[2] == ("analysis ok_ratio: parent 1 [1, 1] -> change 1 [1, 1], change won 0 of 4,"
+                        " change / parent - 1 median +0.00% [+0.00%, +0.00%]")
     assert lines[3] == "analysis wall_s: second / first - 1 median +10.00%, second higher in 3 of 4"
     assert lines[4] == "analysis ok_ratio: second / first - 1 median +0.00%, second higher in 0 of 4"
     assert len(lines) == 5
+
+
+def test_the_paired_ratio_is_change_over_parent_minus_one_per_pair(tmp_path, capsys):
+    bench = load_bench()
+    runs = [
+        run("parent", 1, 2.0, 0.0), run("change", 1, 1.0, 0.0),  # -50%
+        run("parent", 2, 4.0, 0.0), run("change", 2, 5.0, 0.0),  # +25%
+        run("change", 3, 3.0, 0.0), run("parent", 3, 3.0, 0.0),  # 0%
+        run("parent", 4, 1.0, 0.0), run("change", 4, 1.1, 0.0),  # +10%
+        run("parent", 5, 0.0, 0.0), run("change", 5, 9.0, 0.0),  # a zero parent: left out
+        run("parent", 6, 7.0, 0.0),  # no change run: no pair
+    ]
+    summary = bench.summarize(runs, {"wall_s": "lower", "ok_ratio": "higher"})
+    wall = summary["analysis"]["wall_s"]
+    assert wall["pairs"] == 5
+    # numpy's linear-interpolation quartiles of -0.5, 0, 0.1, 0.25
+    assert wall["ratio"] == pytest.approx({"median": 0.05, "q1": -0.125, "q3": 0.1375, "n": 4})
+    assert summary["analysis"]["ok_ratio"]["ratio"] is None  # every parent value is 0
+    path = tmp_path / "BENCH_0.json"
+    path.write_text(json.dumps({"parent": "", "runs": [], "summary": {"analysis": {"wall_s": wall}}}))
+    assert bench.main(["--compare", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(
+        "change won 1 of 5, change / parent - 1 median +5.00% [-12.50%, +13.75%]"
+    )
 
 
 def test_a_run_needs_both_checkouts_unless_it_compares(capsys):
@@ -150,7 +177,8 @@ def test_readme_commands_are_timed_after_each_pair_in_its_order(tmp_path, monkey
     capsys.readouterr()
     assert bench.main(["--compare", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert "readme releq --K 1 wall_s: parent 2 [2, 2] -> change 1 [1, 1], change won 2 of 2" in lines
+    assert ("readme releq --K 1 wall_s: parent 2 [2, 2] -> change 1 [1, 1], change won 2 of 2,"
+            " change / parent - 1 median -50.00% [-50.00%, -50.00%]") in lines
 
 
 def test_each_verify_criterion_is_timed_after_each_pair_in_its_order(tmp_path, monkeypatch, capsys):
@@ -203,8 +231,10 @@ def test_each_verify_criterion_is_timed_after_each_pair_in_its_order(tmp_path, m
     capsys.readouterr()
     assert bench.main(["--compare", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert "verify --only 4 wall_s: parent 3 [3, 3] -> change 2 [2, 2], change won 2 of 2" in lines
-    assert "verify --only 12 wall_s: parent 1 [1, 1] -> change 1 [1, 1], change won 0 of 2" in lines
+    assert ("verify --only 4 wall_s: parent 3 [3, 3] -> change 2 [2, 2], change won 2 of 2,"
+            " change / parent - 1 median -33.33% [-33.33%, -33.33%]") in lines
+    assert ("verify --only 12 wall_s: parent 1 [1, 1] -> change 1 [1, 1], change won 0 of 2,"
+            " change / parent - 1 median +0.00% [+0.00%, +0.00%]") in lines
 
 
 def test_setup_is_timed_after_each_pair_in_its_order(tmp_path, monkeypatch, capsys):
@@ -263,7 +293,8 @@ def test_setup_is_timed_after_each_pair_in_its_order(tmp_path, monkeypatch, caps
     capsys.readouterr()
     assert bench.main(["--compare", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert "setup analysis setup_s: parent 0.45 [0.425, 0.475] -> change 0.4 [0.35, 0.45], change won 1 of 2" in lines
+    assert ("setup analysis setup_s: parent 0.45 [0.425, 0.475] -> change 0.4 [0.35, 0.45], change won 1 of 2,"
+            " change / parent - 1 median -12.50% [-18.75%, -6.25%]") in lines
 
 
 def test_setup_runs_in_the_worker_environment_of_run_py(monkeypatch):

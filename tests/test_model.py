@@ -84,6 +84,15 @@ def test_equilibria_coincide_at_threshold():
     assert equilibrium(NetworkParams(2, 1.0, 0.3), Branch.MINUS).phi == eqs[0].phi
 
 
+@pytest.mark.parametrize("k", [1.05, 1.0])
+@pytest.mark.parametrize("branch", ["minus", None, 1])
+def test_equilibrium_refuses_a_branch_that_is_not_a_branch(k, branch):
+    # the coincident record of K = 1 would take any tag: "minus" returned the
+    # PLUS equilibrium of K = 1.05 tagged "minus"
+    with pytest.raises(InvalidParamError):
+        equilibrium(NetworkParams(2, k, 0.3), branch)
+
+
 def test_equilibrium_is_rhs_fixed_point():
     p = NetworkParams(3, 1.05, 0.075, delay=9.5)
     for br in Branch:

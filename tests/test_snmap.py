@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pllbif import (
     BlockKind,
     Branch,
+    CrossingCandidate,
     DegenerateCrossingError,
     DegenerateSError,
     InvalidParamError,
@@ -152,22 +153,25 @@ def test_scan_on_subwindow_and_ordering():
     r0=st.floats(min_value=-3.0, max_value=3.0),
     r1=st.floats(min_value=0.01, max_value=3.0),
     s0=st.floats(min_value=-3.0, max_value=3.0).filter(lambda v: abs(v) > 1e-3),
-    start=st.floats(min_value=0.0, max_value=30.0),
+    start=st.one_of(st.floats(min_value=0.0, max_value=30.0), st.floats(min_value=30.0, max_value=1e4)),
     length=st.floats(min_value=0.1, max_value=30.0),
 )
 def test_scan_of_a_constant_block_finds_the_closed_form_ladder(r0, r1, s0, start, length):
-    # with constant coefficients S_n has the explicit zeros tau_n = (theta + 2 pi n)/w,
-    # and the scan returns exactly the rungs of tau_candidates inside the window
+    # with constant coefficients S_n has the explicit zeros tau_n = (theta + 2 pi n)/w;
+    # the reference walks every n >= 0, with theta and delta from the public
+    # crossing_angle and transversality, not through the scan's enumerator
     b, c = r1 * r1 - 2.0 * r0, r0 * r0 - s0 * s0
     assume(abs(b * b - 4.0 * c) > 1e-3)
     p = constant_quasi_polynomial(r0, r1, s0)
     end = start + length
-    rungs = [
-        x
-        for cand in omega_candidates(b, c)
-        for x in tau_candidates(p, cand, range(0, int(cand.omega * end / (2.0 * math.pi)) + 2))
-        if start <= x.tau_star <= end
-    ]
+    rungs = []
+    for cand in omega_candidates(b, c):
+        theta = crossing_angle(p, cand.omega, 0.0)
+        n = 0
+        while (tau := (theta + 2.0 * math.pi * n) / cand.omega) <= end:
+            if tau >= start:
+                rungs.append(CrossingCandidate(cand, tau, n, *transversality(p, cand.omega, tau)))
+            n += 1
     scan = sn_scan(p, (start, end))
     assert scan == sorted(rungs, key=lambda x: x.tau_star)
 
@@ -291,6 +295,15 @@ def test_transversality_sign_law():
         assert got_sign == sign
         assert math.copysign(1.0, delta) == sign
         assert (br is RootBranch.PLUS) == (sign == 1)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("func", [transversality, crossing_angle], ids=lambda f: f.__name__)
+def test_crossing_direction_and_angle_refuse_a_bad_delay(func, tau):
+    # unchecked, the constant block answers at any delay: transversality gave
+    # (nan, -1) at tau = nan, a direction for a crossing that does not exist
+    with pytest.raises(InvalidParamError):
+        func(fix_block(), FROZEN[0][1], tau)
 
 
 def test_degenerate_double_root_raises():

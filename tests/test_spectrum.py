@@ -102,6 +102,14 @@ def test_lambert_branch_domain():
         lambert_w(1, 0.0)
 
 
+@pytest.mark.parametrize("k", [1.5, -0.9, math.nan, "1"])
+def test_lambert_refuses_a_branch_index_that_is_not_whole(k):
+    # int(k) would truncate: 1.5 would give W_1 and -0.9 W_0
+    with pytest.raises(InvalidParamError):
+        lambert_w(k, 1.0)
+    assert lambert_w(2.0, 1.0) == lambert_w(2, 1.0)
+
+
 @pytest.mark.parametrize(
     "z", [math.nan, math.inf, -math.inf, complex(0.0, math.inf), complex(math.nan, 1.0)]
 )

@@ -44,10 +44,15 @@ reading the summary.  Each
 summary entry gives, per workload and metric, both sides' median, quartiles
 (numpy's linear interpolation) and run count, the number of pairs the change
 won (strictly better, in the metric's direction from the change's
-BENCHMARK.json) and the per-seed values [parent, change].
+BENCHMARK.json), ``ratio``: the median and quartiles of change / parent - 1
+over the pairs (a pair whose parent value is 0 left out), and the per-seed
+values [parent, change].  The host's speed drifts from one pair to the next,
+so the two sides' medians can spread more than the two runs of one pair
+differ; the paired ratio keeps only that difference.
 
 ``--compare FILE`` prints a file's ``summary`` one line per workload and
-metric, its ``readme`` one line per command, its ``verify`` one line per
+metric, with its paired ratio (recomputed from ``per_seed``, so older files
+get it too), its ``readme`` one line per command, its ``verify`` one line per
 criterion and its ``setup`` one line per workload, and then, per workload
 and metric, the median over the pairs of the ``--trace 0`` set of (second
 run / first run - 1), whichever side ran first, with the number of pairs
@@ -163,6 +168,12 @@ def _stats(values: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "n": len(values)}
 
 
+def _ratio(pairs) -> dict | None:
+    """``_stats`` of change / parent - 1 over [parent, change] pairs, leaving out a zero parent; None if none is left."""
+    ratios = [c / p - 1.0 for p, c in pairs if p != 0.0]
+    return _stats(ratios) if ratios else None
+
+
 def _paired(runs: list[dict], slot) -> dict:
     """{workload: {metric: {seed: [a, b]}}}, each run's value at index ``slot(run)``."""
     paired: dict[str, dict[str, dict[int, list]]] = {}
@@ -174,7 +185,7 @@ def _paired(runs: list[dict], slot) -> dict:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: both sides' statistics, pairs the change won, per-seed values.
+    """Per workload and metric: both sides' statistics, pairs the change won, change / parent - 1, per-seed values.
 
     ``runs`` holds records with ``side``, ``workload``, ``seed`` and
     ``result.metrics``; a pair is the parent and change run of one
@@ -191,6 +202,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 "change": _stats([c for _, c in pairs.values()]),
                 "change_wins": sum(sign * (c - p) > 0.0 for p, c in pairs.values()),
                 "pairs": len(pairs),
+                "ratio": _ratio(pairs.values()),
                 "per_seed": {str(s): v for s, v in pairs.items()},
             }
     return summary
@@ -224,10 +236,12 @@ def compare(path: str) -> None:
     for prefix, summary in blocks:
         for workload, metrics in summary.items():
             for name, m in metrics.items():
-                p, c = m["parent"], m["change"]
+                p, c, r = m["parent"], m["change"], _ratio(m["per_seed"].values())
                 print(f"{prefix}{workload} {name}: parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
                       f" -> change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}],"
-                      f" change won {m['change_wins']} of {m['pairs']}")
+                      f" change won {m['change_wins']} of {m['pairs']}"
+                      + (f", change / parent - 1 median {r['median']:+.2%} [{r['q1']:+.2%}, {r['q3']:+.2%}]"
+                         if r else ""))
     main_runs = [r for r in data["runs"] if r.get("trace", 0) == 0]
     for workload, metrics in order_gaps(main_runs).items():
         for name, g in metrics.items():
@@ -319,7 +333,8 @@ def main(argv=None) -> int:
                   "then each README command and then pllbif verify --only K for "
                   "each criterion K (python3 -m pllbif.cli, an empty directory) once per side in the "
                   "pair's order, under readme and verify by pair number."
-                  " Quartiles are numpy linear-interpolation percentiles.",
+                  " Quartiles are numpy linear-interpolation percentiles; ratio holds those of "
+                  "change / parent - 1 over the pairs.",
         "claim": "",
         "summary": summarize([r for r in runs if r["set"] == "main"], better),
         "traced": summarize([r for r in runs if r["set"] == "traced"], better),
